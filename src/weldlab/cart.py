@@ -212,8 +212,22 @@ def tree_arity(t: TreeNode) -> int:
     return max(t.feature + 1, tree_arity(t.left), tree_arity(t.right))
 
 
+def _route(t: TreeNode, x) -> float:
+    """Leaf mean reached by `x` (<= goes left), with no bounds check."""
+    while isinstance(t, Internal):
+        t = t.left if x[t.feature] <= t.threshold else t.right
+    return t.value
+
+
 def predict_tree(t: TreeNode, x: Sequence[float]) -> float:
-    """Route by threshold comparisons (<= goes left); return the leaf mean."""
+    """Route by threshold comparisons (<= goes left); return the leaf mean.
+
+    Each call walks the whole tree to check `x` against every feature index
+    it references.  Ensembles validate once per model instead, not once per
+    tree call: `predict_ensemble` checks the vector length against the
+    model's feature count, and `model_from_json` checks every split feature
+    at load.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("x must be a single feature vector")
@@ -222,10 +236,7 @@ def predict_tree(t: TreeNode, x: Sequence[float]) -> float:
             f"feature vector has {x.shape[0]} entries but the tree "
             f"references feature index {tree_arity(t) - 1}"
         )
-    node = t
-    while isinstance(node, Internal):
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.value
+    return _route(t, x)
 
 
 def predict_tree_many(t: TreeNode, X: np.ndarray) -> np.ndarray:

@@ -23,8 +23,8 @@ from .cart import (
     Leaf,
     TreeConfig,
     TreeNode,
+    _route,
     build_tree,
-    predict_tree,
 )
 from .dataset import Dataset, FoldPlan, bootstrap_indices
 
@@ -142,15 +142,14 @@ def fit_gbm(
     current = np.full_like(y, f0)
     mse_track = [float(np.mean((y - current) ** 2))]
     stages = []
+    rows = X.tolist()
     for _ in range(rounds):
         residuals = y - current
         stage = build_tree(X, residuals, cfg)
         if lam > 0.0:
             stage = _shrink_leaves(stage, lam)
         stages.append(stage)
-        current = current + nu * np.asarray(
-            [predict_tree(stage, row) for row in X]
-        )
+        current = current + nu * np.asarray([_route(stage, row) for row in rows])
         mse_track.append(float(np.mean((y - current) ** 2)))
     return BoostModel(
         f0=f0,
@@ -171,11 +170,10 @@ def predict_ensemble(model: EnsembleModel, x: Sequence[float]) -> float:
         raise ValueError(
             f"expected a feature vector of length {model.n_features}"
         )
+    row = x.tolist()  # Python floats: cheaper to index than numpy scalars
     if isinstance(model, ForestModel):
-        return float(
-            sum(predict_tree(t, x) for t in model.trees) / len(model.trees)
-        )
-    return model.f0 + model.nu * sum(predict_tree(t, x) for t in model.stages)
+        return float(sum(_route(t, row) for t in model.trees) / len(model.trees))
+    return model.f0 + model.nu * sum(_route(t, row) for t in model.stages)
 
 
 def predict_ensemble_many(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
@@ -358,18 +356,25 @@ def _node_to_dict(t: TreeNode) -> dict:
     }
 
 
-def _node_from_dict(obj: dict) -> TreeNode:
+def _node_from_dict(obj: dict, n_features: int) -> TreeNode:
+    """Rebuild a tree, rejecting any split feature outside [0, n_features)."""
     if "leaf" in obj:
         leaf = obj["leaf"]
         return Leaf(value=float(leaf["value"]), n=int(leaf["n"]))
     s = obj["split"]
+    feature = int(s["feature"])
+    if not 0 <= feature < n_features:
+        raise ValueError(
+            f"split feature {feature} is outside [0, {n_features}) "
+            "for this model"
+        )
     return Internal(
-        feature=int(s["feature"]),
+        feature=feature,
         threshold=float(s["threshold"]),
         decrease=float(s["decrease"]),
         n=int(s["n"]),
-        left=_node_from_dict(s["left"]),
-        right=_node_from_dict(s["right"]),
+        left=_node_from_dict(s["left"], n_features),
+        right=_node_from_dict(s["right"], n_features),
     )
 
 
@@ -413,18 +418,21 @@ def model_to_json(model: EnsembleModel) -> str:
 
 
 def model_from_json(text: str) -> EnsembleModel:
+    """Parse a model document; every split feature is checked here, once, so
+    prediction can route rows without re-walking each tree."""
     doc = json.loads(text)
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError("not a weldlab model document")
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')}")
     cfg = TreeConfig(**doc["config"])
-    trees = tuple(_node_from_dict(t) for t in doc["trees"])
+    n_features = int(doc["n_features"])
+    trees = tuple(_node_from_dict(t, n_features) for t in doc["trees"])
     if doc["kind"] == "rf":
         return ForestModel(
             trees=trees,
             tree_seeds=tuple(doc["tree_seeds"]),
-            n_features=int(doc["n_features"]),
+            n_features=n_features,
             m=int(doc["m"]),
             bootstrap=bool(doc["bootstrap"]),
             seed=int(doc["seed"]),
@@ -436,7 +444,7 @@ def model_from_json(text: str) -> EnsembleModel:
             stages=trees,
             nu=float(doc["nu"]),
             lam=float(doc["lam"]),
-            n_features=int(doc["n_features"]),
+            n_features=n_features,
             seed=int(doc["seed"]),
             config=cfg,
             train_mse=tuple(float(v) for v in doc["train_mse"]),

@@ -3,13 +3,17 @@
 Two interchangeable backends:
 
 * ``numba`` -- an ``@njit``-compiled scan (default when numba imports),
-* ``numpy`` -- a vectorized prefix-sum fallback.
+* ``numpy`` -- one prefix-sum pass over the node's ``(features x rows)``
+  block: a stable argsort of every candidate column at once, one
+  sequential ``np.add.accumulate`` over the sorted ``[y, y^2]`` rows, the
+  clamped SSE expression, and one masked argmin over the whole block.
 
 Set ``WELDLAB_NO_NUMBA=1`` in the environment to force the numpy path.
 Both backends perform the same floating-point operations in the same
-order (stable mergesort, sequential prefix sums, identical score
-expression), so fitted trees are bit-identical either way; the test suite
-asserts this and ``benchmarks/bench_backends.py`` compares their speed.
+order (stable sort, sequential prefix sums, identical score expression),
+so fitted trees are bit-identical either way; the test suite checks the
+numpy backend against ``_best_split_loops`` (the numba source, run
+uncompiled) and, when numba imports, against the compiled scan.
 
 Split contract: candidate thresholds are midpoints between consecutive
 distinct sorted values, comparison is ``<=`` (left), the score is the
@@ -84,43 +88,40 @@ def _best_split_loops(X, y, features, min_leaf):
 def best_split_numpy(X, y, features, min_leaf):
     """Vectorized backend; see module docstring for the contract."""
     n = y.shape[0]
-    # cumsum is a sequential reduction, matching the loop backend bitwise
-    cy = np.cumsum(y)
-    cy2 = np.cumsum(y * y)
-    s_tot = float(cy[-1])
-    ss_tot = float(cy2[-1])
-    parent_sse = ss_tot - s_tot * s_tot / n
+    k = features.shape[0]
+    cols = X.T[features]  # (k, n): one row per candidate feature
+    order = cols.argsort(axis=1, kind="stable")
+    xs = np.sort(cols, axis=1, kind="stable")  # == cols gathered by order
+    # Row 0 is y as given (the parent sums); rows 1..k are y in each
+    # feature's order; the second half holds the squares.  accumulate is a
+    # sequential reduction along each row, matching the loop backend bitwise.
+    ys = np.concatenate((y[None], y[order]))
+    c = np.add.accumulate(np.concatenate((ys, ys * ys)), axis=1)
+    s_tot = c[0, -1]
+    ss_tot = c[k + 1, -1]
+    parent_sse = float(ss_tot - s_tot * s_tot / n)
+    if n < 2 or k == 0:
+        return -1, 0.0, np.inf, parent_sse
 
-    best_f = -1
-    best_t = 0.0
-    best_score = np.inf
     nl = np.arange(1, n)
     nr = n - nl
-    for j in features:
-        order = np.argsort(X[:, j], kind="mergesort")
-        xs = X[order, j]
-        ys = y[order]
-        cs = np.cumsum(ys)
-        css = np.cumsum(ys * ys)
-        tot_s = cs[-1]
-        tot_ss = css[-1]
-        sl = cs[:-1]
-        ssl = css[:-1]
-        score = np.maximum(ssl - sl * sl / nl, 0.0) + np.maximum(
-            (tot_ss - ssl) - (tot_s - sl) * (tot_s - sl) / nr, 0.0
-        )
-        valid = xs[:-1] != xs[1:]
-        if min_leaf > 1:
-            valid &= (nl >= min_leaf) & (nr >= min_leaf)
-        if not valid.any():
-            continue
-        score = np.where(valid, score, np.inf)
-        i = int(np.argmin(score))
-        if score[i] < best_score:
-            best_score = float(score[i])
-            best_f = int(j)
-            best_t = float((xs[i] + xs[i + 1]) / 2)
-    return best_f, best_t, best_score, parent_sse
+    sl = c[1 : k + 1, :-1]
+    ssl = c[k + 2 :, :-1]
+    sr = c[1 : k + 1, -1:] - sl
+    score = np.maximum(ssl - sl * sl / nl, 0.0) + np.maximum(
+        (c[k + 2 :, -1:] - ssl) - sr * sr / nr, 0.0
+    )
+    score[xs[:, :-1] == xs[:, 1:]] = np.inf
+    if min_leaf > 1:
+        score[:, : min_leaf - 1] = np.inf
+        score[:, max(n - min_leaf, 0) :] = np.inf
+    # Row-major flat argmin: lowest feature first, then lowest threshold.
+    fi, i = divmod(int(score.argmin()), n - 1)
+    best_score = float(score[fi, i])
+    if not best_score < np.inf:
+        return -1, 0.0, np.inf, parent_sse
+    best_t = float((xs[fi, i] + xs[fi, i + 1]) / 2)
+    return int(features[fi]), best_t, best_score, parent_sse
 
 
 def _env_disables_numba() -> bool:

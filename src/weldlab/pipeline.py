@@ -19,7 +19,7 @@ from pathlib import Path
 from . import anova as anova_mod
 from . import published
 from .cart import TreeConfig, export_tree, fit_regression_tree
-from .dataset import builtin_aa6262, kfold_plan, load_csv, summarize
+from .dataset import FACTOR_NAMES, builtin_aa6262, kfold_plan, load_csv, summarize
 from .ensemble import (
     ModelSpec,
     cross_validate,
@@ -70,6 +70,22 @@ class RunConfig:
             raise ValueError(f"format must be one of {FORMATS}")
         if self.model not in ("rf", "gbm"):
             raise ValueError("model must be 'rf' or 'gbm'")
+        # Model settings fail here, before any compute, not as a stage error.
+        if self.trees < 1:
+            raise ValueError(f"tree count must be >= 1, got {self.trees}")
+        if self.rounds < 0:
+            raise ValueError(f"round count must be >= 0, got {self.rounds}")
+        if self.depth < 0:
+            raise ValueError(f"depth must be >= 0, got {self.depth}")
+        n_factors = len(FACTOR_NAMES)
+        if self.m is not None and not 1 <= self.m <= n_factors:
+            raise ValueError(f"m must be in [1, {n_factors}], got {self.m}")
+        if not 0.0 < self.nu <= 1.0:
+            raise ValueError(f"learning rate must be in (0, 1], got {self.nu}")
+        if not self.lam >= 0.0:
+            raise ValueError(f"L2 leaf penalty must be >= 0, got {self.lam}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
         _parse_cv(self.cv)  # validate early
 
 

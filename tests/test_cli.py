@@ -116,6 +116,31 @@ class TestSubcommands:
         assert exc.value.code == 2
 
 
+class TestBadModelConfig:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--trees", "0"], ["--rounds", "-1"], ["--depth", "-1"],
+            ["--m", "0"], ["--m", "4"], ["--nu", "0"], ["--nu", "1.5"],
+            ["--lambda", "-1"], ["--seed", "-1"], ["--seed", str(2**64)],
+        ],
+    )
+    def test_usage_error_before_any_compute(self, monkeypatch, flags):
+        def no_compute(cfg):
+            raise AssertionError("pipeline ran on a bad config")
+
+        monkeypatch.setattr("weldlab.cli.run_pipeline", no_compute)
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", *flags])
+        assert exc.value.code == 2
+
+    def test_taguchi_rejects_negative_seed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["taguchi", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "seed" in capsys.readouterr().err
+
+
 class TestDeterminismViaCli:
     def test_same_seed_same_json(self, capsys):
         _, out1, _ = run_cli(

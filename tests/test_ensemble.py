@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -400,6 +402,13 @@ class TestSerialization:
     def test_json_stable(self, builtin):
         model = fit_random_forest(builtin, trees=5, seed=3)
         assert model_to_json(model) == model_to_json(model)
+
+    @pytest.mark.parametrize("feature", [-1, 3, 7])
+    def test_split_feature_out_of_range_rejected(self, builtin, feature):
+        doc = json.loads(model_to_json(fit_random_forest(builtin, trees=2, seed=1)))
+        doc["trees"][1]["split"]["feature"] = feature
+        with pytest.raises(ValueError, match="outside"):
+            model_from_json(json.dumps(doc))
 
     def test_version_checked(self):
         with pytest.raises(ValueError):

@@ -43,6 +43,50 @@ class TestBackendEquality:
             assert a == b
 
 
+def subset_instance(rng, kind):
+    """n in 1..40 rows, 1-5 columns, a random ascending feature subset.
+
+    "tied": integer columns and responses, so scores tie exactly.
+    "decimal": repeated non-dyadic responses, so pure children's prefix-sum
+    SSE can round below zero and the clamp decides.
+    """
+    n = int(rng.integers(1, 41))
+    p = int(rng.integers(1, 6))
+    if kind == "continuous":
+        X = rng.uniform(-5.0, 5.0, (n, p))
+        y = rng.uniform(-10.0, 10.0, n)
+    else:
+        X = rng.integers(0, 3, (n, p)).astype(np.float64)
+        if kind == "tied":
+            y = rng.integers(0, 4, n).astype(np.float64)
+        else:
+            y = rng.choice([0.1, 0.3, 0.7], n)
+    k = int(rng.integers(1, p + 1))
+    feats = np.sort(rng.choice(p, k, replace=False)).astype(np.int64)
+    return np.ascontiguousarray(X), y, feats, int(rng.integers(1, 4))
+
+
+class TestNumpyMatchesLoopSource:
+    """The numpy backend against `_best_split_loops`, the numba source run
+    as plain Python: all four return values must be equal.  (With numba
+    installed, TestBackendEquality also checks the compiled scan.)"""
+
+    @pytest.mark.parametrize("kind", ["continuous", "tied", "decimal"])
+    def test_bitwise_equal(self, kind):
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        for _ in range(1000):
+            X, y, feats, min_leaf = subset_instance(rng, kind)
+            a = kernels.best_split_numpy(X, y, feats, min_leaf)
+            b = kernels._best_split_loops(X, y, feats, min_leaf)
+            assert tuple(a) == tuple(b), (X, y, feats, min_leaf)
+
+    def test_single_row_has_no_split(self):
+        X = np.array([[2.0, 3.0]])
+        y = np.array([7.0])
+        feats = np.arange(2, dtype=np.int64)
+        assert kernels.best_split_numpy(X, y, feats, 1) == (-1, 0.0, np.inf, 0.0)
+
+
 class TestBestSplitContract:
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(5)

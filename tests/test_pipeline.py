@@ -42,6 +42,22 @@ class TestRunConfig:
         RunConfig(cv="k:3")
         RunConfig(cv="loo")
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"trees": 0}, {"rounds": -1}, {"depth": -1}, {"m": 0}, {"m": 4},
+            {"nu": 0.0}, {"nu": 1.5}, {"nu": float("nan")}, {"lam": -0.5},
+            {"seed": -1}, {"seed": 2**64},
+        ],
+    )
+    def test_model_settings_validated(self, bad):
+        with pytest.raises(ValueError):
+            RunConfig(**bad)
+
+    def test_model_setting_bounds_accepted(self):
+        RunConfig(trees=1, rounds=0, depth=0, m=1, nu=1.0, lam=0.0, seed=0)
+        RunConfig(m=3, seed=2**64 - 1)
+
 
 class TestRunPipeline:
     def test_all_stages_succeed(self, default_doc):
