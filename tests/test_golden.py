@@ -1,0 +1,155 @@
+"""Golden SHA-256 digests of every report output, checked across versions.
+
+Each pipeline case records the digests of ``report_text``, ``report_json``,
+and, for every format, the ordered file list and every file's bytes from
+``render``.  Each CLI case records the exit code, stdout and stderr of
+``main()``.  The cases are rf/gbm x m 2/3 x loo/k:3 x seeds 0/7 with small
+models, one CSV input read through a relative path, the nominal criterion
+(a recorded stage error) and the smaller criterion with boosting settings.
+Every case runs in an empty working directory and uses relative paths, so
+no temporary path reaches the bytes.
+
+The digests in ``golden_digests.json`` are the byte-identity contract of the
+report.  A change that keeps the report bytes must pass them unchanged.
+Regenerate the file only in a change that means to alter the bytes and says
+so, by running from the repository root::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from weldlab.cli import main
+from weldlab.dataset import builtin_aa6262, write_csv
+from weldlab.pipeline import RunConfig, render, report_json, report_text, run_pipeline
+
+GOLDEN = Path(__file__).with_name("golden_digests.json")
+CSV_INPUT = "runs.csv"
+SMALL = {"trees": 8, "rounds": 6}
+
+
+def _pipeline_cases() -> dict[str, dict]:
+    cases = {
+        f"{model}-m{m}-{cv.replace(':', '')}-s{seed}": {
+            "model": model, "m": m, "cv": cv, "seed": seed,
+        }
+        for model in ("rf", "gbm")
+        for m in (2, 3)
+        for cv in ("loo", "k:3")
+        for seed in (0, 7)
+    }
+    cases["csv-input"] = {"input_path": CSV_INPUT, "builtin": None, "seed": 3}
+    cases["nominal"] = {"criterion": "nominal", "seed": 1}
+    cases["smaller-gbm"] = {
+        "criterion": "smaller", "model": "gbm", "nu": 0.5, "lam": 1.0,
+        "depth": 2, "seed": 5,
+    }
+    return {name: {**SMALL, **kw} for name, kw in cases.items()}
+
+
+def _cli_cases() -> dict[str, list[str]]:
+    base = {
+        "taguchi": ["taguchi", "--seed", "3"],
+        "anova": ["anova"],
+        "fit-gbm": ["fit", "--model", "gbm", "--rounds", "6", "--depth", "2",
+                    "--seed", "7"],
+        "report": ["report", "--trees", "8", "--rounds", "6", "--seed", "7"],
+    }
+    cases = dict(base)
+    cases.update({f"{name}-json": argv + ["--format", "json"]
+                  for name, argv in base.items()})
+    cases["taguchi-nominal"] = ["taguchi", "--criterion", "nominal"]
+    cases["report-csv-input-out"] = [
+        "report", "--input", CSV_INPUT, "--trees", "8", "--format", "csv",
+        "--out", "out",
+    ]
+    return cases
+
+
+PIPELINE_CASES = _pipeline_cases()
+CLI_CASES = _cli_cases()
+
+
+def _sha(data) -> str:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+def pipeline_digests(kwargs: dict) -> dict[str, str]:
+    """Digests of every output of one pipeline case, run in the current directory."""
+    write_csv(builtin_aa6262(), CSV_INPUT)
+    doc = run_pipeline(RunConfig(**kwargs))
+    digests = {"report_text": _sha(report_text(doc)), "report_json": _sha(report_json(doc))}
+    for fmt in ("text", "json", "csv"):
+        files = render(doc, fmt, f"out-{fmt}")
+        digests[f"{fmt}/files"] = _sha("\n".join(p.as_posix() for p in files))
+        for p in files:
+            digests[f"{fmt}/{p.name}"] = _sha(p.read_bytes())
+    return digests
+
+
+def cli_digest(argv: list[str]) -> str:
+    """Digest of (exit code, stdout, stderr) of one CLI call, run in the current directory."""
+    write_csv(builtin_aa6262(), CSV_INPUT)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return _sha(json.dumps([code, out.getvalue(), err.getvalue()]))
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_covers_every_case(golden):
+    assert set(golden["pipeline"]) == set(PIPELINE_CASES)
+    assert set(golden["cli"]) == set(CLI_CASES)
+
+
+@pytest.mark.parametrize("case", sorted(PIPELINE_CASES))
+def test_pipeline_outputs_match_golden(case, golden, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert pipeline_digests(PIPELINE_CASES[case]) == golden["pipeline"][case]
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_outputs_match_golden(case, golden, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli_digest(CLI_CASES[case]) == golden["cli"][case]
+
+
+def _generate() -> dict:
+    result = {"pipeline": {}, "cli": {}}
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            for kind, cases, digest in (("pipeline", PIPELINE_CASES, pipeline_digests),
+                                        ("cli", CLI_CASES, cli_digest)):
+                for name in sorted(cases):
+                    case_dir = Path(tmp, kind, name)
+                    case_dir.mkdir(parents=True)
+                    os.chdir(case_dir)
+                    result[kind][name] = digest(cases[name])
+        finally:
+            os.chdir(home)
+    return result
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(_generate(), sort_keys=True, indent=1) + "\n",
+                      encoding="utf-8")
