@@ -25,8 +25,8 @@ def mix64(z: int) -> int:
 def derive_seed(seed: int, *streams: int) -> int:
     """Derive a child seed from (seed, stream indices), order-sensitive.
 
-    Used to give each tree / fold its own independent stream so parallel
-    training cannot change results.
+    Used to give each tree / fold its own independent stream, so the order
+    in which they are computed cannot change results.
     """
     z = seed & MASK64
     for s in streams:

@@ -16,7 +16,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .pipeline import RunConfig, render, report_json, report_text, run_pipeline
+from .pipeline import (
+    FORMATS,
+    RunConfig,
+    render,
+    report_json,
+    report_text,
+    run_pipeline,
+)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -26,39 +33,35 @@ EXIT_ALL_FAILED = 3
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group()
-    src.add_argument("--input", metavar="PATH", help="CSV file to analyze")
+    src.add_argument(
+        "--input", dest="input_path", metavar="PATH", help="CSV file to analyze"
+    )
     src.add_argument(
         "--builtin",
         choices=["aa6262"],
         help="use the embedded dataset (default when --input is absent)",
     )
-    p.add_argument("--response", default="hardness", help="response column name")
-    p.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
+    p.add_argument("--seed", type=int, help="64-bit seed, recorded in the report")
+    p.add_argument("--format", choices=FORMATS, help="output format")
     p.add_argument(
-        "--format", choices=["text", "csv", "json"], default="text",
-        help="output format",
+        "--out", dest="out_dir", metavar="DIR", help="write report files to DIR"
     )
-    p.add_argument("--out", metavar="DIR", help="write report files to DIR")
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=["rf", "gbm"], default="rf")
-    p.add_argument("--trees", type=int, default=200, help="forest size")
-    p.add_argument("--rounds", type=int, default=50, help="boosting rounds")
-    p.add_argument(
-        "--depth", type=int, default=0, help="max tree depth (0 = unlimited)"
-    )
-    p.add_argument("--nu", type=float, default=0.3, help="boosting learning rate")
-    p.add_argument(
-        "--lambda", dest="lam", type=float, default=0.0, help="L2 leaf penalty"
-    )
-    p.add_argument(
-        "--m", type=int, default=None, help="features searched per split"
-    )
-    p.add_argument("--cv", default="loo", help="'loo' or 'k:<K>'")
+    p.add_argument("--model", choices=["rf", "gbm"])
+    p.add_argument("--trees", type=int, help="forest size")
+    p.add_argument("--rounds", type=int, help="boosting rounds")
+    p.add_argument("--depth", type=int, help="max tree depth (0 = unlimited)")
+    p.add_argument("--nu", type=float, help="boosting learning rate")
+    p.add_argument("--lambda", dest="lam", type=float, help="L2 leaf penalty")
+    p.add_argument("--m", type=int, help="features searched per split")
+    p.add_argument("--cv", help="'loo' or 'k:<K>'")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser.  Flags have no defaults of their own: an absent flag
+    leaves its `RunConfig` field at the default declared there."""
     parser = argparse.ArgumentParser(
         prog="weldlab",
         description="Taguchi, ANOVA, and tree-ensemble analysis of "
@@ -71,14 +74,14 @@ def build_parser() -> argparse.ArgumentParser:
         ("fit", "train and cross-validate a model"),
         ("report", "run the full pipeline"),
     ):
-        p = sub.add_parser(name, help=helptext)
+        p = sub.add_parser(name, help=helptext, argument_default=argparse.SUPPRESS)
         _add_common(p)
         if name in ("fit", "report"):
             _add_model_flags(p)
         if name in ("taguchi", "report"):
             p.add_argument(
                 "--criterion", choices=["larger", "smaller", "nominal"],
-                default="larger", help="S/N quality criterion",
+                help="S/N quality criterion",
             )
     return parser
 
@@ -92,26 +95,10 @@ _SECTIONS_BY_COMMAND = {
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    builtin = args.builtin
-    if args.input is None and builtin is None:
-        builtin = "aa6262"
-    return RunConfig(
-        input_path=args.input,
-        builtin=None if args.input is not None else builtin,
-        response=args.response,
-        criterion=getattr(args, "criterion", "larger"),
-        model=getattr(args, "model", "rf"),
-        trees=getattr(args, "trees", 200),
-        rounds=getattr(args, "rounds", 50),
-        depth=getattr(args, "depth", 0),
-        nu=getattr(args, "nu", 0.3),
-        lam=getattr(args, "lam", 0.0),
-        m=getattr(args, "m", None),
-        cv=getattr(args, "cv", "loo"),
-        seed=args.seed,
-        format=args.format,
-        out_dir=args.out,
-    )
+    fields = {k: v for k, v in vars(args).items() if k != "command"}
+    if "input_path" in fields:
+        fields["builtin"] = None
+    return RunConfig(**fields)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -121,6 +108,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _config_from_args(args)
     except ValueError as exc:
         parser.error(str(exc))  # exits with EXIT_USAGE
+    if cfg.format == "csv" and cfg.out_dir is None:
+        parser.error("--format csv requires --out DIR")
 
     try:
         doc = run_pipeline(cfg)
@@ -150,8 +139,6 @@ def main(argv: list[str] | None = None) -> int:
         for p in written:
             print(p)
     else:
-        if cfg.format == "csv":
-            parser.error("--format csv requires --out DIR")
         sys.stdout.write(
             report_json(doc) if cfg.format == "json" else report_text(doc)
         )

@@ -2,8 +2,8 @@
 
 Every random choice derives from the caller's 64-bit seed: tree t of a
 forest trains on ``bootstrap_indices(n, derive_seed(seed, t))`` and draws
-its per-node feature subsets from the same derived seed, so parallel
-training is bitwise identical to sequential.  Boosting is the stagewise
+its per-node feature subsets from the same derived seed, so each tree is
+independent of the order in which the trees are trained.  Boosting is the stagewise
 additive update F_m = F_{m-1} + nu * h_m with F_0 = mean(y) and leaf
 values sum(residuals) / (count + lambda).
 """
@@ -11,7 +11,6 @@ values sum(residuals) / (count + lambda).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
@@ -73,13 +72,8 @@ def fit_random_forest(
     m: int | None = None,
     seed: int = 0,
     bootstrap: bool = True,
-    n_jobs: int = 1,
 ) -> ForestModel:
-    """Bagged regression forest; `m` features searched per split (default all).
-
-    `n_jobs` > 1 trains trees on a thread pool; per-tree derived seeds make
-    the result bitwise identical to sequential training.
-    """
+    """Bagged regression forest; `m` features searched per split (default all)."""
     X = d.features()
     y = d.responses()
     if trees < 1:
@@ -90,16 +84,7 @@ def fit_random_forest(
     if not 1 <= m <= n_features:
         raise ValueError(f"m must be in [1, {n_features}], got {m}")
     tree_seeds = tuple(derive_seed(seed, t) for t in range(trees))
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            fitted = list(
-                pool.map(
-                    lambda ts: _fit_forest_tree(X, y, cfg, m, bootstrap, ts),
-                    tree_seeds,
-                )
-            )
-    else:
-        fitted = [_fit_forest_tree(X, y, cfg, m, bootstrap, ts) for ts in tree_seeds]
+    fitted = [_fit_forest_tree(X, y, cfg, m, bootstrap, ts) for ts in tree_seeds]
     return ForestModel(
         trees=tuple(fitted),
         tree_seeds=tree_seeds,

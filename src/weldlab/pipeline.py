@@ -1,10 +1,16 @@
 """Full analysis pipeline and report rendering.
 
 Stages run in order (dataset -> design/taguchi -> ANOVA -> models); a
-failure in one stage is recorded in the report instead of aborting the
-rest.  Every report embeds the seed and hyperparameters needed to replay
-it, and a discrepancy section surfaces where the published tables disagree
-with what the embedded data actually give.
+domain failure in one stage (a ValueError or ArithmeticError) is recorded
+in the report instead of aborting the rest, while programming errors
+propagate.  Every report embeds the seed and hyperparameters needed to
+replay it, and a discrepancy section surfaces where the published tables
+disagree with what the embedded data actually give.
+
+Each report section is described once, in `_blocks`: its text lines, its
+tables (raw cells with text and CSV headers) and its CSV-only files.  The
+text report and the file writer are short loops over those blocks, so
+adding a section means adding one block there.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ class RunConfig:
 
     input_path: str | None = None  # None -> builtin dataset
     builtin: str | None = "aa6262"
-    response: str = "hardness"
     criterion: str = "larger"
     model: str = "rf"  # "rf" | "gbm"
     trees: int = 200
@@ -64,8 +69,6 @@ class RunConfig:
             raise ValueError("exactly one input source (CSV path or builtin)")
         if self.builtin is not None and self.builtin != "aa6262":
             raise ValueError(f"unknown builtin dataset {self.builtin!r}")
-        if self.response != "hardness":
-            raise ValueError("the fixed CSV schema supports only response 'hardness'")
         if self.format not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}")
         if self.model not in ("rf", "gbm"):
@@ -164,7 +167,7 @@ def run_pipeline(cfg: RunConfig) -> ReportDocument:
                 "level means remain interpretable but effects are partially "
                 "confounded"
             )
-    except Exception as exc:
+    except (ValueError, ArithmeticError) as exc:
         doc.errors["design"] = str(exc)
 
     try:
@@ -211,7 +214,7 @@ def run_pipeline(cfg: RunConfig) -> ReportDocument:
                         "1000 rpm / 60 mm/min / 0.1 mm",
                     )
                 )
-    except Exception as exc:
+    except (ValueError, ArithmeticError) as exc:
         doc.errors["taguchi"] = str(exc)
 
     try:
@@ -253,7 +256,7 @@ def run_pipeline(cfg: RunConfig) -> ReportDocument:
                     "embedded runs",
                 )
             )
-    except Exception as exc:
+    except (ValueError, ArithmeticError) as exc:
         doc.errors["anova"] = str(exc)
 
     try:
@@ -303,7 +306,7 @@ def run_pipeline(cfg: RunConfig) -> ReportDocument:
                     "are reported instead",
                 )
             )
-    except Exception as exc:
+    except (ValueError, ArithmeticError) as exc:
         doc.errors["model"] = str(exc)
 
     try:
@@ -312,7 +315,7 @@ def run_pipeline(cfg: RunConfig) -> ReportDocument:
             "text": export_tree(tree, "text", feature_names=d.factor_names),
             "graph": export_tree(tree, "graph", feature_names=d.factor_names),
         }
-    except Exception as exc:
+    except (ValueError, ArithmeticError) as exc:
         doc.errors["tree"] = str(exc)
 
     return doc
@@ -341,7 +344,7 @@ def report_json(doc: ReportDocument) -> str:
     payload = {
         "config": {
             "input": doc.config.input_path or f"builtin:{doc.config.builtin}",
-            "response": doc.config.response,
+            "response": "hardness",
             "criterion": doc.config.criterion,
             "model": doc.config.model,
             "trees": doc.config.trees,
@@ -361,15 +364,207 @@ def report_json(doc: ReportDocument) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _text_table(header: list[str], rows: list[list[str]]) -> str:
-    widths = [
-        max(len(header[c]), *(len(r[c]) for r in rows)) if rows else len(header[c])
-        for c in range(len(header))
-    ]
-    out = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for r in rows:
-        out.append("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
-    return "\n".join(out)
+def report_text(doc: ReportDocument) -> str:
+    """Human-readable report mirroring the familiar table layouts."""
+    parts = []
+    for block in _blocks(doc):
+        if isinstance(block, str):
+            parts.append(block)
+        elif isinstance(block, _Table) and block.text:
+            parts.append(block.as_text())
+    return "\n".join(parts) + "\n"
+
+
+def render(doc: ReportDocument, format: str, out_dir) -> list[Path]:
+    """Write the report to `out_dir`; returns the files written.
+
+    'text' and 'json' each produce a single document; 'csv' produces one
+    file per section.  Plot-data CSVs (main effects, S/N means, feature
+    importance) are written for every format.
+    """
+    if format not in FORMATS:
+        raise ValueError(f"format must be one of {FORMATS}")
+    files = []  # (file name, content) in write order
+    if format == "text":
+        files.append(("report.txt", report_text(doc)))
+    elif format == "json":
+        files.append(("report.json", report_json(doc)))
+    plots = []
+    for block in _blocks(doc):
+        if isinstance(block, _Table):
+            if block.plot:
+                plots.append((block.file, block.as_csv()))
+            elif format == "csv":
+                files.append((block.file, block.as_csv()))
+        elif isinstance(block, tuple) and format == "csv":
+            files.append(block)
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    for name, content in files + plots:
+        path = out / name
+        path.write_text(content, encoding="utf-8")
+        written.append(path)
+    return written
+
+
+@dataclass(frozen=True)
+class _Table:
+    """One report table: raw cells plus how each writer labels them.
+
+    The csv format writes `header` and the raw cells to `file`.  The text
+    report shows the table only when it has `text` headers, formatting each
+    cell with the matching `fmt` function (default `_cell`).  `plot` tables
+    hold the data behind a plot; every format writes them, after the rest.
+    """
+
+    file: str
+    header: tuple[str, ...]
+    rows: list
+    text: tuple[str, ...] | None = None
+    fmt: tuple | None = None
+    plot: bool = False
+
+    def as_text(self) -> str:
+        fmt = self.fmt or (_cell,) * len(self.header)
+        lines = [self.text, *([f(v) for f, v in zip(fmt, row)] for row in self.rows)]
+        widths = [max(map(len, column)) for column in zip(*lines)]
+        return "\n".join(
+            "  ".join(v.ljust(w) for v, w in zip(line, widths)).rstrip()
+            for line in lines
+        )
+
+    def as_csv(self) -> str:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(self.header)
+        writer.writerows(self.rows)
+        return buf.getvalue()
+
+
+def _blocks(doc: ReportDocument):
+    """Visit each report section once, in report order.
+
+    Yields text lines (text report only), `_Table`s, and `(file name,
+    content)` pairs that only the csv format writes.
+    """
+    cfg = doc.config
+    sections = doc.sections
+    yield "weldlab report"
+    yield (
+        f"input: {cfg.input_path or 'builtin:' + str(cfg.builtin)}   "
+        f"seed: {cfg.seed}   model: {cfg.model}   cv: {cfg.cv}"
+    )
+
+    if "dataset" in sections:
+        s = sections["dataset"]
+        yield f"\n== Dataset ({s['n_runs']} runs) =="
+        yield _Table(
+            "dataset_summary.csv",
+            ("column", "min", "max", "mean", "std_population"),
+            [
+                [c, s["min"][i], s["max"][i], s["mean"][i], s["std_population"][i]]
+                for i, c in enumerate(s["columns"])
+            ],
+            text=("Column", "Min", "Max", "Mean", "StdDev"),
+        )
+
+    if "design" in sections:
+        s = sections["design"]
+        yield "\n== Design diagnostics =="
+        yield "balanced: " + _yes_no(s["balanced"])
+        yield "orthogonal pairs: " + _yes_no(s["orthogonal_pairs"])
+        yield "design_diagnostics.json", json.dumps(s, sort_keys=True, indent=2) + "\n"
+
+    if "taguchi" in sections:
+        s = sections["taguchi"]
+        keys = ("factor", "level_index", "level", "raw_mean", "sn_mean")
+        yield "\n== Response table =="
+        yield _Table(
+            "response_table.csv", keys, _rows(s["rows"], keys),
+            text=("Factor", "Level", "Setting", "Mean", "S/N Mean"),
+        )
+        yield "optimal (raw means):  " + _levels(s["optimal_raw"])
+        yield "optimal (S/N means):  " + _levels(s["optimal_sn"])
+        for file, mean in (("plot_main_effects.csv", "raw_mean"),
+                           ("plot_sn_means.csv", "sn_mean")):
+            keys = ("factor", "level", mean)
+            yield _Table(file, keys, _rows(s["rows"], keys), plot=True)
+
+    if "anova" in sections:
+        s = sections["anova"]
+        header = ("Source", "DF", "Adjusted SS", "Adjusted MS", "F-Value", "P-Value")
+        yield "\n== Analysis of Variance =="
+        yield _Table(
+            "anova.csv", header,
+            _rows([*s["rows"], s["error"], s["total"]],
+                  ("source", "df", "adj_ss", "adj_ms", "f_value", "p_value")),
+            text=header,
+        )
+        yield "\n== Model Summary =="
+        yield _Table(
+            "model_summary.csv",
+            ("S", "r_sq", "r_sq_adjusted", "r_sq_predicted"),
+            _rows([s["model_summary"]], ("s", "r_sq", "r_sq_adjusted", "r_sq_predicted")),
+            text=("S", "R-sq", "R-sq(adj)", "R-sq(pred)"),
+            fmt=(_cell, _pct, _pct, _pct),
+        )
+        if s["significant"]:
+            yield "significant at 95%: " + ", ".join(s["significant"])
+
+    if "model" in sections:
+        s = sections["model"]
+        yield f"\n== Model ({s['spec']['kind']}) =="
+        splits = (
+            ("training", s["training"]), (f"cv:{s['spec']['cv']}", s["cv_pooled"])
+        )
+        yield _Table(
+            "model_metrics.csv",
+            ("split", "mse", "mae", "r_sq"),
+            [[split, m["mse"], m["mae"], m["r_sq"]] for split, m in splits],
+            text=("Split", "MSE", "MAE", "R-sq"),
+            fmt=(_split_label, _cell, _cell, _cell),
+        )
+        importance = s["feature_importance"]
+        yield "feature importance: " + ", ".join(
+            f"{k}={_cell(v)}" for k, v in importance.items()
+        )
+        yield _Table(
+            "plot_feature_importance.csv", ("feature", "importance"),
+            list(importance.items()), plot=True,
+        )
+
+    if "tree" in sections:
+        s = sections["tree"]
+        yield "\n== Decision tree =="
+        yield s["text"].rstrip("\n")
+        yield "tree.txt", s["text"]
+        yield "tree.dot", s["graph"]
+
+    if doc.warnings:
+        yield "\n== Warnings =="
+        yield from (f"- {w}" for w in doc.warnings)
+
+    if doc.discrepancies:
+        yield "\n== Discrepancies vs published tables =="
+        for dx in doc.discrepancies:
+            yield f"- {dx.topic}: published {dx.published}; computed {dx.computed}"
+            yield f"  note: {dx.note}"
+        keys = ("topic", "published", "computed", "note")
+        yield _Table(
+            "discrepancies.csv", keys,
+            _rows([dx.as_dict() for dx in doc.discrepancies], keys),
+        )
+
+    if doc.errors:
+        yield "\n== Stage errors =="
+        yield from (f"- {stage}: {msg}" for stage, msg in doc.errors.items())
+
+
+def _rows(records, keys) -> list[list]:
+    """One row per record, one cell per key (None where a record lacks it)."""
+    return [[r.get(k) for k in keys] for r in records]
 
 
 def _cell(v) -> str:
@@ -380,280 +575,19 @@ def _cell(v) -> str:
     return str(v)
 
 
-def report_text(doc: ReportDocument) -> str:
-    """Human-readable report mirroring the familiar table layouts."""
-    parts: list[str] = []
-    cfg = doc.config
-    parts.append("weldlab report")
-    parts.append(
-        f"input: {cfg.input_path or 'builtin:' + str(cfg.builtin)}   "
-        f"seed: {cfg.seed}   model: {cfg.model}   cv: {cfg.cv}"
-    )
-
-    if "dataset" in doc.sections:
-        s = doc.sections["dataset"]
-        parts.append(f"\n== Dataset ({s['n_runs']} runs) ==")
-        rows = [
-            [c, _cell(s["min"][i]), _cell(s["max"][i]), _cell(s["mean"][i]),
-             _cell(s["std_population"][i])]
-            for i, c in enumerate(s["columns"])
-        ]
-        parts.append(_text_table(["Column", "Min", "Max", "Mean", "StdDev"], rows))
-
-    if "design" in doc.sections:
-        s = doc.sections["design"]
-        parts.append("\n== Design diagnostics ==")
-        parts.append(
-            "balanced: "
-            + ", ".join(f"{k}={'yes' if v else 'no'}" for k, v in s["balanced"].items())
-        )
-        parts.append(
-            "orthogonal pairs: "
-            + ", ".join(
-                f"{k}={'yes' if v else 'no'}" for k, v in s["orthogonal_pairs"].items()
-            )
-        )
-
-    if "taguchi" in doc.sections:
-        s = doc.sections["taguchi"]
-        parts.append("\n== Response table ==")
-        rows = [
-            [r["factor"], str(r["level_index"]), _cell(r["level"]),
-             _cell(r["raw_mean"]), _cell(r["sn_mean"])]
-            for r in s["rows"]
-        ]
-        parts.append(
-            _text_table(["Factor", "Level", "Setting", "Mean", "S/N Mean"], rows)
-        )
-        parts.append(
-            "optimal (raw means):  "
-            + ", ".join(f"{c['factor']}={c['level']:g}" for c in s["optimal_raw"])
-        )
-        parts.append(
-            "optimal (S/N means):  "
-            + ", ".join(f"{c['factor']}={c['level']:g}" for c in s["optimal_sn"])
-        )
-
-    if "anova" in doc.sections:
-        s = doc.sections["anova"]
-        parts.append("\n== Analysis of Variance ==")
-        rows = [
-            [r["source"], str(r["df"]), _cell(r["adj_ss"]), _cell(r["adj_ms"]),
-             _cell(r["f_value"]), _cell(r["p_value"])]
-            for r in s["rows"]
-        ]
-        rows.append(
-            ["Error", str(s["error"]["df"]), _cell(s["error"]["adj_ss"]),
-             _cell(s["error"]["adj_ms"]), "", ""]
-        )
-        rows.append(["Total", str(s["total"]["df"]), _cell(s["total"]["adj_ss"]), "", "", ""])
-        parts.append(
-            _text_table(
-                ["Source", "DF", "Adjusted SS", "Adjusted MS", "F-Value", "P-Value"],
-                rows,
-            )
-        )
-        ms = s["model_summary"]
-        parts.append("\n== Model Summary ==")
-        parts.append(
-            _text_table(
-                ["S", "R-sq", "R-sq(adj)", "R-sq(pred)"],
-                [[_cell(ms["s"]), _pct(ms["r_sq"]), _pct(ms["r_sq_adjusted"]),
-                  _pct(ms["r_sq_predicted"])]],
-            )
-        )
-        if s["significant"]:
-            parts.append("significant at 95%: " + ", ".join(s["significant"]))
-
-    if "model" in doc.sections:
-        s = doc.sections["model"]
-        parts.append(f"\n== Model ({s['spec']['kind']}) ==")
-        parts.append(
-            _text_table(
-                ["Split", "MSE", "MAE", "R-sq"],
-                [
-                    ["training", _cell(s["training"]["mse"]),
-                     _cell(s["training"]["mae"]), _cell(s["training"]["r_sq"])],
-                    [f"cv ({s['spec']['cv']})", _cell(s["cv_pooled"]["mse"]),
-                     _cell(s["cv_pooled"]["mae"]), _cell(s["cv_pooled"]["r_sq"])],
-                ],
-            )
-        )
-        parts.append(
-            "feature importance: "
-            + ", ".join(f"{k}={_cell(v)}" for k, v in s["feature_importance"].items())
-        )
-
-    if "tree" in doc.sections:
-        parts.append("\n== Decision tree ==")
-        parts.append(doc.sections["tree"]["text"].rstrip("\n"))
-
-    if doc.warnings:
-        parts.append("\n== Warnings ==")
-        parts.extend(f"- {w}" for w in doc.warnings)
-
-    if doc.discrepancies:
-        parts.append("\n== Discrepancies vs published tables ==")
-        for dx in doc.discrepancies:
-            parts.append(f"- {dx.topic}: published {dx.published}; computed {dx.computed}")
-            parts.append(f"  note: {dx.note}")
-
-    if doc.errors:
-        parts.append("\n== Stage errors ==")
-        parts.extend(f"- {stage}: {msg}" for stage, msg in doc.errors.items())
-
-    return "\n".join(parts) + "\n"
-
-
 def _pct(v) -> str:
     return "" if v is None else f"{100.0 * v:.6g}%"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    path.write_text(buf.getvalue(), encoding="utf-8")
+def _split_label(split: str) -> str:
+    """'cv:loo' -> 'cv (loo)' for the text report; 'training' unchanged."""
+    kind, _, spec = split.partition(":")
+    return f"{kind} ({spec})" if spec else kind
 
 
-def render(doc: ReportDocument, format: str, out_dir) -> list[Path]:
-    """Write the report to `out_dir`; returns the files written.
-
-    'text' and 'json' each produce a single document; 'csv' produces one
-    file per section.  Plot-data CSVs (main effects, S/N means, feature
-    importance) are written for every format.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    if format == "text":
-        p = out / "report.txt"
-        p.write_text(report_text(doc), encoding="utf-8")
-        written.append(p)
-    elif format == "json":
-        p = out / "report.json"
-        p.write_text(report_json(doc), encoding="utf-8")
-        written.append(p)
-    elif format == "csv":
-        written.extend(_render_csv_sections(doc, out))
-    else:
-        raise ValueError(f"format must be one of {FORMATS}")
-
-    written.extend(_write_plot_data(doc, out))
-    return written
+def _yes_no(flags: dict) -> str:
+    return ", ".join(f"{k}={'yes' if v else 'no'}" for k, v in flags.items())
 
 
-def _render_csv_sections(doc: ReportDocument, out: Path) -> list[Path]:
-    written = []
-    if "dataset" in doc.sections:
-        s = doc.sections["dataset"]
-        p = out / "dataset_summary.csv"
-        _write_csv(
-            p,
-            ["column", "min", "max", "mean", "std_population"],
-            [
-                [c, s["min"][i], s["max"][i], s["mean"][i], s["std_population"][i]]
-                for i, c in enumerate(s["columns"])
-            ],
-        )
-        written.append(p)
-    if "design" in doc.sections:
-        p = out / "design_diagnostics.json"
-        p.write_text(
-            json.dumps(doc.sections["design"], sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
-        written.append(p)
-    if "taguchi" in doc.sections:
-        s = doc.sections["taguchi"]
-        p = out / "response_table.csv"
-        _write_csv(
-            p,
-            ["factor", "level_index", "level", "raw_mean", "sn_mean"],
-            [
-                [r["factor"], r["level_index"], r["level"], r["raw_mean"], r["sn_mean"]]
-                for r in s["rows"]
-            ],
-        )
-        written.append(p)
-    if "anova" in doc.sections:
-        s = doc.sections["anova"]
-        p = out / "anova.csv"
-        rows = [
-            [r["source"], r["df"], r["adj_ss"], r["adj_ms"], r["f_value"], r["p_value"]]
-            for r in s["rows"]
-        ]
-        rows.append(["Error", s["error"]["df"], s["error"]["adj_ss"],
-                     s["error"]["adj_ms"], None, None])
-        rows.append(["Total", s["total"]["df"], s["total"]["adj_ss"], None, None, None])
-        _write_csv(
-            p, ["Source", "DF", "Adjusted SS", "Adjusted MS", "F-Value", "P-Value"], rows
-        )
-        written.append(p)
-        ms = s["model_summary"]
-        p = out / "model_summary.csv"
-        _write_csv(
-            p,
-            ["S", "r_sq", "r_sq_adjusted", "r_sq_predicted"],
-            [[ms["s"], ms["r_sq"], ms["r_sq_adjusted"], ms["r_sq_predicted"]]],
-        )
-        written.append(p)
-    if "model" in doc.sections:
-        s = doc.sections["model"]
-        p = out / "model_metrics.csv"
-        _write_csv(
-            p,
-            ["split", "mse", "mae", "r_sq"],
-            [
-                ["training", s["training"]["mse"], s["training"]["mae"],
-                 s["training"]["r_sq"]],
-                [f"cv:{s['spec']['cv']}", s["cv_pooled"]["mse"],
-                 s["cv_pooled"]["mae"], s["cv_pooled"]["r_sq"]],
-            ],
-        )
-        written.append(p)
-    if "tree" in doc.sections:
-        p = out / "tree.txt"
-        p.write_text(doc.sections["tree"]["text"], encoding="utf-8")
-        written.append(p)
-        p = out / "tree.dot"
-        p.write_text(doc.sections["tree"]["graph"], encoding="utf-8")
-        written.append(p)
-    if doc.discrepancies:
-        p = out / "discrepancies.csv"
-        _write_csv(
-            p,
-            ["topic", "published", "computed", "note"],
-            [[dx.topic, dx.published, dx.computed, dx.note] for dx in doc.discrepancies],
-        )
-        written.append(p)
-    return written
-
-
-def _write_plot_data(doc: ReportDocument, out: Path) -> list[Path]:
-    """The data behind the main-effects, S/N, and importance plots."""
-    written = []
-    if "taguchi" in doc.sections:
-        rows = doc.sections["taguchi"]["rows"]
-        p = out / "plot_main_effects.csv"
-        _write_csv(
-            p,
-            ["factor", "level", "raw_mean"],
-            [[r["factor"], r["level"], r["raw_mean"]] for r in rows],
-        )
-        written.append(p)
-        p = out / "plot_sn_means.csv"
-        _write_csv(
-            p,
-            ["factor", "level", "sn_mean"],
-            [[r["factor"], r["level"], r["sn_mean"]] for r in rows],
-        )
-        written.append(p)
-    if "model" in doc.sections:
-        imp = doc.sections["model"]["feature_importance"]
-        p = out / "plot_feature_importance.csv"
-        _write_csv(p, ["feature", "importance"], [[k, v] for k, v in imp.items()])
-        written.append(p)
-    return written
+def _levels(combination: list) -> str:
+    return ", ".join(f"{c['factor']}={c['level']:g}" for c in combination)

@@ -43,6 +43,15 @@ class TestReportCommand:
             main(["report", "--format", "csv"])
         assert exc.value.code == 2
 
+    def test_csv_format_without_out_rejected_before_compute(self, monkeypatch):
+        def no_compute(cfg):
+            raise AssertionError("pipeline ran without an output directory")
+
+        monkeypatch.setattr("weldlab.cli.run_pipeline", no_compute)
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--format", "csv"])
+        assert exc.value.code == 2
+
     def test_missing_input_io_error(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys, "report", "--input", str(tmp_path / "nope.csv")

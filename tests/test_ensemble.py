@@ -90,15 +90,6 @@ class TestRandomForest:
             predict_ensemble_many(a, X), predict_ensemble_many(b, X)
         )
 
-    def test_parallel_equals_sequential(self, builtin):
-        seq = fit_random_forest(builtin, trees=60, m=2, seed=11, n_jobs=1)
-        par = fit_random_forest(builtin, trees=60, m=2, seed=11, n_jobs=4)
-        assert seq.trees == par.trees
-        X = builtin.features()
-        assert np.array_equal(
-            predict_ensemble_many(seq, X), predict_ensemble_many(par, X)
-        )
-
     def test_predictions_within_response_range(self, builtin):
         model = fit_random_forest(builtin, trees=200, m=3, seed=7)
         pred = predict_ensemble_many(model, builtin.features())

@@ -30,10 +30,6 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(builtin="aa7075")
 
-    def test_response_fixed(self):
-        with pytest.raises(ValueError):
-            RunConfig(response="rpm")
-
     def test_cv_spec_validated(self):
         with pytest.raises(ValueError):
             RunConfig(cv="half")
@@ -111,6 +107,14 @@ class TestRunPipeline:
         doc = run_pipeline(RunConfig(criterion="nominal", trees=5))
         assert "taguchi" in doc.errors
         assert "anova" in doc.sections  # later stages still ran
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("broken stage")
+
+        monkeypatch.setattr("weldlab.pipeline.fit_regression_tree", broken)
+        with pytest.raises(TypeError, match="broken stage"):
+            run_pipeline(RunConfig(trees=5))
 
 
 class TestDeterminism:
