@@ -16,14 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .pipeline import (
-    FORMATS,
-    RunConfig,
-    render,
-    report_json,
-    report_text,
-    run_pipeline,
-)
+from .pipeline import FORMATS, RunConfig, render, report_json, report_text, run_pipeline
 
 EXIT_OK = 0
 EXIT_IO = 1

@@ -184,16 +184,8 @@ def run_pipeline(cfg: RunConfig) -> ReportDocument:
             "delta_sn": {
                 e.factor: {"s_n": e.delta, "rank_sn": e.rank} for e in table.s_n
             },
-            "optimal_raw": [
-                {"factor": c.factor, "level_index": c.level_index,
-                 "level": c.level_value, "mean": c.mean}
-                for c in raw_best
-            ],
-            "optimal_sn": [
-                {"factor": c.factor, "level_index": c.level_index,
-                 "level": c.level_value, "mean": c.mean}
-                for c in sn_best
-            ],
+            "optimal_raw": _combination_dicts(raw_best),
+            "optimal_sn": _combination_dicts(sn_best),
         }
         if cfg.builtin == "aa6262":
             got = tuple(c.level_index for c in raw_best)
@@ -334,6 +326,14 @@ def _sig6(v):
 
 def _metrics_dict(m) -> dict:
     return {"mse": m.mse, "mae": m.mae, "r_sq": m.r_sq}
+
+
+def _combination_dicts(combination) -> list[dict]:
+    return [
+        {"factor": c.factor, "level_index": c.level_index,
+         "level": c.level_value, "mean": c.mean}
+        for c in combination
+    ]
 
 
 # --- rendering ------------------------------------------------------------
