@@ -147,6 +147,9 @@ def build_tree(
     cfg: TreeConfig = TreeConfig(),
     rng: SplitMix64 | None = None,
     n_feature_candidates: int | None = None,
+    *,
+    rows: Sequence[int] | None = None,
+    memo: dict | None = None,
 ) -> TreeNode:
     """Recursive binary splitting of (X, y) by variance reduction.
 
@@ -154,6 +157,17 @@ def build_tree(
     node searches only a freshly drawn feature subset (random-forest mode).
     Recursion is preorder (left before right) so the rng stream is
     deterministic.
+
+    `rows` lists the training-row ids of `X` the tree grows on, in order and
+    with repeats (a bootstrap sample); the default is every row once.  The
+    tree equals ``build_tree(X[rows], y[rows], ...)``.
+
+    `memo` is a dict that callers share across trees grown on the same `X`,
+    `y` and `cfg`.  It maps a node's ordered row ids (plus its depth when
+    `max_depth` is set) to the subtree already built from them, so trees
+    that reach the same node share one frozen subtree object and the split
+    kernel runs once for it.  The memo is ignored when nodes draw feature
+    subsets, because such a subtree also depends on the rng stream.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
@@ -165,9 +179,34 @@ def build_tree(
     m = n_feature_candidates if n_feature_candidates is not None else n_features
     if not 1 <= m <= n_features:
         raise ValueError(f"feature subsample count must be in [1, {n_features}]")
+    if rows is None:
+        rows = np.arange(y.shape[0], dtype=np.intp)
+    else:
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or rows.size == 0 or rows.dtype.kind not in "iu":
+            raise ValueError(
+                "rows must be a non-empty 1-d sequence of integer row ids"
+            )
+        if rows.min() < 0 or rows.max() >= y.shape[0]:
+            raise ValueError(f"row ids must be in [0, {y.shape[0]})")
+        rows = rows.astype(np.intp, copy=False)
+    draws = rng is not None and m < n_features
+    if draws:
+        memo = None
     all_features = np.arange(n_features, dtype=np.int64)
 
     def recurse(idx: np.ndarray, depth: int) -> TreeNode:
+        if memo is not None:
+            key = idx.tobytes()
+            if cfg.max_depth:
+                key += depth.to_bytes(8, "little")
+            node = memo.get(key)
+            if node is None:
+                node = memo[key] = grow(idx, depth)
+            return node
+        return grow(idx, depth)
+
+    def grow(idx: np.ndarray, depth: int) -> TreeNode:
         ys = y[idx]
         n = idx.size
         if (
@@ -176,7 +215,7 @@ def build_tree(
             or ys.min() == ys.max()
         ):
             return Leaf(value=float(ys.mean()), n=n)
-        if rng is not None and m < n_features:
+        if draws:
             feats = np.asarray(rng.sample_without_replacement(n_features, m), dtype=np.int64)
         else:
             feats = all_features
@@ -197,7 +236,13 @@ def build_tree(
             n=n, left=left, right=right,
         )
 
-    return recurse(np.arange(y.shape[0]), 0)
+    try:
+        return recurse(rows, 0)
+    finally:
+        # recurse and grow refer to each other; breaking that cycle frees
+        # this call's arrays and rng now rather than at the next cyclic
+        # garbage collection, which would also keep a shared memo alive.
+        del recurse, grow
 
 
 def fit_regression_tree(d: Dataset, cfg: TreeConfig = TreeConfig()) -> TreeNode:

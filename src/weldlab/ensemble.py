@@ -3,9 +3,13 @@
 Every random choice derives from the caller's 64-bit seed: tree t of a
 forest trains on ``bootstrap_indices(n, derive_seed(seed, t))`` and draws
 its per-node feature subsets from the same derived seed, so each tree is
-independent of the order in which the trees are trained.  Boosting is the stagewise
-additive update F_m = F_{m-1} + nu * h_m with F_0 = mean(y) and leaf
-values sum(residuals) / (count + lambda).
+independent of the order in which the trees are trained.  When nodes search
+every feature, a forest fit builds each distinct node (same ordered
+bootstrap row ids, and same depth under a depth limit) once and its trees
+share that frozen subtree object; the trees, predictions and serialized
+bytes are exactly those of trees grown one by one.  Boosting is the
+stagewise additive update F_m = F_{m-1} + nu * h_m with F_0 = mean(y) and
+leaf values sum(residuals) / (count + lambda).
 """
 
 from __future__ import annotations
@@ -54,15 +58,12 @@ class BoostModel:
 EnsembleModel = Union[ForestModel, BoostModel]
 
 
-def _fit_forest_tree(X, y, cfg, m, bootstrap, tree_seed):
-    n = y.shape[0]
-    if bootstrap:
-        idx = np.asarray(bootstrap_indices(n, tree_seed), dtype=np.intp)
-        Xb, yb = X[idx], y[idx]
-    else:
-        Xb, yb = X, y
+def _fit_forest_tree(X, y, cfg, m, bootstrap, tree_seed, memo):
+    rows = bootstrap_indices(y.shape[0], tree_seed) if bootstrap else None
     rng = SplitMix64(derive_seed(tree_seed, 1))
-    return build_tree(Xb, yb, cfg, rng=rng, n_feature_candidates=m)
+    return build_tree(
+        X, y, cfg, rng=rng, n_feature_candidates=m, rows=rows, memo=memo
+    )
 
 
 def fit_random_forest(
@@ -84,7 +85,10 @@ def fit_random_forest(
     if not 1 <= m <= n_features:
         raise ValueError(f"m must be in [1, {n_features}], got {m}")
     tree_seeds = tuple(derive_seed(seed, t) for t in range(trees))
-    fitted = [_fit_forest_tree(X, y, cfg, m, bootstrap, ts) for ts in tree_seeds]
+    memo: dict = {}  # subtrees shared by this fit's trees, dropped on return
+    fitted = [
+        _fit_forest_tree(X, y, cfg, m, bootstrap, ts, memo) for ts in tree_seeds
+    ]
     return ForestModel(
         trees=tuple(fitted),
         tree_seeds=tree_seeds,

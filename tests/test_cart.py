@@ -1,9 +1,11 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weldlab._rng import SplitMix64, derive_seed
 from weldlab.cart import (
     ClassDistribution,
     Internal,
@@ -22,6 +24,8 @@ from weldlab.cart import (
     predict_tree_many,
     split_info,
 )
+
+from weldlab.dataset import bootstrap_indices
 
 from conftest import assert_split_optimal
 
@@ -250,6 +254,98 @@ class TestFitRegressionTree:
             queries = rng.uniform(-2, 2, (20, 3))
             for q in queries:
                 assert y.min() <= predict_tree(tree, q) <= y.max()
+
+
+def grid_data(seed, n=12, p=3):
+    """Few distinct levels and responses, so many nodes repeat and tie."""
+    gen = np.random.default_rng(seed)
+    X = np.ascontiguousarray(gen.integers(0, 3, (n, p)), dtype=np.float64)
+    return X, gen.integers(0, 5, n).astype(np.float64)
+
+
+class TestRowsAndMemo:
+    def test_rows_equal_the_copied_sample(self):
+        gen = np.random.default_rng(41)
+        for trial in range(80):
+            n = int(gen.integers(1, 12))
+            p = int(gen.integers(1, 4))
+            X = np.ascontiguousarray(gen.uniform(-3, 3, (n, p)))
+            y = gen.uniform(0, 10, n)
+            rows = gen.integers(0, n, int(gen.integers(1, 2 * n + 1)))
+            cfg = TreeConfig(
+                max_depth=int(gen.integers(0, 3)),
+                min_samples_leaf=int(gen.integers(1, 3)),
+            )
+            m = int(gen.integers(1, p + 1))
+            expect = build_tree(X[rows], y[rows], cfg, SplitMix64(trial), m)
+            got = build_tree(X, y, cfg, SplitMix64(trial), m, rows=rows)
+            assert got == expect
+
+    def test_default_rows_are_every_row_once(self):
+        X, y = grid_data(3)
+        assert build_tree(X, y, rows=range(12)) == build_tree(X, y)
+
+    @pytest.mark.parametrize("rows", [[], [0, 12], [-1, 0], [[0, 1]], [0.0, 1.5]])
+    def test_bad_rows_rejected(self, rows):
+        X, y = grid_data(3)
+        with pytest.raises(ValueError):
+            build_tree(X, y, rows=rows)
+
+    @pytest.mark.parametrize("m", [3, 1])  # m < p: the memo is ignored
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("min_leaf", [1, 2])
+    @pytest.mark.parametrize("max_depth", [0, 2])
+    def test_memo_on_equals_memo_off(self, builtin, max_depth, min_leaf,
+                                     bootstrap, m):
+        cfg = TreeConfig(max_depth=max_depth, min_samples_leaf=min_leaf)
+        for X, y in [(builtin.features(), builtin.responses()), grid_data(5)]:
+            n = y.shape[0]
+            for seed in range(3):
+                memo: dict = {}
+                for t in range(20):
+                    ts = derive_seed(seed, t)
+                    rows = bootstrap_indices(n, ts) if bootstrap else None
+                    on_rng, off_rng = SplitMix64(ts), SplitMix64(ts)
+                    on = build_tree(X, y, cfg, on_rng, m, rows=rows, memo=memo)
+                    off = build_tree(X, y, cfg, off_rng, m, rows=rows)
+                    assert on == off
+                    # both trees left the rng stream at the same position
+                    assert on_rng.next_u64() == off_rng.next_u64()
+                assert bool(memo) == (m == X.shape[1])
+
+    def test_memo_tells_depths_apart_under_max_depth(self, builtin):
+        X, y = builtin.features(), builtin.responses()
+        cfg = TreeConfig(max_depth=1)
+        memo: dict = {}
+        first = build_tree(X, y, cfg, memo=memo)
+        # the first tree's depth-1 left leaf, grown again as a root
+        left_rows = np.flatnonzero(X[:, first.feature] <= first.threshold)
+        second = build_tree(X, y, cfg, rows=left_rows, memo=memo)
+        assert isinstance(second, Internal)
+        assert second == build_tree(X, y, cfg, rows=left_rows)
+
+    def test_repeated_rows_reuse_the_built_subtree(self, builtin):
+        X, y = builtin.features(), builtin.responses()
+        memo: dict = {}
+        first = build_tree(X, y, memo=memo)
+        assert build_tree(X, y, memo=memo) is first
+        left_rows = np.flatnonzero(X[:, first.feature] <= first.threshold)
+        assert build_tree(X, y, rows=left_rows, memo=memo) is first.left
+
+
+    def test_build_leaves_no_reference_cycle(self, builtin):
+        # a cycle would keep each call's arrays and a forest's memo alive
+        # until the cyclic collector runs, raising peak memory
+        X, y = builtin.features(), builtin.responses()
+        gc.collect()
+        gc.disable()
+        try:
+            build_tree(X, y, memo={})
+            build_tree(X, y, TreeConfig(max_depth=2), SplitMix64(1), 2,
+                       rows=[0, 3, 3, 8, 5])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestPredictTree:

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from weldlab.cart import Leaf, TreeConfig, predict_tree
-from weldlab.dataset import kfold_plan
+import weldlab.cart
+from weldlab._rng import SplitMix64, derive_seed
+from weldlab.cart import Leaf, TreeConfig, build_tree, predict_tree
+from weldlab.dataset import bootstrap_indices, kfold_plan
 from weldlab.ensemble import (
     BoostModel,
     ForestModel,
@@ -158,6 +160,39 @@ class TestRandomForest:
         assert predict_ensemble(shuffled, x) == pytest.approx(
             predict_ensemble(model, x), abs=1e-12
         )
+
+
+class TestForestSharedSubtrees:
+    @pytest.mark.parametrize("m", [3, 2])
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("cfg", [TreeConfig(), TreeConfig(max_depth=2),
+                                     TreeConfig(min_samples_leaf=2)])
+    def test_equals_trees_grown_one_by_one(self, builtin, cfg, bootstrap, m):
+        X, y = builtin.features(), builtin.responses()
+        for seed in (0, 7):
+            model = fit_random_forest(builtin, trees=40, cfg=cfg, m=m,
+                                      seed=seed, bootstrap=bootstrap)
+            for tree, ts in zip(model.trees, model.tree_seeds):
+                rows = bootstrap_indices(9, ts) if bootstrap else list(range(9))
+                rng = SplitMix64(derive_seed(ts, 1))
+                assert tree == build_tree(X[rows], y[rows], cfg, rng, m)
+
+    def test_identical_trees_are_built_once(self, builtin, monkeypatch):
+        calls = []
+        kernel = weldlab.cart.best_split
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(weldlab.cart, "best_split", counted)
+        single = fit_random_forest(builtin, trees=1, seed=3, bootstrap=False)
+        per_tree = len(calls)
+        model = fit_random_forest(builtin, trees=200, seed=3, bootstrap=False)
+        assert per_tree > 0
+        assert len(calls) == 2 * per_tree
+        assert all(t is model.trees[0] for t in model.trees)
+        assert model.trees[0] == single.trees[0]
 
 
 class TestGbm:
