@@ -1,7 +1,8 @@
 """Data model, CSV ingestion, the embedded AA6262 dataset, and resampling.
 
 The CSV schema is fixed: header ``rpm,traverse_mm_min,plan_depth_mm,hardness``
-with '.' decimals; extra columns are rejected to prevent silent misuse.
+with '.' decimals; extra or repeated columns and data rows with more cells
+than the header are rejected to prevent silent misuse.
 Run order is preserved exactly as ingested and every iteration over runs
 follows stored order (the determinism anchor).
 """
@@ -106,8 +107,10 @@ def builtin_aa6262() -> Dataset:
 def load_csv(path) -> Dataset:
     """Load a dataset from the fixed-schema CSV file at `path`.
 
-    Raises SchemaError for a wrong header, CsvParseError (with 1-based data
-    row number) for non-numeric cells, InsufficientDataError for < 2 rows.
+    Raises SchemaError for a wrong header (missing, unexpected or repeated
+    column names), CsvParseError (with 1-based data row number) for
+    non-numeric cells, ValueError (with the row number) for a data row with
+    more cells than the header, InsufficientDataError for < 2 rows.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -122,12 +125,20 @@ def load_csv(path) -> Dataset:
         extra = [c for c in header if c not in CSV_COLUMNS]
         if extra:
             raise SchemaError(f"unexpected column(s): {', '.join(extra)}")
+        repeated = [c for c in CSV_COLUMNS if header.count(c) > 1]
+        if repeated:
+            raise SchemaError(f"repeated column(s): {', '.join(repeated)}")
         pos = {c: header.index(c) for c in CSV_COLUMNS}
 
         runs = []
         for rownum, row in enumerate(reader, start=1):
             if not row or all(not cell.strip() for cell in row):
                 continue
+            if len(row) > len(header):
+                raise ValueError(
+                    f"row {rownum}: {len(row)} cells but the header has "
+                    f"{len(header)} columns"
+                )
             values = {}
             for col in CSV_COLUMNS:
                 cell = row[pos[col]].strip() if pos[col] < len(row) else ""

@@ -97,6 +97,25 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match="operator"):
             load_csv(path)
 
+    def test_repeated_column_rejected(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text(
+            "rpm,traverse_mm_min,plan_depth_mm,hardness,rpm\n"
+            "800,40,0.1,65.8,900\n1000,50,0.2,64.3,1100\n"
+        )
+        with pytest.raises(SchemaError, match="repeated column.*rpm"):
+            load_csv(path)
+
+    def test_row_with_extra_cell_rejected(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text(
+            "rpm,traverse_mm_min,plan_depth_mm,hardness\n"
+            "1000,50,0.2,64.3\n"
+            "800,40,0.1,65.8,999\n"
+        )
+        with pytest.raises(ValueError, match=r"^row 2: 5 cells"):
+            load_csv(path)
+
     def test_crlf_tolerated(self, tmp_path):
         path = tmp_path / "crlf.csv"
         path.write_bytes(
