@@ -24,7 +24,6 @@ from weldlab.cart import (
     predict_tree_many,
     split_info,
 )
-
 from weldlab.dataset import bootstrap_indices
 
 from conftest import assert_split_optimal
@@ -331,7 +330,6 @@ class TestRowsAndMemo:
         assert build_tree(X, y, memo=memo) is first
         left_rows = np.flatnonzero(X[:, first.feature] <= first.threshold)
         assert build_tree(X, y, rows=left_rows, memo=memo) is first.left
-
 
     def test_build_leaves_no_reference_cycle(self, builtin):
         # a cycle would keep each call's arrays and a forest's memo alive
