@@ -122,13 +122,13 @@ class TreeConfig:
             raise ValueError("min_impurity_decrease must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     value: float  # mean response of the samples that landed here
     n: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Internal:
     feature: int
     threshold: float

@@ -4,11 +4,12 @@ Every random choice derives from the caller's 64-bit seed: tree t of a
 forest trains on ``bootstrap_indices(n, derive_seed(seed, t))`` and draws
 its per-node feature subsets from the same derived seed, so each tree is
 independent of the order in which the trees are trained.  When nodes search
-every feature, a forest fit builds each distinct node (same ordered
-bootstrap row ids, and same depth under a depth limit) once and its trees
-share that frozen subtree object; the trees, predictions and serialized
-bytes are exactly those of trees grown one by one.  Boosting is the
-stagewise additive update F_m = F_{m-1} + nu * h_m with F_0 = mean(y) and
+every feature, the forests of one model stage (the final fit and every
+cross-validation fold, given one subtree memo) build each distinct node
+(same ordered run ids of the dataset, and same depth under a depth limit)
+once and share that frozen subtree object; the trees, predictions and
+serialized bytes are exactly those of trees grown one by one.  Boosting is
+the stagewise additive update F_m = F_{m-1} + nu * h_m with F_0 = mean(y) and
 leaf values sum(residuals) / (count + lambda).
 """
 
@@ -58,11 +59,37 @@ class BoostModel:
 EnsembleModel = Union[ForestModel, BoostModel]
 
 
-def _fit_forest_tree(X, y, cfg, m, bootstrap, tree_seed, memo):
-    rows = bootstrap_indices(y.shape[0], tree_seed) if bootstrap else None
-    rng = SplitMix64(derive_seed(tree_seed, 1))
-    return build_tree(
-        X, y, cfg, rng=rng, n_feature_candidates=m, rows=rows, memo=memo
+def _fit_forest(X, y, ids, trees, cfg, m, seed, bootstrap, memo) -> ForestModel:
+    """Forest grown on the rows `ids` of (X, y), in that order.
+
+    Tree t trains on ``ids[bootstrap_indices(len(ids), derive_seed(seed, t))]``
+    (or on `ids` without bootstrap), so a forest on a subset of a dataset's
+    rows equals one fitted on the sub-dataset of those rows, and its `memo`
+    keys are row ids of `X`.
+    """
+    if trees < 1:
+        raise ValueError(f"tree count must be >= 1, got {trees}")
+    n_features = X.shape[1]
+    if m is None:
+        m = n_features
+    if not 1 <= m <= n_features:
+        raise ValueError(f"m must be in [1, {n_features}], got {m}")
+    tree_seeds = tuple(derive_seed(seed, t) for t in range(trees))
+    fitted = []
+    for ts in tree_seeds:
+        rows = ids[bootstrap_indices(ids.size, ts)] if bootstrap else ids
+        rng = SplitMix64(derive_seed(ts, 1))
+        fitted.append(build_tree(
+            X, y, cfg, rng=rng, n_feature_candidates=m, rows=rows, memo=memo
+        ))
+    return ForestModel(
+        trees=tuple(fitted),
+        tree_seeds=tree_seeds,
+        n_features=n_features,
+        m=m,
+        bootstrap=bootstrap,
+        seed=seed,
+        config=cfg,
     )
 
 
@@ -73,30 +100,20 @@ def fit_random_forest(
     m: int | None = None,
     seed: int = 0,
     bootstrap: bool = True,
+    *,
+    memo: dict | None = None,
 ) -> ForestModel:
-    """Bagged regression forest; `m` features searched per split (default all)."""
+    """Bagged regression forest; `m` features searched per split (default all).
+
+    `memo` is a subtree memo (see `build_tree`) to share with other fits on
+    the same dataset and `cfg`; the default is a fresh one for this fit.
+    The model is identical with or without it.
+    """
     X = d.features()
     y = d.responses()
-    if trees < 1:
-        raise ValueError(f"tree count must be >= 1, got {trees}")
-    n_features = X.shape[1]
-    if m is None:
-        m = n_features
-    if not 1 <= m <= n_features:
-        raise ValueError(f"m must be in [1, {n_features}], got {m}")
-    tree_seeds = tuple(derive_seed(seed, t) for t in range(trees))
-    memo: dict = {}  # subtrees shared by this fit's trees, dropped on return
-    fitted = [
-        _fit_forest_tree(X, y, cfg, m, bootstrap, ts, memo) for ts in tree_seeds
-    ]
-    return ForestModel(
-        trees=tuple(fitted),
-        tree_seeds=tree_seeds,
-        n_features=n_features,
-        m=m,
-        bootstrap=bootstrap,
-        seed=seed,
-        config=cfg,
+    return _fit_forest(
+        X, y, np.arange(y.shape[0]), trees, cfg, m, seed, bootstrap,
+        {} if memo is None else memo,
     )
 
 
@@ -263,11 +280,20 @@ class ModelSpec:
             raise ValueError(f"model kind must be 'rf' or 'gbm', got {self.kind!r}")
 
 
-def fit_model(d: Dataset, spec: ModelSpec) -> EnsembleModel:
+def fit_model(
+    d: Dataset, spec: ModelSpec, *, memo: dict | None = None
+) -> EnsembleModel:
+    """Fit the model `spec` describes.
+
+    `memo` is passed to `fit_random_forest`, so a forest can share subtrees
+    with other fits on the same dataset and tree config (`cross_validate`
+    with the same memo, say); boosting does not use it.  The model is
+    identical with or without it.
+    """
     if spec.kind == "rf":
         return fit_random_forest(
             d, trees=spec.trees, cfg=spec.config, m=spec.m,
-            seed=spec.seed, bootstrap=spec.bootstrap,
+            seed=spec.seed, bootstrap=spec.bootstrap, memo=memo,
         )
     return fit_gbm(
         d, rounds=spec.rounds, cfg=spec.config, nu=spec.nu, lam=spec.lam,
@@ -283,17 +309,27 @@ class CvResult:
     predictions: tuple[float, ...]  # per run, from the fold that held it out
 
 
-def cross_validate(d: Dataset, spec: ModelSpec, plan: FoldPlan) -> CvResult:
+def cross_validate(
+    d: Dataset, spec: ModelSpec, plan: FoldPlan, *, memo: dict | None = None
+) -> CvResult:
     """Train on each fold's complement, predict the fold, pool everything.
 
     Fold f trains with seed derive_seed(spec.seed, f) so the result is
-    deterministic and independent of evaluation order.
+    deterministic and independent of evaluation order.  A forest fold grows
+    on the rows of `d` itself, ``train[bootstrap_indices(len(train), ts)]``
+    for tree seed ts, which equals fitting the sub-dataset of its training
+    runs but keys its subtrees by run ids of `d`.  So the folds, and a final
+    model fitted with the same `memo` (same dataset and tree config), share
+    each identical subtree; results are identical with or without it.  The
+    default is one fresh memo for this call's folds.
     """
     n = len(d)
     if len(plan.assignments) != n:
         raise ValueError("fold plan does not cover the dataset")
     y = d.responses()
     X = d.features()
+    if memo is None:
+        memo = {}
     predictions = np.empty(n)
     fold_metrics: list[RegressionMetrics | None] = []
     for f in range(plan.k):
@@ -303,12 +339,19 @@ def cross_validate(d: Dataset, spec: ModelSpec, plan: FoldPlan) -> CvResult:
             raise ValueError(
                 f"fold {f} leaves only {len(train)} training runs (need >= 2)"
             )
-        sub = Dataset(
-            runs=tuple(d.runs[i] for i in train),
-            factor_names=d.factor_names,
-            response_name=d.response_name,
-        )
-        model = fit_model(sub, replace(spec, seed=derive_seed(spec.seed, f)))
+        fold_seed = derive_seed(spec.seed, f)
+        if spec.kind == "rf":
+            model = _fit_forest(
+                X, y, np.asarray(train), spec.trees, spec.config, spec.m,
+                fold_seed, spec.bootstrap, memo,
+            )
+        else:
+            sub = Dataset(
+                runs=tuple(d.runs[i] for i in train),
+                factor_names=d.factor_names,
+                response_name=d.response_name,
+            )
+            model = fit_model(sub, replace(spec, seed=fold_seed))
         for i in held:
             predictions[i] = predict_ensemble(model, X[i])
         if len(held) >= 2:

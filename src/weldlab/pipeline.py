@@ -253,13 +253,14 @@ def run_pipeline(cfg: RunConfig) -> ReportDocument:
 
     try:
         spec = _model_spec(cfg)
-        model = fit_model(d, spec)
+        memo: dict = {}  # subtrees shared by the final model and CV folds
+        model = fit_model(d, spec, memo=memo)
         y = d.responses()
         train_pred = predict_ensemble_many(model, d.features())
         train_metrics = regression_metrics(y, train_pred)
         k = _parse_cv(cfg.cv)
         plan = kfold_plan(len(d), len(d) if k is None else k, cfg.seed)
-        cv = cross_validate(d, spec, plan)
+        cv = cross_validate(d, spec, plan, memo=memo)
         importance = feature_importance(model)
         doc.sections["model"] = {
             "spec": {

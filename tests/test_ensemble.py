@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import weldlab.cart
+import weldlab.ensemble
 from weldlab._rng import SplitMix64, derive_seed
 from weldlab.cart import Leaf, TreeConfig, build_tree, predict_tree
-from weldlab.dataset import bootstrap_indices, kfold_plan
+from weldlab.dataset import Dataset, bootstrap_indices, kfold_plan
 from weldlab.ensemble import (
     BoostModel,
     ForestModel,
@@ -393,6 +394,100 @@ class TestCrossValidate:
         plan = kfold_plan(2, 2, seed=0)  # each fold leaves 1 training run
         with pytest.raises(ValueError, match="training"):
             cross_validate(d, ModelSpec(kind="gbm", rounds=0), plan)
+
+    @staticmethod
+    def _fold_models(monkeypatch):
+        """Record each distinct model `cross_validate` predicts with."""
+        models = []
+        predict = weldlab.ensemble.predict_ensemble
+
+        def recording(model, x):
+            if not any(model is seen for seen in models):
+                models.append(model)
+            return predict(model, x)
+
+        monkeypatch.setattr(weldlab.ensemble, "predict_ensemble", recording)
+        return models
+
+    @pytest.mark.parametrize("k", [9, 3])
+    @pytest.mark.parametrize("m", [3, 2])
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("max_depth", [0, 2])
+    @pytest.mark.parametrize("min_leaf", [1, 2])
+    def test_rf_folds_equal_forests_on_sub_datasets(
+        self, builtin, monkeypatch, k, m, bootstrap, max_depth, min_leaf
+    ):
+        cfg = TreeConfig(max_depth=max_depth, min_samples_leaf=min_leaf)
+        spec = ModelSpec(kind="rf", config=cfg, trees=20, m=m,
+                         bootstrap=bootstrap, seed=5)
+        plan = kfold_plan(9, k, seed=3)
+        memo: dict = {}
+        fit_model(builtin, spec, memo=memo)
+        folds = self._fold_models(monkeypatch)
+        cross_validate(builtin, spec, plan, memo=memo)
+        assert len(folds) == k
+        for f, model in enumerate(folds):
+            sub = Dataset(runs=tuple(
+                r for r, a in zip(builtin.runs, plan.assignments) if a != f
+            ))
+            expected = fit_random_forest(
+                sub, trees=20, cfg=cfg, m=m, seed=derive_seed(5, f),
+                bootstrap=bootstrap,
+            )
+            for got_tree, want_tree in zip(model.trees, expected.trees,
+                                           strict=True):
+                assert got_tree == want_tree
+            assert model == expected
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(kind="rf", trees=30, seed=2),
+        ModelSpec(kind="rf", trees=30, m=2, seed=2),
+        ModelSpec(kind="rf", trees=30, bootstrap=False,
+                  config=TreeConfig(max_depth=2)),
+        ModelSpec(kind="gbm", rounds=5, config=TreeConfig(max_depth=2)),
+    ])
+    @pytest.mark.parametrize("k", [9, 3])
+    def test_shared_memo_gives_separate_results(self, builtin, spec, k):
+        plan = kfold_plan(9, k, seed=1)
+        memo: dict = {}
+        shared = (fit_model(builtin, spec, memo=memo),
+                  cross_validate(builtin, spec, plan, memo=memo))
+        separate = (fit_model(builtin, spec), cross_validate(builtin, spec, plan))
+        assert model_to_json(shared[0]) == model_to_json(separate[0])
+        assert shared[1] == separate[1]
+
+    def test_shared_memo_calls_kernel_less_and_shares_nodes(
+        self, builtin, monkeypatch
+    ):
+        spec = ModelSpec(kind="rf", trees=50, seed=4)
+        plan = kfold_plan(9, 9, seed=0)
+        calls = []
+        kernel = weldlab.cart.best_split
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(weldlab.cart, "best_split", counted)
+        fit_model(builtin, spec)
+        cross_validate(builtin, spec, plan)
+        separate = len(calls)
+        calls.clear()
+        memo: dict = {}
+        final = fit_model(builtin, spec, memo=memo)
+        folds = self._fold_models(monkeypatch)
+        cross_validate(builtin, spec, plan, memo=memo)
+        assert 0 < len(calls) < separate
+
+        def nodes(t):
+            yield t
+            if not isinstance(t, Leaf):
+                yield from nodes(t.left)
+                yield from nodes(t.right)
+
+        final_ids = {id(n) for t in final.trees for n in nodes(t)}
+        assert any(id(n) in final_ids
+                   for model in folds for t in model.trees for n in nodes(t))
 
     def test_fit_model_dispatch(self, builtin):
         rf = fit_model(builtin, ModelSpec(kind="rf", trees=3))
