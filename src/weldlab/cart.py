@@ -264,6 +264,15 @@ def _route(t: TreeNode, x) -> float:
     return t.value
 
 
+def _check_arity(t: TreeNode, n_entries: int) -> None:
+    arity = tree_arity(t)
+    if arity > n_entries:
+        raise ValueError(
+            f"feature vector has {n_entries} entries but the tree "
+            f"references feature index {arity - 1}"
+        )
+
+
 def predict_tree(t: TreeNode, x: Sequence[float]) -> float:
     """Route by threshold comparisons (<= goes left); return the leaf mean.
 
@@ -276,17 +285,19 @@ def predict_tree(t: TreeNode, x: Sequence[float]) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("x must be a single feature vector")
-    if tree_arity(t) > x.shape[0]:
-        raise ValueError(
-            f"feature vector has {x.shape[0]} entries but the tree "
-            f"references feature index {tree_arity(t) - 1}"
-        )
+    _check_arity(t, x.shape[0])
     return _route(t, x)
 
 
 def predict_tree_many(t: TreeNode, X: np.ndarray) -> np.ndarray:
+    """`predict_tree` for each row of `X`, walking the tree once per call."""
     X = np.asarray(X, dtype=np.float64)
-    return np.asarray([predict_tree(t, row) for row in X])
+    if len(X) == 0:
+        return np.asarray([])
+    if X.ndim != 2:
+        raise ValueError("x must be a single feature vector")
+    _check_arity(t, X.shape[1])
+    return np.asarray([_route(t, row) for row in X.tolist()])
 
 
 def count_nodes(t: TreeNode) -> tuple[int, int]:

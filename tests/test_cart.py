@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import weldlab.cart
 from weldlab._rng import SplitMix64, derive_seed
 from weldlab.cart import (
     ClassDistribution,
@@ -368,6 +369,37 @@ class TestPredictTree:
         tree = fit_regression_tree(builtin)
         with pytest.raises(ValueError):
             predict_tree(tree, [800.0])
+
+    def test_many_equals_per_row_with_one_arity_walk(self, builtin, monkeypatch):
+        X, y = builtin.features(), builtin.responses()
+        rng = np.random.default_rng(5)
+        queries = np.vstack([X, rng.uniform(X.min(0), X.max(0), size=(40, 3))])
+        trees = [fit_regression_tree(builtin)] + [
+            build_tree(X, y, rows=bootstrap_indices(9, s)) for s in range(20)
+        ]
+        arity = weldlab.cart.tree_arity
+        walked = []
+        monkeypatch.setattr(weldlab.cart, "tree_arity",
+                            lambda t: walked.append(t) or arity(t))
+        for tree in trees:
+            expected = [predict_tree(tree, row) for row in queries]
+            walked.clear()
+            got = predict_tree_many(tree, queries)
+            assert [t for t in walked if t is tree] == [tree]
+            assert got.dtype == np.float64
+            assert got.tolist() == expected
+            width = arity(tree) - 1
+            if width < 0:
+                continue
+            with pytest.raises(ValueError) as many_err:
+                predict_tree_many(tree, queries[:, :width])
+            with pytest.raises(ValueError) as one_err:
+                predict_tree(tree, queries[0, :width])
+            assert str(many_err.value) == str(one_err.value)
+            assert str(many_err.value) == (
+                f"feature vector has {width} entries but the tree "
+                f"references feature index {width}"
+            )
 
 
 class TestExportTree:
