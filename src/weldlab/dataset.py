@@ -110,9 +110,11 @@ def load_csv(path) -> Dataset:
     Raises SchemaError for a wrong header (missing, unexpected or repeated
     column names), CsvParseError (with 1-based data row number) for
     non-numeric cells, ValueError (with the row number) for a data row with
-    more cells than the header, InsufficientDataError for < 2 rows.
+    more cells than the header, InsufficientDataError for < 2 rows.  A
+    leading UTF-8 byte-order mark (as spreadsheet "CSV UTF-8" exports
+    write) is skipped.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -116,6 +116,14 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=r"^row 2: 5 cells"):
             load_csv(path)
 
+    def test_byte_order_mark_skipped(self, builtin, tmp_path):
+        plain = tmp_path / "plain.csv"
+        write_csv(builtin, plain)
+        assert not plain.read_bytes().startswith(b"\xef\xbb\xbf")
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_csv(marked) == load_csv(plain)
+
     def test_crlf_tolerated(self, tmp_path):
         path = tmp_path / "crlf.csv"
         path.write_bytes(
