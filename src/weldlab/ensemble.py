@@ -9,8 +9,8 @@ cross-validation fold, given one subtree memo) build each distinct node
 (same ordered run ids of the dataset, and same depth under a depth limit)
 once and share that frozen subtree object; the trees, predictions and
 serialized bytes are exactly those of trees grown one by one.  Boosting is
-the stagewise additive update F_m = F_{m-1} + nu * h_m with F_0 = mean(y) and
-leaf values sum(residuals) / (count + lambda).
+the stagewise additive update F_m = F_{m-1} + nu * h_m with F_0 = mean(y)
+and leaf values sum(residuals) / (count + lambda).
 """
 
 from __future__ import annotations
