@@ -118,7 +118,7 @@ class TreeConfig:
     def __post_init__(self):
         if self.max_depth < 0 or self.min_samples_leaf < 1:
             raise ValueError("max_depth must be >= 0 and min_samples_leaf >= 1")
-        if self.min_impurity_decrease < 0:
+        if not self.min_impurity_decrease >= 0.0:
             raise ValueError("min_impurity_decrease must be >= 0")
 
 
@@ -295,7 +295,7 @@ def predict_tree_many(t: TreeNode, X: np.ndarray) -> np.ndarray:
     if len(X) == 0:
         return np.asarray([])
     if X.ndim != 2:
-        raise ValueError("x must be a single feature vector")
+        raise ValueError("X must be a 2-d array of feature rows")
     _check_arity(t, X.shape[1])
     return np.asarray([_route(t, row) for row in X.tolist()])
 

@@ -29,6 +29,7 @@ from .cart import (
     TreeNode,
     _route,
     build_tree,
+    tree_arity,
 )
 from .dataset import Dataset, FoldPlan, bootstrap_indices
 
@@ -140,7 +141,7 @@ def fit_gbm(
         raise ValueError(f"round count must be >= 0, got {rounds}")
     if not 0.0 < nu <= 1.0:
         raise ValueError(f"learning rate must be in (0, 1], got {nu}")
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError(f"L2 leaf penalty must be >= 0, got {lam}")
     X = d.features()
     y = d.responses()
@@ -217,7 +218,7 @@ def feature_importance(
         nf = model.n_features
         trees = model.trees if isinstance(model, ForestModel) else model.stages
     else:
-        nf = n_features if n_features is not None else _max_feature(model) + 1
+        nf = n_features if n_features is not None else tree_arity(model)
         trees = (model,)
     acc = np.zeros(max(nf, 1))
     for t in trees:
@@ -227,12 +228,6 @@ def feature_importance(
     if total > 0.0:
         acc = acc / total
     return FeatureImportance(scores=tuple(float(v) for v in acc))
-
-
-def _max_feature(t: TreeNode) -> int:
-    if isinstance(t, Leaf):
-        return -1
-    return max(t.feature, _max_feature(t.left), _max_feature(t.right))
 
 
 # --- metrics and cross-validation ----------------------------------------

@@ -1,19 +1,13 @@
 """Best-split search kernel, the hot inner loop of every tree fit.
 
-Two interchangeable backends:
-
-* ``numba`` -- an ``@njit``-compiled scan (default when numba imports),
-* ``numpy`` -- one prefix-sum pass over the node's ``(features x rows)``
-  block: a stable argsort of every candidate column at once, one
-  sequential ``np.add.accumulate`` over the sorted ``[y, y^2]`` rows, the
-  clamped SSE expression, and one masked argmin over the whole block.
-
-Set ``WELDLAB_NO_NUMBA=1`` in the environment to force the numpy path.
-Both backends perform the same floating-point operations in the same
-order (stable sort, sequential prefix sums, identical score expression),
-so fitted trees are bit-identical either way; the test suite checks the
-numpy backend against ``_best_split_loops`` (the numba source, run
-uncompiled) and, when numba imports, against the compiled scan.
+``best_split`` scores a node in one prefix-sum pass over its
+``(features x rows)`` block: a stable argsort of every candidate column at
+once, one sequential ``np.add.accumulate`` over the sorted ``[y, y^2]``
+rows, the clamped SSE expression, and one masked argmin over the whole
+block.  ``_best_split_loops`` is the same search written as plain loops;
+it performs the same floating-point operations in the same order (stable
+sort, sequential prefix sums, identical score expression), and the test
+suite checks ``best_split`` against it bit for bit.
 
 Split contract: candidate thresholds are midpoints between consecutive
 distinct sorted values, comparison is ``<=`` (left), the score is the
@@ -24,8 +18,6 @@ decide ties).  A feature index of -1 means no admissible split.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -85,8 +77,14 @@ def _best_split_loops(X, y, features, min_leaf):
     return best_f, best_t, best_score, parent_sse
 
 
-def best_split_numpy(X, y, features, min_leaf):
-    """Vectorized backend; see module docstring for the contract."""
+def best_split(X, y, features, min_leaf=1):
+    """Find the best variance-reduction split of (X, y) over `features`.
+
+    X must be C-contiguous float64 (n, p), y float64 (n,), features an
+    ascending int64 array of candidate column indices.  Returns
+    (feature, threshold, children_sse, parent_sse); feature is -1 when no
+    split satisfies the distinct-boundary and min_leaf constraints.
+    """
     n = y.shape[0]
     k = features.shape[0]
     cols = X.T[features]  # (k, n): one row per candidate feature
@@ -94,7 +92,7 @@ def best_split_numpy(X, y, features, min_leaf):
     xs = np.sort(cols, axis=1, kind="stable")  # == cols gathered by order
     # Row 0 is y as given (the parent sums); rows 1..k are y in each
     # feature's order; the second half holds the squares.  accumulate is a
-    # sequential reduction along each row, matching the loop backend bitwise.
+    # sequential reduction along each row, matching the reference loop bitwise.
     ys = np.concatenate((y[None], y[order]))
     c = np.add.accumulate(np.concatenate((ys, ys * ys)), axis=1)
     s_tot = c[0, -1]
@@ -124,54 +122,6 @@ def best_split_numpy(X, y, features, min_leaf):
     return int(features[fi]), best_t, best_score, parent_sse
 
 
-def _env_disables_numba() -> bool:
-    return os.environ.get("WELDLAB_NO_NUMBA", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-    )
-
-
-try:
-    from numba import njit
-
-    best_split_numba = njit(cache=True, nogil=True)(_best_split_loops)
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    best_split_numba = None
-    HAS_NUMBA = False
-
-_BACKENDS = {"numpy": best_split_numpy}
-if HAS_NUMBA:
-    _BACKENDS["numba"] = best_split_numba
-
-BACKEND = "numpy" if (_env_disables_numba() or not HAS_NUMBA) else "numba"
-_active = _BACKENDS[BACKEND]
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
-
 def active_backend() -> str:
-    return BACKEND
-
-
-def set_backend(name: str) -> None:
-    """Switch the active backend (benchmarks/tests; results are identical)."""
-    global BACKEND, _active
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; have {available_backends()}")
-    BACKEND = name
-    _active = _BACKENDS[name]
-
-
-def best_split(X, y, features, min_leaf=1):
-    """Find the best variance-reduction split of (X, y) over `features`.
-
-    X must be C-contiguous float64 (n, p), y float64 (n,), features an
-    ascending int64 array of candidate column indices.  Returns
-    (feature, threshold, children_sse, parent_sse); feature is -1 when no
-    split satisfies the distinct-boundary and min_leaf constraints.
-    """
-    return _active(X, y, features, min_leaf)
+    """Name of the split kernel, reported in run metadata."""
+    return "numpy"

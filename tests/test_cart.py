@@ -218,6 +218,8 @@ class TestFitRegressionTree:
             TreeConfig(min_samples_leaf=0)
         with pytest.raises(ValueError):
             TreeConfig(min_impurity_decrease=-0.5)
+        with pytest.raises(ValueError):
+            TreeConfig(min_impurity_decrease=float("nan"))
 
     def test_min_impurity_decrease_prunes(self, builtin):
         shallow = fit_regression_tree(
@@ -369,6 +371,11 @@ class TestPredictTree:
         tree = fit_regression_tree(builtin)
         with pytest.raises(ValueError):
             predict_tree(tree, [800.0])
+
+    def test_many_rejects_one_dimensional_input(self, builtin):
+        tree = fit_regression_tree(builtin)
+        with pytest.raises(ValueError, match="X must be a 2-d array of feature rows"):
+            predict_tree_many(tree, builtin.features()[0])
 
     def test_many_equals_per_row_with_one_arity_walk(self, builtin, monkeypatch):
         X, y = builtin.features(), builtin.responses()

@@ -6,7 +6,7 @@ import pytest
 import weldlab.cart
 import weldlab.ensemble
 from weldlab._rng import SplitMix64, derive_seed
-from weldlab.cart import Leaf, TreeConfig, build_tree, predict_tree
+from weldlab.cart import Leaf, TreeConfig, build_tree, predict_tree, tree_arity
 from weldlab.dataset import Dataset, bootstrap_indices, kfold_plan
 from weldlab.ensemble import (
     BoostModel,
@@ -268,8 +268,9 @@ class TestGbm:
             fit_gbm(builtin, rounds=5, nu=0.0)
         with pytest.raises(ValueError):
             fit_gbm(builtin, rounds=5, nu=1.5)
-        with pytest.raises(ValueError):
-            fit_gbm(builtin, rounds=5, lam=-1.0)
+        for lam in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                fit_gbm(builtin, rounds=5, lam=lam)
 
 
 class TestFeatureImportance:
@@ -291,6 +292,17 @@ class TestFeatureImportance:
         tree = fit_regression_tree(builtin)
         imp = feature_importance(tree, n_features=3)
         assert imp.argmax == 0  # rpm
+
+    def test_bare_tree_sized_by_its_arity(self, builtin):
+        X, y = builtin.features(), builtin.responses()
+        trees = [Leaf(value=1.0, n=5)] + [
+            build_tree(X, y, TreeConfig(max_depth=d), rows=bootstrap_indices(9, s))
+            for d in (1, 2, 0) for s in range(6)
+        ]
+        for tree in trees:
+            assert feature_importance(tree) == feature_importance(
+                tree, n_features=tree_arity(tree)
+            )
 
     def test_builtin_forest_argmax_rpm(self, builtin):
         model = fit_random_forest(builtin, trees=200, m=3, seed=7)

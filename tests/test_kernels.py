@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 
@@ -10,37 +9,12 @@ from weldlab import kernels
 from conftest import assert_split_optimal
 
 
-def random_instance(rng, max_runs=12, max_features=4, integer_features=False):
+def random_instance(rng, max_runs=12, max_features=4):
     n = int(rng.integers(2, max_runs + 1))
     p = int(rng.integers(1, max_features + 1))
-    if integer_features:
-        X = rng.integers(0, 3, (n, p)).astype(np.float64)
-    else:
-        X = rng.uniform(-5.0, 5.0, (n, p))
+    X = rng.uniform(-5.0, 5.0, (n, p))
     y = rng.uniform(-10.0, 10.0, n)
     return np.ascontiguousarray(X), y
-
-
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-class TestBackendEquality:
-    def test_continuous_instances_bitwise_equal(self):
-        rng = np.random.default_rng(2024)
-        for _ in range(200):
-            X, y = random_instance(rng)
-            feats = np.arange(X.shape[1], dtype=np.int64)
-            a = kernels.best_split_numpy(X, y, feats, 1)
-            b = kernels.best_split_numba(X, y, feats, 1)
-            assert a == b
-
-    def test_tied_feature_instances_bitwise_equal(self):
-        rng = np.random.default_rng(77)
-        for _ in range(200):
-            X, y = random_instance(rng, integer_features=True)
-            feats = np.arange(X.shape[1], dtype=np.int64)
-            min_leaf = int(rng.integers(1, 3))
-            a = kernels.best_split_numpy(X, y, feats, min_leaf)
-            b = kernels.best_split_numba(X, y, feats, min_leaf)
-            assert a == b
 
 
 def subset_instance(rng, kind):
@@ -67,16 +41,15 @@ def subset_instance(rng, kind):
 
 
 class TestNumpyMatchesLoopSource:
-    """The numpy backend against `_best_split_loops`, the numba source run
-    as plain Python: all four return values must be equal.  (With numba
-    installed, TestBackendEquality also checks the compiled scan.)"""
+    """`best_split` against `_best_split_loops`, the reference loop: all
+    four return values must be equal."""
 
     @pytest.mark.parametrize("kind", ["continuous", "tied", "decimal"])
     def test_bitwise_equal(self, kind):
         rng = np.random.default_rng(sum(map(ord, kind)))
         for _ in range(1000):
             X, y, feats, min_leaf = subset_instance(rng, kind)
-            a = kernels.best_split_numpy(X, y, feats, min_leaf)
+            a = kernels.best_split(X, y, feats, min_leaf)
             b = kernels._best_split_loops(X, y, feats, min_leaf)
             assert tuple(a) == tuple(b), (X, y, feats, min_leaf)
 
@@ -84,7 +57,10 @@ class TestNumpyMatchesLoopSource:
         X = np.array([[2.0, 3.0]])
         y = np.array([7.0])
         feats = np.arange(2, dtype=np.int64)
-        assert kernels.best_split_numpy(X, y, feats, 1) == (-1, 0.0, np.inf, 0.0)
+        assert kernels.best_split(X, y, feats, 1) == (-1, 0.0, np.inf, 0.0)
+
+    def test_active_backend_is_numpy(self):
+        assert kernels.active_backend() == "numpy"
 
 
 class TestBestSplitContract:
@@ -155,27 +131,32 @@ class TestBestSplitContract:
         assert parent == pytest.approx(np.var(y) * 3, rel=1e-12)
 
 
-class TestBackendSelection:
-    def test_active_backend_known(self):
-        assert kernels.active_backend() in kernels.available_backends()
+# Records every attempt to import numba, then runs a CLI subcommand (which
+# fits the report's forests) and prints what was asked for.
+_IMPORT_GUARD = """
+import sys
 
-    def test_set_backend_roundtrip(self):
-        original = kernels.active_backend()
-        try:
-            kernels.set_backend("numpy")
-            assert kernels.active_backend() == "numpy"
-        finally:
-            kernels.set_backend(original)
+asked = []
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            kernels.set_backend("fortran")
 
-    def test_env_flag_selects_numpy(self):
-        env = dict(os.environ, WELDLAB_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from weldlab import kernels; print(kernels.active_backend())"],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == "numpy"
+class Recorder:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numba":
+            asked.append(name)
+        return None
+
+
+sys.meta_path.insert(0, Recorder())
+from weldlab.cli import main
+
+code = main(["taguchi"])
+print(asked, code, file=sys.stderr)
+"""
+
+
+def test_numba_is_never_imported():
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stderr.splitlines()[-1] == "[] 0"

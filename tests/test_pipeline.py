@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from weldlab import kernels
 from weldlab.dataset import builtin_aa6262, write_csv
 from weldlab.pipeline import (
     ReportDocument,
@@ -122,19 +121,6 @@ class TestDeterminism:
         cfg = RunConfig(trees=30, seed=5)
         a = report_json(run_pipeline(cfg))
         b = report_json(run_pipeline(cfg))
-        assert a == b
-
-    @pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-    def test_json_report_identical_across_backends(self):
-        cfg = RunConfig(trees=25, seed=3)
-        original = kernels.active_backend()
-        try:
-            kernels.set_backend("numba")
-            a = report_json(run_pipeline(cfg))
-            kernels.set_backend("numpy")
-            b = report_json(run_pipeline(cfg))
-        finally:
-            kernels.set_backend(original)
         assert a == b
 
     def test_different_seeds_differ(self):
