@@ -17,7 +17,7 @@ import numpy as np
 
 from ._rng import SplitMix64
 from .dataset import Dataset
-from .kernels import best_split
+from .kernels import best_split, best_splits
 
 
 # --- purity toolbox -------------------------------------------------------
@@ -116,6 +116,12 @@ class TreeConfig:
     min_impurity_decrease: float = 0.0
 
     def __post_init__(self):
+        for name in ("max_depth", "min_samples_leaf"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            # A numpy integer becomes an int, so model JSON can write it.
+            object.__setattr__(self, name, int(value))
         if self.max_depth < 0 or self.min_samples_leaf < 1:
             raise ValueError("max_depth must be >= 0 and min_samples_leaf >= 1")
         if not self.min_impurity_decrease >= 0.0:
@@ -139,6 +145,25 @@ class Internal:
 
 
 TreeNode = Union[Leaf, Internal]
+
+
+def _is_leaf(cfg, n, depth, constant, feat=0, decrease=np.inf):
+    """CART's leaf rules, on scalars or elementwise over arrays.
+
+    A node of `n` rows at `depth` is a leaf when it has fewer than
+    2 * min_samples_leaf rows, reaches max_depth, or has a `constant`
+    response; once scored, also when its best split has feature -1 (none
+    admissible) or a variance `decrease` <= 0 or below
+    min_impurity_decrease.  The defaults stand for a node not yet scored.
+    """
+    return (
+        (n < 2 * cfg.min_samples_leaf)
+        | bool(cfg.max_depth and depth >= cfg.max_depth)
+        | constant
+        | (feat < 0)
+        | (decrease <= 0.0)
+        | (decrease < cfg.min_impurity_decrease)
+    )
 
 
 def build_tree(
@@ -168,6 +193,9 @@ def build_tree(
     that reach the same node share one frozen subtree object and the split
     kernel runs once for it.  The memo is ignored when nodes draw feature
     subsets, because such a subtree also depends on the rng stream.
+    Forests whose nodes search every feature fill it level by level first
+    (`_grow_levels`), so this recursion then only looks their roots up; it
+    stays the path for single trees and for trees that draw feature subsets.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
@@ -209,11 +237,9 @@ def build_tree(
     def grow(idx: np.ndarray, depth: int) -> TreeNode:
         ys = y[idx]
         n = idx.size
-        if (
-            n < 2 * cfg.min_samples_leaf
-            or (cfg.max_depth and depth >= cfg.max_depth)
-            or ys.min() == ys.max()
-        ):
+        # A single row is constant: skip its min and max.  A Python bool
+        # keeps `_is_leaf` off numpy scalar operators, ~1 us each.
+        if _is_leaf(cfg, n, depth, n == 1 or bool(ys.min() == ys.max())):
             return Leaf(value=float(ys.mean()), n=n)
         if draws:
             feats = np.asarray(rng.sample_without_replacement(n_features, m), dtype=np.int64)
@@ -223,10 +249,8 @@ def build_tree(
         feat, thr, children_sse, parent_sse = best_split(
             Xs, ys, feats, cfg.min_samples_leaf
         )
-        if feat < 0:
-            return Leaf(value=float(ys.mean()), n=n)
         decrease = (parent_sse - children_sse) / n
-        if decrease <= 0.0 or decrease < cfg.min_impurity_decrease:
+        if _is_leaf(cfg, n, depth, False, feat, decrease):
             return Leaf(value=float(ys.mean()), n=n)
         mask = Xs[:, feat] <= thr
         left = recurse(idx[mask], depth + 1)
@@ -243,6 +267,81 @@ def build_tree(
         # this call's arrays and rng now rather than at the next cyclic
         # garbage collection, which would also keep a shared memo alive.
         del recurse, grow
+
+
+def _grow_levels(X, y, roots, cfg: TreeConfig, memo: dict) -> None:
+    """Put into `memo` the tree of every row-id array in `roots`, grown
+    level by level with every feature searched at each node.
+
+    The keys and subtrees are those `build_tree` would memoise for the
+    same roots (and no rng), so its calls on these roots then resolve
+    from the memo.  Each level's distinct nodes not yet in the memo are
+    grouped by size, and each group is scored in one `best_splits` call;
+    split nodes are frozen afterwards by ascending size, children first.
+    """
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    features = np.arange(X.shape[1], dtype=np.int64)
+    width = np.dtype(np.intp).itemsize
+    seen = set()
+    splits = []  # (n, key, feature, threshold, decrease, left key, right key)
+
+    def depth_tag(depth: int) -> bytes:  # the memo key's depth part
+        return depth.to_bytes(8, "little") if cfg.max_depth else b""
+
+    def enqueue(pending: dict, rb: bytes, key: bytes) -> None:
+        if key not in memo and key not in seen:
+            seen.add(key)
+            pending.setdefault(len(rb) // width, []).append(rb)
+
+    level: dict[int, list[bytes]] = {}  # node size -> each node's row ids
+    for rows in roots:
+        rb = np.asarray(rows, dtype=np.intp).tobytes()
+        enqueue(level, rb, rb + depth_tag(0))
+    depth = 0
+    while level:
+        tag, child_tag = depth_tag(depth), depth_tag(depth + 1)
+        below: dict[int, list[bytes]] = {}
+        for n, group in level.items():
+            rows = np.frombuffer(b"".join(group), dtype=np.intp).reshape(-1, n)
+            yb = y[rows]
+            leaf = _is_leaf(cfg, n, depth, yb.min(axis=1) == yb.max(axis=1))
+            at = np.flatnonzero(~leaf)
+            if at.size:
+                Xb = X[rows[at]]
+                feat, thr, children_sse, parent_sse = best_splits(
+                    Xb, yb[at], features, cfg.min_samples_leaf
+                )
+                decrease = (parent_sse - children_sse) / n
+                keep = ~_is_leaf(cfg, n, depth, False, feat, decrease)
+                leaf[at[~keep]] = True
+                at, Xb, feat, thr = at[keep], Xb[keep], feat[keep], thr[keep]
+                # Each node's rows, stably partitioned: the left (<= thr) first.
+                goes_left = Xb[np.arange(at.size), :, feat] <= thr[:, None]
+                order = np.argsort(~goes_left, axis=1, kind="stable")
+                parted = np.take_along_axis(rows[at], order, axis=1).tobytes()
+                stride = n * width
+                for start, cut, b, f, t, dec in zip(
+                    range(0, len(parted), stride),
+                    (goes_left.sum(axis=1) * width).tolist(), at.tolist(),
+                    feat.tolist(), thr.tolist(), decrease[keep].tolist(),
+                ):
+                    left = parted[start:start + cut]
+                    right = parted[start + cut:start + stride]
+                    lkey, rkey = left + child_tag, right + child_tag
+                    splits.append((n, group[b] + tag, f, t, dec, lkey, rkey))
+                    enqueue(below, left, lkey)
+                    enqueue(below, right, rkey)
+            for b in np.flatnonzero(leaf).tolist():
+                memo[group[b] + tag] = Leaf(value=float(yb[b].mean()), n=n)
+        level = below
+        depth += 1
+    splits.sort(key=lambda s: s[0])
+    for n, key, f, t, dec, lkey, rkey in splits:
+        memo[key] = Internal(
+            feature=f, threshold=t, decrease=dec, n=n,
+            left=memo[lkey], right=memo[rkey],
+        )
 
 
 def fit_regression_tree(d: Dataset, cfg: TreeConfig = TreeConfig()) -> TreeNode:

@@ -7,8 +7,10 @@ independent of the order in which the trees are trained.  When nodes search
 every feature, the forests of one model stage (the final fit and every
 cross-validation fold, given one subtree memo) build each distinct node
 (same ordered run ids of the dataset, and same depth under a depth limit)
-once and share that frozen subtree object; the trees, predictions and
-serialized bytes are exactly those of trees grown one by one.  Boosting is
+once and share that frozen subtree object.  Such a forest grows all its
+trees together, level by level, scoring each level's new nodes in batched
+kernel passes; the trees, predictions and serialized bytes are exactly
+those of trees grown one by one.  Boosting is
 the stagewise additive update F_m = F_{m-1} + nu * h_m with F_0 = mean(y)
 and leaf values sum(residuals) / (count + lambda).
 """
@@ -27,6 +29,7 @@ from .cart import (
     Leaf,
     TreeConfig,
     TreeNode,
+    _grow_levels,
     _route,
     build_tree,
     tree_arity,
@@ -67,6 +70,12 @@ def _fit_forest(X, y, ids, trees, cfg, m, seed, bootstrap, memo) -> ForestModel:
     (or on `ids` without bootstrap), so a forest on a subset of a dataset's
     rows equals one fitted on the sub-dataset of those rows, and its `memo`
     keys are row ids of `X`.
+
+    When nodes search every feature (m == p), all trees' rows are drawn
+    first and `cart._grow_levels` grows their roots together into `memo`,
+    level by level; each tree's `build_tree` call then finds its root there.
+    With m < p each tree grows by the preorder recursion of `build_tree`,
+    which keeps its feature draws in per-tree preorder.
     """
     if trees < 1:
         raise ValueError(f"tree count must be >= 1, got {trees}")
@@ -76,15 +85,21 @@ def _fit_forest(X, y, ids, trees, cfg, m, seed, bootstrap, memo) -> ForestModel:
     if not 1 <= m <= n_features:
         raise ValueError(f"m must be in [1, {n_features}], got {m}")
     tree_seeds = tuple(derive_seed(seed, t) for t in range(trees))
-    fitted = []
-    for ts in tree_seeds:
-        rows = ids[bootstrap_indices(ids.size, ts)] if bootstrap else ids
-        rng = SplitMix64(derive_seed(ts, 1))
-        fitted.append(build_tree(
-            X, y, cfg, rng=rng, n_feature_candidates=m, rows=rows, memo=memo
-        ))
+    roots = [ids[bootstrap_indices(ids.size, ts)] if bootstrap else ids
+             for ts in tree_seeds]
+    if m == n_features:
+        # No node draws features, so no tree needs its rng stream.
+        _grow_levels(X, y, roots, cfg, memo)
+        fitted = tuple(build_tree(X, y, cfg, rows=rows, memo=memo)
+                       for rows in roots)
+    else:
+        fitted = tuple(
+            build_tree(X, y, cfg, rng=SplitMix64(derive_seed(ts, 1)),
+                       n_feature_candidates=m, rows=rows, memo=memo)
+            for ts, rows in zip(tree_seeds, roots)
+        )
     return ForestModel(
-        trees=tuple(fitted),
+        trees=fitted,
         tree_seeds=tree_seeds,
         n_features=n_features,
         m=m,

@@ -7,7 +7,9 @@ rows, the clamped SSE expression, and one masked argmin over the whole
 block.  ``_best_split_loops`` is the same search written as plain loops;
 it performs the same floating-point operations in the same order (stable
 sort, sequential prefix sums, identical score expression), and the test
-suite checks ``best_split`` against it bit for bit.
+suite checks ``best_split`` against it bit for bit.  ``best_splits`` scores
+a batch of same-size nodes with the same steps along each node's own axis,
+so every node's result equals ``best_split`` on that node alone.
 
 Split contract: candidate thresholds are midpoints between consecutive
 distinct sorted values, comparison is ``<=`` (left), the score is the
@@ -77,6 +79,32 @@ def _best_split_loops(X, y, features, min_leaf):
     return best_f, best_t, best_score, parent_sse
 
 
+def _cut_sse(c, xs, min_leaf):
+    """Children SSE of every cut, for one node or a batch of nodes.
+
+    `c` holds (..., 2k + 2, n) running sums along the last axis: the
+    node's y as given, y in each of the k candidate features' sort order,
+    then the squares of both; xs (..., k, n) holds the sorted columns.  Cut
+    i of a feature puts its first i + 1 sorted rows left; it scores inf
+    where its two boundary values tie or a child would have fewer than
+    `min_leaf` rows.  Each child SSE clamps at zero.
+    """
+    k, n = xs.shape[-2:]
+    nl = np.arange(1, n)
+    nr = n - nl
+    sl = c[..., 1 : k + 1, :-1]
+    ssl = c[..., k + 2 :, :-1]
+    sr = c[..., 1 : k + 1, -1:] - sl
+    score = np.maximum(ssl - sl * sl / nl, 0.0) + np.maximum(
+        (c[..., k + 2 :, -1:] - ssl) - sr * sr / nr, 0.0
+    )
+    score[xs[..., :-1] == xs[..., 1:]] = np.inf
+    if min_leaf > 1:
+        score[..., : min_leaf - 1] = np.inf
+        score[..., max(n - min_leaf, 0) :] = np.inf
+    return score
+
+
 def best_split(X, y, features, min_leaf=1):
     """Find the best variance-reduction split of (X, y) over `features`.
 
@@ -101,18 +129,7 @@ def best_split(X, y, features, min_leaf=1):
     if n < 2 or k == 0:
         return -1, 0.0, np.inf, parent_sse
 
-    nl = np.arange(1, n)
-    nr = n - nl
-    sl = c[1 : k + 1, :-1]
-    ssl = c[k + 2 :, :-1]
-    sr = c[1 : k + 1, -1:] - sl
-    score = np.maximum(ssl - sl * sl / nl, 0.0) + np.maximum(
-        (c[k + 2 :, -1:] - ssl) - sr * sr / nr, 0.0
-    )
-    score[xs[:, :-1] == xs[:, 1:]] = np.inf
-    if min_leaf > 1:
-        score[:, : min_leaf - 1] = np.inf
-        score[:, max(n - min_leaf, 0) :] = np.inf
+    score = _cut_sse(c, xs, min_leaf)
     # Row-major flat argmin: lowest feature first, then lowest threshold.
     fi, i = divmod(int(score.argmin()), n - 1)
     best_score = float(score[fi, i])
@@ -120,6 +137,44 @@ def best_split(X, y, features, min_leaf=1):
         return -1, 0.0, np.inf, parent_sse
     best_t = float((xs[fi, i] + xs[fi, i + 1]) / 2)
     return int(features[fi]), best_t, best_score, parent_sse
+
+
+def best_splits(Xb, yb, features, min_leaf=1):
+    """`best_split` of B nodes of n rows each, scored in one pass.
+
+    Xb is (B, n, p) float64, yb (B, n) float64 and `features` as for
+    `best_split`.  Returns four (B,) arrays: feature (int64, -1 where no
+    split is admissible), threshold, children SSE and parent SSE; entry b
+    equals ``best_split(Xb[b], yb[b], features, min_leaf)``.  Every step is
+    the per-node one applied along each node's own last axis (a stable
+    argsort, sequential running sums, `_cut_sse`, a row-major argmin per
+    node), so no value of one node enters another's sums.
+    """
+    B, n = yb.shape
+    k = features.shape[0]
+    node = np.arange(B)
+    cols = Xb.transpose(0, 2, 1)[:, features]  # (B, k, n)
+    order = cols.argsort(axis=-1, kind="stable")
+    xs = np.take_along_axis(cols, order, axis=-1)
+    ys = np.concatenate((yb[:, None], yb[node[:, None, None], order]), axis=1)
+    c = np.add.accumulate(np.concatenate((ys, ys * ys), axis=1), axis=-1)
+    s_tot = c[:, 0, -1]
+    parent_sse = c[:, k + 1, -1] - s_tot * s_tot / n
+    if n < 2 or k == 0:
+        return np.full(B, -1), np.zeros(B), np.full(B, np.inf), parent_sse
+
+    flat = _cut_sse(c, xs, min_leaf).reshape(B, -1)
+    best = flat.argmin(axis=1)
+    best_score = flat[node, best]
+    fi, i = np.divmod(best, n - 1)
+    ok = best_score < np.inf
+    best_t = (xs[node, fi, i] + xs[node, fi, i + 1]) / 2
+    return (
+        np.where(ok, features[fi], -1),
+        np.where(ok, best_t, 0.0),
+        np.where(ok, best_score, np.inf),
+        parent_sse,
+    )
 
 
 def active_backend() -> str:

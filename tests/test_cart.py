@@ -13,6 +13,7 @@ from weldlab.cart import (
     Leaf,
     SplitPartition,
     TreeConfig,
+    _grow_levels,
     build_tree,
     count_nodes,
     entropy,
@@ -221,6 +222,19 @@ class TestFitRegressionTree:
         with pytest.raises(ValueError):
             TreeConfig(min_impurity_decrease=float("nan"))
 
+    @pytest.mark.parametrize("field", ["max_depth", "min_samples_leaf"])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), 1.5, 2.0, True, np.bool_(True), "2"]
+    )
+    def test_non_integer_depth_and_leaf_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TreeConfig(**{field: value})
+
+    def test_numpy_integer_depth_and_leaf_become_ints(self):
+        cfg = TreeConfig(max_depth=np.int64(2), min_samples_leaf=np.int32(3))
+        assert cfg == TreeConfig(max_depth=2, min_samples_leaf=3)
+        assert type(cfg.max_depth) is int and type(cfg.min_samples_leaf) is int
+
     def test_min_impurity_decrease_prunes(self, builtin):
         shallow = fit_regression_tree(
             builtin, TreeConfig(min_impurity_decrease=1e9)
@@ -347,6 +361,51 @@ class TestRowsAndMemo:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestGrowLevels:
+    """`_grow_levels` against `build_tree` grown one tree at a time."""
+
+    @pytest.mark.parametrize("kind", ["continuous", "grid"])
+    def test_memoised_trees_equal_trees_grown_alone(self, kind, monkeypatch):
+        gen = np.random.default_rng(len(kind))
+        for _ in range(60):
+            n = int(gen.integers(1, 25))
+            p = int(gen.integers(1, 5))
+            if kind == "grid":
+                X, y = grid_data(int(gen.integers(1 << 30)), n, p)
+            else:
+                X = np.ascontiguousarray(gen.uniform(-3, 3, (n, p)))
+                y = gen.uniform(0, 10, n)
+            cfg = TreeConfig(
+                max_depth=int(gen.choice([0, 1, 3])),
+                min_samples_leaf=int(gen.integers(1, 4)),
+                min_impurity_decrease=float(gen.choice([0.0, 0.05, 0.5])),
+            )
+            roots = [gen.integers(0, n, n) for _ in range(int(gen.integers(1, 12)))]
+            roots += roots[:2] + [np.arange(n), np.arange(n)[1:] if n > 1 else [0]]
+            memo: dict = {}
+            _grow_levels(X, y, roots, cfg, memo)
+            with monkeypatch.context() as m:
+                # every node is in the memo: no kernel runs again
+                m.setattr(weldlab.cart, "best_split", None)
+                m.setattr(weldlab.cart, "best_splits", None)
+                _grow_levels(X, y, roots, cfg, memo)
+                trees = [build_tree(X, y, cfg, rows=r, memo=memo) for r in roots]
+            for rows, tree in zip(roots, trees):
+                assert tree == build_tree(X[rows], y[rows], cfg)
+
+    def test_threshold_rounding_onto_the_lower_value_goes_left(self):
+        # the midpoint of two adjacent floats rounds to the lower one
+        lo = 1.0
+        X = np.array([[np.nextafter(lo, 2.0)], [lo], [lo]])
+        y = np.array([5.0, 1.0, 2.0])
+        memo: dict = {}
+        _grow_levels(X, y, [np.arange(3)], TreeConfig(), memo)
+        tree = build_tree(X, y, memo=memo)
+        assert tree.threshold == lo
+        assert (tree.left.n, tree.right.n) == (2, 1)
+        assert tree == build_tree(X, y)
 
 
 class TestPredictTree:

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,6 +30,28 @@ from weldlab.ensemble import (
 from conftest import make_dataset
 
 HARDNESS_RANGE = (58.3, 74.2)
+
+
+@pytest.fixture
+def scored_nodes(monkeypatch):
+    """Nodes the split kernels score: one per `best_split` call under
+    "best_split", the batch size of every `best_splits` call under
+    "best_splits"."""
+    scored = Counter()
+    node_kernel = weldlab.cart.best_split
+    batch_kernel = weldlab.cart.best_splits
+
+    def one(*args):
+        scored["best_split"] += 1
+        return node_kernel(*args)
+
+    def batch(*args):
+        scored["best_splits"] += args[1].shape[0]
+        return batch_kernel(*args)
+
+    monkeypatch.setattr(weldlab.cart, "best_split", one)
+    monkeypatch.setattr(weldlab.cart, "best_splits", batch)
+    return scored
 
 
 def brute_boost_mse_track(d, rounds, max_depth, nu, lam):
@@ -178,22 +201,46 @@ class TestForestSharedSubtrees:
                 rng = SplitMix64(derive_seed(ts, 1))
                 assert tree == build_tree(X[rows], y[rows], cfg, rng, m)
 
-    def test_identical_trees_are_built_once(self, builtin, monkeypatch):
-        calls = []
-        kernel = weldlab.cart.best_split
-
-        def counted(*args):
-            calls.append(args)
-            return kernel(*args)
-
-        monkeypatch.setattr(weldlab.cart, "best_split", counted)
+    def test_identical_trees_are_built_once(self, builtin, scored_nodes):
         single = fit_random_forest(builtin, trees=1, seed=3, bootstrap=False)
-        per_tree = len(calls)
+        per_tree = scored_nodes.total()
         model = fit_random_forest(builtin, trees=200, seed=3, bootstrap=False)
         assert per_tree > 0
-        assert len(calls) == 2 * per_tree
+        assert scored_nodes.total() == 2 * per_tree
         assert all(t is model.trees[0] for t in model.trees)
         assert model.trees[0] == single.trees[0]
+
+
+    @pytest.mark.parametrize("k", [9, 3])
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("min_decrease", [0.0, 0.5])
+    @pytest.mark.parametrize("min_leaf", [1, 2])
+    @pytest.mark.parametrize("max_depth", [0, 2])
+    def test_level_wise_stage_equals_trees_grown_alone(
+        self, builtin, monkeypatch, scored_nodes, max_depth, min_leaf,
+        min_decrease, bootstrap, k,
+    ):
+        cfg = TreeConfig(max_depth=max_depth, min_samples_leaf=min_leaf,
+                         min_impurity_decrease=min_decrease)
+        spec = ModelSpec(kind="rf", config=cfg, trees=25,
+                         bootstrap=bootstrap, seed=6)
+        plan = kfold_plan(9, k, seed=2)
+        memo: dict = {}
+        final = fit_model(builtin, spec, memo=memo)
+        folds = TestCrossValidate._fold_models(monkeypatch)
+        cross_validate(builtin, spec, plan, memo=memo)
+        # m == p: every node was scored in a batch, none one at a time
+        assert scored_nodes["best_split"] == 0 < scored_nodes["best_splits"]
+        X, y = builtin.features(), builtin.responses()
+        stage = [(final, np.arange(9))] + [
+            (model, np.flatnonzero(np.asarray(plan.assignments) != f))
+            for f, model in enumerate(folds)
+        ]
+        assert len(stage) == k + 1
+        for model, train in stage:
+            for tree, ts in zip(model.trees, model.tree_seeds, strict=True):
+                rows = train[bootstrap_indices(train.size, ts)] if bootstrap else train
+                assert tree == build_tree(X[rows], y[rows], cfg)
 
 
 class TestGbm:
@@ -469,27 +516,19 @@ class TestCrossValidate:
         assert shared[1] == separate[1]
 
     def test_shared_memo_calls_kernel_less_and_shares_nodes(
-        self, builtin, monkeypatch
+        self, builtin, monkeypatch, scored_nodes
     ):
         spec = ModelSpec(kind="rf", trees=50, seed=4)
         plan = kfold_plan(9, 9, seed=0)
-        calls = []
-        kernel = weldlab.cart.best_split
-
-        def counted(*args):
-            calls.append(args)
-            return kernel(*args)
-
-        monkeypatch.setattr(weldlab.cart, "best_split", counted)
         fit_model(builtin, spec)
         cross_validate(builtin, spec, plan)
-        separate = len(calls)
-        calls.clear()
+        separate = scored_nodes.total()
+        scored_nodes.clear()
         memo: dict = {}
         final = fit_model(builtin, spec, memo=memo)
         folds = self._fold_models(monkeypatch)
         cross_validate(builtin, spec, plan, memo=memo)
-        assert 0 < len(calls) < separate
+        assert 0 < scored_nodes.total() < separate
 
         def nodes(t):
             yield t

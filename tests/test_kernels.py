@@ -63,6 +63,64 @@ class TestNumpyMatchesLoopSource:
         assert kernels.active_backend() == "numpy"
 
 
+def batch_instance(rng, kind, n):
+    """A batch of 1-6 nodes of n rows each, for `best_splits`, drawn as in
+    `subset_instance`: (Xb, yb, features, min_leaf)."""
+    B = int(rng.integers(1, 7))
+    p = int(rng.integers(1, 6))
+    if kind == "continuous":
+        Xb = rng.uniform(-5.0, 5.0, (B, n, p))
+        yb = rng.uniform(-10.0, 10.0, (B, n))
+    else:
+        Xb = rng.integers(0, 3, (B, n, p)).astype(np.float64)
+        if kind == "tied":
+            yb = rng.integers(0, 4, (B, n)).astype(np.float64)
+        else:
+            yb = rng.choice([0.1, 0.3, 0.7], (B, n))
+    k = int(rng.integers(1, p + 1))
+    feats = np.sort(rng.choice(p, k, replace=False)).astype(np.int64)
+    return Xb, yb, feats, int(rng.integers(1, 4))
+
+
+class TestBatchedKernel:
+    """`best_splits` node by node against `_best_split_loops` and
+    `best_split`: all four values of every node must be equal."""
+
+    @pytest.mark.parametrize("kind", ["continuous", "tied", "decimal"])
+    def test_each_node_equals_the_single_node_kernels(self, kind):
+        rng = np.random.default_rng(sum(map(ord, kind)) + 1)
+        seen = set()
+        for n in range(1, 41):
+            for _ in range(8):
+                Xb, yb, feats, min_leaf = batch_instance(rng, kind, n)
+                seen.add((feats.size, min_leaf))
+                got = kernels.best_splits(Xb, yb, feats, min_leaf)
+                assert [a.shape for a in got] == [yb.shape[:1]] * 4
+                for b in range(yb.shape[0]):
+                    X = np.ascontiguousarray(Xb[b])
+                    node = tuple(v[b].item() for v in got)
+                    assert node == kernels._best_split_loops(X, yb[b], feats, min_leaf)
+                    assert node == kernels.best_split(X, yb[b], feats, min_leaf)
+        assert {k for k, _ in seen} >= {1, 2} and {m for _, m in seen} == {1, 2, 3}
+
+    def test_stable_argsort_along_the_last_axis_is_per_row(self):
+        rng = np.random.default_rng(12)
+        a = rng.integers(0, 3, (7, 4, 25)).astype(np.float64)
+        order = a.argsort(axis=-1, kind="stable")
+        for i, j in np.ndindex(a.shape[:2]):
+            assert np.array_equal(order[i, j], np.argsort(a[i, j], kind="stable"))
+
+    def test_accumulate_along_the_last_axis_is_a_sequential_sum(self):
+        rng = np.random.default_rng(13)
+        a = rng.uniform(-1e3, 1e3, (7, 4, 40)) * rng.choice([1e-9, 1.0, 1e9], 40)
+        c = np.add.accumulate(a, axis=-1)
+        for i, j in np.ndindex(a.shape[:2]):
+            total = 0.0
+            for t, v in enumerate(a[i, j].tolist()):
+                total += v
+                assert c[i, j, t] == total
+
+
 class TestBestSplitContract:
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(5)
