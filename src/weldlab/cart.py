@@ -109,6 +109,18 @@ def gini_impurity(dist: ClassDistribution) -> float:
 # --- regression tree ------------------------------------------------------
 
 
+def _set_int_fields(obj, names: Sequence[str]) -> None:
+    """Check that each field named in `names` of the frozen dataclass `obj`
+    holds a Python or numpy integer (not a bool), raising a ValueError that
+    names the field; a numpy integer is stored as an int, so JSON can
+    write it."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(obj, name, int(value))
+
+
 @dataclass(frozen=True)
 class TreeConfig:
     max_depth: int = 0  # 0 = unlimited
@@ -116,12 +128,7 @@ class TreeConfig:
     min_impurity_decrease: float = 0.0
 
     def __post_init__(self):
-        for name in ("max_depth", "min_samples_leaf"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            # A numpy integer becomes an int, so model JSON can write it.
-            object.__setattr__(self, name, int(value))
+        _set_int_fields(self, ("max_depth", "min_samples_leaf"))
         if self.max_depth < 0 or self.min_samples_leaf < 1:
             raise ValueError("max_depth must be >= 0 and min_samples_leaf >= 1")
         if not self.min_impurity_decrease >= 0.0:
@@ -191,11 +198,10 @@ def build_tree(
     `y` and `cfg`.  It maps a node's ordered row ids (plus its depth when
     `max_depth` is set) to the subtree already built from them, so trees
     that reach the same node share one frozen subtree object and the split
-    kernel runs once for it.  The memo is ignored when nodes draw feature
-    subsets, because such a subtree also depends on the rng stream.
-    Forests whose nodes search every feature fill it level by level first
-    (`_grow_levels`), so this recursion then only looks their roots up; it
-    stays the path for single trees and for trees that draw feature subsets.
+    kernel runs once for it.  A tree with a memo is grown into it by
+    `_grow_levels` (unless its root is there already) and read back from
+    it.  The memo is ignored when nodes draw feature subsets, because such
+    a subtree also depends on the rng stream.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
@@ -219,20 +225,12 @@ def build_tree(
             raise ValueError(f"row ids must be in [0, {y.shape[0]})")
         rows = rows.astype(np.intp, copy=False)
     draws = rng is not None and m < n_features
-    if draws:
-        memo = None
+    if memo is not None and not draws:
+        key = _memo_key(rows.tobytes(), 0, cfg)
+        if key not in memo:
+            _grow_levels(X, y, [rows], cfg, memo)
+        return memo[key]
     all_features = np.arange(n_features, dtype=np.int64)
-
-    def recurse(idx: np.ndarray, depth: int) -> TreeNode:
-        if memo is not None:
-            key = idx.tobytes()
-            if cfg.max_depth:
-                key += depth.to_bytes(8, "little")
-            node = memo.get(key)
-            if node is None:
-                node = memo[key] = grow(idx, depth)
-            return node
-        return grow(idx, depth)
 
     def grow(idx: np.ndarray, depth: int) -> TreeNode:
         ys = y[idx]
@@ -253,31 +251,36 @@ def build_tree(
         if _is_leaf(cfg, n, depth, False, feat, decrease):
             return Leaf(value=float(ys.mean()), n=n)
         mask = Xs[:, feat] <= thr
-        left = recurse(idx[mask], depth + 1)
-        right = recurse(idx[~mask], depth + 1)
+        left = grow(idx[mask], depth + 1)
+        right = grow(idx[~mask], depth + 1)
         return Internal(
             feature=int(feat), threshold=float(thr), decrease=float(decrease),
             n=n, left=left, right=right,
         )
 
     try:
-        return recurse(rows, 0)
+        return grow(rows, 0)
     finally:
-        # recurse and grow refer to each other; breaking that cycle frees
-        # this call's arrays and rng now rather than at the next cyclic
-        # garbage collection, which would also keep a shared memo alive.
-        del recurse, grow
+        # grow refers to itself; breaking that cycle frees this call's
+        # arrays and rng now rather than at the next cyclic collection.
+        del grow
+
+
+def _memo_key(rows: bytes, depth: int, cfg: TreeConfig) -> bytes:
+    """Memo key of the node grown from the row ids `rows` (as `np.intp`
+    bytes) at `depth`; the depth counts only under a depth limit."""
+    return rows + depth.to_bytes(8, "little") if cfg.max_depth else rows
 
 
 def _grow_levels(X, y, roots, cfg: TreeConfig, memo: dict) -> None:
     """Put into `memo` the tree of every row-id array in `roots`, grown
     level by level with every feature searched at each node.
 
-    The keys and subtrees are those `build_tree` would memoise for the
-    same roots (and no rng), so its calls on these roots then resolve
-    from the memo.  Each level's distinct nodes not yet in the memo are
-    grouped by size, and each group is scored in one `best_splits` call;
-    split nodes are frozen afterwards by ascending size, children first.
+    Keys come from `_memo_key`; this is the only function that writes a
+    memo, and `build_tree` reads its roots back from it.  Each level's
+    distinct nodes not yet in the memo are grouped by size, and each group
+    is scored in one `best_splits` call; split nodes are frozen afterwards
+    by ascending size, children first.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
@@ -286,24 +289,22 @@ def _grow_levels(X, y, roots, cfg: TreeConfig, memo: dict) -> None:
     seen = set()
     splits = []  # (n, key, feature, threshold, decrease, left key, right key)
 
-    def depth_tag(depth: int) -> bytes:  # the memo key's depth part
-        return depth.to_bytes(8, "little") if cfg.max_depth else b""
-
-    def enqueue(pending: dict, rb: bytes, key: bytes) -> None:
+    def enqueue(pending: dict, rb: bytes, depth: int) -> bytes:
+        key = _memo_key(rb, depth, cfg)
         if key not in memo and key not in seen:
             seen.add(key)
             pending.setdefault(len(rb) // width, []).append(rb)
+        return key
 
     level: dict[int, list[bytes]] = {}  # node size -> each node's row ids
     for rows in roots:
-        rb = np.asarray(rows, dtype=np.intp).tobytes()
-        enqueue(level, rb, rb + depth_tag(0))
+        enqueue(level, np.asarray(rows, dtype=np.intp).tobytes(), 0)
     depth = 0
     while level:
-        tag, child_tag = depth_tag(depth), depth_tag(depth + 1)
         below: dict[int, list[bytes]] = {}
         for n, group in level.items():
             rows = np.frombuffer(b"".join(group), dtype=np.intp).reshape(-1, n)
+            keys = [_memo_key(rb, depth, cfg) for rb in group]
             yb = y[rows]
             leaf = _is_leaf(cfg, n, depth, yb.min(axis=1) == yb.max(axis=1))
             at = np.flatnonzero(~leaf)
@@ -328,12 +329,11 @@ def _grow_levels(X, y, roots, cfg: TreeConfig, memo: dict) -> None:
                 ):
                     left = parted[start:start + cut]
                     right = parted[start + cut:start + stride]
-                    lkey, rkey = left + child_tag, right + child_tag
-                    splits.append((n, group[b] + tag, f, t, dec, lkey, rkey))
-                    enqueue(below, left, lkey)
-                    enqueue(below, right, rkey)
+                    lkey = enqueue(below, left, depth + 1)
+                    rkey = enqueue(below, right, depth + 1)
+                    splits.append((n, keys[b], f, t, dec, lkey, rkey))
             for b in np.flatnonzero(leaf).tolist():
-                memo[group[b] + tag] = Leaf(value=float(yb[b].mean()), n=n)
+                memo[keys[b]] = Leaf(value=float(yb[b].mean()), n=n)
         level = below
         depth += 1
     splits.sort(key=lambda s: s[0])

@@ -224,6 +224,11 @@ class FoldPlan:
     k: int
     assignments: tuple[int, ...]  # run index -> fold index
 
+    def __post_init__(self):
+        # A run outside every fold would never be held out or predicted.
+        if not all(0 <= f < self.k for f in self.assignments):
+            raise ValueError(f"fold ids must be in [0, {self.k})")
+
     def fold_indices(self, fold: int) -> tuple[int, ...]:
         return tuple(i for i, f in enumerate(self.assignments) if f == fold)
 

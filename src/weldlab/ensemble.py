@@ -4,14 +4,14 @@ Every random choice derives from the caller's 64-bit seed: tree t of a
 forest trains on ``bootstrap_indices(n, derive_seed(seed, t))`` and draws
 its per-node feature subsets from the same derived seed, so each tree is
 independent of the order in which the trees are trained.  When nodes search
-every feature, the forests of one model stage (the final fit and every
-cross-validation fold, given one subtree memo) build each distinct node
-(same ordered run ids of the dataset, and same depth under a depth limit)
-once and share that frozen subtree object.  Such a forest grows all its
-trees together, level by level, scoring each level's new nodes in batched
-kernel passes; the trees, predictions and serialized bytes are exactly
-those of trees grown one by one.  Boosting is
-the stagewise additive update F_m = F_{m-1} + nu * h_m with F_0 = mean(y)
+every feature, the forests of one `fit_random_forest` or `cross_validate`
+call (its single forest, or the forests of all its folds) build each
+distinct node (same ordered run ids of the dataset, and same depth under a
+depth limit) once and share that frozen subtree object.  Such a forest
+grows all its trees together, level by level, scoring each level's new
+nodes in batched kernel passes; the trees, predictions and serialized
+bytes are exactly those of trees grown one by one.  Boosting is the
+stagewise additive update F_m = F_{m-1} + nu * h_m with F_0 = mean(y)
 and leaf values sum(residuals) / (count + lambda).
 """
 
@@ -63,19 +63,20 @@ class BoostModel:
 EnsembleModel = Union[ForestModel, BoostModel]
 
 
-def _fit_forest(X, y, ids, trees, cfg, m, seed, bootstrap, memo) -> ForestModel:
-    """Forest grown on the rows `ids` of (X, y), in that order.
+def _fit_forests(X, y, fits, trees, cfg, m, bootstrap) -> list[ForestModel]:
+    """One forest per ``(ids, seed)`` pair in `fits`, grown on the rows
+    `ids` of (X, y), in that order.
 
     Tree t trains on ``ids[bootstrap_indices(len(ids), derive_seed(seed, t))]``
     (or on `ids` without bootstrap), so a forest on a subset of a dataset's
-    rows equals one fitted on the sub-dataset of those rows, and its `memo`
-    keys are row ids of `X`.
+    rows equals one fitted on the sub-dataset of those rows.
 
-    When nodes search every feature (m == p), all trees' rows are drawn
-    first and `cart._grow_levels` grows their roots together into `memo`,
-    level by level; each tree's `build_tree` call then finds its root there.
-    With m < p each tree grows by the preorder recursion of `build_tree`,
-    which keeps its feature draws in per-tree preorder.
+    When nodes search every feature (m == p), the forests share one subtree
+    memo (see `build_tree`).  `cart._grow_levels` grows each forest's roots
+    together, level by level, and its trees' `build_tree` calls find them
+    there.  One pass per forest, not one over all forests, keeps fewer
+    nodes pending and peak memory lower.  With m < p each tree grows by the
+    preorder recursion of `build_tree`, keeping its feature draws in order.
     """
     if trees < 1:
         raise ValueError(f"tree count must be >= 1, got {trees}")
@@ -84,29 +85,33 @@ def _fit_forest(X, y, ids, trees, cfg, m, seed, bootstrap, memo) -> ForestModel:
         m = n_features
     if not 1 <= m <= n_features:
         raise ValueError(f"m must be in [1, {n_features}], got {m}")
-    tree_seeds = tuple(derive_seed(seed, t) for t in range(trees))
-    roots = [ids[bootstrap_indices(ids.size, ts)] if bootstrap else ids
-             for ts in tree_seeds]
-    if m == n_features:
-        # No node draws features, so no tree needs its rng stream.
-        _grow_levels(X, y, roots, cfg, memo)
-        fitted = tuple(build_tree(X, y, cfg, rows=rows, memo=memo)
-                       for rows in roots)
-    else:
-        fitted = tuple(
-            build_tree(X, y, cfg, rng=SplitMix64(derive_seed(ts, 1)),
-                       n_feature_candidates=m, rows=rows, memo=memo)
-            for ts, rows in zip(tree_seeds, roots)
-        )
-    return ForestModel(
-        trees=fitted,
-        tree_seeds=tree_seeds,
-        n_features=n_features,
-        m=m,
-        bootstrap=bootstrap,
-        seed=seed,
-        config=cfg,
-    )
+    memo: dict = {}
+    forests = []
+    for ids, seed in fits:
+        tree_seeds = tuple(derive_seed(seed, t) for t in range(trees))
+        roots = [ids[bootstrap_indices(ids.size, ts)] if bootstrap else ids
+                 for ts in tree_seeds]
+        if m == n_features:
+            # No node draws features, so no tree needs its rng stream.
+            _grow_levels(X, y, roots, cfg, memo)
+            fitted = tuple(build_tree(X, y, cfg, rows=rows, memo=memo)
+                           for rows in roots)
+        else:
+            fitted = tuple(
+                build_tree(X, y, cfg, rng=SplitMix64(derive_seed(ts, 1)),
+                           n_feature_candidates=m, rows=rows)
+                for ts, rows in zip(tree_seeds, roots)
+            )
+        forests.append(ForestModel(
+            trees=fitted,
+            tree_seeds=tree_seeds,
+            n_features=n_features,
+            m=m,
+            bootstrap=bootstrap,
+            seed=seed,
+            config=cfg,
+        ))
+    return forests
 
 
 def fit_random_forest(
@@ -116,21 +121,14 @@ def fit_random_forest(
     m: int | None = None,
     seed: int = 0,
     bootstrap: bool = True,
-    *,
-    memo: dict | None = None,
 ) -> ForestModel:
-    """Bagged regression forest; `m` features searched per split (default all).
-
-    `memo` is a subtree memo (see `build_tree`) to share with other fits on
-    the same dataset and `cfg`; the default is a fresh one for this fit.
-    The model is identical with or without it.
-    """
-    X = d.features()
+    """Bagged regression forest; `m` features searched per split (default all)."""
     y = d.responses()
-    return _fit_forest(
-        X, y, np.arange(y.shape[0]), trees, cfg, m, seed, bootstrap,
-        {} if memo is None else memo,
+    (forest,) = _fit_forests(
+        d.features(), y, [(np.arange(y.shape[0]), seed)], trees, cfg, m,
+        bootstrap,
     )
+    return forest
 
 
 def _shrink_leaves(t: TreeNode, lam: float) -> TreeNode:
@@ -290,20 +288,12 @@ class ModelSpec:
             raise ValueError(f"model kind must be 'rf' or 'gbm', got {self.kind!r}")
 
 
-def fit_model(
-    d: Dataset, spec: ModelSpec, *, memo: dict | None = None
-) -> EnsembleModel:
-    """Fit the model `spec` describes.
-
-    `memo` is passed to `fit_random_forest`, so a forest can share subtrees
-    with other fits on the same dataset and tree config (`cross_validate`
-    with the same memo, say); boosting does not use it.  The model is
-    identical with or without it.
-    """
+def fit_model(d: Dataset, spec: ModelSpec) -> EnsembleModel:
+    """Fit the model `spec` describes."""
     if spec.kind == "rf":
         return fit_random_forest(
             d, trees=spec.trees, cfg=spec.config, m=spec.m,
-            seed=spec.seed, bootstrap=spec.bootstrap, memo=memo,
+            seed=spec.seed, bootstrap=spec.bootstrap,
         )
     return fit_gbm(
         d, rounds=spec.rounds, cfg=spec.config, nu=spec.nu, lam=spec.lam,
@@ -319,49 +309,45 @@ class CvResult:
     predictions: tuple[float, ...]  # per run, from the fold that held it out
 
 
-def cross_validate(
-    d: Dataset, spec: ModelSpec, plan: FoldPlan, *, memo: dict | None = None
-) -> CvResult:
+def cross_validate(d: Dataset, spec: ModelSpec, plan: FoldPlan) -> CvResult:
     """Train on each fold's complement, predict the fold, pool everything.
 
     Fold f trains with seed derive_seed(spec.seed, f) so the result is
     deterministic and independent of evaluation order.  A forest fold grows
     on the rows of `d` itself, ``train[bootstrap_indices(len(train), ts)]``
     for tree seed ts, which equals fitting the sub-dataset of its training
-    runs but keys its subtrees by run ids of `d`.  So the folds, and a final
-    model fitted with the same `memo` (same dataset and tree config), share
-    each identical subtree; results are identical with or without it.  The
-    default is one fresh memo for this call's folds.
+    runs; the folds of one call share each identical subtree.
     """
     n = len(d)
     if len(plan.assignments) != n:
         raise ValueError("fold plan does not cover the dataset")
     y = d.responses()
     X = d.features()
-    if memo is None:
-        memo = {}
+    folds = []  # (training run ids, fold seed)
+    for f in range(plan.k):
+        train = np.asarray([i for i in range(n) if plan.assignments[i] != f])
+        if train.size < 2:
+            raise ValueError(
+                f"fold {f} leaves only {train.size} training runs (need >= 2)"
+            )
+        folds.append((train, derive_seed(spec.seed, f)))
+    if spec.kind == "rf":
+        models = _fit_forests(X, y, folds, spec.trees, spec.config, spec.m,
+                              spec.bootstrap)
+    else:
+        models = [
+            fit_model(
+                Dataset(runs=tuple(d.runs[i] for i in train.tolist()),
+                        factor_names=d.factor_names,
+                        response_name=d.response_name),
+                replace(spec, seed=fold_seed),
+            )
+            for train, fold_seed in folds
+        ]
     predictions = np.empty(n)
     fold_metrics: list[RegressionMetrics | None] = []
-    for f in range(plan.k):
+    for f, model in enumerate(models):
         held = list(plan.fold_indices(f))
-        train = [i for i in range(n) if plan.assignments[i] != f]
-        if len(train) < 2:
-            raise ValueError(
-                f"fold {f} leaves only {len(train)} training runs (need >= 2)"
-            )
-        fold_seed = derive_seed(spec.seed, f)
-        if spec.kind == "rf":
-            model = _fit_forest(
-                X, y, np.asarray(train), spec.trees, spec.config, spec.m,
-                fold_seed, spec.bootstrap, memo,
-            )
-        else:
-            sub = Dataset(
-                runs=tuple(d.runs[i] for i in train),
-                factor_names=d.factor_names,
-                response_name=d.response_name,
-            )
-            model = fit_model(sub, replace(spec, seed=fold_seed))
         for i in held:
             predictions[i] = predict_ensemble(model, X[i])
         if len(held) >= 2:

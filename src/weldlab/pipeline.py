@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import anova as anova_mod
 from . import published
-from .cart import TreeConfig, export_tree, fit_regression_tree
+from .cart import TreeConfig, _set_int_fields, export_tree, fit_regression_tree
 from .dataset import FACTOR_NAMES, builtin_aa6262, kfold_plan, load_csv, summarize
 from .ensemble import (
     ModelSpec,
@@ -74,6 +74,8 @@ class RunConfig:
         if self.model not in ("rf", "gbm"):
             raise ValueError("model must be 'rf' or 'gbm'")
         # Model settings fail here, before any compute, not as a stage error.
+        _set_int_fields(self, ("trees", "rounds", "depth", "seed")
+                        + (() if self.m is None else ("m",)))
         if self.trees < 1:
             raise ValueError(f"tree count must be >= 1, got {self.trees}")
         if self.rounds < 0:
@@ -253,14 +255,13 @@ def run_pipeline(cfg: RunConfig) -> ReportDocument:
 
     try:
         spec = _model_spec(cfg)
-        memo: dict = {}  # subtrees shared by the final model and CV folds
-        model = fit_model(d, spec, memo=memo)
+        model = fit_model(d, spec)
         y = d.responses()
         train_pred = predict_ensemble_many(model, d.features())
         train_metrics = regression_metrics(y, train_pred)
         k = _parse_cv(cfg.cv)
         plan = kfold_plan(len(d), len(d) if k is None else k, cfg.seed)
-        cv = cross_validate(d, spec, plan, memo=memo)
+        cv = cross_validate(d, spec, plan)
         importance = feature_importance(model)
         doc.sections["model"] = {
             "spec": {

@@ -395,6 +395,20 @@ class TestGrowLevels:
             for rows, tree in zip(roots, trees):
                 assert tree == build_tree(X[rows], y[rows], cfg)
 
+    @pytest.mark.parametrize("cfg", [TreeConfig(), TreeConfig(max_depth=2),
+                                     TreeConfig(min_samples_leaf=2)])
+    @pytest.mark.parametrize("rows", [None, [0, 3, 3, 8, 5, 5, 1, 7, 2]])
+    def test_memo_tree_is_grown_level_by_level(self, builtin, monkeypatch,
+                                               cfg, rows):
+        X, y = builtin.features(), builtin.responses()
+        alone = build_tree(X, y, cfg, rows=rows)
+
+        def refuse(*args):
+            raise AssertionError("a memo tree was grown node by node")
+
+        monkeypatch.setattr(weldlab.cart, "best_split", refuse)
+        assert build_tree(X, y, cfg, rows=rows, memo={}) == alone
+
     def test_threshold_rounding_onto_the_lower_value_goes_left(self):
         # the midpoint of two adjacent floats rounds to the lower one
         lo = 1.0

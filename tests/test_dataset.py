@@ -5,6 +5,7 @@ from weldlab._rng import MASK64, SplitMix64, derive_seed, mix64
 from weldlab.dataset import (
     CsvParseError,
     Dataset,
+    FoldPlan,
     InsufficientDataError,
     Run,
     SchemaError,
@@ -196,6 +197,11 @@ class TestKfold:
 
     def test_deterministic(self):
         assert kfold_plan(20, 5, seed=9) == kfold_plan(20, 5, seed=9)
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_fold_ids_outside_range_rejected(self, bad):
+        with pytest.raises(ValueError, match="fold ids"):
+            FoldPlan(k=2, assignments=(0, 0, 0, 1, 1, 1, bad, bad, bad))
 
     @pytest.mark.parametrize("n,k", [(5, 1), (5, 6), (3, 0)])
     def test_bad_k(self, n, k):

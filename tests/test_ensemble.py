@@ -225,10 +225,9 @@ class TestForestSharedSubtrees:
         spec = ModelSpec(kind="rf", config=cfg, trees=25,
                          bootstrap=bootstrap, seed=6)
         plan = kfold_plan(9, k, seed=2)
-        memo: dict = {}
-        final = fit_model(builtin, spec, memo=memo)
+        final = fit_model(builtin, spec)
         folds = TestCrossValidate._fold_models(monkeypatch)
-        cross_validate(builtin, spec, plan, memo=memo)
+        cross_validate(builtin, spec, plan)
         # m == p: every node was scored in a batch, none one at a time
         assert scored_nodes["best_split"] == 0 < scored_nodes["best_splits"]
         X, y = builtin.features(), builtin.responses()
@@ -480,10 +479,8 @@ class TestCrossValidate:
         spec = ModelSpec(kind="rf", config=cfg, trees=20, m=m,
                          bootstrap=bootstrap, seed=5)
         plan = kfold_plan(9, k, seed=3)
-        memo: dict = {}
-        fit_model(builtin, spec, memo=memo)
         folds = self._fold_models(monkeypatch)
-        cross_validate(builtin, spec, plan, memo=memo)
+        cross_validate(builtin, spec, plan)
         assert len(folds) == k
         for f, model in enumerate(folds):
             sub = Dataset(runs=tuple(
@@ -498,47 +495,33 @@ class TestCrossValidate:
                 assert got_tree == want_tree
             assert model == expected
 
-    @pytest.mark.parametrize("spec", [
-        ModelSpec(kind="rf", trees=30, seed=2),
-        ModelSpec(kind="rf", trees=30, m=2, seed=2),
-        ModelSpec(kind="rf", trees=30, bootstrap=False,
-                  config=TreeConfig(max_depth=2)),
-        ModelSpec(kind="gbm", rounds=5, config=TreeConfig(max_depth=2)),
-    ])
-    @pytest.mark.parametrize("k", [9, 3])
-    def test_shared_memo_gives_separate_results(self, builtin, spec, k):
-        plan = kfold_plan(9, k, seed=1)
-        memo: dict = {}
-        shared = (fit_model(builtin, spec, memo=memo),
-                  cross_validate(builtin, spec, plan, memo=memo))
-        separate = (fit_model(builtin, spec), cross_validate(builtin, spec, plan))
-        assert model_to_json(shared[0]) == model_to_json(separate[0])
-        assert shared[1] == separate[1]
-
-    def test_shared_memo_calls_kernel_less_and_shares_nodes(
+    def test_folds_score_fewer_nodes_and_share_subtrees(
         self, builtin, monkeypatch, scored_nodes
     ):
         spec = ModelSpec(kind="rf", trees=50, seed=4)
         plan = kfold_plan(9, 9, seed=0)
-        fit_model(builtin, spec)
-        cross_validate(builtin, spec, plan)
-        separate = scored_nodes.total()
+        for f in range(plan.k):
+            sub = Dataset(runs=tuple(
+                r for r, a in zip(builtin.runs, plan.assignments) if a != f
+            ))
+            fit_random_forest(sub, trees=50, seed=derive_seed(4, f))
+        alone = scored_nodes.total()
         scored_nodes.clear()
-        memo: dict = {}
-        final = fit_model(builtin, spec, memo=memo)
         folds = self._fold_models(monkeypatch)
-        cross_validate(builtin, spec, plan, memo=memo)
-        assert 0 < scored_nodes.total() < separate
+        cross_validate(builtin, spec, plan)
+        assert 0 < scored_nodes.total() < alone
 
-        def nodes(t):
-            yield t
+        def subtrees(t):
             if not isinstance(t, Leaf):
-                yield from nodes(t.left)
-                yield from nodes(t.right)
+                yield t
+                yield from subtrees(t.left)
+                yield from subtrees(t.right)
 
-        final_ids = {id(n) for t in final.trees for n in nodes(t)}
-        assert any(id(n) in final_ids
-                   for model in folds for t in model.trees for n in nodes(t))
+        assert len(folds) == 9
+        fold_ids = [{id(n) for t in model.trees for n in subtrees(t)}
+                    for model in folds]
+        assert any(fold_ids[f] & fold_ids[g]
+                   for f in range(9) for g in range(f + 1, 9))
 
     def test_fit_model_dispatch(self, builtin):
         rf = fit_model(builtin, ModelSpec(kind="rf", trees=3))

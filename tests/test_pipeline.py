@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from weldlab.dataset import builtin_aa6262, write_csv
@@ -48,6 +49,20 @@ class TestRunConfig:
     def test_model_settings_validated(self, bad):
         with pytest.raises(ValueError):
             RunConfig(**bad)
+
+    @pytest.mark.parametrize("field", ["trees", "rounds", "depth", "seed", "m"])
+    @pytest.mark.parametrize("value", [True, np.bool_(True), 1.5, 2.0, "3"])
+    def test_non_integer_model_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RunConfig(**{field: value})
+
+    def test_numpy_integer_model_settings_become_ints(self):
+        cfg = RunConfig(trees=np.int64(5), rounds=np.int32(2),
+                        depth=np.uint8(1), seed=np.uint64(2**64 - 1),
+                        m=np.int16(2))
+        assert cfg == RunConfig(trees=5, rounds=2, depth=1, seed=2**64 - 1, m=2)
+        for name in ("trees", "rounds", "depth", "seed", "m"):
+            assert type(getattr(cfg, name)) is int
 
     def test_model_setting_bounds_accepted(self):
         RunConfig(trees=1, rounds=0, depth=0, m=1, nu=1.0, lam=0.0, seed=0)
