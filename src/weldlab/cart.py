@@ -9,6 +9,7 @@ standard sign, -sum(w * log2 w), so gain ratio is nonnegative.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -121,6 +122,16 @@ def _set_int_fields(obj, names: Sequence[str]) -> None:
         object.__setattr__(obj, name, int(value))
 
 
+def _check_real_fields(obj, names: Sequence[str]) -> None:
+    """Check that each field named in `names` of `obj` holds a real number
+    (a Python or numpy int or float, not a bool), raising a ValueError that
+    names the field."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TreeConfig:
     max_depth: int = 0  # 0 = unlimited
@@ -129,6 +140,7 @@ class TreeConfig:
 
     def __post_init__(self):
         _set_int_fields(self, ("max_depth", "min_samples_leaf"))
+        _check_real_fields(self, ("min_impurity_decrease",))
         if self.max_depth < 0 or self.min_samples_leaf < 1:
             raise ValueError("max_depth must be >= 0 and min_samples_leaf >= 1")
         if not self.min_impurity_decrease >= 0.0:
@@ -363,15 +375,6 @@ def _route(t: TreeNode, x) -> float:
     return t.value
 
 
-def _check_arity(t: TreeNode, n_entries: int) -> None:
-    arity = tree_arity(t)
-    if arity > n_entries:
-        raise ValueError(
-            f"feature vector has {n_entries} entries but the tree "
-            f"references feature index {arity - 1}"
-        )
-
-
 def predict_tree(t: TreeNode, x: Sequence[float]) -> float:
     """Route by threshold comparisons (<= goes left); return the leaf mean.
 
@@ -384,19 +387,13 @@ def predict_tree(t: TreeNode, x: Sequence[float]) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("x must be a single feature vector")
-    _check_arity(t, x.shape[0])
+    arity = tree_arity(t)
+    if arity > x.shape[0]:
+        raise ValueError(
+            f"feature vector has {x.shape[0]} entries but the tree "
+            f"references feature index {arity - 1}"
+        )
     return _route(t, x)
-
-
-def predict_tree_many(t: TreeNode, X: np.ndarray) -> np.ndarray:
-    """`predict_tree` for each row of `X`, walking the tree once per call."""
-    X = np.asarray(X, dtype=np.float64)
-    if len(X) == 0:
-        return np.asarray([])
-    if X.ndim != 2:
-        raise ValueError("X must be a 2-d array of feature rows")
-    _check_arity(t, X.shape[1])
-    return np.asarray([_route(t, row) for row in X.tolist()])
 
 
 def count_nodes(t: TreeNode) -> tuple[int, int]:

@@ -1,24 +1,29 @@
 """Bagged forests, gradient-boosted trees, importance, metrics, and CV.
 
+A `ModelSpec` is the one check of model settings, and `fit_model` the one
+fitting entry: `fit_random_forest` and `fit_gbm` build a spec and call it,
+and `cross_validate` trains its folds through the same private
+`_fit_models` on row ids of the caller's dataset.
+
 Every random choice derives from the caller's 64-bit seed: tree t of a
 forest trains on ``bootstrap_indices(n, derive_seed(seed, t))`` and draws
 its per-node feature subsets from the same derived seed, so each tree is
 independent of the order in which the trees are trained.  When nodes search
-every feature, the forests of one `fit_random_forest` or `cross_validate`
-call (its single forest, or the forests of all its folds) build each
-distinct node (same ordered run ids of the dataset, and same depth under a
-depth limit) once and share that frozen subtree object.  Such a forest
-grows all its trees together, level by level, scoring each level's new
-nodes in batched kernel passes; the trees, predictions and serialized
-bytes are exactly those of trees grown one by one.  Boosting is the
-stagewise additive update F_m = F_{m-1} + nu * h_m with F_0 = mean(y)
-and leaf values sum(residuals) / (count + lambda).
+every feature, the forests of one `fit_model` or `cross_validate` call (its
+single forest, or the forests of all its folds) build each distinct node
+(same ordered run ids of the dataset, and same depth under a depth limit)
+once and share that frozen subtree object.  Such a forest grows all its
+trees together, level by level, scoring each level's new nodes in batched
+kernel passes; the trees, predictions and serialized bytes are exactly
+those of trees grown one by one.  Boosting is the stagewise additive update
+F_m = F_{m-1} + nu * h_m with F_0 = mean(y) and leaf values
+sum(residuals) / (count + lambda).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -29,8 +34,10 @@ from .cart import (
     Leaf,
     TreeConfig,
     TreeNode,
+    _check_real_fields,
     _grow_levels,
     _route,
+    _set_int_fields,
     build_tree,
     tree_arity,
 )
@@ -63,72 +70,40 @@ class BoostModel:
 EnsembleModel = Union[ForestModel, BoostModel]
 
 
-def _fit_forests(X, y, fits, trees, cfg, m, bootstrap) -> list[ForestModel]:
-    """One forest per ``(ids, seed)`` pair in `fits`, grown on the rows
-    `ids` of (X, y), in that order.
+@dataclass(frozen=True)
+class ModelSpec:
+    """Everything needed to train one model reproducibly, checked here
+    once, before any compute; only ``m <= feature count`` waits for the
+    data, at fit time."""
 
-    Tree t trains on ``ids[bootstrap_indices(len(ids), derive_seed(seed, t))]``
-    (or on `ids` without bootstrap), so a forest on a subset of a dataset's
-    rows equals one fitted on the sub-dataset of those rows.
+    kind: str  # "rf" | "gbm"
+    config: TreeConfig = TreeConfig()
+    trees: int = 200
+    m: int | None = None
+    bootstrap: bool = True
+    rounds: int = 50
+    nu: float = 0.3
+    lam: float = 0.0
+    seed: int = 0
 
-    When nodes search every feature (m == p), the forests share one subtree
-    memo (see `build_tree`).  `cart._grow_levels` grows each forest's roots
-    together, level by level, and its trees' `build_tree` calls find them
-    there.  One pass per forest, not one over all forests, keeps fewer
-    nodes pending and peak memory lower.  With m < p each tree grows by the
-    preorder recursion of `build_tree`, keeping its feature draws in order.
-    """
-    if trees < 1:
-        raise ValueError(f"tree count must be >= 1, got {trees}")
-    n_features = X.shape[1]
-    if m is None:
-        m = n_features
-    if not 1 <= m <= n_features:
-        raise ValueError(f"m must be in [1, {n_features}], got {m}")
-    memo: dict = {}
-    forests = []
-    for ids, seed in fits:
-        tree_seeds = tuple(derive_seed(seed, t) for t in range(trees))
-        roots = [ids[bootstrap_indices(ids.size, ts)] if bootstrap else ids
-                 for ts in tree_seeds]
-        if m == n_features:
-            # No node draws features, so no tree needs its rng stream.
-            _grow_levels(X, y, roots, cfg, memo)
-            fitted = tuple(build_tree(X, y, cfg, rows=rows, memo=memo)
-                           for rows in roots)
-        else:
-            fitted = tuple(
-                build_tree(X, y, cfg, rng=SplitMix64(derive_seed(ts, 1)),
-                           n_feature_candidates=m, rows=rows)
-                for ts, rows in zip(tree_seeds, roots)
-            )
-        forests.append(ForestModel(
-            trees=fitted,
-            tree_seeds=tree_seeds,
-            n_features=n_features,
-            m=m,
-            bootstrap=bootstrap,
-            seed=seed,
-            config=cfg,
-        ))
-    return forests
-
-
-def fit_random_forest(
-    d: Dataset,
-    trees: int,
-    cfg: TreeConfig = TreeConfig(),
-    m: int | None = None,
-    seed: int = 0,
-    bootstrap: bool = True,
-) -> ForestModel:
-    """Bagged regression forest; `m` features searched per split (default all)."""
-    y = d.responses()
-    (forest,) = _fit_forests(
-        d.features(), y, [(np.arange(y.shape[0]), seed)], trees, cfg, m,
-        bootstrap,
-    )
-    return forest
+    def __post_init__(self):
+        if self.kind not in ("rf", "gbm"):
+            raise ValueError(f"model kind must be 'rf' or 'gbm', got {self.kind!r}")
+        _set_int_fields(self, ("trees", "rounds", "seed")
+                        + (() if self.m is None else ("m",)))
+        _check_real_fields(self, ("nu", "lam"))
+        if self.trees < 1:
+            raise ValueError(f"trees must be >= 1, got {self.trees}")
+        if self.rounds < 0:
+            raise ValueError(f"rounds must be >= 0, got {self.rounds}")
+        if self.m is not None and self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
+        if not 0.0 < self.nu <= 1.0:
+            raise ValueError(f"nu must be in (0, 1], got {self.nu}")
+        if not self.lam >= 0.0:
+            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
 
 
 def _shrink_leaves(t: TreeNode, lam: float) -> TreeNode:
@@ -141,6 +116,103 @@ def _shrink_leaves(t: TreeNode, lam: float) -> TreeNode:
     )
 
 
+def _fit_models(X, y, fits, spec: ModelSpec) -> list[EnsembleModel]:
+    """One `spec` model per ``(ids, seed)`` pair in `fits`, trained on the
+    rows `ids` of (X, y) with that seed, in that order.
+
+    A model on a subset of a dataset's rows equals one fitted on the
+    sub-dataset of those rows.  A boosted model trains on ``X[ids], y[ids]``.
+    Forest tree t trains on ``ids[bootstrap_indices(len(ids),
+    derive_seed(seed, t))]`` (or on `ids` without bootstrap).
+
+    When nodes search every feature (m == p), the forests share one subtree
+    memo (see `build_tree`).  `cart._grow_levels` grows each forest's roots
+    together, level by level, and its trees' `build_tree` calls find them
+    there.  One pass per forest, not one over all forests, keeps fewer
+    nodes pending and peak memory lower.  With m < p each tree grows by the
+    preorder recursion of `build_tree`, keeping its feature draws in order.
+    """
+    n_features = X.shape[1]
+    cfg = spec.config
+    models: list[EnsembleModel] = []
+    if spec.kind == "gbm":
+        for ids, seed in fits:
+            Xs, ys = X[ids], y[ids]
+            f0 = float(ys.mean())
+            current = np.full_like(ys, f0)
+            mse_track = [float(np.mean((ys - current) ** 2))]
+            stages = []
+            rows = Xs.tolist()
+            for _ in range(spec.rounds):
+                stage = build_tree(Xs, ys - current, cfg)
+                if spec.lam > 0.0:
+                    stage = _shrink_leaves(stage, spec.lam)
+                stages.append(stage)
+                current = current + spec.nu * np.asarray(
+                    [_route(stage, row) for row in rows])
+                mse_track.append(float(np.mean((ys - current) ** 2)))
+            models.append(BoostModel(
+                f0=f0,
+                stages=tuple(stages),
+                nu=spec.nu,
+                lam=spec.lam,
+                n_features=n_features,
+                seed=seed,
+                config=cfg,
+                train_mse=tuple(mse_track),
+            ))
+        return models
+    m = n_features if spec.m is None else spec.m
+    if m > n_features:
+        raise ValueError(f"m must be in [1, {n_features}], got {m}")
+    memo: dict = {}
+    for ids, seed in fits:
+        tree_seeds = tuple(derive_seed(seed, t) for t in range(spec.trees))
+        roots = [ids[bootstrap_indices(ids.size, ts)] if spec.bootstrap else ids
+                 for ts in tree_seeds]
+        if m == n_features:
+            # No node draws features, so no tree needs its rng stream.
+            _grow_levels(X, y, roots, cfg, memo)
+            fitted = tuple(build_tree(X, y, cfg, rows=rows, memo=memo)
+                           for rows in roots)
+        else:
+            fitted = tuple(
+                build_tree(X, y, cfg, rng=SplitMix64(derive_seed(ts, 1)),
+                           n_feature_candidates=m, rows=rows)
+                for ts, rows in zip(tree_seeds, roots)
+            )
+        models.append(ForestModel(
+            trees=fitted,
+            tree_seeds=tree_seeds,
+            n_features=n_features,
+            m=m,
+            bootstrap=spec.bootstrap,
+            seed=seed,
+            config=cfg,
+        ))
+    return models
+
+
+def fit_model(d: Dataset, spec: ModelSpec) -> EnsembleModel:
+    """Fit the model `spec` describes on every run of `d`."""
+    (model,) = _fit_models(d.features(), d.responses(),
+                           [(np.arange(len(d)), spec.seed)], spec)
+    return model
+
+
+def fit_random_forest(
+    d: Dataset,
+    trees: int,
+    cfg: TreeConfig = TreeConfig(),
+    m: int | None = None,
+    seed: int = 0,
+    bootstrap: bool = True,
+) -> ForestModel:
+    """Bagged regression forest; `m` features searched per split (default all)."""
+    return fit_model(d, ModelSpec(kind="rf", config=cfg, trees=trees, m=m,
+                                  bootstrap=bootstrap, seed=seed))
+
+
 def fit_gbm(
     d: Dataset,
     rounds: int,
@@ -150,37 +222,8 @@ def fit_gbm(
     seed: int = 0,
 ) -> BoostModel:
     """Squared-error gradient boosting with shrinkage and L2 leaf penalty."""
-    if rounds < 0:
-        raise ValueError(f"round count must be >= 0, got {rounds}")
-    if not 0.0 < nu <= 1.0:
-        raise ValueError(f"learning rate must be in (0, 1], got {nu}")
-    if not lam >= 0.0:
-        raise ValueError(f"L2 leaf penalty must be >= 0, got {lam}")
-    X = d.features()
-    y = d.responses()
-    f0 = float(y.mean())
-    current = np.full_like(y, f0)
-    mse_track = [float(np.mean((y - current) ** 2))]
-    stages = []
-    rows = X.tolist()
-    for _ in range(rounds):
-        residuals = y - current
-        stage = build_tree(X, residuals, cfg)
-        if lam > 0.0:
-            stage = _shrink_leaves(stage, lam)
-        stages.append(stage)
-        current = current + nu * np.asarray([_route(stage, row) for row in rows])
-        mse_track.append(float(np.mean((y - current) ** 2)))
-    return BoostModel(
-        f0=f0,
-        stages=tuple(stages),
-        nu=nu,
-        lam=lam,
-        n_features=X.shape[1],
-        seed=seed,
-        config=cfg,
-        train_mse=tuple(mse_track),
-    )
+    return fit_model(d, ModelSpec(kind="gbm", config=cfg, rounds=rounds,
+                                  nu=nu, lam=lam, seed=seed))
 
 
 def predict_ensemble(model: EnsembleModel, x: Sequence[float]) -> float:
@@ -270,38 +313,6 @@ def regression_metrics(y, yhat) -> RegressionMetrics:
 
 
 @dataclass(frozen=True)
-class ModelSpec:
-    """Everything needed to train one model reproducibly."""
-
-    kind: str  # "rf" | "gbm"
-    config: TreeConfig = TreeConfig()
-    trees: int = 200
-    m: int | None = None
-    bootstrap: bool = True
-    rounds: int = 50
-    nu: float = 0.3
-    lam: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("rf", "gbm"):
-            raise ValueError(f"model kind must be 'rf' or 'gbm', got {self.kind!r}")
-
-
-def fit_model(d: Dataset, spec: ModelSpec) -> EnsembleModel:
-    """Fit the model `spec` describes."""
-    if spec.kind == "rf":
-        return fit_random_forest(
-            d, trees=spec.trees, cfg=spec.config, m=spec.m,
-            seed=spec.seed, bootstrap=spec.bootstrap,
-        )
-    return fit_gbm(
-        d, rounds=spec.rounds, cfg=spec.config, nu=spec.nu, lam=spec.lam,
-        seed=spec.seed,
-    )
-
-
-@dataclass(frozen=True)
 class CvResult:
     plan: FoldPlan
     fold_metrics: tuple[RegressionMetrics | None, ...]  # None for 1-run folds
@@ -313,10 +324,10 @@ def cross_validate(d: Dataset, spec: ModelSpec, plan: FoldPlan) -> CvResult:
     """Train on each fold's complement, predict the fold, pool everything.
 
     Fold f trains with seed derive_seed(spec.seed, f) so the result is
-    deterministic and independent of evaluation order.  A forest fold grows
-    on the rows of `d` itself, ``train[bootstrap_indices(len(train), ts)]``
-    for tree seed ts, which equals fitting the sub-dataset of its training
-    runs; the folds of one call share each identical subtree.
+    deterministic and independent of evaluation order.  Every fold model,
+    forest or boosted, is fitted by `_fit_models` on the row ids of its
+    training runs in `d`, which equals `fit_model` on the sub-dataset of
+    those runs; the forest folds of one call share each identical subtree.
     """
     n = len(d)
     if len(plan.assignments) != n:
@@ -331,19 +342,7 @@ def cross_validate(d: Dataset, spec: ModelSpec, plan: FoldPlan) -> CvResult:
                 f"fold {f} leaves only {train.size} training runs (need >= 2)"
             )
         folds.append((train, derive_seed(spec.seed, f)))
-    if spec.kind == "rf":
-        models = _fit_forests(X, y, folds, spec.trees, spec.config, spec.m,
-                              spec.bootstrap)
-    else:
-        models = [
-            fit_model(
-                Dataset(runs=tuple(d.runs[i] for i in train.tolist()),
-                        factor_names=d.factor_names,
-                        response_name=d.response_name),
-                replace(spec, seed=fold_seed),
-            )
-            for train, fold_seed in folds
-        ]
+    models = _fit_models(X, y, folds, spec)
     predictions = np.empty(n)
     fold_metrics: list[RegressionMetrics | None] = []
     for f, model in enumerate(models):

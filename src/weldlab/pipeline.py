@@ -35,6 +35,7 @@ from .ensemble import (
     regression_metrics,
 )
 from .taguchi import (
+    CRITERIA,
     check_design,
     diagnostics_to_json_dict,
     optimal_combination,
@@ -73,24 +74,19 @@ class RunConfig:
             raise ValueError(f"format must be one of {FORMATS}")
         if self.model not in ("rf", "gbm"):
             raise ValueError("model must be 'rf' or 'gbm'")
-        # Model settings fail here, before any compute, not as a stage error.
+        if self.criterion not in CRITERIA:
+            raise ValueError(
+                f"criterion must be one of {CRITERIA}, got {self.criterion!r}"
+            )
+        # Model settings fail here, before any compute, not as a stage
+        # error: `ModelSpec` and `TreeConfig` check them.  Numpy integers
+        # are stored as ints so the report's JSON can write them.
         _set_int_fields(self, ("trees", "rounds", "depth", "seed")
                         + (() if self.m is None else ("m",)))
-        if self.trees < 1:
-            raise ValueError(f"tree count must be >= 1, got {self.trees}")
-        if self.rounds < 0:
-            raise ValueError(f"round count must be >= 0, got {self.rounds}")
-        if self.depth < 0:
-            raise ValueError(f"depth must be >= 0, got {self.depth}")
+        _model_spec(self)
         n_factors = len(FACTOR_NAMES)
-        if self.m is not None and not 1 <= self.m <= n_factors:
+        if self.m is not None and self.m > n_factors:
             raise ValueError(f"m must be in [1, {n_factors}], got {self.m}")
-        if not 0.0 < self.nu <= 1.0:
-            raise ValueError(f"learning rate must be in (0, 1], got {self.nu}")
-        if not self.lam >= 0.0:
-            raise ValueError(f"L2 leaf penalty must be >= 0, got {self.lam}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
         _parse_cv(self.cv)  # validate early
 
 
@@ -125,10 +121,9 @@ class ReportDocument:
 
 
 def _model_spec(cfg: RunConfig) -> ModelSpec:
-    tree_cfg = TreeConfig(max_depth=cfg.depth)
     return ModelSpec(
         kind=cfg.model,
-        config=tree_cfg,
+        config=TreeConfig(max_depth=cfg.depth),
         trees=cfg.trees,
         m=cfg.m,
         rounds=cfg.rounds,

@@ -64,12 +64,6 @@ def sn_ratio(y: Sequence[float], criterion: str = "larger") -> float:
 
 
 @dataclass(frozen=True)
-class FactorLevels:
-    factor: str
-    levels: tuple[float, ...]  # distinct, ascending
-
-
-@dataclass(frozen=True)
 class FactorEffect:
     """Per-level means for one factor on one basis, with delta and rank."""
 
@@ -88,13 +82,6 @@ class ResponseTable:
     s_n: tuple[FactorEffect, ...]
     criterion: str
     grand_mean: float
-
-
-def factor_levels(d: Dataset) -> tuple[FactorLevels, ...]:
-    return tuple(
-        FactorLevels(factor=name, levels=d.levels(i))
-        for i, name in enumerate(d.factor_names)
-    )
 
 
 def _ranked(effects: list[tuple[str, tuple[float, ...], tuple[float, ...], float]]):

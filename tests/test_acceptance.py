@@ -20,7 +20,7 @@ from weldlab.cart import (
     gain_ratio,
     gini_impurity,
     information_gain,
-    predict_tree_many,
+    predict_tree,
     split_info,
 )
 from weldlab.dataset import builtin_aa6262, kfold_plan
@@ -220,7 +220,7 @@ def test_criterion_08_tree_and_ensemble_properties():
 
     # unlimited tree reaches zero training MSE
     tree = fit_regression_tree(BUILTIN)
-    pred = predict_tree_many(tree, BUILTIN.features())
+    pred = np.asarray([predict_tree(tree, row) for row in BUILTIN.features()])
     assert float(np.mean((pred - BUILTIN.responses()) ** 2)) == 0.0
 
     # split search equals the exhaustive oracle on 1,000 random instances

@@ -23,7 +23,6 @@ from weldlab.cart import (
     gini_impurity,
     information_gain,
     predict_tree,
-    predict_tree_many,
     split_info,
 )
 from weldlab.dataset import bootstrap_indices
@@ -166,7 +165,7 @@ class TestFitRegressionTree:
         tree = fit_regression_tree(builtin)
         X = builtin.features()
         y = builtin.responses()
-        pred = predict_tree_many(tree, X)
+        pred = np.asarray([predict_tree(tree, row) for row in X])
         assert np.array_equal(pred, y)
         assert float(np.mean((pred - y) ** 2)) == 0.0
 
@@ -229,6 +228,15 @@ class TestFitRegressionTree:
     def test_non_integer_depth_and_leaf_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             TreeConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.5", None])
+    def test_non_real_min_impurity_decrease_rejected(self, value):
+        with pytest.raises(ValueError, match="min_impurity_decrease must be a real"):
+            TreeConfig(min_impurity_decrease=value)
+
+    @pytest.mark.parametrize("value", [0, 2, np.int64(1), np.float32(0.5), 0.25])
+    def test_real_min_impurity_decrease_accepted(self, value):
+        assert TreeConfig(min_impurity_decrease=value).min_impurity_decrease == value
 
     def test_numpy_integer_depth_and_leaf_become_ints(self):
         cfg = TreeConfig(max_depth=np.int64(2), min_samples_leaf=np.int32(3))
@@ -442,44 +450,9 @@ class TestPredictTree:
 
     def test_arity_mismatch_rejected(self, builtin):
         tree = fit_regression_tree(builtin)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="feature vector has 1 entries "
+                           "but the tree references feature index"):
             predict_tree(tree, [800.0])
-
-    def test_many_rejects_one_dimensional_input(self, builtin):
-        tree = fit_regression_tree(builtin)
-        with pytest.raises(ValueError, match="X must be a 2-d array of feature rows"):
-            predict_tree_many(tree, builtin.features()[0])
-
-    def test_many_equals_per_row_with_one_arity_walk(self, builtin, monkeypatch):
-        X, y = builtin.features(), builtin.responses()
-        rng = np.random.default_rng(5)
-        queries = np.vstack([X, rng.uniform(X.min(0), X.max(0), size=(40, 3))])
-        trees = [fit_regression_tree(builtin)] + [
-            build_tree(X, y, rows=bootstrap_indices(9, s)) for s in range(20)
-        ]
-        arity = weldlab.cart.tree_arity
-        walked = []
-        monkeypatch.setattr(weldlab.cart, "tree_arity",
-                            lambda t: walked.append(t) or arity(t))
-        for tree in trees:
-            expected = [predict_tree(tree, row) for row in queries]
-            walked.clear()
-            got = predict_tree_many(tree, queries)
-            assert [t for t in walked if t is tree] == [tree]
-            assert got.dtype == np.float64
-            assert got.tolist() == expected
-            width = arity(tree) - 1
-            if width < 0:
-                continue
-            with pytest.raises(ValueError) as many_err:
-                predict_tree_many(tree, queries[:, :width])
-            with pytest.raises(ValueError) as one_err:
-                predict_tree(tree, queries[0, :width])
-            assert str(many_err.value) == str(one_err.value)
-            assert str(many_err.value) == (
-                f"feature vector has {width} entries but the tree "
-                f"references feature index {width}"
-            )
 
 
 class TestExportTree:

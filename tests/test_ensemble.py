@@ -468,16 +468,19 @@ class TestCrossValidate:
         return models
 
     @pytest.mark.parametrize("k", [9, 3])
-    @pytest.mark.parametrize("m", [3, 2])
-    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("kind, m, bootstrap", [
+        ("rf", 3, True), ("rf", 3, False), ("rf", 2, True), ("rf", 2, False),
+        ("gbm", None, True),  # boosting neither bootstraps nor draws features
+    ])
     @pytest.mark.parametrize("max_depth", [0, 2])
     @pytest.mark.parametrize("min_leaf", [1, 2])
-    def test_rf_folds_equal_forests_on_sub_datasets(
-        self, builtin, monkeypatch, k, m, bootstrap, max_depth, min_leaf
+    def test_folds_equal_models_on_sub_datasets(
+        self, builtin, monkeypatch, k, kind, m, bootstrap, max_depth, min_leaf
     ):
         cfg = TreeConfig(max_depth=max_depth, min_samples_leaf=min_leaf)
-        spec = ModelSpec(kind="rf", config=cfg, trees=20, m=m,
-                         bootstrap=bootstrap, seed=5)
+        spec = ModelSpec(kind=kind, config=cfg, trees=20, m=m,
+                         bootstrap=bootstrap, rounds=8, nu=0.5, lam=1.0,
+                         seed=5)
         plan = kfold_plan(9, k, seed=3)
         folds = self._fold_models(monkeypatch)
         cross_validate(builtin, spec, plan)
@@ -486,12 +489,17 @@ class TestCrossValidate:
             sub = Dataset(runs=tuple(
                 r for r, a in zip(builtin.runs, plan.assignments) if a != f
             ))
-            expected = fit_random_forest(
-                sub, trees=20, cfg=cfg, m=m, seed=derive_seed(5, f),
-                bootstrap=bootstrap,
-            )
-            for got_tree, want_tree in zip(model.trees, expected.trees,
-                                           strict=True):
+            if kind == "rf":
+                expected = fit_random_forest(
+                    sub, trees=20, cfg=cfg, m=m, seed=derive_seed(5, f),
+                    bootstrap=bootstrap,
+                )
+                got_trees, want_trees = model.trees, expected.trees
+            else:
+                expected = fit_gbm(sub, rounds=8, cfg=cfg, nu=0.5, lam=1.0,
+                                   seed=derive_seed(5, f))
+                got_trees, want_trees = model.stages, expected.stages
+            for got_tree, want_tree in zip(got_trees, want_trees, strict=True):
                 assert got_tree == want_tree
             assert model == expected
 
@@ -530,6 +538,38 @@ class TestCrossValidate:
         assert isinstance(gbm, BoostModel)
         with pytest.raises(ValueError):
             ModelSpec(kind="svm")
+
+
+class TestModelSpec:
+    def test_library_entry_points_check_their_settings(self, builtin):
+        with pytest.raises(ValueError, match="^trees must be an integer"):
+            fit_random_forest(builtin, trees=2.5)
+        with pytest.raises(ValueError, match="^nu must be a real number"):
+            fit_gbm(builtin, rounds=3, nu=True)
+        with pytest.raises(ValueError, match="^trees must be >= 1"):
+            ModelSpec(kind="rf", trees=0)
+
+    @pytest.mark.parametrize("bad", [
+        {"trees": 0}, {"trees": 2.5}, {"trees": True}, {"rounds": -1},
+        {"rounds": 1.5}, {"m": 0}, {"m": np.bool_(True)}, {"m": 2.0},
+        {"nu": 0.0}, {"nu": 1.5}, {"nu": float("nan")}, {"nu": True},
+        {"nu": "0.3"}, {"lam": -1.0}, {"lam": float("nan")}, {"lam": False},
+        {"seed": -1}, {"seed": 2**64}, {"seed": 1.0},
+    ])
+    @pytest.mark.parametrize("kind", ["rf", "gbm"])
+    def test_bad_setting_names_its_field(self, kind, bad):
+        (field,) = bad
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ModelSpec(kind=kind, **bad)
+
+    def test_numpy_settings_accepted_and_counts_become_ints(self):
+        spec = ModelSpec(kind="gbm", trees=np.int64(3), rounds=np.uint8(2),
+                         m=np.int32(2), nu=np.float64(0.5), lam=np.int16(1),
+                         seed=np.uint64(2**64 - 1))
+        assert spec == ModelSpec(kind="gbm", trees=3, rounds=2, m=2, nu=0.5,
+                                 lam=1, seed=2**64 - 1)
+        for name in ("trees", "rounds", "m", "seed"):
+            assert type(getattr(spec, name)) is int
 
 
 class TestSerialization:

@@ -56,6 +56,22 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=field):
             RunConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["nu", "lam"])
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.5", None])
+    def test_non_real_model_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+            RunConfig(model="gbm", **{field: value})
+
+    def test_bool_learning_rate_and_penalty_rejected(self):
+        with pytest.raises(ValueError, match="^nu "):
+            RunConfig(model="gbm", nu=True, lam=False)
+
+    def test_unknown_criterion_rejected(self):
+        with pytest.raises(ValueError, match="criterion"):
+            RunConfig(criterion="bogus")
+        for criterion in ("larger", "smaller", "nominal"):
+            RunConfig(criterion=criterion)
+
     def test_numpy_integer_model_settings_become_ints(self):
         cfg = RunConfig(trees=np.int64(5), rounds=np.int32(2),
                         depth=np.uint8(1), seed=np.uint64(2**64 - 1),

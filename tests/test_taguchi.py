@@ -7,7 +7,6 @@ from weldlab.taguchi import (
     DegenerateFactorError,
     check_design,
     diagnostics_to_json_dict,
-    factor_levels,
     optimal_combination,
     response_table,
     response_table_rows,
@@ -147,11 +146,6 @@ class TestResponseTable:
         rows = response_table_rows(response_table(builtin))
         assert len(rows) == 9  # 3 factors x 3 levels
         assert {r["factor"] for r in rows} == set(builtin.factor_names)
-
-    def test_factor_levels_helper(self, builtin):
-        fl = factor_levels(builtin)
-        assert fl[0].levels == (800.0, 1000.0, 1200.0)
-        assert all(len(f.levels) == 3 for f in fl)
 
 
 class TestOptimalCombination:
