@@ -123,13 +123,16 @@ def _set_int_fields(obj, names: Sequence[str]) -> None:
 
 
 def _check_real_fields(obj, names: Sequence[str]) -> None:
-    """Check that each field named in `names` of `obj` holds a real number
-    (a Python or numpy int or float, not a bool), raising a ValueError that
-    names the field."""
+    """Check that each field named in `names` of the frozen dataclass `obj`
+    holds a real number (a Python or numpy int or float, not a bool),
+    raising a ValueError that names the field; a numpy number is stored as
+    the Python int or float it holds, so JSON can write it."""
     for name in names:
         value = getattr(obj, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{name} must be a real number, got {value!r}")
+        if isinstance(value, np.generic):
+            object.__setattr__(obj, name, value.item())
 
 
 @dataclass(frozen=True)
@@ -354,6 +357,102 @@ def _grow_levels(X, y, roots, cfg: TreeConfig, memo: dict) -> None:
             feature=f, threshold=t, decrease=dec, n=n,
             left=memo[lkey], right=memo[rkey],
         )
+
+
+# Node rows (nodes x rows per node) of one `best_splits` call in
+# `_grow_lockstep`: about the largest call `_grow_levels` makes (200 roots
+# of 9 runs), so scoring every forest of a call together keeps peak memory
+# where the all-feature path already has it.
+_LOCKSTEP_ROWS = 2048
+
+
+def _grow_lockstep(X, y, roots, rngs, m: int, cfg: TreeConfig) -> list[TreeNode]:
+    """The tree of every row-id array in `roots`, each node searching `m`
+    features drawn from the matching SplitMix64 of `rngs`; the trees grow
+    in lockstep.
+
+    Tree t equals ``build_tree(X[roots[t]], y[roots[t]], cfg, rngs[t], m)``.
+    Each tree pops its nodes from its own stack in preorder, so its draws
+    come in the recursion's order: a node that a pre-score leaf rule makes
+    a leaf draws nothing, and the first node that needs a split draws its
+    subset and waits.  Waiting nodes are grouped by size and each group is
+    scored in `best_splits` calls of at most `_LOCKSTEP_ROWS` node rows.  A
+    split node pushes its right child, then its left, and every scored
+    node's tree pops on at once.  Groups are taken in sweeps of falling
+    size, so a tree whose next node is a child (always smaller) joins a
+    later group of the same sweep; a larger one waits for the next sweep.
+    Trees are assembled children first: a split becomes an `Internal` once
+    its right subtree is done, so, as in the recursion, only each tree's
+    open splits are held.
+    """
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    p = X.shape[1]
+    trees: list = [None] * len(roots)
+    # Each stack entry is (row ids, depth, parent); a parent is the list
+    # [n, feature, threshold, decrease, left subtree or None, its parent].
+    stacks = [[(np.asarray(rows, dtype=np.intp), 0, None)] for rows in roots]
+    waiting: dict[int, list] = {}  # size -> (tree, rows, depth, parent, subset)
+
+    def place(t: int, node: TreeNode, parent) -> None:
+        # Preorder finishes a left subtree first; its right sibling then
+        # completes the parent, and so on up the tree.
+        while parent is not None:
+            if parent[4] is None:
+                parent[4] = node
+                return
+            n, f, th, dec, left, parent = parent
+            node = Internal(feature=f, threshold=th, decrease=dec, n=n,
+                            left=left, right=node)
+        trees[t] = node
+
+    def advance(t: int) -> None:
+        stack = stacks[t]
+        while stack:
+            idx, depth, parent = stack.pop()
+            ys = y[idx]
+            n = idx.size
+            if _is_leaf(cfg, n, depth, n == 1 or bool(ys.min() == ys.max())):
+                # ys.mean() bit for bit (numpy divides this same pairwise
+                # sum by n), at less than half the call overhead.
+                place(t, Leaf(value=float(ys.sum()) / n, n=n), parent)
+                continue
+            subset = rngs[t].sample_without_replacement(p, m)
+            waiting.setdefault(n, []).append((t, idx, depth, parent, subset))
+            return
+
+    for t in range(len(roots)):
+        advance(t)
+    n = 0
+    while waiting:
+        n = max((size for size in waiting if size < n), default=max(waiting))
+        group = waiting.pop(n)
+        per_call = max(1, _LOCKSTEP_ROWS // n)
+        for start in range(0, len(group), per_call):
+            chunk = group[start:start + per_call]
+            rows = np.array([node[1] for node in chunk])
+            yb = y[rows]
+            Xb = X[rows]
+            feat, thr, children_sse, parent_sse = best_splits(
+                Xb, yb, np.array([node[4] for node in chunk], dtype=np.int64),
+                cfg.min_samples_leaf,
+            )
+            decrease = (parent_sse - children_sse) / n
+            # Every waiting node passed the depth rule before scoring.
+            leaf = _is_leaf(cfg, n, 0, False, feat, decrease)
+            goes_left = Xb[np.arange(len(chunk)), :, feat] <= thr[:, None]
+            for (t, idx, depth, parent, _), is_leaf, gl, f, th, dec in zip(
+                chunk, leaf.tolist(), goes_left, feat.tolist(),
+                thr.tolist(), decrease.tolist(),
+            ):
+                if is_leaf:
+                    place(t, Leaf(value=float(y[idx].sum()) / n, n=n), parent)
+                else:
+                    split = [n, f, th, dec, None, parent]
+                    stacks[t] += ((idx[~gl], depth + 1, split),
+                                  (idx[gl], depth + 1, split))
+                advance(t)
+    return trees
 
 
 def fit_regression_tree(d: Dataset, cfg: TreeConfig = TreeConfig()) -> TreeNode:

@@ -14,10 +14,13 @@ single forest, or the forests of all its folds) build each distinct node
 (same ordered run ids of the dataset, and same depth under a depth limit)
 once and share that frozen subtree object.  Such a forest grows all its
 trees together, level by level, scoring each level's new nodes in batched
-kernel passes; the trees, predictions and serialized bytes are exactly
-those of trees grown one by one.  Boosting is the stagewise additive update
-F_m = F_{m-1} + nu * h_m with F_0 = mean(y) and leaf values
-sum(residuals) / (count + lambda).
+kernel passes.  When nodes search a feature subset, every tree of the call
+grows in lockstep: each tree pops its nodes in preorder, so its draws keep
+the recursion's order, and the nodes waiting to be split are scored in
+batched kernel passes, one per node size.  Either way the trees,
+predictions and serialized bytes are exactly those of trees grown one by
+one.  Boosting is the stagewise additive update F_m = F_{m-1} + nu * h_m
+with F_0 = mean(y) and leaf values sum(residuals) / (count + lambda).
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .cart import (
     TreeNode,
     _check_real_fields,
     _grow_levels,
+    _grow_lockstep,
     _route,
     _set_int_fields,
     build_tree,
@@ -129,8 +133,11 @@ def _fit_models(X, y, fits, spec: ModelSpec) -> list[EnsembleModel]:
     memo (see `build_tree`).  `cart._grow_levels` grows each forest's roots
     together, level by level, and its trees' `build_tree` calls find them
     there.  One pass per forest, not one over all forests, keeps fewer
-    nodes pending and peak memory lower.  With m < p each tree grows by the
-    preorder recursion of `build_tree`, keeping its feature draws in order.
+    nodes pending and peak memory lower.  With m < p the bootstraps of every
+    forest are drawn first, and `cart._grow_lockstep` then grows all their
+    trees in one pass, tree t drawing its feature subsets from
+    ``SplitMix64(derive_seed(tree seed, 1))`` in preorder; its capped
+    kernel calls bound peak memory instead.
     """
     n_features = X.shape[1]
     cfg = spec.config
@@ -165,24 +172,40 @@ def _fit_models(X, y, fits, spec: ModelSpec) -> list[EnsembleModel]:
     m = n_features if spec.m is None else spec.m
     if m > n_features:
         raise ValueError(f"m must be in [1, {n_features}], got {m}")
-    memo: dict = {}
-    for ids, seed in fits:
+
+    def draw(ids, seed):
+        """The tree seeds of the forest fitted on rows `ids` with `seed`,
+        and each tree's root row ids."""
         tree_seeds = tuple(derive_seed(seed, t) for t in range(spec.trees))
-        roots = [ids[bootstrap_indices(ids.size, ts)] if spec.bootstrap else ids
-                 for ts in tree_seeds]
-        if m == n_features:
+        return tree_seeds, [
+            ids[bootstrap_indices(ids.size, ts)] if spec.bootstrap else ids
+            for ts in tree_seeds
+        ]
+
+    forests = []  # (seed, tree seeds, trees) of each fit
+    if m == n_features:
+        memo: dict = {}
+        for ids, seed in fits:
+            tree_seeds, roots = draw(ids, seed)
             # No node draws features, so no tree needs its rng stream.
             _grow_levels(X, y, roots, cfg, memo)
-            fitted = tuple(build_tree(X, y, cfg, rows=rows, memo=memo)
-                           for rows in roots)
-        else:
-            fitted = tuple(
-                build_tree(X, y, cfg, rng=SplitMix64(derive_seed(ts, 1)),
-                           n_feature_candidates=m, rows=rows)
-                for ts, rows in zip(tree_seeds, roots)
-            )
+            forests.append((seed, tree_seeds, [
+                build_tree(X, y, cfg, rows=rows, memo=memo) for rows in roots
+            ]))
+    else:
+        drawn = [(seed, *draw(ids, seed)) for ids, seed in fits]
+        grown = _grow_lockstep(
+            X, y, [rows for _, _, roots in drawn for rows in roots],
+            [SplitMix64(derive_seed(ts, 1))
+             for _, tree_seeds, _ in drawn for ts in tree_seeds],
+            m, cfg,
+        )
+        for f, (seed, tree_seeds, _) in enumerate(drawn):
+            forests.append(
+                (seed, tree_seeds, grown[f * spec.trees:(f + 1) * spec.trees]))
+    for seed, tree_seeds, trees in forests:
         models.append(ForestModel(
-            trees=fitted,
+            trees=tuple(trees),
             tree_seeds=tree_seeds,
             n_features=n_features,
             m=m,

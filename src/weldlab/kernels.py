@@ -142,18 +142,24 @@ def best_split(X, y, features, min_leaf=1):
 def best_splits(Xb, yb, features, min_leaf=1):
     """`best_split` of B nodes of n rows each, scored in one pass.
 
-    Xb is (B, n, p) float64, yb (B, n) float64 and `features` as for
-    `best_split`.  Returns four (B,) arrays: feature (int64, -1 where no
+    Xb is (B, n, p) float64 and yb (B, n) float64.  `features` is either
+    one ascending int64 array of k column indices that every node searches,
+    as for `best_split`, or a (B, k) array whose row b is node b's own
+    ascending subset.  Returns four (B,) arrays: feature (int64, -1 where no
     split is admissible), threshold, children SSE and parent SSE; entry b
-    equals ``best_split(Xb[b], yb[b], features, min_leaf)``.  Every step is
-    the per-node one applied along each node's own last axis (a stable
-    argsort, sequential running sums, `_cut_sse`, a row-major argmin per
-    node), so no value of one node enters another's sums.
+    equals ``best_split(Xb[b], yb[b], features[b], min_leaf)`` (or
+    ``features`` for a shared subset).  Every step is the per-node one
+    applied along each node's own last axis (a stable argsort, sequential
+    running sums, `_cut_sse`, a row-major argmin per node), so no value of
+    one node enters another's sums.
     """
     B, n = yb.shape
-    k = features.shape[0]
+    k = features.shape[-1]
     node = np.arange(B)
-    cols = Xb.transpose(0, 2, 1)[:, features]  # (B, k, n)
+    if features.ndim == 1:
+        cols = Xb.transpose(0, 2, 1)[:, features]  # (B, k, n)
+    else:
+        cols = Xb.transpose(0, 2, 1)[node[:, None], features]
     order = cols.argsort(axis=-1, kind="stable")
     xs = np.take_along_axis(cols, order, axis=-1)
     ys = np.concatenate((yb[:, None], yb[node[:, None, None], order]), axis=1)
@@ -169,8 +175,9 @@ def best_splits(Xb, yb, features, min_leaf=1):
     fi, i = np.divmod(best, n - 1)
     ok = best_score < np.inf
     best_t = (xs[node, fi, i] + xs[node, fi, i + 1]) / 2
+    chosen = features[fi] if features.ndim == 1 else features[node, fi]
     return (
-        np.where(ok, features[fi], -1),
+        np.where(ok, chosen, -1),
         np.where(ok, best_t, 0.0),
         np.where(ok, best_score, np.inf),
         parent_sse,

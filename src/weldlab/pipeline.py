@@ -24,7 +24,13 @@ from pathlib import Path
 
 from . import anova as anova_mod
 from . import published
-from .cart import TreeConfig, _set_int_fields, export_tree, fit_regression_tree
+from .cart import (
+    TreeConfig,
+    _check_real_fields,
+    _set_int_fields,
+    export_tree,
+    fit_regression_tree,
+)
 from .dataset import FACTOR_NAMES, builtin_aa6262, kfold_plan, load_csv, summarize
 from .ensemble import (
     ModelSpec,
@@ -79,10 +85,11 @@ class RunConfig:
                 f"criterion must be one of {CRITERIA}, got {self.criterion!r}"
             )
         # Model settings fail here, before any compute, not as a stage
-        # error: `ModelSpec` and `TreeConfig` check them.  Numpy integers
-        # are stored as ints so the report's JSON can write them.
+        # error: `ModelSpec` and `TreeConfig` check them.  Numpy numbers
+        # are stored as Python ones so the report's JSON can write them.
         _set_int_fields(self, ("trees", "rounds", "depth", "seed")
                         + (() if self.m is None else ("m",)))
+        _check_real_fields(self, ("nu", "lam"))
         _model_spec(self)
         n_factors = len(FACTOR_NAMES)
         if self.m is not None and self.m > n_factors:

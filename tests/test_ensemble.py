@@ -1,3 +1,4 @@
+import itertools
 import json
 from collections import Counter
 
@@ -240,6 +241,134 @@ class TestForestSharedSubtrees:
             for tree, ts in zip(model.trees, model.tree_seeds, strict=True):
                 rows = train[bootstrap_indices(train.size, ts)] if bootstrap else train
                 assert tree == build_tree(X[rows], y[rows], cfg)
+
+
+def factorial_81(seed=0):
+    """3^3 full factorial over the builtin levels, three replicates, with a
+    seeded additive response plus noise rounded to 0.01."""
+    rng = np.random.default_rng(seed)
+    levels = ((800.0, 1000.0, 1200.0), (40.0, 50.0, 60.0), (0.1, 0.2, 0.3))
+    effects = rng.uniform(-4.0, 4.0, (3, 3))
+    rows = []
+    for _ in range(3):
+        for combo in itertools.product(range(3), repeat=3):
+            y = 65.0 + sum(effects[f, lv] for f, lv in enumerate(combo))
+            rows.append(tuple(levels[f][lv] for f, lv in enumerate(combo))
+                        + (round(float(y + rng.normal()), 2),))
+    return make_dataset(rows)
+
+
+class TestLockstepGrowth:
+    """Forests that search m < p features per split grow in lockstep
+    (`cart._grow_lockstep`): every tree of the call must equal the preorder
+    recursion of `build_tree` grown alone, draw for draw."""
+
+    @staticmethod
+    def _stage(d, spec, plan, monkeypatch):
+        """(model, training run ids) of `fit_model` and of every
+        `cross_validate` fold, in that order."""
+        final = fit_model(d, spec)
+        folds = TestCrossValidate._fold_models(monkeypatch)
+        cross_validate(d, spec, plan)
+        assert len(folds) == plan.k
+        return [(final, np.arange(len(d)))] + [
+            (model, np.flatnonzero(np.asarray(plan.assignments) != f))
+            for f, model in enumerate(folds)
+        ]
+
+    @staticmethod
+    def _tree_rows(train, ts, bootstrap):
+        return train[bootstrap_indices(train.size, ts)] if bootstrap else train
+
+    @pytest.mark.parametrize("data", ["builtin", "factorial"])
+    @pytest.mark.parametrize("min_decrease", [0.0, 0.5])
+    @pytest.mark.parametrize("min_leaf", [1, 2])
+    @pytest.mark.parametrize("max_depth", [0, 2])
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_every_tree_equals_the_recursion(
+        self, builtin, monkeypatch, scored_nodes, data, m, bootstrap,
+        max_depth, min_leaf, min_decrease,
+    ):
+        d = builtin if data == "builtin" else factorial_81()
+        cfg = TreeConfig(max_depth=max_depth, min_samples_leaf=min_leaf,
+                         min_impurity_decrease=min_decrease)
+        spec = ModelSpec(kind="rf", config=cfg, trees=8, m=m,
+                         bootstrap=bootstrap, seed=8)
+        stage = self._stage(d, spec, kfold_plan(len(d), 3, seed=1), monkeypatch)
+        # Every node was scored in a batch, none one at a time.
+        assert scored_nodes["best_split"] == 0 < scored_nodes["best_splits"]
+        X, y = d.features(), d.responses()
+        for model, train in stage:
+            for tree, ts in zip(model.trees, model.tree_seeds, strict=True):
+                rows = self._tree_rows(train, ts, bootstrap)
+                assert tree == build_tree(
+                    X[rows], y[rows], cfg, rng=SplitMix64(derive_seed(ts, 1)),
+                    n_feature_candidates=m,
+                )
+
+    @pytest.mark.parametrize("data", ["builtin", "factorial"])
+    def test_draws_per_forest_match_the_recursion(self, builtin, monkeypatch, data):
+        d = builtin if data == "builtin" else factorial_81()
+
+        class Counting(SplitMix64):
+            def __init__(self, seed):
+                super().__init__(seed)
+                self.subsets = 0
+
+            def sample_without_replacement(self, n, k):
+                self.subsets += 1
+                return super().sample_without_replacement(n, k)
+
+        grown = []
+
+        def make(seed):
+            grown.append(Counting(seed))
+            return grown[-1]
+
+        monkeypatch.setattr(weldlab.ensemble, "SplitMix64", make)
+        cfg = TreeConfig(min_samples_leaf=2)
+        spec = ModelSpec(kind="rf", config=cfg, trees=10, m=2, seed=4)
+        stage = self._stage(d, spec, kfold_plan(len(d), 3, seed=0), monkeypatch)
+        assert len(grown) == len(stage) * spec.trees
+        X, y = d.features(), d.responses()
+        for f, (model, train) in enumerate(stage):
+            alone = []
+            for ts in model.tree_seeds:
+                rows = self._tree_rows(train, ts, True)
+                alone.append(Counting(derive_seed(ts, 1)))
+                build_tree(X[rows], y[rows], cfg, alone[-1], 2)
+            forest = grown[f * spec.trees:(f + 1) * spec.trees]
+            assert [r.subsets for r in forest] == [r.subsets for r in alone]
+            assert sum(r.subsets for r in forest) > spec.trees
+            # Nothing else drew either: each stream ends in the same state.
+            assert [r._state for r in forest] == [r._state for r in alone]
+
+    @pytest.mark.parametrize("data, cap", [("factorial", None), ("builtin", 20)])
+    def test_size_groups_larger_than_the_row_cap(self, builtin, monkeypatch, data, cap):
+        d = builtin if data == "builtin" else factorial_81()
+        if cap is not None:
+            monkeypatch.setattr(weldlab.cart, "_LOCKSTEP_ROWS", cap)
+        cap = weldlab.cart._LOCKSTEP_ROWS
+        calls = []
+        batch_kernel = weldlab.cart.best_splits
+
+        def recording(Xb, yb, features, min_leaf):
+            calls.append(yb.shape)
+            return batch_kernel(Xb, yb, features, min_leaf)
+
+        monkeypatch.setattr(weldlab.cart, "best_splits", recording)
+        spec = ModelSpec(kind="rf", trees=50, m=2, seed=2)
+        model = fit_model(d, spec)
+        roots = [B for B, n in calls if n == len(d)]
+        # All 50 bootstrapped roots need a split; they exceed one call.
+        assert sum(roots) == 50 and len(roots) > 1 and 50 * len(d) > cap
+        assert all(B * n <= cap for B, n in calls)
+        X, y = d.features(), d.responses()
+        for tree, ts in zip(model.trees, model.tree_seeds, strict=True):
+            rows = bootstrap_indices(len(d), ts)
+            assert tree == build_tree(X[rows], y[rows], spec.config,
+                                      SplitMix64(derive_seed(ts, 1)), 2)
 
 
 class TestGbm:
@@ -604,6 +733,17 @@ class TestSerialization:
         doc["trees"][1]["split"]["feature"] = feature
         with pytest.raises(ValueError, match="outside"):
             model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("value, plain", [(np.float32(0.5), 0.5),
+                                              (np.int64(1), 1)])
+    def test_numpy_min_impurity_decrease_written_as_a_python_number(
+        self, builtin, value, plain
+    ):
+        def doc(v):
+            cfg = TreeConfig(min_impurity_decrease=v)
+            return model_to_json(fit_random_forest(builtin, trees=3, cfg=cfg))
+
+        assert doc(value) == doc(plain)
 
     def test_version_checked(self):
         with pytest.raises(ValueError):

@@ -103,6 +103,30 @@ class TestBatchedKernel:
                     assert node == kernels.best_split(X, yb[b], feats, min_leaf)
         assert {k for k, _ in seen} >= {1, 2} and {m for _, m in seen} == {1, 2, 3}
 
+    @pytest.mark.parametrize("kind", ["continuous", "tied", "decimal"])
+    def test_per_node_subsets_equal_the_single_node_kernels(self, kind):
+        rng = np.random.default_rng(sum(map(ord, kind)) + 2)
+        sizes, varied = set(), False
+        for n in range(1, 41):
+            for _ in range(8):
+                Xb, yb, _, min_leaf = batch_instance(rng, kind, n)
+                B, _, p = Xb.shape
+                k = int(rng.integers(1, p + 1))
+                feats = np.array(
+                    [np.sort(rng.choice(p, k, replace=False)) for _ in range(B)],
+                    dtype=np.int64,
+                )
+                sizes.add(k)
+                varied |= len({tuple(row) for row in feats.tolist()}) > 1
+                got = kernels.best_splits(Xb, yb, feats, min_leaf)
+                assert [a.shape for a in got] == [yb.shape[:1]] * 4
+                for b in range(B):
+                    X = np.ascontiguousarray(Xb[b])
+                    node = tuple(v[b].item() for v in got)
+                    assert node == kernels._best_split_loops(X, yb[b], feats[b], min_leaf)
+                    assert node == kernels.best_split(X, yb[b], feats[b], min_leaf)
+        assert varied and sizes >= {1, 2}
+
     def test_stable_argsort_along_the_last_axis_is_per_row(self):
         rng = np.random.default_rng(12)
         a = rng.integers(0, 3, (7, 4, 25)).astype(np.float64)

@@ -80,6 +80,15 @@ class TestRunConfig:
         for name in ("trees", "rounds", "depth", "seed", "m"):
             assert type(getattr(cfg, name)) is int
 
+    @pytest.mark.parametrize("field, value, plain", [
+        ("nu", np.float32(0.5), 0.5), ("lam", np.int64(1), 1),
+    ])
+    def test_numpy_reals_written_as_python_numbers(self, field, value, plain):
+        cfg = RunConfig(model="gbm", rounds=3, **{field: value})
+        assert type(getattr(cfg, field)) is type(plain)
+        assert report_json(run_pipeline(cfg)) == report_json(
+            run_pipeline(RunConfig(model="gbm", rounds=3, **{field: plain})))
+
     def test_model_setting_bounds_accepted(self):
         RunConfig(trees=1, rounds=0, depth=0, m=1, nu=1.0, lam=0.0, seed=0)
         RunConfig(m=3, seed=2**64 - 1)
