@@ -359,10 +359,10 @@ def _grow_levels(X, y, roots, cfg: TreeConfig, memo: dict) -> None:
         )
 
 
-# Node rows (nodes x rows per node) of one `best_splits` call in
-# `_grow_lockstep`: about the largest call `_grow_levels` makes (200 roots
-# of 9 runs), so scoring every forest of a call together keeps peak memory
-# where the all-feature path already has it.
+# Padded node rows (nodes x rows of the largest node) of one `best_splits`
+# call in `_grow_lockstep`: about the largest call `_grow_levels` makes
+# (200 roots of 9 runs), so scoring every forest of a call together keeps
+# peak memory where the all-feature path already has it.
 _LOCKSTEP_ROWS = 2048
 
 
@@ -375,24 +375,34 @@ def _grow_lockstep(X, y, roots, rngs, m: int, cfg: TreeConfig) -> list[TreeNode]
     Each tree pops its nodes from its own stack in preorder, so its draws
     come in the recursion's order: a node that a pre-score leaf rule makes
     a leaf draws nothing, and the first node that needs a split draws its
-    subset and waits.  Waiting nodes are grouped by size and each group is
-    scored in `best_splits` calls of at most `_LOCKSTEP_ROWS` node rows.  A
-    split node pushes its right child, then its left, and every scored
-    node's tree pops on at once.  Groups are taken in sweeps of falling
-    size, so a tree whose next node is a child (always smaller) joins a
-    later group of the same sweep; a larger one waits for the next sweep.
-    Trees are assembled children first: a split becomes an `Internal` once
-    its right subtree is done, so, as in the recursion, only each tree's
-    open splits are held.
+    subset and waits.  The trees advance in rounds.  A round takes every
+    waiting node (at most one per tree), sorts them by falling size and
+    scores them in `best_splits` calls of at most `_LOCKSTEP_ROWS` padded
+    rows, each node padded to the largest of its call.  One stable
+    partition per call gives every child its row ids, and masked minima
+    and maxima its constant-response flag.  A split node pushes its right
+    child, then its left, and every scored node's tree pops on at once, up
+    to its next waiting node.  Trees are assembled children first: a split
+    becomes an `Internal` once its right subtree is done, so, as in the
+    recursion, only each tree's open splits are held.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
     p = X.shape[1]
+    # Row id `pad` is the kernel's pad row: X = +inf sorts last, y = 0.
+    pad = y.shape[0]
+    Xp = np.vstack((X, np.full((1, p), np.inf)))
+    yp = np.append(y, 0.0)
     trees: list = [None] * len(roots)
-    # Each stack entry is (row ids, depth, parent); a parent is the list
-    # [n, feature, threshold, decrease, left subtree or None, its parent].
-    stacks = [[(np.asarray(rows, dtype=np.intp), 0, None)] for rows in roots]
-    waiting: dict[int, list] = {}  # size -> (tree, rows, depth, parent, subset)
+    # Each stack entry is (row ids, depth, parent, constant response); a
+    # parent is the list [n, feature, threshold, decrease, left subtree or
+    # None, its parent].
+    stacks = []
+    for rows in roots:
+        rows = np.asarray(rows, dtype=np.intp)
+        ys = y[rows]
+        stacks.append([(rows, 0, None, bool(ys.min() == ys.max()))])
+    waiting = []  # (tree, rows, depth, parent, subset)
 
     def place(t: int, node: TreeNode, parent) -> None:
         # Preorder finishes a left subtree first; its right sibling then
@@ -406,51 +416,73 @@ def _grow_lockstep(X, y, roots, rngs, m: int, cfg: TreeConfig) -> list[TreeNode]
                             left=left, right=node)
         trees[t] = node
 
+    def leaf(idx: np.ndarray) -> Leaf:
+        # ys.mean() bit for bit: numpy divides this same pairwise sum by n.
+        # `np.add.reduce` is what `ndarray.sum` calls, minus its wrapper.
+        return Leaf(value=float(np.add.reduce(y[idx])) / idx.size, n=idx.size)
+
+    def all_equal(ys: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        # Per row of `ys`: do its values under `mask` all equal?
+        return (np.where(mask, ys, np.inf).min(axis=1)
+                == np.where(mask, ys, -np.inf).max(axis=1))
+
     def advance(t: int) -> None:
         stack = stacks[t]
         while stack:
-            idx, depth, parent = stack.pop()
-            ys = y[idx]
-            n = idx.size
-            if _is_leaf(cfg, n, depth, n == 1 or bool(ys.min() == ys.max())):
-                # ys.mean() bit for bit (numpy divides this same pairwise
-                # sum by n), at less than half the call overhead.
-                place(t, Leaf(value=float(ys.sum()) / n, n=n), parent)
+            idx, depth, parent, constant = stack.pop()
+            if _is_leaf(cfg, idx.size, depth, constant):
+                place(t, leaf(idx), parent)
                 continue
             subset = rngs[t].sample_without_replacement(p, m)
-            waiting.setdefault(n, []).append((t, idx, depth, parent, subset))
+            waiting.append((t, idx, depth, parent, subset))
             return
 
     for t in range(len(roots)):
         advance(t)
-    n = 0
     while waiting:
-        n = max((size for size in waiting if size < n), default=max(waiting))
-        group = waiting.pop(n)
-        per_call = max(1, _LOCKSTEP_ROWS // n)
-        for start in range(0, len(group), per_call):
-            chunk = group[start:start + per_call]
-            rows = np.array([node[1] for node in chunk])
-            yb = y[rows]
-            Xb = X[rows]
+        batch = sorted(waiting, key=lambda node: node[1].size, reverse=True)
+        waiting.clear()
+        start = 0
+        while start < len(batch):
+            width = batch[start][1].size
+            chunk = batch[start:start + max(1, _LOCKSTEP_ROWS // width)]
+            start += len(chunk)
+            sizes = np.array([node[1].size for node in chunk])
+            col = np.arange(width)
+            rows = np.full((len(chunk), width), pad)
+            rows[col < sizes[:, None]] = np.concatenate([node[1] for node in chunk])
+            Xb = Xp.take(rows, axis=0)
+            yb = yp.take(rows)
             feat, thr, children_sse, parent_sse = best_splits(
                 Xb, yb, np.array([node[4] for node in chunk], dtype=np.int64),
-                cfg.min_samples_leaf,
+                cfg.min_samples_leaf, sizes,
             )
-            decrease = (parent_sse - children_sse) / n
+            decrease = (parent_sse - children_sse) / sizes
             # Every waiting node passed the depth rule before scoring.
-            leaf = _is_leaf(cfg, n, 0, False, feat, decrease)
+            is_leaf = _is_leaf(cfg, sizes, 0, False, feat, decrease)
+            # Each node's rows, stably partitioned: the left (<= thr) first,
+            # then the right, then the pads (+inf goes right).
             goes_left = Xb[np.arange(len(chunk)), :, feat] <= thr[:, None]
-            for (t, idx, depth, parent, _), is_leaf, gl, f, th, dec in zip(
-                chunk, leaf.tolist(), goes_left, feat.tolist(),
-                thr.tolist(), decrease.tolist(),
+            order = np.argsort(~goes_left, axis=1, kind="stable")
+            # rows[b, order[b]] for every b, as one flat gather.
+            parted = rows.take(order + width * np.arange(len(chunk))[:, None])
+            ys = yp.take(parted)
+            n_left = goes_left.sum(axis=1)
+            in_left = col < n_left[:, None]
+            const_left = all_equal(ys, in_left)
+            const_right = all_equal(ys, ~in_left & (col < sizes[:, None]))
+            for (t, idx, depth, parent, _), part, n, nl, stop, f, th, dec, cl, cr in zip(
+                chunk, parted, sizes.tolist(), n_left.tolist(), is_leaf.tolist(),
+                feat.tolist(), thr.tolist(), decrease.tolist(),
+                const_left.tolist(), const_right.tolist(),
             ):
-                if is_leaf:
-                    place(t, Leaf(value=float(y[idx].sum()) / n, n=n), parent)
+                if stop:
+                    place(t, leaf(idx), parent)
                 else:
+                    # Copies, so that no child keeps the chunk's array alive.
                     split = [n, f, th, dec, None, parent]
-                    stacks[t] += ((idx[~gl], depth + 1, split),
-                                  (idx[gl], depth + 1, split))
+                    stacks[t] += ((part[nl:n].copy(), depth + 1, split, cr),
+                                  (part[:nl].copy(), depth + 1, split, cl))
                 advance(t)
     return trees
 

@@ -225,9 +225,15 @@ class FoldPlan:
     assignments: tuple[int, ...]  # run index -> fold index
 
     def __post_init__(self):
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
         # A run outside every fold would never be held out or predicted.
         if not all(0 <= f < self.k for f in self.assignments):
             raise ValueError(f"fold ids must be in [0, {self.k})")
+        # An empty fold would train on every run and predict nothing.
+        empty = sorted(set(range(self.k)) - set(self.assignments))
+        if empty:
+            raise ValueError(f"fold {empty[0]} holds no runs")
 
     def fold_indices(self, fold: int) -> tuple[int, ...]:
         return tuple(i for i, f in enumerate(self.assignments) if f == fold)

@@ -16,8 +16,9 @@ once and share that frozen subtree object.  Such a forest grows all its
 trees together, level by level, scoring each level's new nodes in batched
 kernel passes.  When nodes search a feature subset, every tree of the call
 grows in lockstep: each tree pops its nodes in preorder, so its draws keep
-the recursion's order, and the nodes waiting to be split are scored in
-batched kernel passes, one per node size.  Either way the trees,
+the recursion's order, and the trees advance in rounds whose waiting nodes,
+of any sizes, are padded to a common width and scored in a few batched
+kernel passes.  Either way the trees,
 predictions and serialized bytes are exactly those of trees grown one by
 one.  Boosting is the stagewise additive update F_m = F_{m-1} + nu * h_m
 with F_0 = mean(y) and leaf values sum(residuals) / (count + lambda).
@@ -136,8 +137,10 @@ def _fit_models(X, y, fits, spec: ModelSpec) -> list[EnsembleModel]:
     nodes pending and peak memory lower.  With m < p the bootstraps of every
     forest are drawn first, and `cart._grow_lockstep` then grows all their
     trees in one pass, tree t drawing its feature subsets from
-    ``SplitMix64(derive_seed(tree seed, 1))`` in preorder; its capped
-    kernel calls bound peak memory instead.
+    ``SplitMix64(derive_seed(tree seed, 1))`` in preorder.  Each round
+    scores the one waiting node of every tree, nodes of all sizes together,
+    in kernel calls capped at `cart._LOCKSTEP_ROWS` padded rows, which
+    bound peak memory instead.
     """
     n_features = X.shape[1]
     cfg = spec.config

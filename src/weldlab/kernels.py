@@ -8,8 +8,10 @@ block.  ``_best_split_loops`` is the same search written as plain loops;
 it performs the same floating-point operations in the same order (stable
 sort, sequential prefix sums, identical score expression), and the test
 suite checks ``best_split`` against it bit for bit.  ``best_splits`` scores
-a batch of same-size nodes with the same steps along each node's own axis,
-so every node's result equals ``best_split`` on that node alone.
+a batch of nodes with the same steps along each node's own axis, so every
+node's result equals ``best_split`` on that node alone.  Its nodes share
+one row count, or, given per-node ``sizes``, are padded on the right to the
+largest: pads sort last, and no sum that is read includes one.
 
 Split contract: candidate thresholds are midpoints between consecutive
 distinct sorted values, comparison is ``<=`` (left), the score is the
@@ -79,7 +81,7 @@ def _best_split_loops(X, y, features, min_leaf):
     return best_f, best_t, best_score, parent_sse
 
 
-def _cut_sse(c, xs, min_leaf):
+def _cut_sse(c, xs, min_leaf, sizes=None):
     """Children SSE of every cut, for one node or a batch of nodes.
 
     `c` holds (..., 2k + 2, n) running sums along the last axis: the
@@ -88,19 +90,34 @@ def _cut_sse(c, xs, min_leaf):
     i of a feature puts its first i + 1 sorted rows left; it scores inf
     where its two boundary values tie or a child would have fewer than
     `min_leaf` rows.  Each child SSE clamps at zero.
+
+    `sizes` (B,) gives each node of a (B, 2k + 2, n) batch its own row
+    count; its pads sort last and add zeros (see `best_splits`).  Node b
+    then reads its totals at column ``sizes[b] - 1``, and every cut at or
+    past ``sizes[b] - min_leaf`` scores inf, so no value read involves a
+    pad.
     """
     k, n = xs.shape[-2:]
     nl = np.arange(1, n)
-    nr = n - nl
     sl = c[..., 1 : k + 1, :-1]
     ssl = c[..., k + 2 :, :-1]
-    sr = c[..., 1 : k + 1, -1:] - sl
+    if sizes is None:
+        nr = n - nl
+        tot = c[..., -1:]
+    else:
+        # A masked cut may have no right rows: divide those by 1, not 0.
+        nr = np.maximum(sizes[:, None, None] - nl, 1)
+        tot = c[np.arange(sizes.size), :, sizes - 1][..., None]
+    sr = tot[..., 1 : k + 1, :] - sl
     score = np.maximum(ssl - sl * sl / nl, 0.0) + np.maximum(
-        (c[..., k + 2 :, -1:] - ssl) - sr * sr / nr, 0.0
+        (tot[..., k + 2 :, :] - ssl) - sr * sr / nr, 0.0
     )
     score[xs[..., :-1] == xs[..., 1:]] = np.inf
     if min_leaf > 1:
         score[..., : min_leaf - 1] = np.inf
+    if sizes is not None:
+        np.copyto(score, np.inf, where=nl > (sizes - min_leaf)[:, None, None])
+    elif min_leaf > 1:
         score[..., max(n - min_leaf, 0) :] = np.inf
     return score
 
@@ -139,8 +156,8 @@ def best_split(X, y, features, min_leaf=1):
     return int(features[fi]), best_t, best_score, parent_sse
 
 
-def best_splits(Xb, yb, features, min_leaf=1):
-    """`best_split` of B nodes of n rows each, scored in one pass.
+def best_splits(Xb, yb, features, min_leaf=1, sizes=None):
+    """`best_split` of B nodes of up to n rows each, scored in one pass.
 
     Xb is (B, n, p) float64 and yb (B, n) float64.  `features` is either
     one ascending int64 array of k column indices that every node searches,
@@ -152,6 +169,18 @@ def best_splits(Xb, yb, features, min_leaf=1):
     applied along each node's own last axis (a stable argsort, sequential
     running sums, `_cut_sse`, a row-major argmin per node), so no value of
     one node enters another's sums.
+
+    `sizes`, an optional (B,) integer array, lets nodes of different sizes
+    share one call: node b's real rows are its first ``sizes[b]`` (1 to n),
+    and its rows past them are pads with X = +inf in every column and
+    y = 0.  Real X values must be finite, so the stable sort puts the pads
+    last and each running sum holds the node's own sums up to its last
+    real row.  Totals are read there and every cut that would put a pad
+    in a child is masked, so no pad's y enters a value that is read (the
+    zeros keep the masked cuts finite).  Entry b then equals `best_split`
+    on ``Xb[b, :sizes[b]]`` and ``yb[b, :sizes[b]]``, bit for bit.  With
+    ``sizes=None`` all n rows of every node are real, and no per-node
+    gather or mask is made.
     """
     B, n = yb.shape
     k = features.shape[-1]
@@ -164,12 +193,17 @@ def best_splits(Xb, yb, features, min_leaf=1):
     xs = np.take_along_axis(cols, order, axis=-1)
     ys = np.concatenate((yb[:, None], yb[node[:, None, None], order]), axis=1)
     c = np.add.accumulate(np.concatenate((ys, ys * ys), axis=1), axis=-1)
-    s_tot = c[:, 0, -1]
-    parent_sse = c[:, k + 1, -1] - s_tot * s_tot / n
+    if sizes is None:
+        s_tot = c[:, 0, -1]
+        parent_sse = c[:, k + 1, -1] - s_tot * s_tot / n
+    else:
+        sizes = np.asarray(sizes, dtype=np.intp)
+        s_tot = c[node, 0, sizes - 1]
+        parent_sse = c[node, k + 1, sizes - 1] - s_tot * s_tot / sizes
     if n < 2 or k == 0:
         return np.full(B, -1), np.zeros(B), np.full(B, np.inf), parent_sse
 
-    flat = _cut_sse(c, xs, min_leaf).reshape(B, -1)
+    flat = _cut_sse(c, xs, min_leaf, sizes).reshape(B, -1)
     best = flat.argmin(axis=1)
     best_score = flat[node, best]
     fi, i = np.divmod(best, n - 1)

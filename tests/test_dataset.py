@@ -203,6 +203,20 @@ class TestKfold:
         with pytest.raises(ValueError, match="fold ids"):
             FoldPlan(k=2, assignments=(0, 0, 0, 1, 1, 1, bad, bad, bad))
 
+    @pytest.mark.parametrize("k, assignments, empty", [
+        (3, (0, 1, 0, 1, 0, 1, 0, 1, 0), 2),
+        (3, (2, 2, 1, 2), 0),
+        (2, (), 0),
+    ])
+    def test_empty_fold_rejected(self, k, assignments, empty):
+        with pytest.raises(ValueError, match=f"fold {empty} holds no runs"):
+            FoldPlan(k=k, assignments=assignments)
+
+    @pytest.mark.parametrize("k", [2.0, True, "2"])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            FoldPlan(k=k, assignments=(0, 1))
+
     @pytest.mark.parametrize("n,k", [(5, 1), (5, 6), (3, 0)])
     def test_bad_k(self, n, k):
         with pytest.raises(ValueError):

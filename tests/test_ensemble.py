@@ -36,8 +36,9 @@ HARDNESS_RANGE = (58.3, 74.2)
 @pytest.fixture
 def scored_nodes(monkeypatch):
     """Nodes the split kernels score: one per `best_split` call under
-    "best_split", the batch size of every `best_splits` call under
-    "best_splits"."""
+    "best_split", the real nodes of every `best_splits` call under
+    "best_splits".  A call holds one node per row of `yb`, whether its
+    nodes share one size or are padded to the largest (`sizes`)."""
     scored = Counter()
     node_kernel = weldlab.cart.best_split
     batch_kernel = weldlab.cart.best_splits
@@ -46,9 +47,9 @@ def scored_nodes(monkeypatch):
         scored["best_split"] += 1
         return node_kernel(*args)
 
-    def batch(*args):
-        scored["best_splits"] += args[1].shape[0]
-        return batch_kernel(*args)
+    def batch(Xb, yb, features, min_leaf=1, sizes=None):
+        scored["best_splits"] += yb.shape[0]
+        return batch_kernel(Xb, yb, features, min_leaf, sizes)
 
     monkeypatch.setattr(weldlab.cart, "best_split", one)
     monkeypatch.setattr(weldlab.cart, "best_splits", batch)
@@ -344,31 +345,57 @@ class TestLockstepGrowth:
             # Nothing else drew either: each stream ends in the same state.
             assert [r._state for r in forest] == [r._state for r in alone]
 
+    @staticmethod
+    def _record_calls(monkeypatch):
+        """(real node sizes, padded width) of every `best_splits` call."""
+        calls = []
+        batch_kernel = weldlab.cart.best_splits
+
+        def recording(Xb, yb, features, min_leaf=1, sizes=None):
+            B, n = yb.shape
+            calls.append(([n] * B if sizes is None else list(sizes), n))
+            return batch_kernel(Xb, yb, features, min_leaf, sizes)
+
+        monkeypatch.setattr(weldlab.cart, "best_splits", recording)
+        return calls
+
     @pytest.mark.parametrize("data, cap", [("factorial", None), ("builtin", 20)])
-    def test_size_groups_larger_than_the_row_cap(self, builtin, monkeypatch, data, cap):
+    def test_size_groups_larger_than_the_row_cap(
+        self, builtin, monkeypatch, scored_nodes, data, cap,
+    ):
+        """Each round's waiting nodes, sorted by falling size, fill calls of
+        at most the row cap, counting pads: B nodes x the largest size."""
         d = builtin if data == "builtin" else factorial_81()
         if cap is not None:
             monkeypatch.setattr(weldlab.cart, "_LOCKSTEP_ROWS", cap)
         cap = weldlab.cart._LOCKSTEP_ROWS
-        calls = []
-        batch_kernel = weldlab.cart.best_splits
-
-        def recording(Xb, yb, features, min_leaf):
-            calls.append(yb.shape)
-            return batch_kernel(Xb, yb, features, min_leaf)
-
-        monkeypatch.setattr(weldlab.cart, "best_splits", recording)
+        calls = self._record_calls(monkeypatch)
         spec = ModelSpec(kind="rf", trees=50, m=2, seed=2)
         model = fit_model(d, spec)
-        roots = [B for B, n in calls if n == len(d)]
+        assert all(len(sizes) * width <= cap for sizes, width in calls)
+        assert all(width == max(sizes) and min(sizes) >= 1 for sizes, width in calls)
         # All 50 bootstrapped roots need a split; they exceed one call.
-        assert sum(roots) == 50 and len(roots) > 1 and 50 * len(d) > cap
-        assert all(B * n <= cap for B, n in calls)
+        roots = [sizes.count(len(d)) for sizes, _ in calls]
+        assert sum(roots) == 50 and sum(map(bool, roots)) > 1 and 50 * len(d) > cap
+        # Nodes of different sizes share calls.
+        assert any(len(set(sizes)) > 1 for sizes, _ in calls)
+        assert scored_nodes["best_split"] == 0
         X, y = d.features(), d.responses()
         for tree, ts in zip(model.trees, model.tree_seeds, strict=True):
             rows = bootstrap_indices(len(d), ts)
             assert tree == build_tree(X[rows], y[rows], spec.config,
                                       SplitMix64(derive_seed(ts, 1)), 2)
+        # The calls held one real node per node the recursion scores.
+        assert scored_nodes["best_splits"] == scored_nodes["best_split"]
+
+    def test_calls_per_fit_are_few(self, monkeypatch):
+        """One 50-tree m=2 fit on the 81-run design takes one call per
+        round, plus a few for rounds over the row cap: about 60 calls for
+        ~1,750 nodes, where one call per node size took ~400."""
+        calls = self._record_calls(monkeypatch)
+        fit_model(factorial_81(), ModelSpec(kind="rf", trees=50, m=2, seed=2))
+        assert sum(len(sizes) for sizes, _ in calls) > 1000
+        assert len(calls) <= 100
 
 
 class TestGbm:

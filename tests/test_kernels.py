@@ -127,6 +127,64 @@ class TestBatchedKernel:
                     assert node == kernels.best_split(X, yb[b], feats[b], min_leaf)
         assert varied and sizes >= {1, 2}
 
+    @pytest.mark.parametrize("per_node", [False, True])
+    @pytest.mark.parametrize("kind", ["continuous", "tied", "decimal"])
+    def test_mixed_sizes_equal_the_single_node_kernels(self, kind, per_node):
+        """Nodes of 1-40 rows share one padded width; each real node must
+        equal the single-node kernels on its own rows, whatever y its pads
+        hold."""
+        rng = np.random.default_rng(sum(map(ord, kind)) + 3 + per_node)
+        seen, wide_small = set(), set()
+        for width in range(1, 41):
+            for _ in range(8):
+                Xb, yb, feats, min_leaf = batch_instance(rng, kind, width)
+                B, _, p = Xb.shape
+                sizes = rng.integers(1, width + 1, B)
+                sizes[0] = width  # the widest node sets the width
+                if B > 1 and width > 2:
+                    sizes[-1] = rng.integers(1, 3)  # 1 or 2 rows in a wide batch
+                    wide_small.add(int(sizes[-1]))
+                if per_node:
+                    k = feats.size
+                    feats = np.array(
+                        [np.sort(rng.choice(p, k, replace=False)) for _ in range(B)],
+                        dtype=np.int64,
+                    )
+                pads = np.arange(width) >= sizes[:, None]
+                Xb[pads] = np.inf
+                yb[pads] = 0.0
+                seen.add((feats.shape[-1], min_leaf))
+                got = kernels.best_splits(Xb, yb, feats, min_leaf, sizes)
+                assert [a.shape for a in got] == [(B,)] * 4
+                for b, n in enumerate(sizes.tolist()):
+                    X = np.ascontiguousarray(Xb[b, :n])
+                    y = yb[b, :n].copy()
+                    f = feats[b] if per_node else feats
+                    node = tuple(v[b].item() for v in got)
+                    assert node == kernels._best_split_loops(X, y, f, min_leaf)
+                    assert node == kernels.best_split(X, y, f, min_leaf)
+                # No pad's y enters a sum that is read: any finite value
+                # there gives the same result as the zeros above.
+                yb[pads] = rng.uniform(-10.0, 10.0, int(pads.sum()))
+                again = kernels.best_splits(Xb, yb, feats, min_leaf, sizes)
+                for before, after in zip(got, again, strict=True):
+                    assert np.array_equal(before, after)
+        assert wide_small == {1, 2}
+        assert {k for k, _ in seen} >= {1, 2} and {m for _, m in seen} == {1, 2, 3}
+
+    @pytest.mark.parametrize("kind", ["continuous", "tied", "decimal"])
+    def test_uniform_sizes_equal_no_sizes(self, kind):
+        """`sizes` all equal to the width gives the same arrays as
+        ``sizes=None``, which the tests above check node by node."""
+        rng = np.random.default_rng(sum(map(ord, kind)) + 5)
+        for n in range(1, 41):
+            Xb, yb, feats, min_leaf = batch_instance(rng, kind, n)
+            plain = kernels.best_splits(Xb, yb, feats, min_leaf)
+            sized = kernels.best_splits(
+                Xb, yb, feats, min_leaf, np.full(yb.shape[0], n))
+            for a, b in zip(plain, sized, strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
     def test_stable_argsort_along_the_last_axis_is_per_row(self):
         rng = np.random.default_rng(12)
         a = rng.integers(0, 3, (7, 4, 25)).astype(np.float64)
