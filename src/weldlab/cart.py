@@ -287,68 +287,129 @@ def _memo_key(rows: bytes, depth: int, cfg: TreeConfig) -> bytes:
     return rows + depth.to_bytes(8, "little") if cfg.max_depth else rows
 
 
+# --- batched growth -------------------------------------------------------
+# Padded rows (nodes x the largest node's rows) of one `best_splits` call:
+# about a default forest's 200 roots of 9 runs, so calls stay few and small.
+_CALL_ROWS = 2048
+
+
+def _padded(X, y):
+    """X and y as float64 with the pad row, id ``len(y)``, appended.
+
+    The batched growers score nodes of mixed sizes in one `best_splits`
+    call, each padded on the right to the largest with the pad row: X =
+    +inf, which a stable sort puts last, and y = 0.  `best_splits` reads
+    each node's totals at its last real row and masks every cut past it,
+    so each node equals `best_split` on its own rows, bit for bit.
+    """
+    return np.vstack((X, np.full((1, X.shape[1]), np.inf))), np.append(y, 0.0)
+
+
+def _pack(yp, idxs, sizes):
+    """The row-id arrays `idxs`, of `sizes`, as rows of one array padded to
+    the largest, and the mask of their real cells."""
+    real = np.arange(sizes.max()) < sizes[:, None]
+    rows = np.full(real.shape, yp.size - 1)
+    rows[real] = np.concatenate(idxs)
+    return rows, real
+
+
+def _all_equal(ys, mask):
+    """Per row of `ys`: do its values under `mask` all equal?"""
+    return (np.where(mask, ys, np.inf).min(axis=1)
+            == np.where(mask, ys, -np.inf).max(axis=1))
+
+
+def _roots(yp, roots):
+    """`roots` as row-id arrays, and whether each has a constant response."""
+    roots = [np.asarray(rows, dtype=np.intp) for rows in roots]
+    rows, real = _pack(yp, roots, np.array([idx.size for idx in roots]))
+    return zip(roots, _all_equal(yp.take(rows), real).tolist())
+
+
+def _split_calls(Xp, yp, nodes, idxs, features, cfg: TreeConfig):
+    """Score `nodes`, of row ids `idxs` and falling size, that passed the
+    pre-score leaf rules, in calls of at most `_CALL_ROWS` padded rows;
+    `features` is as for `best_splits`.  Yields, per call, its nodes zipped
+    with their row ids stably partitioned (left, <= threshold, then right,
+    then pads), leaf flags, features, thresholds, decreases, left sizes and
+    whether each child has a constant response."""
+    sizes = np.array([idx.size for idx in idxs])
+    start = 0
+    while start < len(idxs):
+        stop = start + max(1, _CALL_ROWS // sizes[start])
+        n = sizes[start:stop]
+        rows, real = _pack(yp, idxs[start:stop], n)
+        B, width = rows.shape
+        Xb = Xp.take(rows, axis=0)
+        feat, thr, children_sse, parent_sse = best_splits(
+            Xb, yp.take(rows), features if features.ndim == 1
+            else features[start:stop], cfg.min_samples_leaf, n,
+        )
+        decrease = (parent_sse - children_sse) / n
+        # Every node passed the depth rule before scoring.
+        leaf = _is_leaf(cfg, n, 0, False, feat, decrease)
+        goes_left = Xb[np.arange(B), :, feat] <= thr[:, None]
+        order = np.argsort(~goes_left, axis=1, kind="stable")
+        # rows[b, order[b]] for every b, as one flat gather.
+        parted = rows.take(order + width * np.arange(B)[:, None])
+        n_left = goes_left.sum(axis=1)
+        in_left = np.arange(width) < n_left[:, None]
+        ys = yp.take(parted)
+        yield zip(nodes[start:stop], parted, leaf.tolist(), feat.tolist(),
+                  thr.tolist(), decrease.tolist(), n_left.tolist(),
+                  _all_equal(ys, in_left).tolist(),
+                  _all_equal(ys, ~in_left & real).tolist())
+        start = stop
+
+
+def _leaf(y, idx) -> Leaf:
+    """The leaf of rows `idx`, valued ``y[idx].mean()`` bit for bit: numpy
+    divides this pairwise sum by n (`np.add.reduce` skips `sum`'s wrapper)."""
+    return Leaf(value=float(np.add.reduce(y[idx])) / idx.size, n=idx.size)
+
+
 def _grow_levels(X, y, roots, cfg: TreeConfig, memo: dict) -> None:
     """Put into `memo` the tree of every row-id array in `roots`, grown
     level by level with every feature searched at each node.
 
     Keys come from `_memo_key`; this is the only function that writes a
-    memo, and `build_tree` reads its roots back from it.  Each level's
-    distinct nodes not yet in the memo are grouped by size, and each group
-    is scored in one `best_splits` call; split nodes are frozen afterwards
-    by ascending size, children first.
+    memo, and `build_tree` reads its roots back from it.  A new node that a
+    pre-score leaf rule makes a leaf enters the memo at once; `_split_calls`
+    scores each level's other distinct new nodes, sorted by falling size.
+    Split nodes are frozen afterwards by ascending size, children first.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
+    Xp, yp = _padded(X, y)
     features = np.arange(X.shape[1], dtype=np.int64)
-    width = np.dtype(np.intp).itemsize
     seen = set()
     splits = []  # (n, key, feature, threshold, decrease, left key, right key)
 
-    def enqueue(pending: dict, rb: bytes, depth: int) -> bytes:
-        key = _memo_key(rb, depth, cfg)
+    def enqueue(pending: list, idx, depth: int, constant: bool) -> bytes:
+        key = _memo_key(idx.tobytes(), depth, cfg)
         if key not in memo and key not in seen:
-            seen.add(key)
-            pending.setdefault(len(rb) // width, []).append(rb)
+            if _is_leaf(cfg, idx.size, depth, constant):
+                memo[key] = _leaf(yp, idx)
+            else:
+                seen.add(key)
+                pending.append((idx, key))
         return key
 
-    level: dict[int, list[bytes]] = {}  # node size -> each node's row ids
-    for rows in roots:
-        enqueue(level, np.asarray(rows, dtype=np.intp).tobytes(), 0)
+    level: list = []  # (row ids, key) of each node of this depth to score
+    for rows, constant in _roots(yp, roots):
+        enqueue(level, rows, 0, constant)
     depth = 0
     while level:
-        below: dict[int, list[bytes]] = {}
-        for n, group in level.items():
-            rows = np.frombuffer(b"".join(group), dtype=np.intp).reshape(-1, n)
-            keys = [_memo_key(rb, depth, cfg) for rb in group]
-            yb = y[rows]
-            leaf = _is_leaf(cfg, n, depth, yb.min(axis=1) == yb.max(axis=1))
-            at = np.flatnonzero(~leaf)
-            if at.size:
-                Xb = X[rows[at]]
-                feat, thr, children_sse, parent_sse = best_splits(
-                    Xb, yb[at], features, cfg.min_samples_leaf
-                )
-                decrease = (parent_sse - children_sse) / n
-                keep = ~_is_leaf(cfg, n, depth, False, feat, decrease)
-                leaf[at[~keep]] = True
-                at, Xb, feat, thr = at[keep], Xb[keep], feat[keep], thr[keep]
-                # Each node's rows, stably partitioned: the left (<= thr) first.
-                goes_left = Xb[np.arange(at.size), :, feat] <= thr[:, None]
-                order = np.argsort(~goes_left, axis=1, kind="stable")
-                parted = np.take_along_axis(rows[at], order, axis=1).tobytes()
-                stride = n * width
-                for start, cut, b, f, t, dec in zip(
-                    range(0, len(parted), stride),
-                    (goes_left.sum(axis=1) * width).tolist(), at.tolist(),
-                    feat.tolist(), thr.tolist(), decrease[keep].tolist(),
-                ):
-                    left = parted[start:start + cut]
-                    right = parted[start + cut:start + stride]
-                    lkey = enqueue(below, left, depth + 1)
-                    rkey = enqueue(below, right, depth + 1)
-                    splits.append((n, keys[b], f, t, dec, lkey, rkey))
-            for b in np.flatnonzero(leaf).tolist():
-                memo[keys[b]] = Leaf(value=float(yb[b].mean()), n=n)
+        below: list = []
+        level.sort(key=lambda node: node[0].size, reverse=True)
+        for call in _split_calls(Xp, yp, level, [idx for idx, _ in level],
+                                 features, cfg):
+            for (idx, key), part, leaf, f, t, dec, nl, cl, cr in call:
+                if leaf:
+                    memo[key] = _leaf(yp, idx)
+                    continue
+                lkey = enqueue(below, part[:nl], depth + 1, cl)
+                rkey = enqueue(below, part[nl:idx.size], depth + 1, cr)
+                splits.append((idx.size, key, f, t, dec, lkey, rkey))
         level = below
         depth += 1
     splits.sort(key=lambda s: s[0])
@@ -357,13 +418,6 @@ def _grow_levels(X, y, roots, cfg: TreeConfig, memo: dict) -> None:
             feature=f, threshold=t, decrease=dec, n=n,
             left=memo[lkey], right=memo[rkey],
         )
-
-
-# Padded node rows (nodes x rows of the largest node) of one `best_splits`
-# call in `_grow_lockstep`: about the largest call `_grow_levels` makes
-# (200 roots of 9 runs), so scoring every forest of a call together keeps
-# peak memory where the all-feature path already has it.
-_LOCKSTEP_ROWS = 2048
 
 
 def _grow_lockstep(X, y, roots, rngs, m: int, cfg: TreeConfig) -> list[TreeNode]:
@@ -375,33 +429,20 @@ def _grow_lockstep(X, y, roots, rngs, m: int, cfg: TreeConfig) -> list[TreeNode]
     Each tree pops its nodes from its own stack in preorder, so its draws
     come in the recursion's order: a node that a pre-score leaf rule makes
     a leaf draws nothing, and the first node that needs a split draws its
-    subset and waits.  The trees advance in rounds.  A round takes every
-    waiting node (at most one per tree), sorts them by falling size and
-    scores them in `best_splits` calls of at most `_LOCKSTEP_ROWS` padded
-    rows, each node padded to the largest of its call.  One stable
-    partition per call gives every child its row ids, and masked minima
-    and maxima its constant-response flag.  A split node pushes its right
-    child, then its left, and every scored node's tree pops on at once, up
-    to its next waiting node.  Trees are assembled children first: a split
-    becomes an `Internal` once its right subtree is done, so, as in the
-    recursion, only each tree's open splits are held.
+    subset and waits.  Each round scores every waiting node (at most one
+    per tree), sorted by falling size, by `_split_calls`.  A split node
+    pushes its right child, then its left, and every scored node's tree
+    pops on at once, up to its next waiting node.  A split becomes an
+    `Internal` once its right subtree is done, so, as in the recursion,
+    only each tree's open splits are held.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
+    Xp, yp = _padded(X, y)
     p = X.shape[1]
-    # Row id `pad` is the kernel's pad row: X = +inf sorts last, y = 0.
-    pad = y.shape[0]
-    Xp = np.vstack((X, np.full((1, p), np.inf)))
-    yp = np.append(y, 0.0)
     trees: list = [None] * len(roots)
     # Each stack entry is (row ids, depth, parent, constant response); a
     # parent is the list [n, feature, threshold, decrease, left subtree or
     # None, its parent].
-    stacks = []
-    for rows in roots:
-        rows = np.asarray(rows, dtype=np.intp)
-        ys = y[rows]
-        stacks.append([(rows, 0, None, bool(ys.min() == ys.max()))])
+    stacks = [[(rows, 0, None, constant)] for rows, constant in _roots(yp, roots)]
     waiting = []  # (tree, rows, depth, parent, subset)
 
     def place(t: int, node: TreeNode, parent) -> None:
@@ -416,22 +457,12 @@ def _grow_lockstep(X, y, roots, rngs, m: int, cfg: TreeConfig) -> list[TreeNode]
                             left=left, right=node)
         trees[t] = node
 
-    def leaf(idx: np.ndarray) -> Leaf:
-        # ys.mean() bit for bit: numpy divides this same pairwise sum by n.
-        # `np.add.reduce` is what `ndarray.sum` calls, minus its wrapper.
-        return Leaf(value=float(np.add.reduce(y[idx])) / idx.size, n=idx.size)
-
-    def all_equal(ys: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        # Per row of `ys`: do its values under `mask` all equal?
-        return (np.where(mask, ys, np.inf).min(axis=1)
-                == np.where(mask, ys, -np.inf).max(axis=1))
-
     def advance(t: int) -> None:
         stack = stacks[t]
         while stack:
             idx, depth, parent, constant = stack.pop()
             if _is_leaf(cfg, idx.size, depth, constant):
-                place(t, leaf(idx), parent)
+                place(t, _leaf(yp, idx), parent)
                 continue
             subset = rngs[t].sample_without_replacement(p, m)
             waiting.append((t, idx, depth, parent, subset))
@@ -442,44 +473,16 @@ def _grow_lockstep(X, y, roots, rngs, m: int, cfg: TreeConfig) -> list[TreeNode]
     while waiting:
         batch = sorted(waiting, key=lambda node: node[1].size, reverse=True)
         waiting.clear()
-        start = 0
-        while start < len(batch):
-            width = batch[start][1].size
-            chunk = batch[start:start + max(1, _LOCKSTEP_ROWS // width)]
-            start += len(chunk)
-            sizes = np.array([node[1].size for node in chunk])
-            col = np.arange(width)
-            rows = np.full((len(chunk), width), pad)
-            rows[col < sizes[:, None]] = np.concatenate([node[1] for node in chunk])
-            Xb = Xp.take(rows, axis=0)
-            yb = yp.take(rows)
-            feat, thr, children_sse, parent_sse = best_splits(
-                Xb, yb, np.array([node[4] for node in chunk], dtype=np.int64),
-                cfg.min_samples_leaf, sizes,
-            )
-            decrease = (parent_sse - children_sse) / sizes
-            # Every waiting node passed the depth rule before scoring.
-            is_leaf = _is_leaf(cfg, sizes, 0, False, feat, decrease)
-            # Each node's rows, stably partitioned: the left (<= thr) first,
-            # then the right, then the pads (+inf goes right).
-            goes_left = Xb[np.arange(len(chunk)), :, feat] <= thr[:, None]
-            order = np.argsort(~goes_left, axis=1, kind="stable")
-            # rows[b, order[b]] for every b, as one flat gather.
-            parted = rows.take(order + width * np.arange(len(chunk))[:, None])
-            ys = yp.take(parted)
-            n_left = goes_left.sum(axis=1)
-            in_left = col < n_left[:, None]
-            const_left = all_equal(ys, in_left)
-            const_right = all_equal(ys, ~in_left & (col < sizes[:, None]))
-            for (t, idx, depth, parent, _), part, n, nl, stop, f, th, dec, cl, cr in zip(
-                chunk, parted, sizes.tolist(), n_left.tolist(), is_leaf.tolist(),
-                feat.tolist(), thr.tolist(), decrease.tolist(),
-                const_left.tolist(), const_right.tolist(),
-            ):
-                if stop:
-                    place(t, leaf(idx), parent)
+        for call in _split_calls(
+            Xp, yp, batch, [node[1] for node in batch],
+            np.array([node[4] for node in batch], dtype=np.int64), cfg,
+        ):
+            for (t, idx, depth, parent, _), part, leaf, f, th, dec, nl, cl, cr in call:
+                if leaf:
+                    place(t, _leaf(yp, idx), parent)
                 else:
-                    # Copies, so that no child keeps the chunk's array alive.
+                    # Copies, so that no child keeps the call's array alive.
+                    n = idx.size
                     split = [n, f, th, dec, None, parent]
                     stacks[t] += ((part[nl:n].copy(), depth + 1, split, cr),
                                   (part[:nl].copy(), depth + 1, split, cl))

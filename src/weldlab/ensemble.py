@@ -13,15 +13,15 @@ every feature, the forests of one `fit_model` or `cross_validate` call (its
 single forest, or the forests of all its folds) build each distinct node
 (same ordered run ids of the dataset, and same depth under a depth limit)
 once and share that frozen subtree object.  Such a forest grows all its
-trees together, level by level, scoring each level's new nodes in batched
-kernel passes.  When nodes search a feature subset, every tree of the call
-grows in lockstep: each tree pops its nodes in preorder, so its draws keep
-the recursion's order, and the trees advance in rounds whose waiting nodes,
-of any sizes, are padded to a common width and scored in a few batched
-kernel passes.  Either way the trees,
-predictions and serialized bytes are exactly those of trees grown one by
-one.  Boosting is the stagewise additive update F_m = F_{m-1} + nu * h_m
-with F_0 = mean(y) and leaf values sum(residuals) / (count + lambda).
+trees together, level by level.  When nodes search a feature subset, every
+tree of the call grows in lockstep: each tree pops its nodes in preorder,
+so its draws keep the recursion's order, and the trees advance in rounds.
+Either way the nodes waiting at one time (a level's new nodes, or a
+round's), of any sizes, are padded to a common width and scored in a few
+batched kernel calls, and the trees, predictions and serialized bytes are
+exactly those of trees grown one by one.  Boosting is the stagewise
+additive update F_m = F_{m-1} + nu * h_m with F_0 = mean(y) and leaf values
+sum(residuals) / (count + lambda).
 """
 
 from __future__ import annotations
@@ -137,10 +137,9 @@ def _fit_models(X, y, fits, spec: ModelSpec) -> list[EnsembleModel]:
     nodes pending and peak memory lower.  With m < p the bootstraps of every
     forest are drawn first, and `cart._grow_lockstep` then grows all their
     trees in one pass, tree t drawing its feature subsets from
-    ``SplitMix64(derive_seed(tree seed, 1))`` in preorder.  Each round
-    scores the one waiting node of every tree, nodes of all sizes together,
-    in kernel calls capped at `cart._LOCKSTEP_ROWS` padded rows, which
-    bound peak memory instead.
+    ``SplitMix64(derive_seed(tree seed, 1))`` in preorder.  Both growers
+    score nodes of all sizes together in kernel calls capped at
+    `cart._CALL_ROWS` padded rows, which also bounds peak memory.
     """
     n_features = X.shape[1]
     cfg = spec.config
@@ -409,13 +408,32 @@ def _node_to_dict(t: TreeNode) -> dict:
     }
 
 
-def _node_from_dict(obj: dict, n_features: int) -> TreeNode:
+def _fields(obj, what: str, names: Sequence[str]) -> list:
+    """The values under `names` of the JSON object `obj`, a `what`; a
+    malformed model file raises a ValueError that says what is wrong."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    missing = [name for name in names if name not in obj]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
+    return [obj[name] for name in names]
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array")
+    return value
+
+
+def _node_from_dict(obj, n_features: int) -> TreeNode:
     """Rebuild a tree, rejecting any split feature outside [0, n_features)."""
-    if "leaf" in obj:
-        leaf = obj["leaf"]
-        return Leaf(value=float(leaf["value"]), n=int(leaf["n"]))
-    s = obj["split"]
-    feature = int(s["feature"])
+    if isinstance(obj, dict) and "leaf" in obj:
+        value, n = _fields(obj["leaf"], "a leaf", ("value", "n"))
+        return Leaf(value=float(value), n=int(n))
+    (s,) = _fields(obj, "a tree node", ("split",))
+    feature, threshold, decrease, n, left, right = _fields(
+        s, "a split", ("feature", "threshold", "decrease", "n", "left", "right"))
+    feature = int(feature)
     if not 0 <= feature < n_features:
         raise ValueError(
             f"split feature {feature} is outside [0, {n_features}) "
@@ -423,11 +441,11 @@ def _node_from_dict(obj: dict, n_features: int) -> TreeNode:
         )
     return Internal(
         feature=feature,
-        threshold=float(s["threshold"]),
-        decrease=float(s["decrease"]),
-        n=int(s["n"]),
-        left=_node_from_dict(s["left"], n_features),
-        right=_node_from_dict(s["right"], n_features),
+        threshold=float(threshold),
+        decrease=float(decrease),
+        n=int(n),
+        left=_node_from_dict(left, n_features),
+        right=_node_from_dict(right, n_features),
     )
 
 
@@ -472,37 +490,54 @@ def model_to_json(model: EnsembleModel) -> str:
 
 def model_from_json(text: str) -> EnsembleModel:
     """Parse a model document; every split feature is checked here, once, so
-    prediction can route rows without re-walking each tree."""
+    prediction can route rows without re-walking each tree.  A malformed
+    document raises a ValueError."""
     doc = json.loads(text)
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError("not a weldlab model document")
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')}")
-    cfg = TreeConfig(**doc["config"])
-    n_features = int(doc["n_features"])
-    trees = tuple(_node_from_dict(t, n_features) for t in doc["trees"])
-    if doc["kind"] == "rf":
+    kind, config, n_features, seed, trees = _fields(
+        doc, "the model", ("kind", "config", "n_features", "seed", "trees"))
+    cfg = TreeConfig(*_fields(config, "config", (
+        "max_depth", "min_samples_leaf", "min_impurity_decrease")))
+    n_features = int(n_features)
+    trees = tuple(_node_from_dict(t, n_features)
+                  for t in _list(trees, "trees"))
+    if kind == "rf":
+        m, bootstrap, tree_seeds = _fields(
+            doc, "the model", ("m", "bootstrap", "tree_seeds"))
+        if not trees:
+            raise ValueError("a forest needs at least one tree")
+        if len(_list(tree_seeds, "tree_seeds")) != len(trees):
+            raise ValueError(f"tree_seeds has {len(tree_seeds)} entries "
+                             f"for {len(trees)} trees")
         return ForestModel(
             trees=trees,
-            tree_seeds=tuple(doc["tree_seeds"]),
+            tree_seeds=tuple(tree_seeds),
             n_features=n_features,
-            m=int(doc["m"]),
-            bootstrap=bool(doc["bootstrap"]),
-            seed=int(doc["seed"]),
+            m=int(m),
+            bootstrap=bool(bootstrap),
+            seed=int(seed),
             config=cfg,
         )
-    if doc["kind"] == "gbm":
+    if kind == "gbm":
+        f0, nu, lam, train_mse = _fields(
+            doc, "the model", ("f0", "nu", "lam", "train_mse"))
+        if len(_list(train_mse, "train_mse")) != len(trees) + 1:
+            raise ValueError(f"train_mse has {len(train_mse)} entries for "
+                             f"{len(trees)} stages; it needs stages + 1")
         return BoostModel(
-            f0=float(doc["f0"]),
+            f0=float(f0),
             stages=trees,
-            nu=float(doc["nu"]),
-            lam=float(doc["lam"]),
+            nu=float(nu),
+            lam=float(lam),
             n_features=n_features,
-            seed=int(doc["seed"]),
+            seed=int(seed),
             config=cfg,
-            train_mse=tuple(float(v) for v in doc["train_mse"]),
+            train_mse=tuple(float(v) for v in train_mse),
         )
-    raise ValueError(f"unknown model kind {doc['kind']!r}")
+    raise ValueError(f"unknown model kind {kind!r}")
 
 
 def save_model(model: EnsembleModel, path) -> None:

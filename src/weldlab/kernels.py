@@ -8,10 +8,9 @@ block.  ``_best_split_loops`` is the same search written as plain loops;
 it performs the same floating-point operations in the same order (stable
 sort, sequential prefix sums, identical score expression), and the test
 suite checks ``best_split`` against it bit for bit.  ``best_splits`` scores
-a batch of nodes with the same steps along each node's own axis, so every
-node's result equals ``best_split`` on that node alone.  Its nodes share
-one row count, or, given per-node ``sizes``, are padded on the right to the
-largest: pads sort last, and no sum that is read includes one.
+a batch of nodes, padded on the right to the largest, with the same steps
+along each node's own axis: pads sort last, no sum that is read includes
+one, and every node's result equals ``best_split`` on that node alone.
 
 Split contract: candidate thresholds are midpoints between consecutive
 distinct sorted values, comparison is ``<=`` (left), the score is the
@@ -170,19 +169,19 @@ def best_splits(Xb, yb, features, min_leaf=1, sizes=None):
     running sums, `_cut_sse`, a row-major argmin per node), so no value of
     one node enters another's sums.
 
-    `sizes`, an optional (B,) integer array, lets nodes of different sizes
-    share one call: node b's real rows are its first ``sizes[b]`` (1 to n),
-    and its rows past them are pads with X = +inf in every column and
-    y = 0.  Real X values must be finite, so the stable sort puts the pads
-    last and each running sum holds the node's own sums up to its last
-    real row.  Totals are read there and every cut that would put a pad
-    in a child is masked, so no pad's y enters a value that is read (the
-    zeros keep the masked cuts finite).  Entry b then equals `best_split`
-    on ``Xb[b, :sizes[b]]`` and ``yb[b, :sizes[b]]``, bit for bit.  With
-    ``sizes=None`` all n rows of every node are real, and no per-node
-    gather or mask is made.
+    `sizes`, a (B,) integer array, lets nodes of different sizes share one
+    call: node b's real rows are its first ``sizes[b]`` (1 to n; all n when
+    `sizes` is None), and its rows past them are pads with X = +inf in
+    every column and y = 0.  Real X values must be finite, so the stable
+    sort puts the pads last and each running sum holds the node's own sums
+    up to its last real row.  Totals are read there and every cut that
+    would put a pad in a child is masked, so no pad's y enters a value that
+    is read (the zeros keep the masked cuts finite).  Entry b then equals
+    `best_split` on ``Xb[b, :sizes[b]]`` and ``yb[b, :sizes[b]]``, bit for
+    bit.
     """
     B, n = yb.shape
+    sizes = np.full(B, n) if sizes is None else np.asarray(sizes, dtype=np.intp)
     k = features.shape[-1]
     node = np.arange(B)
     if features.ndim == 1:
@@ -193,13 +192,8 @@ def best_splits(Xb, yb, features, min_leaf=1, sizes=None):
     xs = np.take_along_axis(cols, order, axis=-1)
     ys = np.concatenate((yb[:, None], yb[node[:, None, None], order]), axis=1)
     c = np.add.accumulate(np.concatenate((ys, ys * ys), axis=1), axis=-1)
-    if sizes is None:
-        s_tot = c[:, 0, -1]
-        parent_sse = c[:, k + 1, -1] - s_tot * s_tot / n
-    else:
-        sizes = np.asarray(sizes, dtype=np.intp)
-        s_tot = c[node, 0, sizes - 1]
-        parent_sse = c[node, k + 1, sizes - 1] - s_tot * s_tot / sizes
+    s_tot = c[node, 0, sizes - 1]
+    parent_sse = c[node, k + 1, sizes - 1] - s_tot * s_tot / sizes
     if n < 2 or k == 0:
         return np.full(B, -1), np.zeros(B), np.full(B, np.inf), parent_sse
 

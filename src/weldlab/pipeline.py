@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -98,18 +99,20 @@ class RunConfig:
 
 
 def _parse_cv(spec: str) -> int | None:
-    """Returns fold count, or None for leave-one-out."""
+    """Returns fold count, or None for leave-one-out.
+
+    The report echoes the spec, so each fold count has one spelling: ASCII
+    digits without a sign, spaces, underscores or leading zeros.
+    """
     if spec == "loo":
         return None
-    if spec.startswith("k:"):
-        try:
-            k = int(spec[2:])
-        except ValueError:
-            raise ValueError(f"bad CV spec {spec!r}; use 'loo' or 'k:<K>'") from None
-        if k < 2:
-            raise ValueError("CV fold count must be >= 2")
-        return k
-    raise ValueError(f"bad CV spec {spec!r}; use 'loo' or 'k:<K>'")
+    match = re.fullmatch(r"k:(0|[1-9][0-9]*)", spec)
+    if match is None:
+        raise ValueError(f"bad CV spec {spec!r}; use 'loo' or 'k:<K>'")
+    k = int(match[1])
+    if k < 2:
+        raise ValueError("CV fold count must be >= 2")
+    return k
 
 
 @dataclass

@@ -3,12 +3,29 @@ import math
 import numpy as np
 import pytest
 
+import weldlab.cart
 from weldlab.dataset import Dataset, Run, builtin_aa6262
 
 
 @pytest.fixture
 def builtin() -> Dataset:
     return builtin_aa6262()
+
+
+@pytest.fixture
+def batch_calls(monkeypatch) -> list:
+    """(real node sizes, padded width) of every `best_splits` call that
+    the batched growers make."""
+    calls = []
+    batch_kernel = weldlab.cart.best_splits
+
+    def recording(Xb, yb, features, min_leaf=1, sizes=None):
+        B, n = yb.shape
+        calls.append(([n] * B if sizes is None else sizes.tolist(), n))
+        return batch_kernel(Xb, yb, features, min_leaf, sizes)
+
+    monkeypatch.setattr(weldlab.cart, "best_splits", recording)
+    return calls
 
 
 @pytest.fixture

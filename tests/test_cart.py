@@ -26,6 +26,7 @@ from weldlab.cart import (
     split_info,
 )
 from weldlab.dataset import bootstrap_indices
+from weldlab.pipeline import RunConfig, run_pipeline
 
 from conftest import assert_split_optimal
 
@@ -416,6 +417,36 @@ class TestGrowLevels:
 
         monkeypatch.setattr(weldlab.cart, "best_split", refuse)
         assert build_tree(X, y, cfg, rows=rows, memo={}) == alone
+
+    @pytest.mark.parametrize("cap", [None, 20])
+    def test_calls_mix_sizes_under_the_row_cap(self, builtin, monkeypatch,
+                                               batch_calls, cap):
+        """Each level's new nodes, sorted by falling size, fill calls of at
+        most the row cap, counting pads: B nodes x the largest size."""
+        if cap is not None:
+            monkeypatch.setattr(weldlab.cart, "_CALL_ROWS", cap)
+        cap = weldlab.cart._CALL_ROWS
+        X, y = builtin.features(), builtin.responses()
+        roots = [bootstrap_indices(9, derive_seed(5, t)) for t in range(200)]
+        memo: dict = {}
+        _grow_levels(X, y, roots, TreeConfig(), memo)
+        assert all(len(sizes) * width <= cap for sizes, width in batch_calls)
+        assert all(width == max(sizes) and min(sizes) >= 1
+                   for sizes, width in batch_calls)
+        # Nodes of different sizes share calls.
+        assert any(len(set(sizes)) > 1 for sizes, _ in batch_calls)
+        with monkeypatch.context() as m:
+            m.setattr(weldlab.cart, "best_splits", None)
+            trees = [build_tree(X, y, rows=r, memo=memo) for r in roots]
+        for rows, tree in zip(roots, trees):
+            assert tree == build_tree(X[rows], y[rows])
+
+    def test_default_report_calls_are_few(self, batch_calls):
+        """A default report (seed 0) scores 5,084 nodes in batches: 42
+        calls, where one call per node size took 134."""
+        run_pipeline(RunConfig(seed=0))
+        assert sum(len(sizes) for sizes, _ in batch_calls) == 5084
+        assert len(batch_calls) <= 60
 
     def test_threshold_rounding_onto_the_lower_value_goes_left(self):
         # the midpoint of two adjacent floats rounds to the lower one

@@ -119,10 +119,13 @@ class TestSubcommands:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_bad_cv_usage_error(self, capsys):
+    @pytest.mark.parametrize("cv", ["sometimes", "k: 3", "k:+3", "k:\u0663",
+                                    "k:1_0"])
+    def test_bad_cv_usage_error(self, capsys, cv):
         with pytest.raises(SystemExit) as exc:
-            main(["fit", "--cv", "sometimes"])
+            main(["fit", "--cv", cv])
         assert exc.value.code == 2
+        assert "bad CV spec" in capsys.readouterr().err
 
 
 class TestBadModelConfig:

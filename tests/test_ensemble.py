@@ -345,31 +345,17 @@ class TestLockstepGrowth:
             # Nothing else drew either: each stream ends in the same state.
             assert [r._state for r in forest] == [r._state for r in alone]
 
-    @staticmethod
-    def _record_calls(monkeypatch):
-        """(real node sizes, padded width) of every `best_splits` call."""
-        calls = []
-        batch_kernel = weldlab.cart.best_splits
-
-        def recording(Xb, yb, features, min_leaf=1, sizes=None):
-            B, n = yb.shape
-            calls.append(([n] * B if sizes is None else list(sizes), n))
-            return batch_kernel(Xb, yb, features, min_leaf, sizes)
-
-        monkeypatch.setattr(weldlab.cart, "best_splits", recording)
-        return calls
-
     @pytest.mark.parametrize("data, cap", [("factorial", None), ("builtin", 20)])
     def test_size_groups_larger_than_the_row_cap(
-        self, builtin, monkeypatch, scored_nodes, data, cap,
+        self, builtin, monkeypatch, scored_nodes, batch_calls, data, cap,
     ):
         """Each round's waiting nodes, sorted by falling size, fill calls of
         at most the row cap, counting pads: B nodes x the largest size."""
         d = builtin if data == "builtin" else factorial_81()
         if cap is not None:
-            monkeypatch.setattr(weldlab.cart, "_LOCKSTEP_ROWS", cap)
-        cap = weldlab.cart._LOCKSTEP_ROWS
-        calls = self._record_calls(monkeypatch)
+            monkeypatch.setattr(weldlab.cart, "_CALL_ROWS", cap)
+        cap = weldlab.cart._CALL_ROWS
+        calls = batch_calls
         spec = ModelSpec(kind="rf", trees=50, m=2, seed=2)
         model = fit_model(d, spec)
         assert all(len(sizes) * width <= cap for sizes, width in calls)
@@ -388,11 +374,11 @@ class TestLockstepGrowth:
         # The calls held one real node per node the recursion scores.
         assert scored_nodes["best_splits"] == scored_nodes["best_split"]
 
-    def test_calls_per_fit_are_few(self, monkeypatch):
+    def test_calls_per_fit_are_few(self, batch_calls):
         """One 50-tree m=2 fit on the 81-run design takes one call per
         round, plus a few for rounds over the row cap: about 60 calls for
         ~1,750 nodes, where one call per node size took ~400."""
-        calls = self._record_calls(monkeypatch)
+        calls = batch_calls
         fit_model(factorial_81(), ModelSpec(kind="rf", trees=50, m=2, seed=2))
         assert sum(len(sizes) for sizes, _ in calls) > 1000
         assert len(calls) <= 100
@@ -771,6 +757,43 @@ class TestSerialization:
             return model_to_json(fit_random_forest(builtin, trees=3, cfg=cfg))
 
         assert doc(value) == doc(plain)
+
+    @staticmethod
+    def _drop(obj, key):
+        del obj[key]
+
+    @pytest.mark.parametrize("kind, edit, match", [
+        ("rf", lambda doc: doc.update(trees=[], tree_seeds=[]), "at least one tree"),
+        ("rf", lambda doc: doc["tree_seeds"].pop(), "tree_seeds has 1 entries for 2"),
+        ("rf", lambda doc: doc.update(trees={}), "trees must be a JSON array"),
+        ("gbm", lambda doc: doc["train_mse"].pop(), "train_mse has 3 entries"),
+        ("gbm", lambda doc: doc["train_mse"].append(0.5), "train_mse has 5 entries"),
+        ("rf", lambda doc: TestSerialization._drop(doc, "n_features"),
+         "the model lacks 'n_features'"),
+        ("rf", lambda doc: TestSerialization._drop(doc, "tree_seeds"),
+         "the model lacks 'tree_seeds'"),
+        ("gbm", lambda doc: TestSerialization._drop(doc["config"], "max_depth"),
+         "config lacks 'max_depth'"),
+        ("gbm", lambda doc: doc.update(trees=[{"leaf": {"value": 1.0}}] * 3),
+         "a leaf lacks 'n'"),
+        ("gbm", lambda doc: doc.update(trees=[[]] * 3), "a tree node must be"),
+    ])
+    def test_malformed_document_rejected(self, builtin, kind, edit, match):
+        """A model file is outside input: each flaw must raise a ValueError
+        that names it, not load or fail later with another error."""
+        if kind == "rf":
+            model = fit_random_forest(builtin, trees=2, seed=1)
+        else:
+            model = fit_gbm(builtin, rounds=3)
+        doc = json.loads(model_to_json(model))
+        edit(doc)
+        with pytest.raises(ValueError, match=match):
+            model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["[]", "[1, 2]", '"weldlab.model"', "3"])
+    def test_non_object_document_rejected(self, text):
+        with pytest.raises(ValueError, match="not a weldlab model document"):
+            model_from_json(text)
 
     def test_version_checked(self):
         with pytest.raises(ValueError):

@@ -30,12 +30,16 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(builtin="aa7075")
 
-    def test_cv_spec_validated(self):
+    @pytest.mark.parametrize("bad", [
+        "half", "k:1", "k:0", "k:", "k: 3", "k:3 ", "k:3\n", "k:+3", "k:-3",
+        "k:\u0663", "k:1_0", "k:03", "K:3", "k:3.0",
+    ])
+    def test_cv_spec_validated(self, bad):
+        """A fold count has one spelling, since the report echoes the spec."""
         with pytest.raises(ValueError):
-            RunConfig(cv="half")
-        with pytest.raises(ValueError):
-            RunConfig(cv="k:1")
+            RunConfig(cv=bad)
         RunConfig(cv="k:3")
+        RunConfig(cv="k:10")
         RunConfig(cv="loo")
 
     @pytest.mark.parametrize(
