@@ -7,8 +7,9 @@ Subcommands mirror the analysis stages so each is usable in isolation:
 * ``fit``     -- train a model, cross-validate, report importance
 * ``report``  -- the full pipeline
 
-Exit codes: 0 success (at least one stage ran and no I/O error),
-1 I/O error, 2 usage error, 3 every stage failed.
+Exit codes: 0 success (at least one analysis stage that the subcommand
+prints ran, and no I/O error), 1 I/O error, 2 usage error, 3 every analysis
+stage that the subcommand prints failed (nothing is written to stdout).
 """
 
 from __future__ import annotations
@@ -118,7 +119,9 @@ def main(argv: list[str] | None = None) -> int:
     doc.sections = {k: v for k, v in doc.sections.items() if k in wanted}
     doc.errors = {k: v for k, v in doc.errors.items() if k in wanted}
 
-    if not doc.sections:
+    # Every subcommand keeps the dataset section, so only the analysis
+    # stages decide whether anything succeeded.
+    if doc.sections.keys() == {"dataset"}:
         for stage, msg in doc.errors.items():
             print(f"weldlab: stage {stage} failed: {msg}", file=sys.stderr)
         return EXIT_ALL_FAILED

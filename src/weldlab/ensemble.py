@@ -97,6 +97,9 @@ class ModelSpec:
         _set_int_fields(self, ("trees", "rounds", "seed")
                         + (() if self.m is None else ("m",)))
         _check_real_fields(self, ("nu", "lam"))
+        if not isinstance(self.bootstrap, (bool, np.bool_)):
+            raise ValueError(f"bootstrap must be a bool, got {self.bootstrap!r}")
+        object.__setattr__(self, "bootstrap", bool(self.bootstrap))
         if self.trees < 1:
             raise ValueError(f"trees must be >= 1, got {self.trees}")
         if self.rounds < 0:
@@ -425,25 +428,38 @@ def _list(value, what: str) -> list:
     return value
 
 
+def _integer(value, what: str, low: int, high: int | None = None) -> int:
+    """`value` if it is a JSON integer in [low, high), else a ValueError
+    that names `what`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < low or (high is not None and value >= high):
+        end = "inf" if high is None else high
+        raise ValueError(f"{what} {value} is outside [{low}, {end})")
+    return value
+
+
+def _real(value, what: str) -> float:
+    """`value` as a float if it is a JSON number, else a ValueError that
+    names `what`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _node_from_dict(obj, n_features: int) -> TreeNode:
     """Rebuild a tree, rejecting any split feature outside [0, n_features)."""
     if isinstance(obj, dict) and "leaf" in obj:
         value, n = _fields(obj["leaf"], "a leaf", ("value", "n"))
-        return Leaf(value=float(value), n=int(n))
+        return Leaf(value=_real(value, "leaf value"), n=_integer(n, "leaf n", 1))
     (s,) = _fields(obj, "a tree node", ("split",))
     feature, threshold, decrease, n, left, right = _fields(
         s, "a split", ("feature", "threshold", "decrease", "n", "left", "right"))
-    feature = int(feature)
-    if not 0 <= feature < n_features:
-        raise ValueError(
-            f"split feature {feature} is outside [0, {n_features}) "
-            "for this model"
-        )
     return Internal(
-        feature=feature,
-        threshold=float(threshold),
-        decrease=float(decrease),
-        n=int(n),
+        feature=_integer(feature, "split feature", 0, n_features),
+        threshold=_real(threshold, "split threshold"),
+        decrease=_real(decrease, "split decrease"),
+        n=_integer(n, "split n", 1),
         left=_node_from_dict(left, n_features),
         right=_node_from_dict(right, n_features),
     )
@@ -501,7 +517,7 @@ def model_from_json(text: str) -> EnsembleModel:
         doc, "the model", ("kind", "config", "n_features", "seed", "trees"))
     cfg = TreeConfig(*_fields(config, "config", (
         "max_depth", "min_samples_leaf", "min_impurity_decrease")))
-    n_features = int(n_features)
+    n_features = _integer(n_features, "n_features", 1)
     trees = tuple(_node_from_dict(t, n_features)
                   for t in _list(trees, "trees"))
     if kind == "rf":
@@ -512,13 +528,17 @@ def model_from_json(text: str) -> EnsembleModel:
         if len(_list(tree_seeds, "tree_seeds")) != len(trees):
             raise ValueError(f"tree_seeds has {len(tree_seeds)} entries "
                              f"for {len(trees)} trees")
+        spec = ModelSpec(kind="rf", m=m, bootstrap=bootstrap, seed=seed)
+        if spec.m is None or spec.m > n_features:
+            raise ValueError(f"m must be in [1, {n_features}], got {m!r}")
         return ForestModel(
             trees=trees,
-            tree_seeds=tuple(tree_seeds),
+            tree_seeds=tuple(_integer(v, "tree seed", 0, 2**64)
+                             for v in tree_seeds),
             n_features=n_features,
-            m=int(m),
-            bootstrap=bool(bootstrap),
-            seed=int(seed),
+            m=spec.m,
+            bootstrap=spec.bootstrap,
+            seed=spec.seed,
             config=cfg,
         )
     if kind == "gbm":
@@ -527,15 +547,16 @@ def model_from_json(text: str) -> EnsembleModel:
         if len(_list(train_mse, "train_mse")) != len(trees) + 1:
             raise ValueError(f"train_mse has {len(train_mse)} entries for "
                              f"{len(trees)} stages; it needs stages + 1")
+        spec = ModelSpec(kind="gbm", nu=nu, lam=lam, seed=seed)
         return BoostModel(
-            f0=float(f0),
+            f0=_real(f0, "f0"),
             stages=trees,
-            nu=float(nu),
-            lam=float(lam),
+            nu=spec.nu,
+            lam=spec.lam,
             n_features=n_features,
-            seed=int(seed),
+            seed=spec.seed,
             config=cfg,
-            train_mse=tuple(float(v) for v in train_mse),
+            train_mse=tuple(_real(v, "train_mse entry") for v in train_mse),
         )
     raise ValueError(f"unknown model kind {kind!r}")
 

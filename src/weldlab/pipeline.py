@@ -1,16 +1,18 @@
 """Full analysis pipeline and report rendering.
 
-Stages run in order (dataset -> design/taguchi -> ANOVA -> models); a
-domain failure in one stage (a ValueError or ArithmeticError) is recorded
-in the report instead of aborting the rest, while programming errors
-propagate.  Every report embeds the seed and hyperparameters needed to
-replay it, and a discrepancy section surfaces where the published tables
-disagree with what the embedded data actually give.
+`run_pipeline` loads the dataset, which is fatal if it fails, and then runs
+the analysis stages that `_STAGES` lists once, in report order.  A stage is
+a function ``(dataset, cfg) -> (section, warnings, discrepancies)``.  A
+domain failure in a stage (a ValueError or ArithmeticError) is recorded
+under the stage's name instead of aborting the rest, while programming
+errors propagate.  Discrepancies against the published tables are kept for
+the embedded dataset only.  Every report embeds the seed and
+hyperparameters needed to replay it.
 
 Each report section is described once, in `_blocks`: its text lines, its
 tables (raw cells with text and CSV headers) and its CSV-only files.  The
-text report and the file writer are short loops over those blocks, so
-adding a section means adding one block there.
+text report and the file writer are short loops over those blocks.  So
+adding a stage means one function, one `_STAGES` entry and one block.
 """
 
 from __future__ import annotations
@@ -125,10 +127,6 @@ class ReportDocument:
     warnings: list = field(default_factory=list)
     discrepancies: list = field(default_factory=list)
 
-    @property
-    def succeeded_stages(self) -> tuple[str, ...]:
-        return tuple(self.sections)
-
 
 def _model_spec(cfg: RunConfig) -> ModelSpec:
     return ModelSpec(
@@ -144,7 +142,7 @@ def _model_spec(cfg: RunConfig) -> ModelSpec:
 
 
 def run_pipeline(cfg: RunConfig) -> ReportDocument:
-    """Execute dataset -> taguchi -> anova -> model stages on one config."""
+    """Load the dataset, then run each analysis stage of `_STAGES` in order."""
     doc = ReportDocument(config=cfg)
 
     # Dataset stage: a failure here is fatal (nothing downstream can run).
@@ -165,159 +163,160 @@ def run_pipeline(cfg: RunConfig) -> ReportDocument:
         ],
     }
 
-    try:
-        diag = check_design(d)
-        doc.sections["design"] = diagnostics_to_json_dict(diag)
-        for pair in diag.non_orthogonal_pairs():
-            doc.warnings.append(
-                f"design is not orthogonal for the pair ({pair[0]}, {pair[1]}); "
-                "level means remain interpretable but effects are partially "
-                "confounded"
-            )
-    except (ValueError, ArithmeticError) as exc:
-        doc.errors["design"] = str(exc)
-
-    try:
-        table = response_table(d, criterion=cfg.criterion)
-        raw_best = optimal_combination(table, basis="raw")
-        sn_best = optimal_combination(table, basis="s_n")
-        doc.sections["taguchi"] = {
-            "criterion": cfg.criterion,
-            "grand_mean": table.grand_mean,
-            "rows": response_table_rows(table),
-            "delta": {
-                e.factor: {"raw": e.delta, "rank_raw": e.rank} for e in table.raw
-            },
-            "delta_sn": {
-                e.factor: {"s_n": e.delta, "rank_sn": e.rank} for e in table.s_n
-            },
-            "optimal_raw": _combination_dicts(raw_best),
-            "optimal_sn": _combination_dicts(sn_best),
-        }
+    for name, stage in _STAGES.items():
+        try:
+            section, warnings, discrepancies = stage(d, cfg)
+        except (ValueError, ArithmeticError) as exc:
+            doc.errors[name] = str(exc)
+            continue
+        doc.sections[name] = section
+        doc.warnings.extend(warnings)
+        # The published tables describe the embedded dataset only.
         if cfg.builtin == "aa6262":
-            got = tuple(c.level_index for c in raw_best)
-            if got != published.PUBLISHED_OPTIMAL_LEVELS:
-                doc.discrepancies.append(
-                    published.Discrepancy(
-                        topic="optimal level combination",
-                        published="levels "
-                        + "/".join(str(v) for v in published.PUBLISHED_OPTIMAL_LEVELS)
-                        + " (1200 rpm, 50 mm/min, 0.3 mm)",
-                        computed="levels "
-                        + "/".join(str(v) for v in got)
-                        + " ("
-                        + ", ".join(f"{c.factor}={c.level_value:g}" for c in raw_best)
-                        + ")",
-                        note="argmax of the level means over the embedded runs; "
-                        "the run with maximum hardness (74.2) sits at "
-                        "1000 rpm / 60 mm/min / 0.1 mm",
-                    )
-                )
-    except (ValueError, ArithmeticError) as exc:
-        doc.errors["taguchi"] = str(exc)
-
-    try:
-        fit = anova_mod.fit_glm(d)
-        table = anova_mod.anova_table(fit)
-        summary = anova_mod.model_summary(fit)
-        doc.sections["anova"] = {
-            "rows": [
-                {
-                    "source": r.source, "df": r.df, "adj_ss": _sig6(r.adj_ss),
-                    "adj_ms": _sig6(r.adj_ms), "f_value": _sig6(r.f_value),
-                    "p_value": _sig6(r.p_value),
-                }
-                for r in table.rows
-            ],
-            "error": {"source": "Error", "df": table.error.df,
-                      "adj_ss": _sig6(table.error.adj_ss),
-                      "adj_ms": _sig6(table.error.adj_ms)},
-            "total": {"source": "Total", "df": table.total.df,
-                      "adj_ss": _sig6(table.total.adj_ss)},
-            "significant": list(table.significant_sources()),
-            "model_summary": {
-                "s": _sig6(summary.s),
-                "r_sq": _sig6(summary.r_sq),
-                "r_sq_adjusted": _sig6(summary.r_sq_adjusted),
-                "r_sq_predicted": _sig6(summary.r_sq_predicted),
-                "press": _sig6(summary.press),
-            },
-        }
-        if cfg.builtin == "aa6262":
-            doc.discrepancies.append(
-                published.Discrepancy(
-                    topic="total sum of squares",
-                    published=f"{published.PUBLISHED_TOTAL_SS}",
-                    computed=f"{fit.sst:.6g}",
-                    note="the published ANOVA total cannot be derived from the "
-                    "9 published runs; it implies unpublished replicate data, "
-                    "so this table reports the honest decomposition of the "
-                    "embedded runs",
-                )
-            )
-    except (ValueError, ArithmeticError) as exc:
-        doc.errors["anova"] = str(exc)
-
-    try:
-        spec = _model_spec(cfg)
-        model = fit_model(d, spec)
-        y = d.responses()
-        train_pred = predict_ensemble_many(model, d.features())
-        train_metrics = regression_metrics(y, train_pred)
-        k = _parse_cv(cfg.cv)
-        plan = kfold_plan(len(d), len(d) if k is None else k, cfg.seed)
-        cv = cross_validate(d, spec, plan)
-        importance = feature_importance(model)
-        doc.sections["model"] = {
-            "spec": {
-                "kind": spec.kind, "trees": spec.trees, "m": spec.m,
-                "bootstrap": spec.bootstrap, "rounds": spec.rounds,
-                "nu": spec.nu, "lambda": spec.lam, "seed": spec.seed,
-                "max_depth": spec.config.max_depth,
-                "min_samples_leaf": spec.config.min_samples_leaf,
-                "cv": cfg.cv,
-            },
-            "training": _metrics_dict(train_metrics),
-            "cv_pooled": _metrics_dict(cv.pooled),
-            "cv_folds": [
-                None if m is None else _metrics_dict(m) for m in cv.fold_metrics
-            ],
-            "feature_importance": {
-                name: importance.scores[i]
-                for i, name in enumerate(d.factor_names)
-            },
-        }
-        if cfg.builtin == "aa6262":
-            pub = (
-                published.PUBLISHED_RF_METRICS
-                if cfg.model == "rf"
-                else published.PUBLISHED_XGB_METRICS
-            )
-            doc.discrepancies.append(
-                published.Discrepancy(
-                    topic=f"{cfg.model} held-out metrics",
-                    published=f"MSE={pub[0]}, MAE={pub[1]}, R^2={pub[2]}",
-                    computed=f"MSE={cv.pooled.mse:.6g}, MAE={cv.pooled.mae:.6g}, "
-                    f"R^2={_fmt_opt(cv.pooled.r_sq)} ({cfg.cv} CV, seed {cfg.seed})",
-                    note="the published metrics never state their train/test "
-                    "split, seed, or hyperparameters (9 samples), so they are "
-                    "not reproducible targets; seeded cross-validation metrics "
-                    "are reported instead",
-                )
-            )
-    except (ValueError, ArithmeticError) as exc:
-        doc.errors["model"] = str(exc)
-
-    try:
-        tree = fit_regression_tree(d, TreeConfig(max_depth=cfg.depth))
-        doc.sections["tree"] = {
-            "text": export_tree(tree, "text", feature_names=d.factor_names),
-            "graph": export_tree(tree, "graph", feature_names=d.factor_names),
-        }
-    except (ValueError, ArithmeticError) as exc:
-        doc.errors["tree"] = str(exc)
-
+            doc.discrepancies.extend(discrepancies)
     return doc
+
+
+def _design(d, cfg: RunConfig):
+    diag = check_design(d)
+    warnings = [
+        f"design is not orthogonal for the pair ({a}, {b}); level means "
+        "remain interpretable but effects are partially confounded"
+        for a, b in diag.non_orthogonal_pairs()
+    ]
+    return diagnostics_to_json_dict(diag), warnings, []
+
+
+def _taguchi(d, cfg: RunConfig):
+    table = response_table(d, criterion=cfg.criterion)
+    raw_best = optimal_combination(table, basis="raw")
+    sn_best = optimal_combination(table, basis="s_n")
+    section = {
+        "criterion": cfg.criterion,
+        "grand_mean": table.grand_mean,
+        "rows": response_table_rows(table),
+        "delta": {e.factor: {"raw": e.delta, "rank_raw": e.rank} for e in table.raw},
+        "delta_sn": {
+            e.factor: {"s_n": e.delta, "rank_sn": e.rank} for e in table.s_n
+        },
+        "optimal_raw": _combination_dicts(raw_best),
+        "optimal_sn": _combination_dicts(sn_best),
+    }
+    got = tuple(c.level_index for c in raw_best)
+    if got == published.PUBLISHED_OPTIMAL_LEVELS:
+        return section, [], []
+    units = ("rpm", "mm/min", "mm")
+    return section, [], [published.Discrepancy(
+        topic="optimal level combination",
+        published=_levels_text(published.PUBLISHED_OPTIMAL_LEVELS, (
+            f"{v:g} {u}" for v, u in zip(published.PUBLISHED_OPTIMAL_VALUES, units))),
+        computed=_levels_text(got, (f"{c.factor}={c.level_value:g}" for c in raw_best)),
+        note="argmax of the level means over the embedded runs; "
+        "the run with maximum hardness (74.2) sits at "
+        "1000 rpm / 60 mm/min / 0.1 mm",
+    )]
+
+
+def _levels_text(levels, settings) -> str:
+    """'levels 3/2/3 (a, b, c)' from level indices and setting labels."""
+    return "levels " + "/".join(map(str, levels)) + " (" + ", ".join(settings) + ")"
+
+
+def _anova(d, cfg: RunConfig):
+    fit = anova_mod.fit_glm(d)
+    table = anova_mod.anova_table(fit)
+    summary = anova_mod.model_summary(fit)
+    section = {
+        "rows": [
+            {
+                "source": r.source, "df": r.df, "adj_ss": _sig6(r.adj_ss),
+                "adj_ms": _sig6(r.adj_ms), "f_value": _sig6(r.f_value),
+                "p_value": _sig6(r.p_value),
+            }
+            for r in table.rows
+        ],
+        "error": {"source": "Error", "df": table.error.df,
+                  "adj_ss": _sig6(table.error.adj_ss),
+                  "adj_ms": _sig6(table.error.adj_ms)},
+        "total": {"source": "Total", "df": table.total.df,
+                  "adj_ss": _sig6(table.total.adj_ss)},
+        "significant": list(table.significant_sources()),
+        "model_summary": {
+            "s": _sig6(summary.s),
+            "r_sq": _sig6(summary.r_sq),
+            "r_sq_adjusted": _sig6(summary.r_sq_adjusted),
+            "r_sq_predicted": _sig6(summary.r_sq_predicted),
+            "press": _sig6(summary.press),
+        },
+    }
+    return section, [], [published.Discrepancy(
+        topic="total sum of squares",
+        published=f"{published.PUBLISHED_TOTAL_SS}",
+        computed=f"{fit.sst:.6g}",
+        note="the published ANOVA total cannot be derived from the "
+        "9 published runs; it implies unpublished replicate data, "
+        "so this table reports the honest decomposition of the "
+        "embedded runs",
+    )]
+
+
+def _model(d, cfg: RunConfig):
+    spec = _model_spec(cfg)
+    model = fit_model(d, spec)
+    y = d.responses()
+    train_pred = predict_ensemble_many(model, d.features())
+    train_metrics = regression_metrics(y, train_pred)
+    k = _parse_cv(cfg.cv)
+    plan = kfold_plan(len(d), len(d) if k is None else k, cfg.seed)
+    cv = cross_validate(d, spec, plan)
+    importance = feature_importance(model)
+    section = {
+        "spec": {
+            "kind": spec.kind, "trees": spec.trees, "m": spec.m,
+            "bootstrap": spec.bootstrap, "rounds": spec.rounds,
+            "nu": spec.nu, "lambda": spec.lam, "seed": spec.seed,
+            "max_depth": spec.config.max_depth,
+            "min_samples_leaf": spec.config.min_samples_leaf,
+            "cv": cfg.cv,
+        },
+        "training": _metrics_dict(train_metrics),
+        "cv_pooled": _metrics_dict(cv.pooled),
+        "cv_folds": [
+            None if m is None else _metrics_dict(m) for m in cv.fold_metrics
+        ],
+        "feature_importance": {
+            name: importance.scores[i] for i, name in enumerate(d.factor_names)
+        },
+    }
+    pub = (published.PUBLISHED_RF_METRICS if cfg.model == "rf"
+           else published.PUBLISHED_XGB_METRICS)
+    return section, [], [published.Discrepancy(
+        topic=f"{cfg.model} held-out metrics",
+        published=f"MSE={pub[0]}, MAE={pub[1]}, R^2={pub[2]}",
+        computed=f"MSE={cv.pooled.mse:.6g}, MAE={cv.pooled.mae:.6g}, "
+        f"R^2={_fmt_opt(cv.pooled.r_sq)} ({cfg.cv} CV, seed {cfg.seed})",
+        note="the published metrics never state their train/test "
+        "split, seed, or hyperparameters (9 samples), so they are "
+        "not reproducible targets; seeded cross-validation metrics "
+        "are reported instead",
+    )]
+
+
+def _tree(d, cfg: RunConfig):
+    tree = fit_regression_tree(d, TreeConfig(max_depth=cfg.depth))
+    return {
+        "text": export_tree(tree, "text", feature_names=d.factor_names),
+        "graph": export_tree(tree, "graph", feature_names=d.factor_names),
+    }, [], []
+
+
+_STAGES = {
+    "design": _design,
+    "taguchi": _taguchi,
+    "anova": _anova,
+    "model": _model,
+    "tree": _tree,
+}
 
 
 def _fmt_opt(v) -> str:

@@ -37,7 +37,17 @@ from weldlab.ensemble import (
 )
 from weldlab.kernels import best_split
 from weldlab.pipeline import RunConfig, report_json, run_pipeline
-from weldlab.published import PUBLISHED_TOTAL_SS
+from weldlab.published import (
+    PUBLISHED_ANOVA_SS,
+    PUBLISHED_ERROR_DF,
+    PUBLISHED_ERROR_SS,
+    PUBLISHED_R_SQ,
+    PUBLISHED_R_SQ_ADJUSTED,
+    PUBLISHED_R_SQ_PREDICTED,
+    PUBLISHED_S,
+    PUBLISHED_TOTAL_DF,
+    PUBLISHED_TOTAL_SS,
+)
 from weldlab.taguchi import (
     check_design,
     optimal_combination,
@@ -57,16 +67,18 @@ def passed(n: int, detail: str) -> None:
 def test_criterion_01_published_anova_arithmetic():
     """Printed SS/DF through the MS/F/p arithmetic reproduce the printed
     MS/F/p values."""
-    printed = {
-        "rpm": (232.621, 116.311, 145.62, 0.007),
-        "feed": (2.965, 1.483, 1.86, 0.350),
-        "depth": (133.779, 66.889, 83.75, 0.012),
+    printed = {  # source -> printed (MS, F, p)
+        "rpm": (116.311, 145.62, 0.007),
+        "traverse_mm_min": (1.483, 1.86, 0.350),
+        "plan_depth_mm": (66.889, 83.75, 0.012),
     }
-    mse = 1.597 / 2
-    for ss, want_ms, want_f, want_p in printed.values():
-        ms = ss / 2
+    assert set(printed) == set(PUBLISHED_ANOVA_SS)
+    mse = PUBLISHED_ERROR_SS / PUBLISHED_ERROR_DF
+    for source, (df, ss) in PUBLISHED_ANOVA_SS.items():
+        want_ms, want_f, want_p = printed[source]
+        ms = ss / df
         f = ms / mse
-        p = f_survival(f, 2, 2)
+        p = f_survival(f, df, PUBLISHED_ERROR_DF)
         assert ms == pytest.approx(want_ms, abs=0.001)
         assert f == pytest.approx(want_f, abs=0.1)
         assert p == pytest.approx(want_p, abs=0.001)
@@ -76,11 +88,13 @@ def test_criterion_01_published_anova_arithmetic():
 def test_criterion_02_published_model_summary():
     """S/R^2/adjusted R^2 from the printed aggregates; predicted R^2 via the
     ordering invariant only."""
-    s = summary_from_aggregates(1.597, 2, 370.963, 8)
-    assert s.s == pytest.approx(0.894, abs=0.001)
-    assert 100 * s.r_sq == pytest.approx(99.57, abs=0.02)
-    assert 100 * s.r_sq_adjusted == pytest.approx(98.28, abs=0.02)
-    assert 91.28 <= 98.28 <= 99.57  # printed chain consistent with pred <= adj <= R^2
+    s = summary_from_aggregates(PUBLISHED_ERROR_SS, PUBLISHED_ERROR_DF,
+                                PUBLISHED_TOTAL_SS, PUBLISHED_TOTAL_DF)
+    assert s.s == pytest.approx(PUBLISHED_S, abs=0.001)
+    assert s.r_sq == pytest.approx(PUBLISHED_R_SQ, abs=0.0002)
+    assert s.r_sq_adjusted == pytest.approx(PUBLISHED_R_SQ_ADJUSTED, abs=0.0002)
+    # printed chain consistent with pred <= adj <= R^2
+    assert PUBLISHED_R_SQ_PREDICTED <= PUBLISHED_R_SQ_ADJUSTED <= PUBLISHED_R_SQ
     passed(2, "published model summary reproduced (S, R^2, adjusted R^2)")
 
 

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from weldlab.cli import EXIT_IO, EXIT_OK, main
-from weldlab.dataset import builtin_aa6262, write_csv
+from weldlab.cli import EXIT_ALL_FAILED, EXIT_IO, EXIT_OK, main
+from weldlab.dataset import Dataset, builtin_aa6262, write_csv
 
 
 def run_cli(capsys, *argv):
@@ -113,6 +113,23 @@ class TestSubcommands:
         assert code == EXIT_OK
         payload = json.loads(out)
         assert "taguchi" in payload["errors"]
+
+    @pytest.mark.parametrize("command, code, failed", [
+        ("anova", EXIT_ALL_FAILED, "anova failed: model needs 3 parameters"),
+        ("fit", EXIT_ALL_FAILED, "model failed: fold 0 leaves only 1 training run"),
+        ("taguchi", EXIT_OK, "taguchi failed: factor 'rpm' has a single level"),
+    ])
+    def test_exit_3_when_every_printed_stage_fails(
+        self, capsys, tmp_path, command, code, failed
+    ):
+        # Two runs: too few for the ANOVA model or leave-one-out folds, and
+        # one rpm level, but the design diagnostics of `taguchi` still run.
+        path = tmp_path / "two.csv"
+        write_csv(Dataset(runs=builtin_aa6262().runs[:2]), path)
+        got, out, err = run_cli(capsys, command, "--input", str(path))
+        assert got == code
+        assert f"weldlab: stage {failed}" in err
+        assert (out == "") == (code == EXIT_ALL_FAILED)
 
     def test_unknown_command_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

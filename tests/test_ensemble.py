@@ -690,13 +690,16 @@ class TestModelSpec:
             fit_gbm(builtin, rounds=3, nu=True)
         with pytest.raises(ValueError, match="^trees must be >= 1"):
             ModelSpec(kind="rf", trees=0)
+        with pytest.raises(ValueError, match="^bootstrap must be a bool"):
+            fit_random_forest(builtin, trees=2, bootstrap="no")
 
     @pytest.mark.parametrize("bad", [
         {"trees": 0}, {"trees": 2.5}, {"trees": True}, {"rounds": -1},
         {"rounds": 1.5}, {"m": 0}, {"m": np.bool_(True)}, {"m": 2.0},
         {"nu": 0.0}, {"nu": 1.5}, {"nu": float("nan")}, {"nu": True},
         {"nu": "0.3"}, {"lam": -1.0}, {"lam": float("nan")}, {"lam": False},
-        {"seed": -1}, {"seed": 2**64}, {"seed": 1.0},
+        {"seed": -1}, {"seed": 2**64}, {"seed": 1.0}, {"bootstrap": "no"},
+        {"bootstrap": 1}, {"bootstrap": None},
     ])
     @pytest.mark.parametrize("kind", ["rf", "gbm"])
     def test_bad_setting_names_its_field(self, kind, bad):
@@ -707,11 +710,12 @@ class TestModelSpec:
     def test_numpy_settings_accepted_and_counts_become_ints(self):
         spec = ModelSpec(kind="gbm", trees=np.int64(3), rounds=np.uint8(2),
                          m=np.int32(2), nu=np.float64(0.5), lam=np.int16(1),
-                         seed=np.uint64(2**64 - 1))
+                         seed=np.uint64(2**64 - 1), bootstrap=np.bool_(False))
         assert spec == ModelSpec(kind="gbm", trees=3, rounds=2, m=2, nu=0.5,
-                                 lam=1, seed=2**64 - 1)
+                                 lam=1, seed=2**64 - 1, bootstrap=False)
         for name in ("trees", "rounds", "m", "seed"):
             assert type(getattr(spec, name)) is int
+        assert type(spec.bootstrap) is bool
 
 
 class TestSerialization:
@@ -777,6 +781,24 @@ class TestSerialization:
         ("gbm", lambda doc: doc.update(trees=[{"leaf": {"value": 1.0}}] * 3),
          "a leaf lacks 'n'"),
         ("gbm", lambda doc: doc.update(trees=[[]] * 3), "a tree node must be"),
+        ("rf", lambda doc: doc.update(m=99), r"m must be in \[1, 3\], got 99"),
+        ("rf", lambda doc: doc.update(m=None), r"m must be in \[1, 3\], got None"),
+        ("rf", lambda doc: doc.update(bootstrap="no"), "bootstrap must be a bool"),
+        ("rf", lambda doc: doc.update(tree_seeds=["x", "y"]),
+         "tree seed must be an integer, got 'x'"),
+        ("rf", lambda doc: doc["tree_seeds"].__setitem__(1, -1),
+         "tree seed -1 is outside"),
+        ("rf", lambda doc: doc["tree_seeds"].__setitem__(1, 2**64),
+         f"tree seed {2**64} is outside"),
+        ("gbm", lambda doc: doc.update(trees=[{"leaf": {"value": 1.0, "n": None}}] * 3),
+         "leaf n must be an integer, got None"),
+        ("gbm", lambda doc: doc.update(trees=[{"leaf": {"value": 1.0, "n": 0}}] * 3),
+         "leaf n 0 is outside"),
+        ("rf", lambda doc: doc["trees"][1]["split"].update(n=8.5),
+         "split n must be an integer, got 8.5"),
+        ("gbm", lambda doc: doc.update(trees=[{"leaf": {"value": None, "n": 1}}] * 3),
+         "leaf value must be a number"),
+        ("gbm", lambda doc: doc.update(nu="0.3"), "nu must be a real number"),
     ])
     def test_malformed_document_rejected(self, builtin, kind, edit, match):
         """A model file is outside input: each flaw must raise a ValueError

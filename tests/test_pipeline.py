@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import weldlab.pipeline
 from weldlab.dataset import builtin_aa6262, write_csv
 from weldlab.pipeline import (
     ReportDocument,
@@ -151,11 +152,40 @@ class TestRunPipeline:
         assert "taguchi" in doc.errors
         assert "anova" in doc.sections  # later stages still ran
 
-    def test_programming_error_propagates(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise TypeError("broken stage")
 
-        monkeypatch.setattr("weldlab.pipeline.fit_regression_tree", broken)
+# The library call each analysis stage makes first.
+STAGE_CALLS = {
+    "design": (weldlab.pipeline, "check_design"),
+    "taguchi": (weldlab.pipeline, "response_table"),
+    "anova": (weldlab.pipeline.anova_mod, "fit_glm"),
+    "model": (weldlab.pipeline, "fit_model"),
+    "tree": (weldlab.pipeline, "fit_regression_tree"),
+}
+
+
+class TestStageIsolation:
+    @staticmethod
+    def _break(monkeypatch, stage, exc):
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(*STAGE_CALLS[stage], broken)
+
+    @pytest.mark.parametrize("error", [ValueError, ArithmeticError])
+    @pytest.mark.parametrize("stage", list(STAGE_CALLS))
+    def test_domain_failure_recorded_under_its_stage(
+        self, monkeypatch, stage, error
+    ):
+        self._break(monkeypatch, stage, error("broken stage"))
+        doc = run_pipeline(RunConfig(trees=5))
+        assert doc.errors == {stage: "broken stage"}
+        assert set(doc.sections) == {"dataset", *STAGE_CALLS} - {stage}
+        assert f"- {stage}: broken stage" in report_text(doc)
+        assert json.loads(report_json(doc))["errors"] == {stage: "broken stage"}
+
+    @pytest.mark.parametrize("stage", list(STAGE_CALLS))
+    def test_programming_error_propagates(self, monkeypatch, stage):
+        self._break(monkeypatch, stage, TypeError("broken stage"))
         with pytest.raises(TypeError, match="broken stage"):
             run_pipeline(RunConfig(trees=5))
 
