@@ -4,9 +4,18 @@ All shuffles, bootstrap draws, and feature subsets flow from SplitMix64 so
 that golden files reproduce bit-for-bit on any platform and any numpy
 version.  The generator is defined entirely by the three constants below
 (Steele, Lea & Flood's finalizer); see README for the contract.
+
+A *lane* is one SplitMix64 stream held as one entry of a ``uint64`` state
+array, so that many streams draw in one vectorized step: draw k of the
+stream seeded s is ``mix64(s + k * GOLDEN_GAMMA)``, whether it comes from a
+`SplitMix64` or a lane (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC 2011).  `lane_subsets` is `SplitMix64.sample_without_replacement`
+run over many lanes at once, draw for draw.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -15,8 +24,9 @@ MIX_MUL_2 = 0x94D049BB133111EB
 
 
 def mix64(z: int) -> int:
-    """SplitMix64 output function: avalanche a 64-bit state word."""
-    z &= MASK64
+    """SplitMix64 output function: avalanche a 64-bit state word, or each
+    word of a ``uint64`` array (whose arithmetic wraps mod 2^64)."""
+    z = z & MASK64
     z = ((z ^ (z >> 30)) * MIX_MUL_1) & MASK64
     z = ((z ^ (z >> 27)) * MIX_MUL_2) & MASK64
     return z ^ (z >> 31)
@@ -69,3 +79,38 @@ class SplitMix64:
             j = i + self.next_below(n - i)
             pool[i], pool[j] = pool[j], pool[i]
         return sorted(pool[:k])
+
+
+def _lane_draws(lanes: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """Next draw of each lane in `which`, advancing those lanes in place."""
+    state = lanes[which] + np.uint64(GOLDEN_GAMMA)
+    lanes[which] = state
+    return mix64(state)
+
+
+def lane_subsets(lanes: np.ndarray, which: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Row r is ``SplitMix64(lanes[which[r]]).sample_without_replacement(n, k)``,
+    as a (len(which), k) int64 array, and each lane in `which` (distinct
+    indices into the ``uint64`` array `lanes`) ends in that stream's state.
+
+    The partial Fisher-Yates runs over all rows at once; a lane whose draw
+    `next_below` would reject redraws, alone, until it is accepted.
+    """
+    if not 0 <= k <= n:
+        raise ValueError(f"cannot sample {k} from {n}")
+    rows = np.arange(which.size)
+    pool = np.tile(np.arange(n, dtype=np.int64), (which.size, 1))
+    for i in range(k):
+        bound = n - i
+        limit = (2**64 // bound) * bound
+        r = _lane_draws(lanes, which)
+        if limit <= MASK64:  # a power-of-two bound rejects nothing
+            redo = np.flatnonzero(r >= limit)
+            while redo.size:
+                r[redo] = _lane_draws(lanes, which[redo])
+                redo = redo[r[redo] >= limit]
+        j = i + (r % bound).astype(np.intp)
+        held = pool[rows, i]
+        pool[rows, i] = pool[rows, j]
+        pool[rows, j] = held
+    return np.sort(pool[:, :k], axis=1)

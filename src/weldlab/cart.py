@@ -16,7 +16,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from ._rng import SplitMix64
+from ._rng import SplitMix64, lane_subsets
 from .dataset import Dataset
 from .kernels import best_split, best_splits
 
@@ -180,7 +180,7 @@ def _is_leaf(cfg, n, depth, constant, feat=0, decrease=np.inf):
     """
     return (
         (n < 2 * cfg.min_samples_leaf)
-        | bool(cfg.max_depth and depth >= cfg.max_depth)
+        | ((depth >= cfg.max_depth) if cfg.max_depth else False)
         | constant
         | (feat < 0)
         | (decrease <= 0.0)
@@ -291,6 +291,8 @@ def _memo_key(rows: bytes, depth: int, cfg: TreeConfig) -> bytes:
 # Padded rows (nodes x the largest node's rows) of one `best_splits` call:
 # about a default forest's 200 roots of 9 runs, so calls stay few and small.
 _CALL_ROWS = 2048
+# Node records that `_grow_lockstep` turns into Python values at a time.
+_BUILD_BLOCK = 256
 
 
 def _padded(X, y):
@@ -321,46 +323,62 @@ def _all_equal(ys, mask):
 
 
 def _roots(yp, roots):
-    """`roots` as row-id arrays, and whether each has a constant response."""
+    """`roots` as row-id arrays, their sizes, and whether each has a
+    constant response."""
     roots = [np.asarray(rows, dtype=np.intp) for rows in roots]
-    rows, real = _pack(yp, roots, np.array([idx.size for idx in roots]))
-    return zip(roots, _all_equal(yp.take(rows), real).tolist())
+    sizes = np.array([idx.size for idx in roots])
+    rows, real = _pack(yp, roots, sizes)
+    return roots, sizes, _all_equal(yp.take(rows), real)
+
+
+def _calls(sizes):
+    """(start, stop) of each kernel call over nodes of `sizes`, falling: at
+    most `_CALL_ROWS` padded rows (nodes x the first node's size) each."""
+    start = 0
+    while start < len(sizes):
+        stop = start + max(1, _CALL_ROWS // int(sizes[start]))
+        yield start, stop
+        start = stop
+
+
+def _score(Xp, yp, rows, real, n, features, cfg: TreeConfig):
+    """Score the nodes whose row ids are the rows of `rows` (real where
+    `real`, pads after), of sizes `n`, in one `best_splits` call; each node
+    passed the pre-score leaf rules.  Returns leaf flags, features,
+    thresholds and decreases, each node's row ids stably partitioned (left,
+    <= threshold, then right, then pads), left sizes, and whether each child
+    has a constant response."""
+    B, width = rows.shape
+    Xb = Xp.take(rows, axis=0)
+    feat, thr, children_sse, parent_sse = best_splits(
+        Xb, yp.take(rows), features, cfg.min_samples_leaf, n)
+    decrease = (parent_sse - children_sse) / n
+    # Every node passed the depth rule before scoring.
+    leaf = _is_leaf(cfg, n, 0, False, feat, decrease)
+    goes_left = Xb[np.arange(B), :, feat] <= thr[:, None]
+    order = np.argsort(~goes_left, axis=1, kind="stable")
+    # rows[b, order[b]] for every b, as one flat gather.
+    parted = rows.take(order + width * np.arange(B)[:, None])
+    n_left = goes_left.sum(axis=1)
+    in_left = np.arange(width) < n_left[:, None]
+    ys = yp.take(parted)
+    return (leaf, feat, thr, decrease, parted, n_left,
+            _all_equal(ys, in_left), _all_equal(ys, ~in_left & real))
 
 
 def _split_calls(Xp, yp, nodes, idxs, features, cfg: TreeConfig):
-    """Score `nodes`, of row ids `idxs` and falling size, that passed the
-    pre-score leaf rules, in calls of at most `_CALL_ROWS` padded rows;
-    `features` is as for `best_splits`.  Yields, per call, its nodes zipped
-    with their row ids stably partitioned (left, <= threshold, then right,
-    then pads), leaf flags, features, thresholds, decreases, left sizes and
-    whether each child has a constant response."""
+    """Score `nodes`, of row ids `idxs` and falling size, by `_score`, all
+    searching `features`, in calls of at most `_CALL_ROWS` padded rows.
+    Yields, per call, its nodes zipped with `_score`'s per-node results,
+    as Python values but the partitioned row ids."""
     sizes = np.array([idx.size for idx in idxs])
-    start = 0
-    while start < len(idxs):
-        stop = start + max(1, _CALL_ROWS // sizes[start])
-        n = sizes[start:stop]
-        rows, real = _pack(yp, idxs[start:stop], n)
-        B, width = rows.shape
-        Xb = Xp.take(rows, axis=0)
-        feat, thr, children_sse, parent_sse = best_splits(
-            Xb, yp.take(rows), features if features.ndim == 1
-            else features[start:stop], cfg.min_samples_leaf, n,
-        )
-        decrease = (parent_sse - children_sse) / n
-        # Every node passed the depth rule before scoring.
-        leaf = _is_leaf(cfg, n, 0, False, feat, decrease)
-        goes_left = Xb[np.arange(B), :, feat] <= thr[:, None]
-        order = np.argsort(~goes_left, axis=1, kind="stable")
-        # rows[b, order[b]] for every b, as one flat gather.
-        parted = rows.take(order + width * np.arange(B)[:, None])
-        n_left = goes_left.sum(axis=1)
-        in_left = np.arange(width) < n_left[:, None]
-        ys = yp.take(parted)
+    for start, stop in _calls(sizes):
+        rows, real = _pack(yp, idxs[start:stop], sizes[start:stop])
+        leaf, feat, thr, dec, parted, n_left, cl, cr = _score(
+            Xp, yp, rows, real, sizes[start:stop], features, cfg)
         yield zip(nodes[start:stop], parted, leaf.tolist(), feat.tolist(),
-                  thr.tolist(), decrease.tolist(), n_left.tolist(),
-                  _all_equal(ys, in_left).tolist(),
-                  _all_equal(ys, ~in_left & real).tolist())
-        start = stop
+                  thr.tolist(), dec.tolist(), n_left.tolist(), cl.tolist(),
+                  cr.tolist())
 
 
 def _leaf(y, idx) -> Leaf:
@@ -395,8 +413,9 @@ def _grow_levels(X, y, roots, cfg: TreeConfig, memo: dict) -> None:
         return key
 
     level: list = []  # (row ids, key) of each node of this depth to score
-    for rows, constant in _roots(yp, roots):
-        enqueue(level, rows, 0, constant)
+    roots, _, constant = _roots(yp, roots)
+    for rows, c in zip(roots, constant.tolist()):
+        enqueue(level, rows, 0, c)
     depth = 0
     while level:
         below: list = []
@@ -420,74 +439,146 @@ def _grow_levels(X, y, roots, cfg: TreeConfig, memo: dict) -> None:
         )
 
 
-def _grow_lockstep(X, y, roots, rngs, m: int, cfg: TreeConfig) -> list[TreeNode]:
-    """The tree of every row-id array in `roots`, each node searching `m`
-    features drawn from the matching SplitMix64 of `rngs`; the trees grow
-    in lockstep.
+def _leaf_values(y, rows, starts, sizes) -> np.ndarray:
+    """Value of each leaf whose row ids are ``rows[starts[i]:starts[i] +
+    sizes[i]]``, equal to `_leaf`'s bit for bit.
 
-    Tree t equals ``build_tree(X[roots[t]], y[roots[t]], cfg, rngs[t], m)``.
-    Each tree pops its nodes from its own stack in preorder, so its draws
-    come in the recursion's order: a node that a pre-score leaf rule makes
-    a leaf draws nothing, and the first node that needs a split draws its
-    subset and waits.  Each round scores every waiting node (at most one
-    per tree), sorted by falling size, by `_split_calls`.  A split node
-    pushes its right child, then its left, and every scored node's tree
-    pops on at once, up to its next waiting node.  A split becomes an
-    `Internal` once its right subtree is done, so, as in the recursion,
-    only each tree's open splits are held.
+    The leaves of each size s are valued together: one ``np.add.reduce``
+    along the rows of their (leaves, s) block of responses runs numpy's
+    pairwise sum over each C-contiguous row, as `_leaf` does over its one
+    row, and divides by s.
+    """
+    values = np.empty(sizes.size)
+    by_size = np.argsort(sizes, kind="stable")
+    counts = np.bincount(sizes)
+    ends = np.cumsum(counts)
+    for s in np.flatnonzero(counts).tolist():
+        group = by_size[ends[s] - counts[s]:ends[s]]
+        block = y.take(rows.take(starts[group][:, None] + np.arange(s)))
+        values[group] = np.add.reduce(block, axis=1) / s
+    return values
+
+
+def _grow_lockstep(X, y, roots, lanes, m: int, cfg: TreeConfig) -> list[TreeNode]:
+    """The tree of every row-id array in `roots`, each node searching `m`
+    features drawn from the matching lane of `lanes`; the trees grow in
+    lockstep.
+
+    `lanes` is a ``uint64`` array of SplitMix64 states (see `_rng`), one per
+    tree, advanced in place: tree t equals ``build_tree(X[roots[t]],
+    y[roots[t]], cfg, SplitMix64(lanes[t]), m)``, and lane t ends in that
+    rng's final state.  Each tree visits its nodes in preorder from its own
+    stack, so its draws come in the recursion's order: a node that a
+    pre-score leaf rule makes a leaf draws nothing, and only nodes that need
+    a split are stacked.  Each round every tree pops one node; the round
+    draws all their subsets at once (`lane_subsets`) and scores them,
+    sorted by falling size, in calls of at most `_CALL_ROWS` padded rows.
+
+    Nodes live in flat arrays: a node's row ids are a slice of one buffer
+    of every root's ids, and a split partitions its slice in place, left
+    rows first, so each leaf's slice holds its rows in the recursion's
+    order.  A split's children are the next two node ids.  Leaf values come
+    from `_leaf_values`, and the `Leaf` and `Internal` objects are built
+    last, children first.
     """
     Xp, yp = _padded(X, y)
-    p = X.shape[1]
-    trees: list = [None] * len(roots)
-    # Each stack entry is (row ids, depth, parent, constant response); a
-    # parent is the list [n, feature, threshold, decrease, left subtree or
-    # None, its parent].
-    stacks = [[(rows, 0, None, constant)] for rows, constant in _roots(yp, roots)]
-    waiting = []  # (tree, rows, depth, parent, subset)
+    pad = y.shape[0]
+    roots, sizes, constant = _roots(yp, roots)
+    T = sizes.size
+    buf = np.concatenate(roots)
+    # Node records, grown as needed.  A split's children are the next two
+    # free ids, left first, so `child` holds the left one.
+    cap = buf.size
+    start = np.empty(cap, np.intp)  # of the node's slice of `buf`
+    n = np.empty(cap, np.intp)
+    depth = np.empty(cap, np.intp)
+    feature = np.empty(cap, np.int64)  # -1 marks a leaf
+    threshold = np.empty(cap)
+    decrease = np.empty(cap)
+    child = np.empty(cap, np.intp)
+    start[:T] = np.cumsum(sizes) - sizes
+    n[:T] = sizes
+    depth[:T] = 0
+    count = T
+    # Each tree's stack of the nodes it has yet to score, which are at
+    # most one per depth below the root, plus the two just pushed.
+    stack = np.empty((T, sizes.max() + 2), np.intp)
+    top = np.zeros(T, np.intp)
 
-    def place(t: int, node: TreeNode, parent) -> None:
-        # Preorder finishes a left subtree first; its right sibling then
-        # completes the parent, and so on up the tree.
-        while parent is not None:
-            if parent[4] is None:
-                parent[4] = node
-                return
-            n, f, th, dec, left, parent = parent
-            node = Internal(feature=f, threshold=th, decrease=dec, n=n,
-                            left=left, right=node)
-        trees[t] = node
+    def add(ids, constant):
+        """Apply the pre-score leaf rules to the new nodes `ids`; return
+        which of them need a split."""
+        leaf = _is_leaf(cfg, n[ids], depth[ids], constant)
+        feature[ids[leaf]] = -1
+        return ~leaf
 
-    def advance(t: int) -> None:
-        stack = stacks[t]
-        while stack:
-            idx, depth, parent, constant = stack.pop()
-            if _is_leaf(cfg, idx.size, depth, constant):
-                place(t, _leaf(yp, idx), parent)
-                continue
-            subset = rngs[t].sample_without_replacement(p, m)
-            waiting.append((t, idx, depth, parent, subset))
-            return
-
-    for t in range(len(roots)):
-        advance(t)
-    while waiting:
-        batch = sorted(waiting, key=lambda node: node[1].size, reverse=True)
-        waiting.clear()
-        for call in _split_calls(
-            Xp, yp, batch, [node[1] for node in batch],
-            np.array([node[4] for node in batch], dtype=np.int64), cfg,
+    trees = np.flatnonzero(add(np.arange(T), constant))
+    nodes = trees  # each tree's node to score this round
+    ar = np.arange(sizes.max())
+    while trees.size:
+        features = lane_subsets(lanes, trees, X.shape[1], m)
+        order = np.argsort(-n[nodes], kind="stable")
+        trees, nodes, features = trees[order], nodes[order], features[order]
+        size = n[nodes]
+        leaf = np.empty(nodes.size, bool)
+        n_left = np.empty(nodes.size, np.intp)
+        kid_constant = np.empty((nodes.size, 2), bool)  # left, right
+        for i, j in _calls(size):
+            # Positions past a node's slice (they may pass the buffer's
+            # end) read the pad row instead.
+            at = start[nodes[i:j], None] + ar[:size[i]]
+            real = ar[:size[i]] < size[i:j, None]
+            rows = np.where(real, buf.take(at, mode="clip"), pad)
+            (leaf[i:j], f, th, dec, parted, n_left[i:j], kid_constant[i:j, 0],
+             kid_constant[i:j, 1]) = _score(Xp, yp, rows, real, size[i:j],
+                                            features[i:j], cfg)
+            ids = nodes[i:j]
+            feature[ids] = np.where(leaf[i:j], -1, f)
+            threshold[ids] = th
+            decrease[ids] = dec
+            # A split's slice takes its partition; a leaf's keeps its order.
+            keep = real & ~leaf[i:j, None]
+            buf[at[keep]] = parted[keep]
+        split = ~leaf
+        parent, trees_split = nodes[split], trees[split]
+        kids = count + np.arange(2 * parent.size)
+        count += kids.size
+        if count > cap:
+            cap = 2 * count
+            start, n, depth, feature, threshold, decrease, child = (
+                np.concatenate((col, np.empty(cap - col.size, col.dtype)))
+                for col in (start, n, depth, feature, threshold, decrease, child))
+        left, right = kids[::2], kids[1::2]
+        child[parent] = left
+        start[left] = start[parent]
+        start[right] = start[parent] + n_left[split]
+        n[left] = n_left[split]
+        n[right] = size[split] - n_left[split]
+        depth[kids] = np.repeat(depth[parent] + 1, 2)
+        todo = add(kids, kid_constant[split].ravel())
+        # Push the right child, then the left, so that the left pops first.
+        for side, push in ((right, todo[1::2]), (left, todo[::2])):
+            t = trees_split[push]
+            stack[t, top[t]] = side[push]
+            top[t] += 1
+        trees = trees[top[trees] > 0]
+        top[trees] -= 1
+        nodes = stack[trees, top[trees]]
+    leaves = np.flatnonzero(feature[:count] < 0)
+    value = np.empty(count)
+    value[leaves] = _leaf_values(yp, buf, start[leaves], n[leaves])
+    built: list = [None] * count
+    # Children first, converting one block of records to Python at a time.
+    for hi in range(count, 0, -_BUILD_BLOCK):
+        lo = max(hi - _BUILD_BLOCK, 0)
+        for i, f, th, dec, rows_n, c, v in zip(
+            range(hi - 1, lo - 1, -1), *(reversed(col[lo:hi].tolist()) for col in (
+                feature, threshold, decrease, n, child, value)),
         ):
-            for (t, idx, depth, parent, _), part, leaf, f, th, dec, nl, cl, cr in call:
-                if leaf:
-                    place(t, _leaf(yp, idx), parent)
-                else:
-                    # Copies, so that no child keeps the call's array alive.
-                    n = idx.size
-                    split = [n, f, th, dec, None, parent]
-                    stacks[t] += ((part[nl:n].copy(), depth + 1, split, cr),
-                                  (part[:nl].copy(), depth + 1, split, cl))
-                advance(t)
-    return trees
+            built[i] = Leaf(value=v, n=rows_n) if f < 0 else Internal(
+                feature=f, threshold=th, decrease=dec, n=rows_n,
+                left=built[c], right=built[c + 1])
+    return built[:T]
 
 
 def fit_regression_tree(d: Dataset, cfg: TreeConfig = TreeConfig()) -> TreeNode:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import SplitMix64
+from ._rng import GOLDEN_GAMMA, MASK64, MIX_MUL_1, MIX_MUL_2, SplitMix64
 
 CSV_COLUMNS = ("rpm", "traverse_mm_min", "plan_depth_mm", "hardness")
 FACTOR_NAMES = CSV_COLUMNS[:3]
@@ -255,8 +255,22 @@ def kfold_plan(n: int, k: int, seed: int) -> FoldPlan:
 
 
 def bootstrap_indices(n: int, seed: int) -> list[int]:
-    """n indices drawn uniformly with replacement from [0, n), seeded."""
+    """n indices drawn uniformly with replacement from [0, n), seeded.
+
+    Equals ``SplitMix64(seed).next_below(n)`` called n times, with the
+    stream step and `mix64` written out on Python ints: a forest calls this
+    once per tree.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = SplitMix64(seed)
-    return [rng.next_below(n) for _ in range(n)]
+    limit = (2**64 // n) * n
+    state = seed & MASK64
+    out: list[int] = []
+    while len(out) < n:
+        state = (state + GOLDEN_GAMMA) & MASK64
+        z = ((state ^ (state >> 30)) * MIX_MUL_1) & MASK64
+        z = ((z ^ (z >> 27)) * MIX_MUL_2) & MASK64
+        z ^= z >> 31
+        if z < limit:
+            out.append(z % n)
+    return out

@@ -7,19 +7,23 @@ and `cross_validate` trains its folds through the same private
 
 Every random choice derives from the caller's 64-bit seed: tree t of a
 forest trains on ``bootstrap_indices(n, derive_seed(seed, t))`` and draws
-its per-node feature subsets from the same derived seed, so each tree is
-independent of the order in which the trees are trained.  When nodes search
-every feature, the forests of one `fit_model` or `cross_validate` call (its
+its per-node feature subsets from the SplitMix64 stream seeded
+``derive_seed(derive_seed(seed, t), 1)``, so each tree is independent of
+the order in which the trees are trained.  When nodes search every
+feature, the forests of one `fit_model` or `cross_validate` call (its
 single forest, or the forests of all its folds) build each distinct node
 (same ordered run ids of the dataset, and same depth under a depth limit)
 once and share that frozen subtree object.  Such a forest grows all its
 trees together, level by level.  When nodes search a feature subset, every
-tree of the call grows in lockstep: each tree pops its nodes in preorder,
-so its draws keep the recursion's order, and the trees advance in rounds.
-Either way the nodes waiting at one time (a level's new nodes, or a
-round's), of any sizes, are padded to a common width and scored in a few
-batched kernel calls, and the trees, predictions and serialized bytes are
-exactly those of trees grown one by one.  Boosting is the stagewise
+tree of the call grows in lockstep: each tree pops its nodes in preorder
+and the trees advance in rounds.  Each tree's stream is a lane of one
+``uint64`` state array, the same SplitMix64 stream draw for draw, and a
+round draws the subsets of all its nodes at once, so each tree's draws
+keep the recursion's order.  Either way the nodes waiting at one time (a
+level's new nodes, or a round's), of any sizes, are padded to a common
+width and scored in a few batched kernel calls, and the trees,
+predictions and serialized bytes are exactly those of trees grown one by
+one.  Boosting is the stagewise
 additive update F_m = F_{m-1} + nu * h_m with F_0 = mean(y) and leaf values
 sum(residuals) / (count + lambda).
 """
@@ -32,7 +36,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from ._rng import SplitMix64, derive_seed
+from ._rng import derive_seed
 from .cart import (
     Internal,
     Leaf,
@@ -139,8 +143,8 @@ def _fit_models(X, y, fits, spec: ModelSpec) -> list[EnsembleModel]:
     there.  One pass per forest, not one over all forests, keeps fewer
     nodes pending and peak memory lower.  With m < p the bootstraps of every
     forest are drawn first, and `cart._grow_lockstep` then grows all their
-    trees in one pass, tree t drawing its feature subsets from
-    ``SplitMix64(derive_seed(tree seed, 1))`` in preorder.  Both growers
+    trees in one pass, tree t drawing its feature subsets in preorder from
+    the lane seeded ``derive_seed(tree seed, 1)``.  Both growers
     score nodes of all sizes together in kernel calls capped at
     `cart._CALL_ROWS` padded rows, which also bounds peak memory.
     """
@@ -201,8 +205,8 @@ def _fit_models(X, y, fits, spec: ModelSpec) -> list[EnsembleModel]:
         drawn = [(seed, *draw(ids, seed)) for ids, seed in fits]
         grown = _grow_lockstep(
             X, y, [rows for _, _, roots in drawn for rows in roots],
-            [SplitMix64(derive_seed(ts, 1))
-             for _, tree_seeds, _ in drawn for ts in tree_seeds],
+            np.array([derive_seed(ts, 1) for _, tree_seeds, _ in drawn
+                      for ts in tree_seeds], dtype=np.uint64),
             m, cfg,
         )
         for f, (seed, tree_seeds, _) in enumerate(drawn):

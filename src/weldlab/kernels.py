@@ -189,8 +189,10 @@ def best_splits(Xb, yb, features, min_leaf=1, sizes=None):
     else:
         cols = Xb.transpose(0, 2, 1)[node[:, None], features]
     order = cols.argsort(axis=-1, kind="stable")
-    xs = np.take_along_axis(cols, order, axis=-1)
-    ys = np.concatenate((yb[:, None], yb[node[:, None, None], order]), axis=1)
+    # cols[b, f, order[b, f]] and yb[b, order[b, f]] as flat gathers.
+    row = node[:, None, None]
+    xs = cols.take(order + n * (k * row + np.arange(k)[:, None]))
+    ys = np.concatenate((yb[:, None], yb.take(order + n * row)), axis=1)
     c = np.add.accumulate(np.concatenate((ys, ys * ys), axis=1), axis=-1)
     s_tot = c[node, 0, sizes - 1]
     parent_sse = c[node, k + 1, sizes - 1] - s_tot * s_tot / sizes

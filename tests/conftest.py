@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import weldlab.cart
+from weldlab._rng import GOLDEN_GAMMA
 from weldlab.dataset import Dataset, Run, builtin_aa6262
 
 
@@ -33,6 +34,12 @@ def constant_dataset() -> Dataset:
     """Two identical runs: zero variance everywhere."""
     r = Run(rpm=1000.0, traverse=50.0, depth=0.2, hardness=65.0)
     return Dataset(runs=(r, r))
+
+
+def lane_draws(seed: int, state: int) -> int:
+    """Draws a SplitMix64 stream seeded `seed` has made to reach `state`:
+    each draw adds GOLDEN_GAMMA, which is odd, so invertible mod 2^64."""
+    return (state - seed) * pow(GOLDEN_GAMMA, -1, 2**64) % 2**64
 
 
 def make_dataset(rows) -> Dataset:

@@ -14,6 +14,9 @@ from weldlab.cart import (
     SplitPartition,
     TreeConfig,
     _grow_levels,
+    _grow_lockstep,
+    _leaf,
+    _leaf_values,
     build_tree,
     count_nodes,
     entropy,
@@ -459,6 +462,56 @@ class TestGrowLevels:
         assert tree.threshold == lo
         assert (tree.left.n, tree.right.n) == (2, 1)
         assert tree == build_tree(X, y)
+
+
+class TestGrowLockstep:
+    """`_grow_lockstep` against `build_tree` grown one tree at a time, each
+    with a `SplitMix64` seeded as its lane."""
+
+    @pytest.mark.parametrize("kind", ["continuous", "grid"])
+    def test_trees_and_lanes_equal_trees_grown_alone(self, kind):
+        gen = np.random.default_rng(7 + len(kind))
+        for _ in range(60):
+            n = int(gen.integers(1, 30))
+            p = int(gen.integers(2, 6))
+            if kind == "grid":
+                X, y = grid_data(int(gen.integers(1 << 30)), n, p)
+            else:
+                X = np.ascontiguousarray(gen.uniform(-3, 3, (n, p)))
+                y = gen.uniform(0, 10, n)
+            cfg = TreeConfig(
+                max_depth=int(gen.choice([0, 1, 3])),
+                min_samples_leaf=int(gen.integers(1, 4)),
+                min_impurity_decrease=float(gen.choice([0.0, 0.05, 0.5])),
+            )
+            m = int(gen.integers(1, p))
+            roots = [gen.integers(0, n, int(gen.integers(1, n + 1)))
+                     for _ in range(int(gen.integers(1, 12)))]
+            seeds = [int(s) for s in gen.integers(0, 2**63, len(roots))]
+            lanes = np.array(seeds, dtype=np.uint64)
+            trees = _grow_lockstep(X, y, roots, lanes, m, cfg)
+            for rows, seed, state, tree in zip(roots, seeds, lanes.tolist(),
+                                               trees, strict=True):
+                rng = SplitMix64(seed)
+                assert tree == build_tree(X[rows], y[rows], cfg, rng, m)
+                assert state == rng._state
+
+
+class TestLeafValues:
+    @pytest.mark.parametrize("size", range(1, 21))
+    def test_grouped_values_equal_leaf(self, size):
+        gen = np.random.default_rng(size)
+        # Magnitudes far apart, so that another summation order would
+        # round differently.
+        y = gen.normal(60.0, 7.0, 30) * 10.0 ** gen.integers(-8, 9, 30)
+        # Many leaves of this size among leaves of others, in one buffer.
+        sizes = gen.permutation(np.r_[np.full(200, size), gen.integers(1, 21, 12)])
+        rows = gen.integers(0, y.size, sizes.sum())
+        starts = np.cumsum(sizes) - sizes
+        got = _leaf_values(y, rows, starts, sizes)
+        for value, start, n in zip(got.tolist(), starts, sizes):
+            leaf = _leaf(y, rows[start:start + n])
+            assert value == leaf.value and n == leaf.n
 
 
 class TestPredictTree:

@@ -28,7 +28,7 @@ from weldlab.ensemble import (
     save_model,
 )
 
-from conftest import make_dataset
+from conftest import lane_draws, make_dataset
 
 HARDNESS_RANGE = (58.3, 74.2)
 
@@ -310,40 +310,52 @@ class TestLockstepGrowth:
 
     @pytest.mark.parametrize("data", ["builtin", "factorial"])
     def test_draws_per_forest_match_the_recursion(self, builtin, monkeypatch, data):
+        """Each tree's lane ends where its rng ends when the tree grows
+        alone: draws = (state - seed) * GOLDEN_GAMMA^-1 mod 2^64."""
         d = builtin if data == "builtin" else factorial_81()
+        calls = []  # (lane seeds, the lanes the call advanced)
+        grow = weldlab.ensemble._grow_lockstep
 
-        class Counting(SplitMix64):
-            def __init__(self, seed):
-                super().__init__(seed)
-                self.subsets = 0
+        def recording(X, y, roots, lanes, m, cfg):
+            calls.append((lanes.copy(), lanes))
+            return grow(X, y, roots, lanes, m, cfg)
 
-            def sample_without_replacement(self, n, k):
-                self.subsets += 1
-                return super().sample_without_replacement(n, k)
-
-        grown = []
-
-        def make(seed):
-            grown.append(Counting(seed))
-            return grown[-1]
-
-        monkeypatch.setattr(weldlab.ensemble, "SplitMix64", make)
+        monkeypatch.setattr(weldlab.ensemble, "_grow_lockstep", recording)
         cfg = TreeConfig(min_samples_leaf=2)
         spec = ModelSpec(kind="rf", config=cfg, trees=10, m=2, seed=4)
         stage = self._stage(d, spec, kfold_plan(len(d), 3, seed=0), monkeypatch)
-        assert len(grown) == len(stage) * spec.trees
+        # One call for the final forest, one for all the folds' forests.
+        assert [seeds.size for seeds, _ in calls] == [spec.trees, 3 * spec.trees]
+        seeds = np.concatenate([seeds for seeds, _ in calls]).tolist()
+        ends = np.concatenate([lanes for _, lanes in calls]).tolist()
+        lockstep = list(map(lane_draws, seeds, ends))
         X, y = d.features(), d.responses()
-        for f, (model, train) in enumerate(stage):
-            alone = []
+        alone = []
+        for model, train in stage:
             for ts in model.tree_seeds:
                 rows = self._tree_rows(train, ts, True)
-                alone.append(Counting(derive_seed(ts, 1)))
-                build_tree(X[rows], y[rows], cfg, alone[-1], 2)
-            forest = grown[f * spec.trees:(f + 1) * spec.trees]
-            assert [r.subsets for r in forest] == [r.subsets for r in alone]
-            assert sum(r.subsets for r in forest) > spec.trees
-            # Nothing else drew either: each stream ends in the same state.
-            assert [r._state for r in forest] == [r._state for r in alone]
+                rng = SplitMix64(derive_seed(ts, 1))
+                build_tree(X[rows], y[rows], cfg, rng, 2)
+                alone.append(lane_draws(derive_seed(ts, 1), rng._state))
+        assert seeds == [derive_seed(ts, 1) for model, _ in stage
+                         for ts in model.tree_seeds]
+        assert lockstep == alone
+        # More than one subset of m = 2 draws per tree.
+        assert sum(lockstep) > 2 * len(lockstep)
+
+    def test_no_per_node_draws_or_leaves(self, monkeypatch):
+        """Subsets come from lanes a round at a time, and leaf values from
+        one reduction per leaf size: no per-node rng or leaf call."""
+
+        def refuse(*args):
+            raise AssertionError("a per-node call in the lockstep path")
+
+        monkeypatch.setattr(SplitMix64, "sample_without_replacement", refuse)
+        monkeypatch.setattr(SplitMix64, "next_below", refuse)
+        monkeypatch.setattr(weldlab.cart, "_leaf", refuse)
+        model = fit_model(factorial_81(), ModelSpec(kind="rf", trees=20, m=2, seed=3))
+        # Every root split: the fit grew nodes below them.
+        assert not any(isinstance(t, Leaf) for t in model.trees)
 
     @pytest.mark.parametrize("data, cap", [("factorial", None), ("builtin", 20)])
     def test_size_groups_larger_than_the_row_cap(

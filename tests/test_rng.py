@@ -1,0 +1,129 @@
+"""Lanes: SplitMix64 streams held in a uint64 array and drawn together.
+
+A lane must reproduce `SplitMix64` draw for draw, rejections included, so
+that a forest grown in lockstep draws the feature subsets that each tree
+grown alone would draw.
+"""
+
+import numpy as np
+import pytest
+
+from weldlab._rng import (
+    GOLDEN_GAMMA,
+    MASK64,
+    MIX_MUL_1,
+    MIX_MUL_2,
+    SplitMix64,
+    lane_subsets,
+    mix64,
+)
+from weldlab.dataset import bootstrap_indices
+
+from conftest import lane_draws
+
+
+def _unshift(z: int, s: int) -> int:
+    """The x with ``x ^ (x >> s) == z``."""
+    x = z
+    for _ in range(64 // s + 1):
+        x = z ^ (x >> s)
+    return x
+
+
+def unmix64(z: int) -> int:
+    """The state word that `mix64` maps to `z`: mix64 is a bijection."""
+    z = _unshift(z, 31)
+    z = (z * pow(MIX_MUL_2, -1, 2**64)) & MASK64
+    z = _unshift(z, 27)
+    z = (z * pow(MIX_MUL_1, -1, 2**64)) & MASK64
+    return _unshift(z, 30)
+
+
+def rejecting_seed(draw: int) -> int:
+    """A seed whose stream's draw number `draw` (from 1) is 2^64 - 1, which
+    `next_below` rejects for every bound but a power of two."""
+    return (unmix64(MASK64) - draw * GOLDEN_GAMMA) & MASK64
+
+
+class TestUnmix:
+    def test_inverts_mix64(self):
+        for z in (0, 1, 12345, MASK64, 2**63, 0x0123456789ABCDEF):
+            assert mix64(unmix64(z)) == z
+            assert unmix64(mix64(z)) == z
+
+    @pytest.mark.parametrize("draw", [1, 3])
+    def test_rejecting_seed_rejects(self, draw):
+        rng = SplitMix64(rejecting_seed(draw))
+        for _ in range(draw - 1):
+            rng.next_u64()
+        assert rng.next_u64() == MASK64
+
+
+class TestMix64OverArrays:
+    def test_each_word_equals_the_scalar(self):
+        words = [0, 1, 2**63, MASK64, 0x9E3779B97F4A7C15, 987654321987654321]
+        got = mix64(np.array(words, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [mix64(z) for z in words]
+
+
+class TestLaneSubsets:
+    @pytest.mark.parametrize("n, k", [(3, 1), (3, 2), (3, 3), (5, 2), (9, 4), (1, 1)])
+    def test_lanes_equal_splitmix64_draw_for_draw(self, n, k):
+        seeds = [0, 1, 42, 2**63, MASK64, 0x0123456789ABCDEF, 77, 2**40 + 3]
+        lanes = np.array(seeds, dtype=np.uint64)
+        rngs = [SplitMix64(s) for s in seeds]
+        # Rounds over a changing subset of lanes, in a changing order.
+        for which in ([0, 1, 2, 3, 4, 5, 6, 7], [5, 2, 7], [3], [7, 6, 5, 4, 0]):
+            got = lane_subsets(lanes, np.array(which), n, k)
+            assert got.dtype == np.int64 and got.shape == (len(which), k)
+            assert got.tolist() == [
+                rngs[t].sample_without_replacement(n, k) for t in which]
+            assert lanes.tolist() == [r._state for r in rngs]
+
+    @pytest.mark.parametrize("draw", [1, 3])
+    def test_a_rejected_lane_redraws_as_next_below(self, draw):
+        # n = 5, k = 3: bounds 5, 4 and 3; draw 1 (bound 5) or draw 3
+        # (bound 3) is 2^64 - 1 and is rejected.  The other lanes accept.
+        seeds = [11, rejecting_seed(draw), 12, 13]
+        lanes = np.array(seeds, dtype=np.uint64)
+        got = lane_subsets(lanes, np.arange(len(seeds)), 5, 3)
+        for row, seed, state in zip(got.tolist(), seeds, lanes.tolist()):
+            rng = SplitMix64(seed)
+            assert row == rng.sample_without_replacement(5, 3)
+            assert state == rng._state
+        assert [lane_draws(s, e) for s, e in zip(seeds, lanes.tolist())] == [3, 4, 3, 3]
+
+    def test_a_power_of_two_bound_rejects_nothing(self):
+        seed = rejecting_seed(1)
+        lanes = np.array([seed], dtype=np.uint64)
+        got = lane_subsets(lanes, np.array([0]), 4, 1)
+        rng = SplitMix64(seed)
+        assert got.tolist() == [rng.sample_without_replacement(4, 1)]
+        assert lane_draws(seed, int(lanes[0])) == 1
+
+    def test_lanes_not_drawn_stay(self):
+        lanes = np.array([5, 6, 7], dtype=np.uint64)
+        lane_subsets(lanes, np.array([1]), 3, 2)
+        assert lanes.tolist()[::2] == [5, 7]
+        assert lane_draws(6, int(lanes[1])) == 2
+
+    @pytest.mark.parametrize("n, k", [(3, 4), (3, -1)])
+    def test_bad_k_rejected(self, n, k):
+        with pytest.raises(ValueError):
+            lane_subsets(np.zeros(1, dtype=np.uint64), np.array([0]), n, k)
+
+
+class TestBootstrapDraws:
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 81])
+    def test_equal_next_below_repeated(self, n):
+        for seed in (0, 1, 7, MASK64, 2**63 + 5):
+            rng = SplitMix64(seed)
+            assert bootstrap_indices(n, seed) == [rng.next_below(n) for _ in range(n)]
+
+    def test_a_rejected_draw_is_redrawn(self):
+        seed = rejecting_seed(1)
+        rng = SplitMix64(seed)
+        assert bootstrap_indices(3, seed) == [rng.next_below(3) for _ in range(3)]
+        # Three indices took four draws.
+        assert lane_draws(seed, rng._state) == 4
