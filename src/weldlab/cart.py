@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -124,7 +125,8 @@ def _set_int_fields(obj, names: Sequence[str]) -> None:
 
 def _check_real_fields(obj, names: Sequence[str]) -> None:
     """Check that each field named in `names` of the frozen dataclass `obj`
-    holds a real number (a Python or numpy int or float, not a bool),
+    holds a real number that is finite as a float (a Python or numpy int or
+    float; not a bool, NaN, infinity or an int too large for a float),
     raising a ValueError that names the field; a numpy number is stored as
     the Python int or float it holds, so JSON can write it."""
     for name in names:
@@ -132,7 +134,10 @@ def _check_real_fields(obj, names: Sequence[str]) -> None:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{name} must be a real number, got {value!r}")
         if isinstance(value, np.generic):
-            object.__setattr__(obj, name, value.item())
+            value = value.item()
+            object.__setattr__(obj, name, value)
+        if not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -258,7 +263,7 @@ def build_tree(
             feats = np.asarray(rng.sample_without_replacement(n_features, m), dtype=np.int64)
         else:
             feats = all_features
-        Xs = np.ascontiguousarray(X[idx])
+        Xs = X[idx]
         feat, thr, children_sse, parent_sse = best_split(
             Xs, ys, feats, cfg.min_samples_leaf
         )

@@ -31,6 +31,7 @@ sum(residuals) / (count + lambda).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -444,10 +445,13 @@ def _integer(value, what: str, low: int, high: int | None = None) -> int:
 
 
 def _real(value, what: str) -> float:
-    """`value` as a float if it is a JSON number, else a ValueError that
-    names `what`."""
+    """`value` as a float if it is a JSON number that is finite as a float,
+    else a ValueError that names `what` (`json.loads` reads NaN and
+    Infinity as floats, and an int of any size)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{what} must be finite, got {value!r}")
     return float(value)
 
 

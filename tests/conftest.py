@@ -20,9 +20,8 @@ def batch_calls(monkeypatch) -> list:
     calls = []
     batch_kernel = weldlab.cart.best_splits
 
-    def recording(Xb, yb, features, min_leaf=1, sizes=None):
-        B, n = yb.shape
-        calls.append(([n] * B if sizes is None else sizes.tolist(), n))
+    def recording(Xb, yb, features, min_leaf, sizes):
+        calls.append((sizes.tolist(), yb.shape[1]))
         return batch_kernel(Xb, yb, features, min_leaf, sizes)
 
     monkeypatch.setattr(weldlab.cart, "best_splits", recording)

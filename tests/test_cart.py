@@ -224,6 +224,8 @@ class TestFitRegressionTree:
             TreeConfig(min_impurity_decrease=-0.5)
         with pytest.raises(ValueError):
             TreeConfig(min_impurity_decrease=float("nan"))
+        with pytest.raises(ValueError, match="must be finite"):
+            TreeConfig(min_impurity_decrease=float("inf"))
 
     @pytest.mark.parametrize("field", ["max_depth", "min_samples_leaf"])
     @pytest.mark.parametrize(

@@ -151,7 +151,8 @@ class TestBadModelConfig:
         [
             ["--trees", "0"], ["--rounds", "-1"], ["--depth", "-1"],
             ["--m", "0"], ["--m", "4"], ["--nu", "0"], ["--nu", "1.5"],
-            ["--lambda", "-1"], ["--seed", "-1"], ["--seed", str(2**64)],
+            ["--lambda", "-1"], ["--lambda", "inf"], ["--seed", "-1"],
+            ["--seed", str(2**64)],
         ],
     )
     def test_usage_error_before_any_compute(self, monkeypatch, flags):

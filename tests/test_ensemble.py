@@ -47,7 +47,7 @@ def scored_nodes(monkeypatch):
         scored["best_split"] += 1
         return node_kernel(*args)
 
-    def batch(Xb, yb, features, min_leaf=1, sizes=None):
+    def batch(Xb, yb, features, min_leaf, sizes):
         scored["best_splits"] += yb.shape[0]
         return batch_kernel(Xb, yb, features, min_leaf, sizes)
 
@@ -468,7 +468,7 @@ class TestGbm:
             fit_gbm(builtin, rounds=5, nu=0.0)
         with pytest.raises(ValueError):
             fit_gbm(builtin, rounds=5, nu=1.5)
-        for lam in (-1.0, float("nan")):
+        for lam in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 fit_gbm(builtin, rounds=5, lam=lam)
 
@@ -710,6 +710,7 @@ class TestModelSpec:
         {"rounds": 1.5}, {"m": 0}, {"m": np.bool_(True)}, {"m": 2.0},
         {"nu": 0.0}, {"nu": 1.5}, {"nu": float("nan")}, {"nu": True},
         {"nu": "0.3"}, {"lam": -1.0}, {"lam": float("nan")}, {"lam": False},
+        {"lam": float("inf")}, {"lam": 10**400},
         {"seed": -1}, {"seed": 2**64}, {"seed": 1.0}, {"bootstrap": "no"},
         {"bootstrap": 1}, {"bootstrap": None},
     ])
@@ -811,6 +812,20 @@ class TestSerialization:
         ("gbm", lambda doc: doc.update(trees=[{"leaf": {"value": None, "n": 1}}] * 3),
          "leaf value must be a number"),
         ("gbm", lambda doc: doc.update(nu="0.3"), "nu must be a real number"),
+        ("gbm", lambda doc: doc.update(lam=float("inf")), "lam must be finite"),
+        ("rf", lambda doc: doc["trees"][1]["split"].update(threshold=float("nan")),
+         "split threshold must be finite, got nan"),
+        ("rf", lambda doc: doc["trees"][1]["split"].update(decrease=float("inf")),
+         "split decrease must be finite, got inf"),
+        ("rf", lambda doc: doc["trees"][1]["split"].update(threshold=10**400),
+         "split threshold must be finite, got 1000"),
+        ("gbm", lambda doc: doc.update(trees=[{"leaf": {"value": -float("inf"), "n": 1}}] * 3),
+         "leaf value must be finite, got -inf"),
+        ("gbm", lambda doc: doc.update(f0=float("nan")), "f0 must be finite, got nan"),
+        ("gbm", lambda doc: doc["train_mse"].__setitem__(0, float("inf")),
+         "train_mse entry must be finite, got inf"),
+        ("rf", lambda doc: doc["config"].update(min_impurity_decrease=float("inf")),
+         "min_impurity_decrease must be finite"),
     ])
     def test_malformed_document_rejected(self, builtin, kind, edit, match):
         """A model file is outside input: each flaw must raise a ValueError

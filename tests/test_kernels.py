@@ -17,14 +17,15 @@ def random_instance(rng, max_runs=12, max_features=4):
     return np.ascontiguousarray(X), y
 
 
-def subset_instance(rng, kind):
-    """n in 1..40 rows, 1-5 columns, a random ascending feature subset.
+def subset_instance(rng, kind, rows=(1, 40)):
+    """n in `rows` (inclusive), 1-5 columns, a random ascending feature
+    subset.
 
     "tied": integer columns and responses, so scores tie exactly.
     "decimal": repeated non-dyadic responses, so pure children's prefix-sum
     SSE can round below zero and the clamp decides.
     """
-    n = int(rng.integers(1, 41))
+    n = int(rng.integers(rows[0], rows[1] + 1))
     p = int(rng.integers(1, 6))
     if kind == "continuous":
         X = rng.uniform(-5.0, 5.0, (n, p))
@@ -41,17 +42,24 @@ def subset_instance(rng, kind):
 
 
 class TestNumpyMatchesLoopSource:
-    """`best_split` against `_best_split_loops`, the reference loop: all
-    four return values must be equal."""
+    """`_best_split_loops` on Python lists against the same loop on numpy
+    arrays (as the benchmark's kernel check calls it) and against
+    `best_split`: all four return values must be equal, and `best_split`
+    returns Python numbers."""
 
+    # 41-81 rows reach the root of an 81-run design's tree.
+    @pytest.mark.parametrize("rows", [(1, 40), (41, 81)], ids=["1-40", "41-81"])
     @pytest.mark.parametrize("kind", ["continuous", "tied", "decimal"])
-    def test_bitwise_equal(self, kind):
+    def test_bitwise_equal(self, kind, rows):
         rng = np.random.default_rng(sum(map(ord, kind)))
         for _ in range(1000):
-            X, y, feats, min_leaf = subset_instance(rng, kind)
-            a = kernels.best_split(X, y, feats, min_leaf)
-            b = kernels._best_split_loops(X, y, feats, min_leaf)
-            assert tuple(a) == tuple(b), (X, y, feats, min_leaf)
+            X, y, feats, min_leaf = subset_instance(rng, kind, rows)
+            lists = kernels._best_split_loops(
+                X.tolist(), y.tolist(), feats.tolist(), min_leaf)
+            arrays = kernels._best_split_loops(X, y, feats, min_leaf)
+            one = kernels.best_split(X, y, feats, min_leaf)
+            assert lists == arrays == one, (X, y, feats, min_leaf)
+            assert [type(v) for v in one] == [int, float, float, float]
 
     def test_single_row_has_no_split(self):
         X = np.array([[2.0, 3.0]])
@@ -94,7 +102,8 @@ class TestBatchedKernel:
             for _ in range(8):
                 Xb, yb, feats, min_leaf = batch_instance(rng, kind, n)
                 seen.add((feats.size, min_leaf))
-                got = kernels.best_splits(Xb, yb, feats, min_leaf)
+                got = kernels.best_splits(
+                    Xb, yb, feats, min_leaf, np.full(yb.shape[0], n))
                 assert [a.shape for a in got] == [yb.shape[:1]] * 4
                 for b in range(yb.shape[0]):
                     X = np.ascontiguousarray(Xb[b])
@@ -118,7 +127,8 @@ class TestBatchedKernel:
                 )
                 sizes.add(k)
                 varied |= len({tuple(row) for row in feats.tolist()}) > 1
-                got = kernels.best_splits(Xb, yb, feats, min_leaf)
+                got = kernels.best_splits(
+                    Xb, yb, feats, min_leaf, np.full(yb.shape[0], n))
                 assert [a.shape for a in got] == [yb.shape[:1]] * 4
                 for b in range(B):
                     X = np.ascontiguousarray(Xb[b])
@@ -171,19 +181,6 @@ class TestBatchedKernel:
                     assert np.array_equal(before, after)
         assert wide_small == {1, 2}
         assert {k for k, _ in seen} >= {1, 2} and {m for _, m in seen} == {1, 2, 3}
-
-    @pytest.mark.parametrize("kind", ["continuous", "tied", "decimal"])
-    def test_uniform_sizes_equal_no_sizes(self, kind):
-        """`sizes` all equal to the width gives the same arrays as
-        ``sizes=None``, which the tests above check node by node."""
-        rng = np.random.default_rng(sum(map(ord, kind)) + 5)
-        for n in range(1, 41):
-            Xb, yb, feats, min_leaf = batch_instance(rng, kind, n)
-            plain = kernels.best_splits(Xb, yb, feats, min_leaf)
-            sized = kernels.best_splits(
-                Xb, yb, feats, min_leaf, np.full(yb.shape[0], n))
-            for a, b in zip(plain, sized, strict=True):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_stable_argsort_along_the_last_axis_is_per_row(self):
         rng = np.random.default_rng(12)

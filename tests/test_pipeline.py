@@ -48,6 +48,7 @@ class TestRunConfig:
         [
             {"trees": 0}, {"rounds": -1}, {"depth": -1}, {"m": 0}, {"m": 4},
             {"nu": 0.0}, {"nu": 1.5}, {"nu": float("nan")}, {"lam": -0.5},
+            {"lam": float("inf")},
             {"seed": -1}, {"seed": 2**64},
         ],
     )
