@@ -13,7 +13,7 @@ import numbers
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -296,7 +296,7 @@ def _memo_key(rows: bytes, depth: int, cfg: TreeConfig) -> bytes:
 # Padded rows (nodes x the largest node's rows) of one `best_splits` call:
 # about a default forest's 200 roots of 9 runs, so calls stay few and small.
 _CALL_ROWS = 2048
-# Node records that `_grow_lockstep` turns into Python values at a time.
+# Node records that `_build_trees` turns into Python values at a time.
 _BUILD_BLOCK = 256
 
 
@@ -464,27 +464,46 @@ def _leaf_values(y, rows, starts, sizes) -> np.ndarray:
     return values
 
 
-def _grow_lockstep(X, y, roots, lanes, m: int, cfg: TreeConfig) -> list[TreeNode]:
-    """The tree of every row-id array in `roots`, each node searching `m`
-    features drawn from the matching lane of `lanes`; the trees grow in
-    lockstep.
+class _Records(NamedTuple):
+    """Flat node records of the trees `_grow_lockstep` grows.
+
+    Tree t's root is node t, and node i belongs to tree ``tree[i]``.  Node i
+    is a leaf of value ``value[i]`` when ``feature[i]`` is -1; otherwise it
+    splits on ``X[:, feature[i]] <= threshold[i]``, with its left child at
+    ``child[i]`` and its right one at ``child[i] + 1``.  A child's id is
+    larger than its parent's.  `n` and `decrease` are those of the built
+    node; `threshold`, `decrease` and `child` mean nothing on a leaf.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    decrease: np.ndarray
+    n: np.ndarray
+    child: np.ndarray
+    value: np.ndarray
+    tree: np.ndarray
+
+
+def _grow_lockstep(X, y, roots, lanes, m: int, cfg: TreeConfig) -> _Records:
+    """The records of the tree of every row-id array in `roots`, each node
+    searching `m` features drawn from the matching lane of `lanes`; the
+    trees grow in lockstep.
 
     `lanes` is a ``uint64`` array of SplitMix64 states (see `_rng`), one per
-    tree, advanced in place: tree t equals ``build_tree(X[roots[t]],
-    y[roots[t]], cfg, SplitMix64(lanes[t]), m)``, and lane t ends in that
-    rng's final state.  Each tree visits its nodes in preorder from its own
-    stack, so its draws come in the recursion's order: a node that a
-    pre-score leaf rule makes a leaf draws nothing, and only nodes that need
-    a split are stacked.  Each round every tree pops one node; the round
-    draws all their subsets at once (`lane_subsets`) and scores them,
-    sorted by falling size, in calls of at most `_CALL_ROWS` padded rows.
+    tree, advanced in place: tree t, built by `_build_trees`, equals
+    ``build_tree(X[roots[t]], y[roots[t]], cfg, SplitMix64(lanes[t]), m)``,
+    and lane t ends in that rng's final state.  Each tree visits its nodes
+    in preorder from its own stack, so its draws come in the recursion's
+    order: a node that a pre-score leaf rule makes a leaf draws nothing,
+    and only nodes that need a split are stacked.  Each round every tree
+    pops one node; the round draws all their subsets at once
+    (`lane_subsets`) and scores them, sorted by falling size, in calls of
+    at most `_CALL_ROWS` padded rows.
 
-    Nodes live in flat arrays: a node's row ids are a slice of one buffer
-    of every root's ids, and a split partitions its slice in place, left
-    rows first, so each leaf's slice holds its rows in the recursion's
-    order.  A split's children are the next two node ids.  Leaf values come
-    from `_leaf_values`, and the `Leaf` and `Internal` objects are built
-    last, children first.
+    A node's row ids are a slice of one buffer of every root's ids, and a
+    split partitions its slice in place, left rows first, so each leaf's
+    slice holds its rows in the recursion's order.  A split's children are
+    the next two node ids.  Leaf values come from `_leaf_values`.
     """
     Xp, yp = _padded(X, y)
     pad = y.shape[0]
@@ -501,9 +520,11 @@ def _grow_lockstep(X, y, roots, lanes, m: int, cfg: TreeConfig) -> list[TreeNode
     threshold = np.empty(cap)
     decrease = np.empty(cap)
     child = np.empty(cap, np.intp)
+    tree = np.empty(cap, np.intp)
     start[:T] = np.cumsum(sizes) - sizes
     n[:T] = sizes
     depth[:T] = 0
+    tree[:T] = np.arange(T)
     count = T
     # Each tree's stack of the nodes it has yet to score, which are at
     # most one per depth below the root, plus the two just pushed.
@@ -550,9 +571,10 @@ def _grow_lockstep(X, y, roots, lanes, m: int, cfg: TreeConfig) -> list[TreeNode
         count += kids.size
         if count > cap:
             cap = 2 * count
-            start, n, depth, feature, threshold, decrease, child = (
+            start, n, depth, feature, threshold, decrease, child, tree = (
                 np.concatenate((col, np.empty(cap - col.size, col.dtype)))
-                for col in (start, n, depth, feature, threshold, decrease, child))
+                for col in (start, n, depth, feature, threshold, decrease,
+                            child, tree))
         left, right = kids[::2], kids[1::2]
         child[parent] = left
         start[left] = start[parent]
@@ -560,6 +582,7 @@ def _grow_lockstep(X, y, roots, lanes, m: int, cfg: TreeConfig) -> list[TreeNode
         n[left] = n_left[split]
         n[right] = size[split] - n_left[split]
         depth[kids] = np.repeat(depth[parent] + 1, 2)
+        tree[kids] = np.repeat(trees_split, 2)
         todo = add(kids, kid_constant[split].ravel())
         # Push the right child, then the left, so that the left pops first.
         for side, push in ((right, todo[1::2]), (left, todo[::2])):
@@ -572,18 +595,40 @@ def _grow_lockstep(X, y, roots, lanes, m: int, cfg: TreeConfig) -> list[TreeNode
     leaves = np.flatnonzero(feature[:count] < 0)
     value = np.empty(count)
     value[leaves] = _leaf_values(yp, buf, start[leaves], n[leaves])
-    built: list = [None] * count
-    # Children first, converting one block of records to Python at a time.
-    for hi in range(count, 0, -_BUILD_BLOCK):
-        lo = max(hi - _BUILD_BLOCK, 0)
-        for i, f, th, dec, rows_n, c, v in zip(
-            range(hi - 1, lo - 1, -1), *(reversed(col[lo:hi].tolist()) for col in (
-                feature, threshold, decrease, n, child, value)),
-        ):
+    return _Records(feature[:count], threshold[:count], decrease[:count],
+                    n[:count], child[:count], value, tree[:count])
+
+
+def _build_trees(rec: _Records, first: int, stop: int) -> list[TreeNode]:
+    """Trees `first` to ``stop - 1`` of `rec` as `Leaf` and `Internal`
+    objects, built children first, one block of records turned into Python
+    values at a time."""
+    ids = np.flatnonzero((rec.tree >= first) & (rec.tree < stop))
+    built: list = [None] * rec.tree.size
+    for hi in range(ids.size, 0, -_BUILD_BLOCK):
+        block = ids[max(hi - _BUILD_BLOCK, 0):hi][::-1]
+        for i, f, th, dec, rows_n, c, v in zip(block.tolist(), *(
+            col[block].tolist() for col in (
+                rec.feature, rec.threshold, rec.decrease, rec.n, rec.child,
+                rec.value))):
             built[i] = Leaf(value=v, n=rows_n) if f < 0 else Internal(
                 feature=f, threshold=th, decrease=dec, n=rows_n,
                 left=built[c], right=built[c + 1])
-    return built[:T]
+    return built[first:stop]
+
+
+def _route_records(rec: _Records, X, rows, nodes) -> np.ndarray:
+    """Value of the leaf that row ``X[rows[i]]`` reaches from node
+    ``nodes[i]`` of `rec`, as `_route` walks a built tree (<= goes left).
+    Every pair steps one depth down per array step."""
+    nodes = np.array(nodes, dtype=np.intp)
+    live = np.flatnonzero(rec.feature[nodes] >= 0)
+    while live.size:
+        at = nodes[live]
+        goes_right = ~(X[rows[live], rec.feature[at]] <= rec.threshold[at])
+        nodes[live] = rec.child[at] + goes_right
+        live = live[rec.feature[nodes[live]] >= 0]
+    return rec.value[nodes]
 
 
 def fit_regression_tree(d: Dataset, cfg: TreeConfig = TreeConfig()) -> TreeNode:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import GOLDEN_GAMMA, MASK64, MIX_MUL_1, MIX_MUL_2, SplitMix64
+from ._rng import GOLDEN_GAMMA, MASK64, MIX_MUL_1, MIX_MUL_2, SplitMix64, mix64
 
 CSV_COLUMNS = ("rpm", "traverse_mm_min", "plan_depth_mm", "hardness")
 FACTOR_NAMES = CSV_COLUMNS[:3]
@@ -274,3 +274,26 @@ def bootstrap_indices(n: int, seed: int) -> list[int]:
         if z < limit:
             out.append(z % n)
     return out
+
+
+def lane_bootstraps(n: int, seeds) -> np.ndarray:
+    """Row t is ``bootstrap_indices(n, seeds[t])``, as a (len(seeds), n)
+    ``np.intp`` array.
+
+    Draw k (from 1) of the stream seeded s is ``mix64(s + k * GOLDEN_GAMMA)``
+    (see `_rng`), so the first n draws of every seed come from one
+    ``uint64`` array expression, wrapping mod 2^64.  A seed with a draw among
+    them that `next_below` would reject, which is rare, is redone by
+    `bootstrap_indices`.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
+    draws = mix64(seeds[:, None] + steps)
+    rows = (draws % np.uint64(n)).astype(np.intp)
+    limit = (2**64 // n) * n
+    if limit <= MASK64:  # a power-of-two n rejects nothing
+        for t in np.flatnonzero((draws >= limit).any(axis=1)).tolist():
+            rows[t] = bootstrap_indices(n, int(seeds[t]))
+    return rows

@@ -1,29 +1,34 @@
 """Bagged forests, gradient-boosted trees, importance, metrics, and CV.
 
-A `ModelSpec` is the one check of model settings, and `fit_model` the one
-fitting entry: `fit_random_forest` and `fit_gbm` build a spec and call it,
-and `cross_validate` trains its folds through the same private
-`_fit_models` on row ids of the caller's dataset.
+A `ModelSpec` is the one check of model settings, and `_fit_models` the one
+fitting core: `fit_model` (and through it `fit_random_forest` and
+`fit_gbm`) asks it for one model, `cross_validate` for the held-out
+predictions of every fold, and the pipeline's model stage
+(`_fit_and_validate`) for both at once, the final model and every fold
+trained in one pass over row ids of the caller's dataset.
 
 Every random choice derives from the caller's 64-bit seed: tree t of a
 forest trains on ``bootstrap_indices(n, derive_seed(seed, t))`` and draws
 its per-node feature subsets from the SplitMix64 stream seeded
 ``derive_seed(derive_seed(seed, t), 1)``, so each tree is independent of
 the order in which the trees are trained.  When nodes search every
-feature, the forests of one `fit_model` or `cross_validate` call (its
-single forest, or the forests of all its folds) build each distinct node
-(same ordered run ids of the dataset, and same depth under a depth limit)
-once and share that frozen subtree object.  Such a forest grows all its
-trees together, level by level.  When nodes search a feature subset, every
-tree of the call grows in lockstep: each tree pops its nodes in preorder
-and the trees advance in rounds.  Each tree's stream is a lane of one
-``uint64`` state array, the same SplitMix64 stream draw for draw, and a
-round draws the subsets of all its nodes at once, so each tree's draws
-keep the recursion's order.  Either way the nodes waiting at one time (a
-level's new nodes, or a round's), of any sizes, are padded to a common
-width and scored in a few batched kernel calls, and the trees,
-predictions and serialized bytes are exactly those of trees grown one by
-one.  Boosting is the stagewise
+feature, the forests of one `_fit_models` pass (a final forest, the
+forests of all folds, or both) build each distinct node (same ordered run
+ids of the dataset, and same depth under a depth limit) once and share
+that frozen subtree object.  Such a forest grows all its trees together,
+level by level.  When nodes search a feature subset, every tree of the
+pass grows in lockstep: each tree pops its nodes in preorder and the trees
+advance in rounds.  Each tree's stream is a lane of one ``uint64`` state
+array, the same SplitMix64 stream draw for draw, and a round draws the
+subsets of all its nodes at once, so each tree's draws keep the
+recursion's order; its bootstrap comes from the same lane arithmetic
+(`lane_bootstraps`).  The lockstep pass leaves flat node records: only the
+trees of models that the caller gets back become `Leaf` and `Internal`
+objects, and a fold forest predicts its held-out runs from the records.
+Either way the nodes waiting at one time (a level's new nodes, or a
+round's), of any sizes, are padded to a common width and scored in a few
+batched kernel calls, and the trees, predictions and serialized bytes are
+exactly those of trees grown one by one.  Boosting is the stagewise
 additive update F_m = F_{m-1} + nu * h_m with F_0 = mean(y) and leaf values
 sum(residuals) / (count + lambda).
 """
@@ -43,15 +48,23 @@ from .cart import (
     Leaf,
     TreeConfig,
     TreeNode,
+    _build_trees,
     _check_real_fields,
     _grow_levels,
     _grow_lockstep,
     _route,
+    _route_records,
     _set_int_fields,
     build_tree,
     tree_arity,
 )
-from .dataset import Dataset, FoldPlan, bootstrap_indices
+from .dataset import (
+    Dataset,
+    FoldPlan,
+    bootstrap_indices,
+    kfold_plan,
+    lane_bootstraps,
+)
 
 
 @dataclass(frozen=True)
@@ -129,31 +142,42 @@ def _shrink_leaves(t: TreeNode, lam: float) -> TreeNode:
     )
 
 
-def _fit_models(X, y, fits, spec: ModelSpec) -> list[EnsembleModel]:
-    """One `spec` model per ``(ids, seed)`` pair in `fits`, trained on the
-    rows `ids` of (X, y) with that seed, in that order.
+def _fit_models(X, y, fits, spec: ModelSpec) -> list:
+    """One result per ``(ids, seed, held)`` triple in `fits`, in that order:
+    the `spec` model trained on the rows `ids` of (X, y) with `seed` when
+    `held` is None, else that model's predictions of the rows `held`, a
+    list of floats equal to `predict_ensemble`'s.
 
     A model on a subset of a dataset's rows equals one fitted on the
     sub-dataset of those rows.  A boosted model trains on ``X[ids], y[ids]``.
     Forest tree t trains on ``ids[bootstrap_indices(len(ids),
     derive_seed(seed, t))]`` (or on `ids` without bootstrap).
 
-    When nodes search every feature (m == p), the forests share one subtree
-    memo (see `build_tree`).  `cart._grow_levels` grows each forest's roots
-    together, level by level, and its trees' `build_tree` calls find them
-    there.  One pass per forest, not one over all forests, keeps fewer
-    nodes pending and peak memory lower.  With m < p the bootstraps of every
-    forest are drawn first, and `cart._grow_lockstep` then grows all their
-    trees in one pass, tree t drawing its feature subsets in preorder from
-    the lane seeded ``derive_seed(tree seed, 1)``.  Both growers
-    score nodes of all sizes together in kernel calls capped at
-    `cart._CALL_ROWS` padded rows, which also bounds peak memory.
+    When nodes search every feature (m == p), the forests of every fit
+    share one subtree memo (see `build_tree`).  `cart._grow_levels` grows
+    each forest's roots together, level by level, and its trees'
+    `build_tree` calls find them there.  One pass per forest, not one over
+    all forests, keeps fewer nodes pending and peak memory lower.  With
+    m < p every tree's bootstrap comes from `lane_bootstraps`, and
+    `cart._grow_lockstep` then grows the trees of every fit in one pass,
+    tree t drawing its feature subsets in preorder from the lane seeded
+    ``derive_seed(tree seed, 1)``.  Only the forests returned as models are
+    built into `Leaf` and `Internal` objects; the held rows of the others
+    are routed through the grown records.  Both growers score nodes of all
+    sizes together in kernel calls capped at `cart._CALL_ROWS` padded rows,
+    which also bounds peak memory.
     """
     n_features = X.shape[1]
     cfg = spec.config
-    models: list[EnsembleModel] = []
+
+    def result(model, held):
+        if held is None:
+            return model
+        return [predict_ensemble(model, X[i]) for i in held]
+
     if spec.kind == "gbm":
-        for ids, seed in fits:
+        models = []
+        for ids, seed, held in fits:
             Xs, ys = X[ids], y[ids]
             f0 = float(ys.mean())
             current = np.full_like(ys, f0)
@@ -168,7 +192,7 @@ def _fit_models(X, y, fits, spec: ModelSpec) -> list[EnsembleModel]:
                 current = current + spec.nu * np.asarray(
                     [_route(stage, row) for row in rows])
                 mse_track.append(float(np.mean((ys - current) ** 2)))
-            models.append(BoostModel(
+            models.append(result(BoostModel(
                 f0=f0,
                 stages=tuple(stages),
                 nu=spec.nu,
@@ -177,44 +201,15 @@ def _fit_models(X, y, fits, spec: ModelSpec) -> list[EnsembleModel]:
                 seed=seed,
                 config=cfg,
                 train_mse=tuple(mse_track),
-            ))
+            ), held))
         return models
     m = n_features if spec.m is None else spec.m
     if m > n_features:
         raise ValueError(f"m must be in [1, {n_features}], got {m}")
+    T = spec.trees
 
-    def draw(ids, seed):
-        """The tree seeds of the forest fitted on rows `ids` with `seed`,
-        and each tree's root row ids."""
-        tree_seeds = tuple(derive_seed(seed, t) for t in range(spec.trees))
-        return tree_seeds, [
-            ids[bootstrap_indices(ids.size, ts)] if spec.bootstrap else ids
-            for ts in tree_seeds
-        ]
-
-    forests = []  # (seed, tree seeds, trees) of each fit
-    if m == n_features:
-        memo: dict = {}
-        for ids, seed in fits:
-            tree_seeds, roots = draw(ids, seed)
-            # No node draws features, so no tree needs its rng stream.
-            _grow_levels(X, y, roots, cfg, memo)
-            forests.append((seed, tree_seeds, [
-                build_tree(X, y, cfg, rows=rows, memo=memo) for rows in roots
-            ]))
-    else:
-        drawn = [(seed, *draw(ids, seed)) for ids, seed in fits]
-        grown = _grow_lockstep(
-            X, y, [rows for _, _, roots in drawn for rows in roots],
-            np.array([derive_seed(ts, 1) for _, tree_seeds, _ in drawn
-                      for ts in tree_seeds], dtype=np.uint64),
-            m, cfg,
-        )
-        for f, (seed, tree_seeds, _) in enumerate(drawn):
-            forests.append(
-                (seed, tree_seeds, grown[f * spec.trees:(f + 1) * spec.trees]))
-    for seed, tree_seeds, trees in forests:
-        models.append(ForestModel(
+    def forest(seed, tree_seeds, trees):
+        return ForestModel(
             trees=tuple(trees),
             tree_seeds=tree_seeds,
             n_features=n_features,
@@ -222,14 +217,56 @@ def _fit_models(X, y, fits, spec: ModelSpec) -> list[EnsembleModel]:
             bootstrap=spec.bootstrap,
             seed=seed,
             config=cfg,
-        ))
-    return models
+        )
+
+    seeds = [tuple(derive_seed(seed, t) for t in range(T)) for _, seed, _ in fits]
+    if m == n_features:
+        memo: dict = {}
+        out = []
+        for (ids, seed, held), tree_seeds in zip(fits, seeds):
+            roots = [ids[bootstrap_indices(ids.size, ts)] if spec.bootstrap
+                     else ids for ts in tree_seeds]
+            # No node draws features, so no tree needs its rng stream.
+            _grow_levels(X, y, roots, cfg, memo)
+            out.append(result(forest(seed, tree_seeds, [
+                build_tree(X, y, cfg, rows=rows, memo=memo) for rows in roots
+            ]), held))
+        return out
+    roots = []
+    for (ids, _, _), tree_seeds in zip(fits, seeds):
+        roots.extend(ids[lane_bootstraps(ids.size, tree_seeds)]
+                     if spec.bootstrap else [ids] * T)
+    rec = _grow_lockstep(
+        X, y, roots,
+        np.array([derive_seed(ts, 1) for tree_seeds in seeds
+                  for ts in tree_seeds], dtype=np.uint64),
+        m, cfg,
+    )
+    # Every (held row, tree) pair of every held-out fit, routed at once.
+    pairs = [(np.repeat(held, T),
+              np.tile(np.arange(f * T, (f + 1) * T), len(held)))
+             for f, (_, _, held) in enumerate(fits) if held is not None]
+    if pairs:
+        rows, nodes = map(np.concatenate, zip(*pairs))
+        values = _route_records(rec, X, rows, nodes).tolist()
+    out = []
+    at = 0
+    for f, ((_, seed, held), tree_seeds) in enumerate(zip(fits, seeds)):
+        if held is None:
+            out.append(forest(seed, tree_seeds,
+                              _build_trees(rec, f * T, (f + 1) * T)))
+            continue
+        # Each row's mean over trees in index order, as `predict_ensemble`.
+        out.append([sum(values[i:i + T]) / T
+                    for i in range(at, at + len(held) * T, T)])
+        at += len(held) * T
+    return out
 
 
 def fit_model(d: Dataset, spec: ModelSpec) -> EnsembleModel:
     """Fit the model `spec` describes on every run of `d`."""
     (model,) = _fit_models(d.features(), d.responses(),
-                           [(np.arange(len(d)), spec.seed)], spec)
+                           [(np.arange(len(d)), spec.seed, None)], spec)
     return model
 
 
@@ -353,6 +390,43 @@ class CvResult:
     predictions: tuple[float, ...]  # per run, from the fold that held it out
 
 
+def _fold_fits(n: int, spec: ModelSpec, plan: FoldPlan) -> list:
+    """The ``(training run ids, fold seed, held-out run ids)`` of each fold
+    of `plan` over `n` runs: fold f trains with ``derive_seed(spec.seed,
+    f)``, so the result is independent of evaluation order."""
+    if len(plan.assignments) != n:
+        raise ValueError("fold plan does not cover the dataset")
+    fold = np.asarray(plan.assignments)
+    fits = []
+    for f in range(plan.k):
+        train = np.flatnonzero(fold != f)
+        if train.size < 2:
+            raise ValueError(
+                f"fold {f} leaves only {train.size} training runs (need >= 2)"
+            )
+        fits.append((train, derive_seed(spec.seed, f), plan.fold_indices(f)))
+    return fits
+
+
+def _cv_result(plan: FoldPlan, y, fold_predictions) -> CvResult:
+    """Pool each fold's predictions of its held-out runs."""
+    predictions = np.empty(y.size)
+    fold_metrics: list[RegressionMetrics | None] = []
+    for f, predicted in enumerate(fold_predictions):
+        held = list(plan.fold_indices(f))
+        predictions[held] = predicted
+        if len(held) >= 2:
+            fold_metrics.append(regression_metrics(y[held], predictions[held]))
+        else:
+            fold_metrics.append(None)
+    return CvResult(
+        plan=plan,
+        fold_metrics=tuple(fold_metrics),
+        pooled=regression_metrics(y, predictions),
+        predictions=tuple(float(v) for v in predictions),
+    )
+
+
 def cross_validate(d: Dataset, spec: ModelSpec, plan: FoldPlan) -> CvResult:
     """Train on each fold's complement, predict the fold, pool everything.
 
@@ -360,39 +434,28 @@ def cross_validate(d: Dataset, spec: ModelSpec, plan: FoldPlan) -> CvResult:
     deterministic and independent of evaluation order.  Every fold model,
     forest or boosted, is fitted by `_fit_models` on the row ids of its
     training runs in `d`, which equals `fit_model` on the sub-dataset of
-    those runs; the forest folds of one call share each identical subtree.
+    those runs, and predicts its held-out runs as `predict_ensemble` does.
+    The forests of all folds grow in one `_fit_models` pass (sharing each
+    identical subtree when m == p).
     """
-    n = len(d)
-    if len(plan.assignments) != n:
-        raise ValueError("fold plan does not cover the dataset")
-    y = d.responses()
-    X = d.features()
-    folds = []  # (training run ids, fold seed)
-    for f in range(plan.k):
-        train = np.asarray([i for i in range(n) if plan.assignments[i] != f])
-        if train.size < 2:
-            raise ValueError(
-                f"fold {f} leaves only {train.size} training runs (need >= 2)"
-            )
-        folds.append((train, derive_seed(spec.seed, f)))
-    models = _fit_models(X, y, folds, spec)
-    predictions = np.empty(n)
-    fold_metrics: list[RegressionMetrics | None] = []
-    for f, model in enumerate(models):
-        held = list(plan.fold_indices(f))
-        for i in held:
-            predictions[i] = predict_ensemble(model, X[i])
-        if len(held) >= 2:
-            fold_metrics.append(regression_metrics(y[held], predictions[held]))
-        else:
-            fold_metrics.append(None)
-    pooled = regression_metrics(y, predictions)
-    return CvResult(
-        plan=plan,
-        fold_metrics=tuple(fold_metrics),
-        pooled=pooled,
-        predictions=tuple(float(v) for v in predictions),
-    )
+    X, y = d.features(), d.responses()
+    fits = _fold_fits(len(d), spec, plan)
+    return _cv_result(plan, y, _fit_models(X, y, fits, spec))
+
+
+def _fit_and_validate(d: Dataset, spec: ModelSpec, k: int):
+    """`fit_model(d, spec)` and `cross_validate(d, spec, kfold_plan(len(d),
+    k, spec.seed))`, equal to those two calls, from one `_fit_models` pass.
+
+    The fold plan is built and checked before any tree grows.  With m < p
+    the final forest and every fold forest grow in one lockstep pass; with
+    m == p they share one subtree memo.
+    """
+    plan = kfold_plan(len(d), k, spec.seed)
+    X, y = d.features(), d.responses()
+    fits = [(np.arange(len(d)), spec.seed, None)] + _fold_fits(len(d), spec, plan)
+    model, *fold_predictions = _fit_models(X, y, fits, spec)
+    return model, _cv_result(plan, y, fold_predictions)
 
 
 # --- serialization --------------------------------------------------------

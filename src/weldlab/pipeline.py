@@ -34,12 +34,11 @@ from .cart import (
     export_tree,
     fit_regression_tree,
 )
-from .dataset import FACTOR_NAMES, builtin_aa6262, kfold_plan, load_csv, summarize
+from .dataset import FACTOR_NAMES, builtin_aa6262, load_csv, summarize
 from .ensemble import (
     ModelSpec,
-    cross_validate,
+    _fit_and_validate,
     feature_importance,
-    fit_model,
     predict_ensemble_many,
     regression_metrics,
 )
@@ -262,13 +261,11 @@ def _anova(d, cfg: RunConfig):
 
 def _model(d, cfg: RunConfig):
     spec = _model_spec(cfg)
-    model = fit_model(d, spec)
-    y = d.responses()
-    train_pred = predict_ensemble_many(model, d.features())
-    train_metrics = regression_metrics(y, train_pred)
     k = _parse_cv(cfg.cv)
-    plan = kfold_plan(len(d), len(d) if k is None else k, cfg.seed)
-    cv = cross_validate(d, spec, plan)
+    # The final model and every fold: one growth pass, after the fold plan.
+    model, cv = _fit_and_validate(d, spec, len(d) if k is None else k)
+    train_pred = predict_ensemble_many(model, d.features())
+    train_metrics = regression_metrics(d.responses(), train_pred)
     importance = feature_importance(model)
     section = {
         "spec": {

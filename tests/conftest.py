@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import weldlab.cart
-from weldlab._rng import GOLDEN_GAMMA
+from weldlab._rng import GOLDEN_GAMMA, MASK64, MIX_MUL_1, MIX_MUL_2
 from weldlab.dataset import Dataset, Run, builtin_aa6262
 
 
@@ -39,6 +39,29 @@ def lane_draws(seed: int, state: int) -> int:
     """Draws a SplitMix64 stream seeded `seed` has made to reach `state`:
     each draw adds GOLDEN_GAMMA, which is odd, so invertible mod 2^64."""
     return (state - seed) * pow(GOLDEN_GAMMA, -1, 2**64) % 2**64
+
+
+def _unshift(z: int, s: int) -> int:
+    """The x with ``x ^ (x >> s) == z``."""
+    x = z
+    for _ in range(64 // s + 1):
+        x = z ^ (x >> s)
+    return x
+
+
+def unmix64(z: int) -> int:
+    """The state word that `mix64` maps to `z`: mix64 is a bijection."""
+    z = _unshift(z, 31)
+    z = (z * pow(MIX_MUL_2, -1, 2**64)) & MASK64
+    z = _unshift(z, 27)
+    z = (z * pow(MIX_MUL_1, -1, 2**64)) & MASK64
+    return _unshift(z, 30)
+
+
+def rejecting_seed(draw: int) -> int:
+    """A seed whose stream's draw number `draw` (from 1) is 2^64 - 1, which
+    `next_below` rejects for every bound but a power of two."""
+    return (unmix64(MASK64) - draw * GOLDEN_GAMMA) & MASK64
 
 
 def make_dataset(rows) -> Dataset:

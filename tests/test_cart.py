@@ -13,10 +13,13 @@ from weldlab.cart import (
     Leaf,
     SplitPartition,
     TreeConfig,
+    _build_trees,
     _grow_levels,
     _grow_lockstep,
     _leaf,
     _leaf_values,
+    _route,
+    _route_records,
     build_tree,
     count_nodes,
     entropy,
@@ -447,10 +450,12 @@ class TestGrowLevels:
             assert tree == build_tree(X[rows], y[rows])
 
     def test_default_report_calls_are_few(self, batch_calls):
-        """A default report (seed 0) scores 5,084 nodes in batches: 42
-        calls, where one call per node size took 134."""
+        """A default report (seed 0) scores 4,830 nodes in batches: 41
+        calls, where one call per node size took 134.  The final forest and
+        its leave-one-out folds share one memo (5,084 nodes when the final
+        forest had its own)."""
         run_pipeline(RunConfig(seed=0))
-        assert sum(len(sizes) for sizes, _ in batch_calls) == 5084
+        assert sum(len(sizes) for sizes, _ in batch_calls) == 4830
         assert len(batch_calls) <= 60
 
     def test_threshold_rounding_onto_the_lower_value_goes_left(self):
@@ -491,12 +496,38 @@ class TestGrowLockstep:
                      for _ in range(int(gen.integers(1, 12)))]
             seeds = [int(s) for s in gen.integers(0, 2**63, len(roots))]
             lanes = np.array(seeds, dtype=np.uint64)
-            trees = _grow_lockstep(X, y, roots, lanes, m, cfg)
+            rec = _grow_lockstep(X, y, roots, lanes, m, cfg)
+            trees = _build_trees(rec, 0, len(roots))
             for rows, seed, state, tree in zip(roots, seeds, lanes.tolist(),
                                                trees, strict=True):
                 rng = SplitMix64(seed)
                 assert tree == build_tree(X[rows], y[rows], cfg, rng, m)
                 assert state == rng._state
+            # Any run of trees builds alone as it builds among all.
+            first = int(gen.integers(0, len(roots)))
+            stop = int(gen.integers(first, len(roots) + 1))
+            assert _build_trees(rec, first, stop) == trees[first:stop]
+            # Every row routed from every root through the records.
+            pairs = [(r, t) for r in range(n) for t in range(len(roots))]
+            rows, nodes = map(np.array, zip(*pairs))
+            got = _route_records(rec, X, rows, nodes).tolist()
+            assert got == [_route(trees[t], X[r].tolist()) for r, t in pairs]
+
+    def test_records(self, builtin):
+        """Tree t's root is node t; a child's id is larger than its
+        parent's and belongs to the parent's tree."""
+        X, y = builtin.features(), builtin.responses()
+        roots = [bootstrap_indices(9, s) for s in range(30)]
+        rec = _grow_lockstep(X, y, roots, np.arange(30, dtype=np.uint64), 2,
+                             TreeConfig())
+        assert rec.tree[:30].tolist() == list(range(30))
+        split = np.flatnonzero(rec.feature >= 0)
+        for kid in (rec.child[split], rec.child[split] + 1):
+            assert np.all(kid > split)
+            assert np.array_equal(rec.tree[kid], rec.tree[split])
+        assert np.array_equal(rec.n[split], rec.n[rec.child[split]]
+                              + rec.n[rec.child[split] + 1])
+        assert len({len(col) for col in rec}) == 1
 
 
 class TestLeafValues:

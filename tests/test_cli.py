@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import weldlab.ensemble
 from weldlab.cli import EXIT_ALL_FAILED, EXIT_IO, EXIT_OK, main
 from weldlab.dataset import Dataset, builtin_aa6262, write_csv
 
@@ -169,6 +170,22 @@ class TestBadModelConfig:
             main(["taguchi", "--seed", "-1"])
         assert exc.value.code == 2
         assert "seed" in capsys.readouterr().err
+
+
+class TestFoldPlanFirst:
+    @pytest.mark.parametrize("flags", [[], ["--m", "2"], ["--model", "gbm"]])
+    def test_bad_fold_count_fails_before_any_tree_grows(self, capsys,
+                                                         monkeypatch, flags):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a model tree grew before the fold plan")
+
+        for name in ("_grow_lockstep", "_grow_levels", "build_tree"):
+            monkeypatch.setattr(weldlab.ensemble, name, refuse)
+        code, out, err = run_cli(capsys, "fit", "--cv", "k:10", *flags)
+        assert code == EXIT_ALL_FAILED
+        assert out == ""
+        assert err == ("weldlab: stage model failed: fold count must satisfy "
+                       "2 <= k <= n, got k=10, n=9\n")
 
 
 class TestDeterminismViaCli:

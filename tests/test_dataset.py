@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import weldlab.dataset
 from weldlab._rng import MASK64, SplitMix64, derive_seed, mix64
 from weldlab.dataset import (
     CsvParseError,
@@ -12,12 +13,13 @@ from weldlab.dataset import (
     bootstrap_indices,
     builtin_aa6262,
     kfold_plan,
+    lane_bootstraps,
     load_csv,
     summarize,
     write_csv,
 )
 
-from conftest import make_dataset
+from conftest import make_dataset, rejecting_seed
 
 
 class TestRun:
@@ -246,6 +248,56 @@ class TestBootstrap:
             len(set(bootstrap_indices(9, seed=s))) / 9 for s in range(2000)
         ]
         assert np.mean(fractions) == pytest.approx(expected, abs=0.02)
+
+
+class TestLaneBootstraps:
+    """One uint64 lane expression for the bootstraps of many trees must
+    equal `bootstrap_indices` row for row, rejected draws included."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 9, 54, 81])
+    def test_rows_equal_bootstrap_indices(self, n):
+        seeds = [derive_seed(5, t) for t in range(300)]
+        seeds += [0, 1, MASK64, 2**63, MASK64 - 1]
+        got = lane_bootstraps(n, seeds)
+        assert got.dtype == np.intp and got.shape == (len(seeds), n)
+        assert got.tolist() == [bootstrap_indices(n, s) for s in seeds]
+
+    @pytest.mark.parametrize("n, k", [(9, 1), (9, 9), (54, 20), (81, 3), (3, 2)])
+    def test_a_rejected_draw_is_redone_by_the_scalar_loop(self, monkeypatch, n, k):
+        """Draw k of the second seed is 2^64 - 1, which every bound but a
+        power of two rejects: that tree alone goes to `bootstrap_indices`,
+        whose n indices take n + 1 draws."""
+        seeds = [11, rejecting_seed(k), 12]
+        rng = SplitMix64(seeds[1])
+        for _ in range(k - 1):
+            rng.next_u64()
+        assert rng.next_u64() == MASK64
+        redone = []
+        real = weldlab.dataset.bootstrap_indices
+
+        def recording(n, seed):
+            redone.append(seed)
+            return real(n, seed)
+
+        monkeypatch.setattr(weldlab.dataset, "bootstrap_indices", recording)
+        got = lane_bootstraps(n, seeds)
+        assert redone == [seeds[1]]
+        assert got.tolist() == [real(n, s) for s in seeds]
+        rng = SplitMix64(seeds[1])
+        assert got[1].tolist() == [rng.next_below(n) for _ in range(n)]
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_a_power_of_two_n_rejects_nothing(self, monkeypatch, n):
+        monkeypatch.setattr(weldlab.dataset, "bootstrap_indices", None)
+        seeds = [rejecting_seed(1), 3]
+        got = lane_bootstraps(n, seeds)
+        assert got[0, 0] == MASK64 % n
+        monkeypatch.undo()
+        assert got.tolist() == [bootstrap_indices(n, s) for s in seeds]
+
+    def test_zero_n_rejected(self):
+        with pytest.raises(ValueError):
+            lane_bootstraps(0, [1])
 
 
 class TestSplitMix:

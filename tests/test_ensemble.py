@@ -6,14 +6,25 @@ import numpy as np
 import pytest
 
 import weldlab.cart
+import weldlab.dataset
 import weldlab.ensemble
 from weldlab._rng import SplitMix64, derive_seed
-from weldlab.cart import Leaf, TreeConfig, build_tree, predict_tree, tree_arity
+from weldlab.cart import (
+    Internal,
+    Leaf,
+    TreeConfig,
+    _build_trees,
+    build_tree,
+    count_nodes,
+    predict_tree,
+    tree_arity,
+)
 from weldlab.dataset import Dataset, bootstrap_indices, kfold_plan
 from weldlab.ensemble import (
     BoostModel,
     ForestModel,
     ModelSpec,
+    _fit_and_validate,
     cross_validate,
     feature_importance,
     fit_gbm,
@@ -265,15 +276,14 @@ class TestLockstepGrowth:
     recursion of `build_tree` grown alone, draw for draw."""
 
     @staticmethod
-    def _stage(d, spec, plan, monkeypatch):
-        """(model, training run ids) of `fit_model` and of every
-        `cross_validate` fold, in that order."""
-        final = fit_model(d, spec)
+    def _stage(d, spec, k, monkeypatch):
+        """(model, training run ids) of the final fit and of every fold of
+        one `_fit_and_validate` call with `k` folds, in that order."""
         folds = TestCrossValidate._fold_models(monkeypatch)
-        cross_validate(d, spec, plan)
-        assert len(folds) == plan.k
+        final, cv = _fit_and_validate(d, spec, k)
+        assert len(folds) == k
         return [(final, np.arange(len(d)))] + [
-            (model, np.flatnonzero(np.asarray(plan.assignments) != f))
+            (model, np.flatnonzero(np.asarray(cv.plan.assignments) != f))
             for f, model in enumerate(folds)
         ]
 
@@ -296,7 +306,7 @@ class TestLockstepGrowth:
                          min_impurity_decrease=min_decrease)
         spec = ModelSpec(kind="rf", config=cfg, trees=8, m=m,
                          bootstrap=bootstrap, seed=8)
-        stage = self._stage(d, spec, kfold_plan(len(d), 3, seed=1), monkeypatch)
+        stage = self._stage(d, spec, 3, monkeypatch)
         # Every node was scored in a batch, none one at a time.
         assert scored_nodes["best_split"] == 0 < scored_nodes["best_splits"]
         X, y = d.features(), d.responses()
@@ -323,9 +333,9 @@ class TestLockstepGrowth:
         monkeypatch.setattr(weldlab.ensemble, "_grow_lockstep", recording)
         cfg = TreeConfig(min_samples_leaf=2)
         spec = ModelSpec(kind="rf", config=cfg, trees=10, m=2, seed=4)
-        stage = self._stage(d, spec, kfold_plan(len(d), 3, seed=0), monkeypatch)
-        # One call for the final forest, one for all the folds' forests.
-        assert [seeds.size for seeds, _ in calls] == [spec.trees, 3 * spec.trees]
+        stage = self._stage(d, spec, 3, monkeypatch)
+        # One call for the final forest and all the folds' forests.
+        assert [seeds.size for seeds, _ in calls] == [4 * spec.trees]
         seeds = np.concatenate([seeds for seeds, _ in calls]).tolist()
         ends = np.concatenate([lanes for _, lanes in calls]).tolist()
         lockstep = list(map(lane_draws, seeds, ends))
@@ -609,16 +619,49 @@ class TestCrossValidate:
 
     @staticmethod
     def _fold_models(monkeypatch):
-        """Record each distinct model `cross_validate` predicts with."""
-        models = []
-        predict = weldlab.ensemble.predict_ensemble
+        """Record each fold model of the fits that follow, in fold order.
 
-        def recording(model, x):
+        Boosted and m == p fold models are the distinct models that
+        `predict_ensemble` predicts with.  An m < p fold forest predicts
+        from the records of its fit's one `_grow_lockstep` pass; it is
+        built from them by `cart._build_trees`, the builder of the models
+        that `_fit_models` returns.
+        """
+        models = []
+        grown = []
+        predict = weldlab.ensemble.predict_ensemble
+        grow = weldlab.ensemble._grow_lockstep
+        fit_models = weldlab.ensemble._fit_models
+
+        def predicting(model, x):
             if not any(model is seen for seen in models):
                 models.append(model)
             return predict(model, x)
 
-        monkeypatch.setattr(weldlab.ensemble, "predict_ensemble", recording)
+        def growing(*args):
+            grown.append(grow(*args))
+            return grown[-1]
+
+        def fitting(X, y, fits, spec):
+            out = fit_models(X, y, fits, spec)
+            if grown:
+                (rec,) = grown
+                grown.clear()
+                T = spec.trees
+                for i, (_, seed, held) in enumerate(fits):
+                    if held is not None:
+                        models.append(ForestModel(
+                            trees=tuple(_build_trees(rec, i * T, (i + 1) * T)),
+                            tree_seeds=tuple(derive_seed(seed, t) for t in range(T)),
+                            n_features=X.shape[1], m=spec.m,
+                            bootstrap=spec.bootstrap, seed=seed,
+                            config=spec.config,
+                        ))
+            return out
+
+        monkeypatch.setattr(weldlab.ensemble, "predict_ensemble", predicting)
+        monkeypatch.setattr(weldlab.ensemble, "_grow_lockstep", growing)
+        monkeypatch.setattr(weldlab.ensemble, "_fit_models", fitting)
         return models
 
     @pytest.mark.parametrize("k", [9, 3])
@@ -692,6 +735,115 @@ class TestCrossValidate:
         assert isinstance(gbm, BoostModel)
         with pytest.raises(ValueError):
             ModelSpec(kind="svm")
+
+
+class TestOnePassStage:
+    """`_fit_and_validate`: the final model and every fold from one
+    `_fit_models` pass, equal to `fit_model` and `cross_validate` apart."""
+
+    @pytest.mark.parametrize("data, k", [("builtin", 9), ("builtin", 3),
+                                         ("factorial", 3)])
+    @pytest.mark.parametrize("kind, m, bootstrap", [
+        ("rf", 1, True), ("rf", 1, False), ("rf", 2, True), ("rf", 2, False),
+        ("rf", 3, True), ("rf", 3, False), ("gbm", None, True),
+    ])
+    def test_equals_fit_model_and_cross_validate(self, builtin, data, k, kind,
+                                                 m, bootstrap):
+        d = builtin if data == "builtin" else factorial_81()
+        spec = ModelSpec(kind=kind, config=TreeConfig(min_samples_leaf=2),
+                         trees=12, m=m, bootstrap=bootstrap, rounds=6, seed=13)
+        model, cv = _fit_and_validate(d, spec, k)
+        # Model equality compares every tree, node for node, and each
+        # forest's tree seeds.
+        assert model == fit_model(d, spec)
+        assert cv == cross_validate(d, spec, kfold_plan(len(d), k, spec.seed))
+
+    @pytest.mark.parametrize("data", ["builtin", "factorial"])
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_routed_folds_equal_predict_ensemble(self, builtin, monkeypatch,
+                                                 data, bootstrap):
+        """m < p fold forests predict through the records; the same
+        forests built from those records predict each held-out run as
+        `predict_ensemble` does, bit for bit."""
+        d = builtin if data == "builtin" else factorial_81()
+        spec = ModelSpec(kind="rf", trees=15, m=2, bootstrap=bootstrap, seed=3)
+        folds = TestCrossValidate._fold_models(monkeypatch)
+        cv = cross_validate(d, spec, kfold_plan(len(d), 3, seed=1))
+        monkeypatch.undo()
+        assert len(folds) == 3
+        X = d.features()
+        for f, model in enumerate(folds):
+            for i in cv.plan.fold_indices(f):
+                assert cv.predictions[i] == predict_ensemble(model, X[i])
+
+    @pytest.mark.parametrize("k", [9, 3])
+    def test_subset_stage_grows_once_and_builds_the_final_forest(
+        self, builtin, monkeypatch, k,
+    ):
+        """With m < p: one `_grow_lockstep` call for every forest, `Leaf`
+        and `Internal` objects for the final forest only, no per-fold
+        `predict_ensemble`, and no scalar bootstrap for seeds without a
+        rejected draw."""
+        calls = Counter()
+        built = []
+
+        def counting(name):
+            real = getattr(weldlab.ensemble, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                if name == "_build_trees":
+                    built.append(args[1:])
+                return real(*args)
+
+            monkeypatch.setattr(weldlab.ensemble, name, wrapper)
+
+        for name in ("_grow_lockstep", "_grow_levels", "_build_trees",
+                     "predict_ensemble", "build_tree"):
+            counting(name)
+        monkeypatch.setattr(weldlab.ensemble, "bootstrap_indices", None)
+        monkeypatch.setattr(weldlab.dataset, "bootstrap_indices", None)
+        made = Counter()
+        for cls in (Leaf, Internal):
+            def make(*args, cls=cls, **kwargs):
+                made[cls] += 1
+                return cls(*args, **kwargs)
+
+            monkeypatch.setattr(weldlab.cart, cls.__name__, make)
+        spec = ModelSpec(kind="rf", trees=30, m=2, seed=21)
+        model, _ = _fit_and_validate(builtin, spec, k)
+        monkeypatch.undo()
+        assert calls == {"_grow_lockstep": 1, "_build_trees": 1}
+        assert built == [(0, spec.trees)]
+        splits, leaves = map(sum, zip(*map(count_nodes, model.trees)))
+        assert made == {Internal: splits, Leaf: leaves}
+
+    def test_every_feature_stage_shares_one_memo(self, builtin, scored_nodes):
+        """With m == p the final forest and its folds share one memo, so
+        the stage scores fewer nodes than `fit_model` and `cross_validate`
+        apart."""
+        spec = ModelSpec(kind="rf", trees=200, seed=0)
+        fit_model(builtin, spec)
+        cross_validate(builtin, spec, kfold_plan(9, 9, seed=0))
+        apart = scored_nodes.total()
+        scored_nodes.clear()
+        _fit_and_validate(builtin, spec, 9)
+        assert 0 < scored_nodes.total() < apart
+
+    def test_fold_plan_is_checked_before_any_tree_grows(self, builtin,
+                                                        monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tree grew before the fold plan")
+
+        for name in ("_grow_lockstep", "_grow_levels", "build_tree"):
+            monkeypatch.setattr(weldlab.ensemble, name, refuse)
+        for m in (None, 2):
+            with pytest.raises(ValueError, match=r"^fold count must satisfy "
+                               r"2 <= k <= n, got k=10, n=9$"):
+                _fit_and_validate(builtin, ModelSpec(kind="rf", m=m), 10)
+        tiny = make_dataset([(800, 40, 0.1, 5.0), (900, 50, 0.2, 6.0)])
+        with pytest.raises(ValueError, match="training"):
+            _fit_and_validate(tiny, ModelSpec(kind="gbm"), 2)
 
 
 class TestModelSpec:

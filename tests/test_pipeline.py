@@ -1,8 +1,11 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import weldlab.cart
+import weldlab.ensemble
 import weldlab.pipeline
 from weldlab.dataset import builtin_aa6262, write_csv
 from weldlab.pipeline import (
@@ -154,12 +157,47 @@ class TestRunPipeline:
         assert "anova" in doc.sections  # later stages still ran
 
 
+class TestModelStageCalls:
+    """The call shape of the model stage on each path."""
+
+    def test_every_feature_report_bootstraps_and_builds_per_tree(
+        self, monkeypatch
+    ):
+        """m == p: 200 trees x (final forest + 9 leave-one-out folds), each
+        bootstrapped and read back by `build_tree`, plus the CART stage."""
+        calls = Counter()
+        for module, name in ((weldlab.ensemble, "bootstrap_indices"),
+                             (weldlab.ensemble, "build_tree"),
+                             (weldlab.cart, "build_tree")):
+            def wrapper(*args, real=getattr(module, name), name=name, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+        run_pipeline(RunConfig(seed=0))
+        assert calls == {"bootstrap_indices": 2000, "build_tree": 2001}
+
+    def test_subset_report_grows_every_forest_in_one_pass(self, monkeypatch):
+        calls = []
+        grow = weldlab.ensemble._grow_lockstep
+
+        def recording(X, y, roots, lanes, m, cfg):
+            calls.append(lanes.size)
+            return grow(X, y, roots, lanes, m, cfg)
+
+        monkeypatch.setattr(weldlab.ensemble, "_grow_lockstep", recording)
+        monkeypatch.setattr(weldlab.ensemble, "bootstrap_indices", None)
+        doc = run_pipeline(RunConfig(trees=40, m=2, cv="k:3", seed=5))
+        assert doc.errors == {}
+        assert calls == [40 * 4]
+
+
 # The library call each analysis stage makes first.
 STAGE_CALLS = {
     "design": (weldlab.pipeline, "check_design"),
     "taguchi": (weldlab.pipeline, "response_table"),
     "anova": (weldlab.pipeline.anova_mod, "fit_glm"),
-    "model": (weldlab.pipeline, "fit_model"),
+    "model": (weldlab.pipeline, "_fit_and_validate"),
     "tree": (weldlab.pipeline, "fit_regression_tree"),
 }
 

@@ -8,41 +8,10 @@ grown alone would draw.
 import numpy as np
 import pytest
 
-from weldlab._rng import (
-    GOLDEN_GAMMA,
-    MASK64,
-    MIX_MUL_1,
-    MIX_MUL_2,
-    SplitMix64,
-    lane_subsets,
-    mix64,
-)
+from weldlab._rng import MASK64, SplitMix64, lane_subsets, mix64
 from weldlab.dataset import bootstrap_indices
 
-from conftest import lane_draws
-
-
-def _unshift(z: int, s: int) -> int:
-    """The x with ``x ^ (x >> s) == z``."""
-    x = z
-    for _ in range(64 // s + 1):
-        x = z ^ (x >> s)
-    return x
-
-
-def unmix64(z: int) -> int:
-    """The state word that `mix64` maps to `z`: mix64 is a bijection."""
-    z = _unshift(z, 31)
-    z = (z * pow(MIX_MUL_2, -1, 2**64)) & MASK64
-    z = _unshift(z, 27)
-    z = (z * pow(MIX_MUL_1, -1, 2**64)) & MASK64
-    return _unshift(z, 30)
-
-
-def rejecting_seed(draw: int) -> int:
-    """A seed whose stream's draw number `draw` (from 1) is 2^64 - 1, which
-    `next_below` rejects for every bound but a power of two."""
-    return (unmix64(MASK64) - draw * GOLDEN_GAMMA) & MASK64
+from conftest import lane_draws, rejecting_seed, unmix64
 
 
 class TestUnmix:
