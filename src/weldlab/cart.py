@@ -312,28 +312,33 @@ def _padded(X, y):
     return np.vstack((X, np.full((1, X.shape[1]), np.inf))), np.append(y, 0.0)
 
 
-def _pack(yp, idxs, sizes):
-    """The row-id arrays `idxs`, of `sizes`, as rows of one array padded to
-    the largest, and the mask of their real cells."""
-    real = np.arange(sizes.max()) < sizes[:, None]
-    rows = np.full(real.shape, yp.size - 1)
-    rows[real] = np.concatenate(idxs)
-    return rows, real
-
-
 def _all_equal(ys, mask):
     """Per row of `ys`: do its values under `mask` all equal?"""
     return (np.where(mask, ys, np.inf).min(axis=1)
             == np.where(mask, ys, -np.inf).max(axis=1))
 
 
+def _gather(yp, buf, start, size):
+    """The row ids ``buf[start[i]:start[i] + size[i]]`` of each node i as
+    rows of one array padded to the largest with the pad row: each cell's
+    position in `buf`, the mask of real cells, and the row ids."""
+    ar = np.arange(size.max())
+    at = start[:, None] + ar
+    real = ar < size[:, None]
+    # Positions past a node's slice (they may pass the buffer's end) read
+    # the pad row instead.
+    return at, real, np.where(real, buf.take(at, mode="clip"), yp.size - 1)
+
+
 def _roots(yp, roots):
-    """`roots` as row-id arrays, their sizes, and whether each has a
-    constant response."""
+    """One buffer of the row ids of every array in `roots`, each root's
+    start and size in it, and whether each has a constant response."""
     roots = [np.asarray(rows, dtype=np.intp) for rows in roots]
-    sizes = np.array([idx.size for idx in roots])
-    rows, real = _pack(yp, roots, sizes)
-    return roots, sizes, _all_equal(yp.take(rows), real)
+    size = np.array([idx.size for idx in roots], dtype=np.intp)
+    buf = np.concatenate(roots)
+    start = np.cumsum(size) - size
+    _, real, rows = _gather(yp, buf, start, size)
+    return buf, start, size, _all_equal(yp.take(rows), real)
 
 
 def _calls(sizes):
@@ -346,44 +351,50 @@ def _calls(sizes):
         start = stop
 
 
-def _score(Xp, yp, rows, real, n, features, cfg: TreeConfig):
-    """Score the nodes whose row ids are the rows of `rows` (real where
-    `real`, pads after), of sizes `n`, in one `best_splits` call; each node
-    passed the pre-score leaf rules.  Returns leaf flags, features,
-    thresholds and decreases, each node's row ids stably partitioned (left,
-    <= threshold, then right, then pads), left sizes, and whether each child
-    has a constant response."""
-    B, width = rows.shape
-    Xb = Xp.take(rows, axis=0)
-    feat, thr, children_sse, parent_sse = best_splits(
-        Xb, yp.take(rows), features, cfg.min_samples_leaf, n)
-    decrease = (parent_sse - children_sse) / n
-    # Every node passed the depth rule before scoring.
-    leaf = _is_leaf(cfg, n, 0, False, feat, decrease)
-    goes_left = Xb[np.arange(B), :, feat] <= thr[:, None]
-    order = np.argsort(~goes_left, axis=1, kind="stable")
-    # rows[b, order[b]] for every b, as one flat gather.
-    parted = rows.take(order + width * np.arange(B)[:, None])
-    n_left = goes_left.sum(axis=1)
-    in_left = np.arange(width) < n_left[:, None]
-    ys = yp.take(parted)
-    return (leaf, feat, thr, decrease, parted, n_left,
-            _all_equal(ys, in_left), _all_equal(ys, ~in_left & real))
+def _split(Xp, yp, buf, start, size, features, cfg: TreeConfig):
+    """Score each node i, whose row ids are ``buf[start[i]:start[i] +
+    size[i]]`` and which passed the pre-score leaf rules, over the ascending
+    feature row ``features[i]``.
 
-
-def _split_calls(Xp, yp, nodes, idxs, features, cfg: TreeConfig):
-    """Score `nodes`, of row ids `idxs` and falling size, by `_score`, all
-    searching `features`, in calls of at most `_CALL_ROWS` padded rows.
-    Yields, per call, its nodes zipped with `_score`'s per-node results,
-    as Python values but the partitioned row ids."""
-    sizes = np.array([idx.size for idx in idxs])
-    for start, stop in _calls(sizes):
-        rows, real = _pack(yp, idxs[start:stop], sizes[start:stop])
-        leaf, feat, thr, dec, parted, n_left, cl, cr = _score(
-            Xp, yp, rows, real, sizes[start:stop], features, cfg)
-        yield zip(nodes[start:stop], parted, leaf.tolist(), feat.tolist(),
-                  thr.tolist(), dec.tolist(), n_left.tolist(), cl.tolist(),
-                  cr.tolist())
+    The nodes are scored by falling size in `best_splits` calls of at most
+    `_CALL_ROWS` padded rows.  A node that a post-score leaf rule makes a
+    leaf keeps its slice as it was; a split node's slice is stably
+    partitioned in place, its rows <= the threshold first.  Returns, per
+    node in the given order, its feature (-1 for a leaf), threshold,
+    decrease and left size, and whether each child (left, right) has a
+    constant response.
+    """
+    feat = np.empty(size.size, np.int64)
+    thr = np.empty(size.size)
+    decrease = np.empty(size.size)
+    n_left = np.empty(size.size, np.intp)
+    constant = np.empty((size.size, 2), bool)
+    by_size = np.argsort(-size, kind="stable")
+    for i, j in _calls(size[by_size]):
+        ids = by_size[i:j]
+        n = size[ids]
+        at, real, rows = _gather(yp, buf, start[ids], n)
+        B, width = rows.shape
+        Xb = Xp.take(rows, axis=0)
+        f, t, children_sse, parent_sse = best_splits(
+            Xb, yp.take(rows), features[ids], cfg.min_samples_leaf, n)
+        dec = (parent_sse - children_sse) / n
+        # Every node passed the depth rule before scoring.
+        leaf = _is_leaf(cfg, n, 0, False, f, dec)
+        goes_left = Xb[np.arange(B), :, f] <= t[:, None]
+        order = np.argsort(~goes_left, axis=1, kind="stable")
+        # rows[b, order[b]] for every b, as one flat gather.
+        parted = rows.take(order + width * np.arange(B)[:, None])
+        keep = real & ~leaf[:, None]
+        buf[at[keep]] = parted[keep]
+        nl = goes_left.sum(axis=1)
+        in_left = np.arange(width) < nl[:, None]
+        ys = yp.take(parted)
+        feat[ids] = np.where(leaf, -1, f)
+        thr[ids], decrease[ids], n_left[ids] = t, dec, nl
+        constant[ids, 0] = _all_equal(ys, in_left)
+        constant[ids, 1] = _all_equal(ys, ~in_left & real)
+    return feat, thr, decrease, n_left, constant
 
 
 def _leaf(y, idx) -> Leaf:
@@ -397,45 +408,59 @@ def _grow_levels(X, y, roots, cfg: TreeConfig, memo: dict) -> None:
     level by level with every feature searched at each node.
 
     Keys come from `_memo_key`; this is the only function that writes a
-    memo, and `build_tree` reads its roots back from it.  A new node that a
-    pre-score leaf rule makes a leaf enters the memo at once; `_split_calls`
-    scores each level's other distinct new nodes, sorted by falling size.
-    Split nodes are frozen afterwards by ascending size, children first.
+    memo, and `build_tree` reads its roots back from it.  A node's row ids
+    are a slice of one buffer of every root's ids (`_roots`).  Each level's
+    new nodes pass the pre-score leaf rules in one array step, and a new
+    leaf enters the memo at once; `_split` scores the level's other
+    distinct new nodes, all searching one read-only row of every feature,
+    and partitions their slices into their children's.  Split nodes are
+    frozen afterwards by ascending size, children first.
     """
     Xp, yp = _padded(X, y)
+    buf, start, size, constant = _roots(yp, roots)
     features = np.arange(X.shape[1], dtype=np.int64)
     seen = set()
     splits = []  # (n, key, feature, threshold, decrease, left key, right key)
 
-    def enqueue(pending: list, idx, depth: int, constant: bool) -> bytes:
-        key = _memo_key(idx.tobytes(), depth, cfg)
-        if key not in memo and key not in seen:
-            if _is_leaf(cfg, idx.size, depth, constant):
-                memo[key] = _leaf(yp, idx)
+    def enqueue(start, size, depth: int, constant):
+        """Key the new nodes of `depth` at ``buf[start[i]:start[i] +
+        size[i]]`` and put those that a pre-score leaf rule makes leaves
+        into the memo.  Returns every node's key and the indices of the
+        nodes to score: those neither in the memo nor seen before."""
+        leaf = _is_leaf(cfg, size, depth, constant).tolist()
+        keys, todo = [], []
+        for i, (s, n) in enumerate(zip(start.tolist(), size.tolist())):
+            key = _memo_key(buf[s:s + n].tobytes(), depth, cfg)
+            keys.append(key)
+            if key in memo or key in seen:
+                continue
+            if leaf[i]:
+                memo[key] = _leaf(yp, buf[s:s + n])
             else:
                 seen.add(key)
-                pending.append((idx, key))
-        return key
+                todo.append(i)
+        return keys, todo
 
-    level: list = []  # (row ids, key) of each node of this depth to score
-    roots, _, constant = _roots(yp, roots)
-    for rows, c in zip(roots, constant.tolist()):
-        enqueue(level, rows, 0, c)
+    keys, todo = enqueue(start, size, 0, constant)
     depth = 0
-    while level:
-        below: list = []
-        level.sort(key=lambda node: node[0].size, reverse=True)
-        for call in _split_calls(Xp, yp, level, [idx for idx, _ in level],
-                                 features, cfg):
-            for (idx, key), part, leaf, f, t, dec, nl, cl, cr in call:
-                if leaf:
-                    memo[key] = _leaf(yp, idx)
-                    continue
-                lkey = enqueue(below, part[:nl], depth + 1, cl)
-                rkey = enqueue(below, part[nl:idx.size], depth + 1, cr)
-                splits.append((idx.size, key, f, t, dec, lkey, rkey))
-        level = below
+    while todo:
+        start, size, keys = start[todo], size[todo], [keys[i] for i in todo]
+        feat, thr, dec, n_left, kid_constant = _split(
+            Xp, yp, buf, start, size,
+            np.broadcast_to(features, (size.size, features.size)), cfg)
+        for i in np.flatnonzero(feat < 0).tolist():
+            memo[keys[i]] = _leaf(yp, buf[start[i]:start[i] + size[i]])
+        split = np.flatnonzero(feat >= 0)
+        parents = (size[split].tolist(), [keys[i] for i in split.tolist()],
+                   feat[split].tolist(), thr[split].tolist(),
+                   dec[split].tolist())
+        # Each split's children, left then right, in its slice.
+        start, n_left = start[split], n_left[split]
+        start = np.stack((start, start + n_left), axis=1).ravel()
+        size = np.stack((n_left, size[split] - n_left), axis=1).ravel()
         depth += 1
+        keys, todo = enqueue(start, size, depth, kid_constant[split].ravel())
+        splits += zip(*parents, keys[::2], keys[1::2])
     splits.sort(key=lambda s: s[0])
     for n, key, f, t, dec, lkey, rkey in splits:
         memo[key] = Internal(
@@ -497,19 +522,17 @@ def _grow_lockstep(X, y, roots, lanes, m: int, cfg: TreeConfig) -> _Records:
     order: a node that a pre-score leaf rule makes a leaf draws nothing,
     and only nodes that need a split are stacked.  Each round every tree
     pops one node; the round draws all their subsets at once
-    (`lane_subsets`) and scores them, sorted by falling size, in calls of
-    at most `_CALL_ROWS` padded rows.
+    (`lane_subsets`) and `_split` scores them, each with its own subset.
 
-    A node's row ids are a slice of one buffer of every root's ids, and a
-    split partitions its slice in place, left rows first, so each leaf's
-    slice holds its rows in the recursion's order.  A split's children are
-    the next two node ids.  Leaf values come from `_leaf_values`.
+    A node's row ids are a slice of one buffer of every root's ids
+    (`_roots`), and `_split` partitions a split node's slice in place, left
+    rows first, so each leaf's slice holds its rows in the recursion's
+    order.  A split's children are the next two node ids.  Leaf values
+    come from `_leaf_values`.
     """
     Xp, yp = _padded(X, y)
-    pad = y.shape[0]
-    roots, sizes, constant = _roots(yp, roots)
+    buf, root_start, sizes, constant = _roots(yp, roots)
     T = sizes.size
-    buf = np.concatenate(roots)
     # Node records, grown as needed.  A split's children are the next two
     # free ids, left first, so `child` holds the left one.
     cap = buf.size
@@ -521,7 +544,7 @@ def _grow_lockstep(X, y, roots, lanes, m: int, cfg: TreeConfig) -> _Records:
     decrease = np.empty(cap)
     child = np.empty(cap, np.intp)
     tree = np.empty(cap, np.intp)
-    start[:T] = np.cumsum(sizes) - sizes
+    start[:T] = root_start
     n[:T] = sizes
     depth[:T] = 0
     tree[:T] = np.arange(T)
@@ -540,32 +563,12 @@ def _grow_lockstep(X, y, roots, lanes, m: int, cfg: TreeConfig) -> _Records:
 
     trees = np.flatnonzero(add(np.arange(T), constant))
     nodes = trees  # each tree's node to score this round
-    ar = np.arange(sizes.max())
     while trees.size:
-        features = lane_subsets(lanes, trees, X.shape[1], m)
-        order = np.argsort(-n[nodes], kind="stable")
-        trees, nodes, features = trees[order], nodes[order], features[order]
         size = n[nodes]
-        leaf = np.empty(nodes.size, bool)
-        n_left = np.empty(nodes.size, np.intp)
-        kid_constant = np.empty((nodes.size, 2), bool)  # left, right
-        for i, j in _calls(size):
-            # Positions past a node's slice (they may pass the buffer's
-            # end) read the pad row instead.
-            at = start[nodes[i:j], None] + ar[:size[i]]
-            real = ar[:size[i]] < size[i:j, None]
-            rows = np.where(real, buf.take(at, mode="clip"), pad)
-            (leaf[i:j], f, th, dec, parted, n_left[i:j], kid_constant[i:j, 0],
-             kid_constant[i:j, 1]) = _score(Xp, yp, rows, real, size[i:j],
-                                            features[i:j], cfg)
-            ids = nodes[i:j]
-            feature[ids] = np.where(leaf[i:j], -1, f)
-            threshold[ids] = th
-            decrease[ids] = dec
-            # A split's slice takes its partition; a leaf's keeps its order.
-            keep = real & ~leaf[i:j, None]
-            buf[at[keep]] = parted[keep]
-        split = ~leaf
+        (feature[nodes], threshold[nodes], decrease[nodes], n_left,
+         kid_constant) = _split(Xp, yp, buf, start[nodes], size,
+                                lane_subsets(lanes, trees, X.shape[1], m), cfg)
+        split = feature[nodes] >= 0
         parent, trees_split = nodes[split], trees[split]
         kids = count + np.arange(2 * parent.size)
         count += kids.size

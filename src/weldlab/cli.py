@@ -26,14 +26,9 @@ EXIT_ALL_FAILED = 3
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    src = p.add_mutually_exclusive_group()
-    src.add_argument(
-        "--input", dest="input_path", metavar="PATH", help="CSV file to analyze"
-    )
-    src.add_argument(
-        "--builtin",
-        choices=["aa6262"],
-        help="use the embedded dataset (default when --input is absent)",
+    p.add_argument(
+        "--input", dest="input_path", metavar="PATH",
+        help="CSV file to analyze (default: the embedded aa6262 dataset)",
     )
     p.add_argument("--seed", type=int, help="64-bit seed, recorded in the report")
     p.add_argument("--format", choices=FORMATS, help="output format")
@@ -73,8 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("fit", "report"):
             _add_model_flags(p)
         if name in ("taguchi", "report"):
+            # Nominal-is-best S/N needs replicates that a CLI run never
+            # has (`response_table` has one response per run), so only
+            # the library offers it.
             p.add_argument(
-                "--criterion", choices=["larger", "smaller", "nominal"],
+                "--criterion", choices=["larger", "smaller"],
                 help="S/N quality criterion",
             )
     return parser

@@ -25,12 +25,14 @@ recursion's order; its bootstrap comes from the same lane arithmetic
 (`lane_bootstraps`).  The lockstep pass leaves flat node records: only the
 trees of models that the caller gets back become `Leaf` and `Internal`
 objects, and a fold forest predicts its held-out runs from the records.
-Either way the nodes waiting at one time (a level's new nodes, or a
-round's), of any sizes, are padded to a common width and scored in a few
-batched kernel calls, and the trees, predictions and serialized bytes are
-exactly those of trees grown one by one.  Boosting is the stagewise
-additive update F_m = F_{m-1} + nu * h_m with F_0 = mean(y) and leaf values
-sum(residuals) / (count + lambda).
+Either way a node's rows are a slice of one buffer of every root's rows,
+and the nodes waiting at one time (a level's new nodes, or a round's), of
+any sizes, go through one scoring step (`cart._split`): padded to a
+common width, scored in a few batched kernel calls, and split by
+partitioning their slices in place.  The trees, predictions and
+serialized bytes are exactly those of trees grown one by one.  Boosting is
+the stagewise additive update F_m = F_{m-1} + nu * h_m with F_0 = mean(y)
+and leaf values sum(residuals) / (count + lambda).
 """
 
 from __future__ import annotations
@@ -164,8 +166,8 @@ def _fit_models(X, y, fits, spec: ModelSpec) -> list:
     ``derive_seed(tree seed, 1)``.  Only the forests returned as models are
     built into `Leaf` and `Internal` objects; the held rows of the others
     are routed through the grown records.  Both growers score nodes of all
-    sizes together in kernel calls capped at `cart._CALL_ROWS` padded rows,
-    which also bounds peak memory.
+    sizes together through `cart._split`, in kernel calls capped at
+    `cart._CALL_ROWS` padded rows, which also bounds peak memory.
     """
     n_features = X.shape[1]
     cfg = spec.config

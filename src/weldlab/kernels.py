@@ -7,11 +7,12 @@ the clamped SSE expression at every cut, keeping the first minimum by a
 strict ``<`` over features and then cuts.  It is the single-tree
 recursion's kernel, through ``best_split``, and the reference the test
 suite holds ``best_splits`` to.  ``best_splits`` scores a batch of nodes,
-padded on the right to the largest, in one numpy pass with the same steps
-along each node's own axis (a stable argsort, a sequential
-``np.add.accumulate``, the same expression, a row-major argmin): pads
-sort last, no sum that is read includes one, and every node's result
-equals ``best_split`` on that node alone, bit for bit.
+padded on the right to the largest and each with its own row of candidate
+features, in one numpy pass with the same steps along each node's own
+axis (a stable argsort, a sequential ``np.add.accumulate``, the same
+expression, a row-major argmin): pads sort last, no sum that is read
+includes one, and every node's result equals ``best_split`` on that node
+alone, bit for bit.
 
 Split contract: candidate thresholds are midpoints between consecutive
 distinct sorted values, comparison is ``<=`` (left), the score is the
@@ -89,50 +90,18 @@ def best_split(X, y, features, min_leaf=1):
     return _best_split_loops(X.tolist(), y.tolist(), features.tolist(), min_leaf)
 
 
-def _cut_sse(c, xs, min_leaf, sizes):
-    """Children SSE of every cut of a batch of B nodes.
-
-    `c` holds (B, 2k + 2, n) running sums along the last axis: the node's
-    y as given, y in each of the k candidate features' sort order, then
-    the squares of both; xs (B, k, n) holds the sorted columns.  Cut i of
-    a feature puts its first i + 1 sorted rows left; it scores inf where
-    its two boundary values tie or a child would have fewer than
-    `min_leaf` rows.  Each child SSE clamps at zero.
-
-    `sizes` (B,) gives each node its own row count; its pads sort last and
-    add zeros (see `best_splits`).  Node b reads its totals at column
-    ``sizes[b] - 1``, and every cut at or past ``sizes[b] - min_leaf``
-    scores inf, so no value read involves a pad.
-    """
-    k, n = xs.shape[-2:]
-    nl = np.arange(1, n)
-    sl = c[..., 1 : k + 1, :-1]
-    ssl = c[..., k + 2 :, :-1]
-    # A masked cut may have no right rows: divide those by 1, not 0.
-    nr = np.maximum(sizes[:, None, None] - nl, 1)
-    tot = c[np.arange(sizes.size), :, sizes - 1][..., None]
-    sr = tot[..., 1 : k + 1, :] - sl
-    score = np.maximum(ssl - sl * sl / nl, 0.0) + np.maximum(
-        (tot[..., k + 2 :, :] - ssl) - sr * sr / nr, 0.0
-    )
-    score[xs[..., :-1] == xs[..., 1:]] = np.inf
-    if min_leaf > 1:
-        score[..., : min_leaf - 1] = np.inf
-    np.copyto(score, np.inf, where=nl > (sizes - min_leaf)[:, None, None])
-    return score
-
-
 def best_splits(Xb, yb, features, min_leaf, sizes):
     """`best_split` of B nodes of 1 to n rows each, scored in one pass.
 
-    Xb is (B, n, p) float64 and yb (B, n) float64.  `features` is either
-    one ascending int64 array of k column indices that every node searches,
-    as for `best_split`, or a (B, k) array whose row b is node b's own
-    ascending subset.  Returns four (B,) arrays: feature (int64, -1 where no
-    split is admissible), threshold, children SSE and parent SSE.  Every
-    step is the per-node one applied along each node's own last axis (a
-    stable argsort, sequential running sums, `_cut_sse`, a row-major argmin
-    per node), so no value of one node enters another's sums.
+    Xb is (B, n, p) float64, yb (B, n) float64 and `features` a (B, k) int64
+    array whose row b holds node b's ascending column indices (nodes that
+    all search the same columns can share one read-only `np.broadcast_to`
+    row).  Returns four (B,) arrays: feature (int64, -1 where no split is
+    admissible), threshold, children SSE and parent SSE.  Every step is the
+    per-node one applied along each node's own last axis (a stable argsort,
+    sequential running sums, the clamped child-SSE expression at every cut,
+    a row-major argmin per node), so no value of one node enters another's
+    sums.
 
     `sizes`, a (B,) integer array, gives each node its row count: node b's
     real rows are its first ``sizes[b]``, and its rows past them are pads
@@ -142,35 +111,51 @@ def best_splits(Xb, yb, features, min_leaf, sizes):
     every cut that would put a pad in a child is masked, so no pad's y
     enters a value that is read (the zeros keep the masked cuts finite).
     Entry b equals `best_split` on ``Xb[b, :sizes[b]]``, ``yb[b,
-    :sizes[b]]`` and its features, bit for bit.
+    :sizes[b]]`` and ``features[b]``, bit for bit.
     """
     B, n = yb.shape
-    k = features.shape[-1]
+    k = features.shape[1]
     node = np.arange(B)
-    if features.ndim == 1:
-        cols = Xb.transpose(0, 2, 1)[:, features]  # (B, k, n)
-    else:
-        cols = Xb.transpose(0, 2, 1)[node[:, None], features]
+    cols = Xb.transpose(0, 2, 1)[node[:, None], features]  # (B, k, n)
     order = cols.argsort(axis=-1, kind="stable")
     # cols[b, f, order[b, f]] and yb[b, order[b, f]] as flat gathers.
     row = node[:, None, None]
     xs = cols.take(order + n * (k * row + np.arange(k)[:, None]))
     ys = np.concatenate((yb[:, None], yb.take(order + n * row)), axis=1)
+    # Running sums along the last axis of y as given, y in each feature's
+    # sort order, then the squares of both: (B, 2k + 2, n).  Node b's
+    # totals are at its last real row.
     c = np.add.accumulate(np.concatenate((ys, ys * ys), axis=1), axis=-1)
-    s_tot = c[node, 0, sizes - 1]
-    parent_sse = c[node, k + 1, sizes - 1] - s_tot * s_tot / sizes
+    tot = c[node, :, sizes - 1][..., None]
+    parent_sse = tot[:, k + 1, 0] - tot[:, 0, 0] * tot[:, 0, 0] / sizes
     if n < 2 or k == 0:
         return np.full(B, -1), np.zeros(B), np.full(B, np.inf), parent_sse
 
-    flat = _cut_sse(c, xs, min_leaf, sizes).reshape(B, -1)
+    # Cut i of a feature puts its first i + 1 sorted rows left.  It scores
+    # inf where its two boundary values tie, where a child would have
+    # fewer than `min_leaf` rows, and at or past ``sizes[b] - min_leaf``,
+    # so no cut read takes a pad.  Each child SSE clamps at zero.
+    nl = np.arange(1, n)
+    sl = c[:, 1 : k + 1, :-1]
+    ssl = c[:, k + 2 :, :-1]
+    # A masked cut may have no right rows: divide those by 1, not 0.
+    nr = np.maximum(sizes[:, None, None] - nl, 1)
+    sr = tot[:, 1 : k + 1] - sl
+    score = np.maximum(ssl - sl * sl / nl, 0.0) + np.maximum(
+        (tot[:, k + 2 :] - ssl) - sr * sr / nr, 0.0
+    )
+    score[xs[..., :-1] == xs[..., 1:]] = np.inf
+    if min_leaf > 1:
+        score[..., : min_leaf - 1] = np.inf
+    np.copyto(score, np.inf, where=nl > (sizes - min_leaf)[:, None, None])
+    flat = score.reshape(B, -1)
     best = flat.argmin(axis=1)
     best_score = flat[node, best]
     fi, i = np.divmod(best, n - 1)
     ok = best_score < np.inf
     best_t = (xs[node, fi, i] + xs[node, fi, i + 1]) / 2
-    chosen = features[fi] if features.ndim == 1 else features[node, fi]
     return (
-        np.where(ok, chosen, -1),
+        np.where(ok, features[node, fi], -1),
         np.where(ok, best_t, 0.0),
         np.where(ok, best_score, np.inf),
         parent_sse,

@@ -18,8 +18,10 @@ from weldlab.cart import (
     _grow_lockstep,
     _leaf,
     _leaf_values,
+    _padded,
     _route,
     _route_records,
+    _split,
     build_tree,
     count_nodes,
     entropy,
@@ -32,6 +34,7 @@ from weldlab.cart import (
     split_info,
 )
 from weldlab.dataset import bootstrap_indices
+from weldlab.kernels import _best_split_loops
 from weldlab.pipeline import RunConfig, run_pipeline
 
 from conftest import assert_split_optimal
@@ -528,6 +531,63 @@ class TestGrowLockstep:
         assert np.array_equal(rec.n[split], rec.n[rec.child[split]]
                               + rec.n[rec.child[split] + 1])
         assert len({len(col) for col in rec}) == 1
+
+
+class TestSplit:
+    """`_split` on nodes that are random slices of one row-id buffer,
+    against `_best_split_loops` on each node's rows."""
+
+    @pytest.mark.parametrize("cap", [None, 64])
+    @pytest.mark.parametrize("kind", ["continuous", "tied"])
+    def test_nodes_equal_the_list_loop_and_slices_partition(
+            self, kind, cap, monkeypatch):
+        if cap is not None:
+            monkeypatch.setattr(weldlab.cart, "_CALL_ROWS", cap)
+        gen = np.random.default_rng(40 + len(kind) + (cap or 0))
+        for _ in range(40):
+            n_rows = int(gen.integers(1, 30))
+            p = int(gen.integers(1, 5))
+            if kind == "tied":
+                X = gen.integers(0, 3, (n_rows, p)).astype(np.float64)
+                y = gen.integers(0, 3, n_rows).astype(np.float64)
+            else:
+                X = gen.uniform(-3, 3, (n_rows, p))
+                y = gen.uniform(0, 10, n_rows)
+            cfg = TreeConfig(min_samples_leaf=int(gen.integers(1, 4)))
+            # Nodes of 1-40 rows, in no order of size, at disjoint slices of
+            # a buffer of row ids with gaps between them.
+            size = gen.integers(1, 41, int(gen.integers(1, 12)))
+            start = np.cumsum(size + gen.integers(0, 3, size.size)) - size
+            buf = gen.integers(0, n_rows, start[-1] + size[-1] + 2)
+            if gen.random() < 0.5:
+                features = np.broadcast_to(np.arange(p), (size.size, p))
+            else:
+                k = int(gen.integers(1, p + 1))
+                features = np.array([np.sort(gen.choice(p, k, replace=False))
+                                     for _ in size.tolist()])
+            before = buf.copy()
+            feat, thr, dec, n_left, constant = _split(
+                *_padded(X, y), buf, start, size, features, cfg)
+            after = buf.copy()
+            for i, (s, n) in enumerate(zip(start.tolist(), size.tolist())):
+                rows = before[s:s + n]
+                f, t, children, parent = _best_split_loops(
+                    X[rows].tolist(), y[rows].tolist(), features[i].tolist(),
+                    cfg.min_samples_leaf)
+                if f < 0 or (parent - children) / n <= 0.0:
+                    assert feat[i] == -1
+                    assert np.array_equal(buf[s:s + n], rows)
+                    continue
+                assert (feat[i], thr[i], dec[i]) == (f, t, (parent - children) / n)
+                left = X[rows, f] <= t
+                assert n_left[i] == left.sum()
+                assert np.array_equal(buf[s:s + n],
+                                      np.concatenate((rows[left], rows[~left])))
+                for side, kid in enumerate((rows[left], rows[~left])):
+                    assert constant[i, side] == (np.ptp(y[kid]) == 0.0)
+                after[s:s + n] = before[s:s + n]
+            # No cell outside a split node's slice moved.
+            assert np.array_equal(after, before)
 
 
 class TestLeafValues:

@@ -107,13 +107,24 @@ class TestSubcommands:
 
     def test_taguchi_criterion_flag(self, capsys):
         code, out, _ = run_cli(
-            capsys, "taguchi", "--criterion", "nominal", "--format", "json"
+            capsys, "taguchi", "--criterion", "smaller", "--format", "json"
         )
-        # nominal is unusable on single-replicate data: stage error, but the
-        # dataset/design sections still succeed
         assert code == EXIT_OK
-        payload = json.loads(out)
-        assert "taguchi" in payload["errors"]
+        assert json.loads(out)["config"]["criterion"] == "smaller"
+        # Nominal-is-best needs replicates, and a CLI run has one response
+        # per run: the parser refuses it before anything is computed.
+        for command in ("taguchi", "report"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--criterion", "nominal"])
+            assert exc.value.code == 2
+            assert "invalid choice: 'nominal'" in capsys.readouterr().err
+
+    def test_builtin_flag_is_gone(self, capsys):
+        # The embedded dataset is the default when --input is absent.
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--builtin", "aa6262"])
+        assert exc.value.code == 2
+        assert "--builtin" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, code, failed", [
         ("anova", EXIT_ALL_FAILED, "anova failed: model needs 3 parameters"),

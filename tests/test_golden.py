@@ -5,7 +5,8 @@ and, for every format, the ordered file list and every file's bytes from
 ``render``.  Each CLI case records the exit code, stdout and stderr of
 ``main()``.  The cases are rf/gbm x m 2/3 x loo/k:3 x seeds 0/7 with small
 models, one CSV input read through a relative path, the nominal criterion
-(a recorded stage error) and the smaller criterion with boosting settings.
+(a recorded stage error in the pipeline, a usage error at the CLI) and the
+smaller criterion with boosting settings.
 Every case runs in an empty working directory and uses relative paths, so
 no temporary path reaches the bytes.
 
@@ -26,6 +27,7 @@ import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -100,10 +102,13 @@ def pipeline_digests(kwargs: dict) -> dict[str, str]:
 
 
 def cli_digest(argv: list[str]) -> str:
-    """Digest of (exit code, stdout, stderr) of one CLI call, run in the current directory."""
+    """Digest of (exit code, stdout, stderr) of one CLI call, run in the
+    current directory.  argparse wraps a usage message to the terminal's
+    width, so the call sees 80 columns."""
     write_csv(builtin_aa6262(), CSV_INPUT)
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with (redirect_stdout(out), redirect_stderr(err),
+          mock.patch.dict(os.environ, {"COLUMNS": "80"})):
         try:
             code = main(argv)
         except SystemExit as exc:

@@ -102,8 +102,10 @@ class TestBatchedKernel:
             for _ in range(8):
                 Xb, yb, feats, min_leaf = batch_instance(rng, kind, n)
                 seen.add((feats.size, min_leaf))
+                # Every node searches the same columns: one read-only row.
                 got = kernels.best_splits(
-                    Xb, yb, feats, min_leaf, np.full(yb.shape[0], n))
+                    Xb, yb, np.broadcast_to(feats, (yb.shape[0], feats.size)),
+                    min_leaf, np.full(yb.shape[0], n))
                 assert [a.shape for a in got] == [yb.shape[:1]] * 4
                 for b in range(yb.shape[0]):
                     X = np.ascontiguousarray(Xb[b])
@@ -160,6 +162,8 @@ class TestBatchedKernel:
                         [np.sort(rng.choice(p, k, replace=False)) for _ in range(B)],
                         dtype=np.int64,
                     )
+                else:
+                    feats = np.broadcast_to(feats, (B, feats.size))
                 pads = np.arange(width) >= sizes[:, None]
                 Xb[pads] = np.inf
                 yb[pads] = 0.0
@@ -169,10 +173,9 @@ class TestBatchedKernel:
                 for b, n in enumerate(sizes.tolist()):
                     X = np.ascontiguousarray(Xb[b, :n])
                     y = yb[b, :n].copy()
-                    f = feats[b] if per_node else feats
                     node = tuple(v[b].item() for v in got)
-                    assert node == kernels._best_split_loops(X, y, f, min_leaf)
-                    assert node == kernels.best_split(X, y, f, min_leaf)
+                    assert node == kernels._best_split_loops(X, y, feats[b], min_leaf)
+                    assert node == kernels.best_split(X, y, feats[b], min_leaf)
                 # No pad's y enters a sum that is read: any finite value
                 # there gives the same result as the zeros above.
                 yb[pads] = rng.uniform(-10.0, 10.0, int(pads.sum()))
