@@ -9,8 +9,6 @@ standard sign, -sum(w * log2 w), so gain ratio is nonnegative.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -18,7 +16,7 @@ from typing import Iterable, NamedTuple, Sequence, Union
 import numpy as np
 
 from ._rng import SplitMix64, lane_subsets
-from .dataset import Dataset
+from .dataset import Dataset, _check_fields, _integer, _real
 from .kernels import best_split, best_splits
 
 
@@ -111,35 +109,6 @@ def gini_impurity(dist: ClassDistribution) -> float:
 # --- regression tree ------------------------------------------------------
 
 
-def _set_int_fields(obj, names: Sequence[str]) -> None:
-    """Check that each field named in `names` of the frozen dataclass `obj`
-    holds a Python or numpy integer (not a bool), raising a ValueError that
-    names the field; a numpy integer is stored as an int, so JSON can
-    write it."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        object.__setattr__(obj, name, int(value))
-
-
-def _check_real_fields(obj, names: Sequence[str]) -> None:
-    """Check that each field named in `names` of the frozen dataclass `obj`
-    holds a real number that is finite as a float (a Python or numpy int or
-    float; not a bool, NaN, infinity or an int too large for a float),
-    raising a ValueError that names the field; a numpy number is stored as
-    the Python int or float it holds, so JSON can write it."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
-        if isinstance(value, np.generic):
-            value = value.item()
-            object.__setattr__(obj, name, value)
-        if not abs(value) <= sys.float_info.max:
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class TreeConfig:
     max_depth: int = 0  # 0 = unlimited
@@ -147,8 +116,8 @@ class TreeConfig:
     min_impurity_decrease: float = 0.0
 
     def __post_init__(self):
-        _set_int_fields(self, ("max_depth", "min_samples_leaf"))
-        _check_real_fields(self, ("min_impurity_decrease",))
+        _check_fields(self, _integer, ("max_depth", "min_samples_leaf"))
+        _check_fields(self, _real, ("min_impurity_decrease",))
         if self.max_depth < 0 or self.min_samples_leaf < 1:
             raise ValueError("max_depth must be >= 0 and min_samples_leaf >= 1")
         if not self.min_impurity_decrease >= 0.0:
@@ -397,12 +366,6 @@ def _split(Xp, yp, buf, start, size, features, cfg: TreeConfig):
     return feat, thr, decrease, n_left, constant
 
 
-def _leaf(y, idx) -> Leaf:
-    """The leaf of rows `idx`, valued ``y[idx].mean()`` bit for bit: numpy
-    divides this pairwise sum by n (`np.add.reduce` skips `sum`'s wrapper)."""
-    return Leaf(value=float(np.add.reduce(y[idx])) / idx.size, n=idx.size)
-
-
 def _grow_levels(X, y, roots, cfg: TreeConfig, memo: dict) -> None:
     """Put into `memo` the tree of every row-id array in `roots`, grown
     level by level with every feature searched at each node.
@@ -410,22 +373,24 @@ def _grow_levels(X, y, roots, cfg: TreeConfig, memo: dict) -> None:
     Keys come from `_memo_key`; this is the only function that writes a
     memo, and `build_tree` reads its roots back from it.  A node's row ids
     are a slice of one buffer of every root's ids (`_roots`).  Each level's
-    new nodes pass the pre-score leaf rules in one array step, and a new
-    leaf enters the memo at once; `_split` scores the level's other
-    distinct new nodes, all searching one read-only row of every feature,
-    and partitions their slices into their children's.  Split nodes are
-    frozen afterwards by ascending size, children first.
+    new nodes pass the pre-score leaf rules in one array step; `_split`
+    scores the level's other distinct new nodes, all searching one
+    read-only row of every feature, and partitions their slices into their
+    children's.  No slice changes once its node is a leaf, so the pass
+    values every distinct leaf at its end in one `_leaf_values` call.
+    Split nodes are frozen afterwards by ascending size, children first.
     """
     Xp, yp = _padded(X, y)
     buf, start, size, constant = _roots(yp, roots)
     features = np.arange(X.shape[1], dtype=np.int64)
     seen = set()
+    leaves = []  # (key, start, size) of each new leaf
     splits = []  # (n, key, feature, threshold, decrease, left key, right key)
 
     def enqueue(start, size, depth: int, constant):
         """Key the new nodes of `depth` at ``buf[start[i]:start[i] +
-        size[i]]`` and put those that a pre-score leaf rule makes leaves
-        into the memo.  Returns every node's key and the indices of the
+        size[i]]`` and add those that a pre-score leaf rule makes leaves
+        to `leaves`.  Returns every node's key and the indices of the
         nodes to score: those neither in the memo nor seen before."""
         leaf = _is_leaf(cfg, size, depth, constant).tolist()
         keys, todo = [], []
@@ -434,10 +399,10 @@ def _grow_levels(X, y, roots, cfg: TreeConfig, memo: dict) -> None:
             keys.append(key)
             if key in memo or key in seen:
                 continue
+            seen.add(key)
             if leaf[i]:
-                memo[key] = _leaf(yp, buf[s:s + n])
+                leaves.append((key, s, n))
             else:
-                seen.add(key)
                 todo.append(i)
         return keys, todo
 
@@ -448,8 +413,9 @@ def _grow_levels(X, y, roots, cfg: TreeConfig, memo: dict) -> None:
         feat, thr, dec, n_left, kid_constant = _split(
             Xp, yp, buf, start, size,
             np.broadcast_to(features, (size.size, features.size)), cfg)
-        for i in np.flatnonzero(feat < 0).tolist():
-            memo[keys[i]] = _leaf(yp, buf[start[i]:start[i] + size[i]])
+        leaf = np.flatnonzero(feat < 0)
+        leaves += zip([keys[i] for i in leaf.tolist()], start[leaf].tolist(),
+                      size[leaf].tolist())
         split = np.flatnonzero(feat >= 0)
         parents = (size[split].tolist(), [keys[i] for i in split.tolist()],
                    feat[split].tolist(), thr[split].tolist(),
@@ -461,6 +427,10 @@ def _grow_levels(X, y, roots, cfg: TreeConfig, memo: dict) -> None:
         depth += 1
         keys, todo = enqueue(start, size, depth, kid_constant[split].ravel())
         splits += zip(*parents, keys[::2], keys[1::2])
+    at = np.array([leaf[1:] for leaf in leaves], np.intp).reshape(-1, 2)
+    values = _leaf_values(yp, buf, at[:, 0], at[:, 1])
+    for (key, _, n), value in zip(leaves, values.tolist()):
+        memo[key] = Leaf(value=value, n=n)
     splits.sort(key=lambda s: s[0])
     for n, key, f, t, dec, lkey, rkey in splits:
         memo[key] = Internal(
@@ -471,11 +441,12 @@ def _grow_levels(X, y, roots, cfg: TreeConfig, memo: dict) -> None:
 
 def _leaf_values(y, rows, starts, sizes) -> np.ndarray:
     """Value of each leaf whose row ids are ``rows[starts[i]:starts[i] +
-    sizes[i]]``, equal to `_leaf`'s bit for bit.
+    sizes[i]]``, equal bit for bit to the recursion's ``float(y[idx].mean())``
+    of the leaf's row ids `idx`.
 
     The leaves of each size s are valued together: one ``np.add.reduce``
     along the rows of their (leaves, s) block of responses runs numpy's
-    pairwise sum over each C-contiguous row, as `_leaf` does over its one
+    pairwise sum over each C-contiguous row, as ``mean`` does over its one
     row, and divides by s.
     """
     values = np.empty(sizes.size)

@@ -5,12 +5,16 @@ with '.' decimals; extra or repeated columns and data rows with more cells
 than the header are rejected to prevent silent misuse.
 Run order is preserved exactly as ingested and every iteration over runs
 follows stored order (the determinism anchor).
+
+Every number that enters weldlab passes one of two checks, `_integer` or
+`_real`, which raise a ValueError that names what is wrong.
 """
 
 from __future__ import annotations
 
 import csv
-import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +41,43 @@ class InsufficientDataError(ValueError):
     """Fewer than 2 data rows."""
 
 
+def _integer(value, what: str, low: int | None = None,
+             high: int | None = None) -> int:
+    """`value` as an int if it is a Python or numpy integer (not a bool) in
+    [low, high), where a bound left None is open; else a ValueError that
+    names `what`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    value = int(value)
+    if (low is not None and value < low) or (high is not None and value >= high):
+        raise ValueError(f"{what} {value} is outside "
+                         f"[{'-inf' if low is None else low}, "
+                         f"{'inf' if high is None else high})")
+    return value
+
+
+def _real(value, what: str):
+    """`value` if it is a real number that is finite as a float (a Python or
+    numpy int or float; not a bool, NaN, infinity or an int too large for a
+    float), a numpy number as the Python int or float it holds, so JSON can
+    write it; else a ValueError that names `what`."""
+    if type(value) is not float:  # a float, the common case, skips the ABC
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{what} must be a real number, got {value!r}")
+        if isinstance(value, np.generic):
+            value = value.item()
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return value
+
+
+def _check_fields(obj, check, names) -> None:
+    """Store ``check(value, name)`` in each field named in `names` of the
+    frozen dataclass `obj`."""
+    for name in names:
+        object.__setattr__(obj, name, check(getattr(obj, name), name))
+
+
 @dataclass(frozen=True)
 class Run:
     """One experimental observation: three factor settings and the response."""
@@ -48,9 +89,12 @@ class Run:
 
     def __post_init__(self):
         for name in ("rpm", "traverse", "depth", "hardness"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0:
+            value = getattr(self, name)
+            v = _real(value, name)
+            if v <= 0:
                 raise ValueError(f"{name} must be a finite positive number, got {v}")
+            if v is not value:  # a numpy number, now a Python one
+                object.__setattr__(self, name, v)
 
     def factors(self) -> tuple[float, float, float]:
         return (self.rpm, self.traverse, self.depth)
@@ -225,8 +269,9 @@ class FoldPlan:
     assignments: tuple[int, ...]  # run index -> fold index
 
     def __post_init__(self):
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
-            raise ValueError(f"k must be an integer, got {self.k!r}")
+        _check_fields(self, _integer, ("k",))
+        object.__setattr__(self, "assignments", tuple(
+            _integer(f, "fold id") for f in self.assignments))
         # A run outside every fold would never be held out or predicted.
         if not all(0 <= f < self.k for f in self.assignments):
             raise ValueError(f"fold ids must be in [0, {self.k})")
@@ -244,6 +289,7 @@ def kfold_plan(n: int, k: int, seed: int) -> FoldPlan:
 
     Fold sizes differ by at most 1 (round-robin over a seeded shuffle).
     """
+    k, seed = _integer(k, "k"), _integer(seed, "seed", 0, 2**64)
     if k < 2 or k > n:
         raise ValueError(f"fold count must satisfy 2 <= k <= n, got k={k}, n={n}")
     order = list(range(n))

@@ -38,7 +38,6 @@ and leaf values sum(residuals) / (count + lambda).
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -51,18 +50,19 @@ from .cart import (
     TreeConfig,
     TreeNode,
     _build_trees,
-    _check_real_fields,
     _grow_levels,
     _grow_lockstep,
     _route,
     _route_records,
-    _set_int_fields,
     build_tree,
     tree_arity,
 )
 from .dataset import (
     Dataset,
     FoldPlan,
+    _check_fields,
+    _integer,
+    _real,
     bootstrap_indices,
     kfold_plan,
     lane_bootstraps,
@@ -114,9 +114,9 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in ("rf", "gbm"):
             raise ValueError(f"model kind must be 'rf' or 'gbm', got {self.kind!r}")
-        _set_int_fields(self, ("trees", "rounds", "seed")
-                        + (() if self.m is None else ("m",)))
-        _check_real_fields(self, ("nu", "lam"))
+        _check_fields(self, _integer, ("trees", "rounds", "seed")
+                      + (() if self.m is None else ("m",)))
+        _check_fields(self, _real, ("nu", "lam"))
         if not isinstance(self.bootstrap, (bool, np.bool_)):
             raise ValueError(f"bootstrap must be a bool, got {self.bootstrap!r}")
         object.__setattr__(self, "bootstrap", bool(self.bootstrap))
@@ -498,40 +498,19 @@ def _list(value, what: str) -> list:
     return value
 
 
-def _integer(value, what: str, low: int, high: int | None = None) -> int:
-    """`value` if it is a JSON integer in [low, high), else a ValueError
-    that names `what`."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    if value < low or (high is not None and value >= high):
-        end = "inf" if high is None else high
-        raise ValueError(f"{what} {value} is outside [{low}, {end})")
-    return value
-
-
-def _real(value, what: str) -> float:
-    """`value` as a float if it is a JSON number that is finite as a float,
-    else a ValueError that names `what` (`json.loads` reads NaN and
-    Infinity as floats, and an int of any size)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{what} must be finite, got {value!r}")
-    return float(value)
-
-
 def _node_from_dict(obj, n_features: int) -> TreeNode:
     """Rebuild a tree, rejecting any split feature outside [0, n_features)."""
     if isinstance(obj, dict) and "leaf" in obj:
         value, n = _fields(obj["leaf"], "a leaf", ("value", "n"))
-        return Leaf(value=_real(value, "leaf value"), n=_integer(n, "leaf n", 1))
+        return Leaf(value=float(_real(value, "leaf value")),
+                    n=_integer(n, "leaf n", 1))
     (s,) = _fields(obj, "a tree node", ("split",))
     feature, threshold, decrease, n, left, right = _fields(
         s, "a split", ("feature", "threshold", "decrease", "n", "left", "right"))
     return Internal(
         feature=_integer(feature, "split feature", 0, n_features),
-        threshold=_real(threshold, "split threshold"),
-        decrease=_real(decrease, "split decrease"),
+        threshold=float(_real(threshold, "split threshold")),
+        decrease=float(_real(decrease, "split decrease")),
         n=_integer(n, "split n", 1),
         left=_node_from_dict(left, n_features),
         right=_node_from_dict(right, n_features),
@@ -622,14 +601,14 @@ def model_from_json(text: str) -> EnsembleModel:
                              f"{len(trees)} stages; it needs stages + 1")
         spec = ModelSpec(kind="gbm", nu=nu, lam=lam, seed=seed)
         return BoostModel(
-            f0=_real(f0, "f0"),
+            f0=float(_real(f0, "f0")),
             stages=trees,
             nu=spec.nu,
             lam=spec.lam,
             n_features=n_features,
             seed=spec.seed,
             config=cfg,
-            train_mse=tuple(_real(v, "train_mse entry") for v in train_mse),
+            train_mse=tuple(float(_real(v, "train_mse entry")) for v in train_mse),
         )
     raise ValueError(f"unknown model kind {kind!r}")
 

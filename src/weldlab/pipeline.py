@@ -27,14 +27,16 @@ from pathlib import Path
 
 from . import anova as anova_mod
 from . import published
-from .cart import (
-    TreeConfig,
-    _check_real_fields,
-    _set_int_fields,
-    export_tree,
-    fit_regression_tree,
+from .cart import TreeConfig, export_tree, fit_regression_tree
+from .dataset import (
+    FACTOR_NAMES,
+    _check_fields,
+    _integer,
+    _real,
+    builtin_aa6262,
+    load_csv,
+    summarize,
 )
-from .dataset import FACTOR_NAMES, builtin_aa6262, load_csv, summarize
 from .ensemble import (
     ModelSpec,
     _fit_and_validate,
@@ -89,9 +91,9 @@ class RunConfig:
         # Model settings fail here, before any compute, not as a stage
         # error: `ModelSpec` and `TreeConfig` check them.  Numpy numbers
         # are stored as Python ones so the report's JSON can write them.
-        _set_int_fields(self, ("trees", "rounds", "depth", "seed")
-                        + (() if self.m is None else ("m",)))
-        _check_real_fields(self, ("nu", "lam"))
+        _check_fields(self, _integer, ("trees", "rounds", "depth", "seed")
+                      + (() if self.m is None else ("m",)))
+        _check_fields(self, _real, ("nu", "lam"))
         _model_spec(self)
         n_factors = len(FACTOR_NAMES)
         if self.m is not None and self.m > n_factors:

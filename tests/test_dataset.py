@@ -33,6 +33,23 @@ class TestRun:
         r = Run(800.0, 40.0, 0.1, 65.8)
         assert r.factors() == (800.0, 40.0, 0.1)
 
+    @pytest.mark.parametrize("field", ["rpm", "traverse", "depth", "hardness"])
+    @pytest.mark.parametrize("value", [True, np.bool_(True), "800", None])
+    def test_non_real_value_rejected(self, field, value):
+        values = dict(rpm=800.0, traverse=40.0, depth=0.1, hardness=65.8)
+        with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+            Run(**{**values, field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(ValueError, match="^hardness must be finite"):
+            Run(800.0, 40.0, 0.1, value)
+
+    def test_numpy_values_stored_as_python_floats(self):
+        r = Run(*(np.float32(v) for v in (800.0, 40.0, 0.1, 65.8)))
+        assert all(type(v) is float for v in r.factors() + (r.hardness,))
+        assert r == Run(800.0, 40.0, float(np.float32(0.1)), float(np.float32(65.8)))
+
 
 class TestBuiltin:
     def test_first_run(self, builtin):
@@ -214,6 +231,18 @@ class TestKfold:
         with pytest.raises(ValueError, match=f"fold {empty} holds no runs"):
             FoldPlan(k=k, assignments=assignments)
 
+    @pytest.mark.parametrize("bad", [0.5, True, np.float64(1.0), "1", None])
+    def test_non_integer_fold_id_rejected(self, bad):
+        """A run whose fold id is no integer would be held out by no fold,
+        or, for True, by fold 1."""
+        with pytest.raises(ValueError, match="^fold id must be an integer"):
+            FoldPlan(k=2, assignments=(0, 1, 0, 1, 0, 1, 0, 1, bad))
+
+    def test_numpy_fold_ids_stored_as_ints(self):
+        plan = FoldPlan(k=np.int64(2), assignments=tuple(np.array([0, 1, 1])))
+        assert plan == FoldPlan(k=2, assignments=(0, 1, 1))
+        assert all(type(v) is int for v in (plan.k,) + plan.assignments)
+
     @pytest.mark.parametrize("k", [2.0, True, "2"])
     def test_non_integer_k_rejected(self, k):
         with pytest.raises(ValueError, match="k must be an integer"):
@@ -223,6 +252,24 @@ class TestKfold:
     def test_bad_k(self, n, k):
         with pytest.raises(ValueError):
             kfold_plan(n, k, seed=0)
+
+    @pytest.mark.parametrize("k", [2.0, True, "2"])
+    def test_non_integer_fold_count_rejected(self, k):
+        with pytest.raises(ValueError, match="^k must be an integer"):
+            kfold_plan(5, k, seed=0)
+
+    @pytest.mark.parametrize("seed, match", [
+        (2.5, "^seed must be an integer"), (True, "^seed must be an integer"),
+        (-1, "^seed -1 is outside"), (2**64, f"^seed {2**64} is outside"),
+    ])
+    def test_bad_seed_rejected(self, seed, match):
+        """The seed range is `ModelSpec`'s: -1 would otherwise wrap to
+        2^64 - 1, and True would be taken as 1."""
+        with pytest.raises(ValueError, match=match):
+            kfold_plan(5, 2, seed=seed)
+
+    def test_numpy_seed_equals_int_seed(self):
+        assert kfold_plan(9, 3, np.uint64(2**64 - 1)) == kfold_plan(9, 3, 2**64 - 1)
 
 
 class TestBootstrap:

@@ -354,15 +354,14 @@ class TestLockstepGrowth:
         assert sum(lockstep) > 2 * len(lockstep)
 
     def test_no_per_node_draws_or_leaves(self, monkeypatch):
-        """Subsets come from lanes a round at a time, and leaf values from
-        one reduction per leaf size: no per-node rng or leaf call."""
+        """Subsets come from lanes a round at a time: no per-node rng
+        call."""
 
         def refuse(*args):
             raise AssertionError("a per-node call in the lockstep path")
 
         monkeypatch.setattr(SplitMix64, "sample_without_replacement", refuse)
         monkeypatch.setattr(SplitMix64, "next_below", refuse)
-        monkeypatch.setattr(weldlab.cart, "_leaf", refuse)
         model = fit_model(factorial_81(), ModelSpec(kind="rf", trees=20, m=2, seed=3))
         # Every root split: the fit grew nodes below them.
         assert not any(isinstance(t, Leaf) for t in model.trees)
@@ -962,7 +961,7 @@ class TestSerialization:
         ("rf", lambda doc: doc["trees"][1]["split"].update(n=8.5),
          "split n must be an integer, got 8.5"),
         ("gbm", lambda doc: doc.update(trees=[{"leaf": {"value": None, "n": 1}}] * 3),
-         "leaf value must be a number"),
+         "leaf value must be a real number, got None"),
         ("gbm", lambda doc: doc.update(nu="0.3"), "nu must be a real number"),
         ("gbm", lambda doc: doc.update(lam=float("inf")), "lam must be finite"),
         ("rf", lambda doc: doc["trees"][1]["split"].update(threshold=float("nan")),

@@ -9,15 +9,15 @@ PACKAGE = Path(weldlab.__file__).parent
 
 
 def _references(tree: ast.AST) -> set[str]:
-    """Every name that `tree` uses: names, attributes and imported names."""
+    """Every name that code in `tree` refers to, as a name or an attribute.
+    An import is not a use: a helper that is still imported after its last
+    caller went is dead too."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name)
     return names
 
 
