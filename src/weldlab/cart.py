@@ -210,9 +210,10 @@ def build_tree(
             raise ValueError(
                 "rows must be a non-empty 1-d sequence of integer row ids"
             )
-        if rows.min() < 0 or rows.max() >= y.shape[0]:
-            raise ValueError(f"row ids must be in [0, {y.shape[0]})")
         rows = rows.astype(np.intp, copy=False)
+        # A negative id reads as a huge unsigned one.
+        if rows.view(np.uintp).max() >= y.shape[0]:
+            raise ValueError(f"row ids must be in [0, {y.shape[0]})")
     draws = rng is not None and m < n_features
     if memo is not None and not draws:
         key = _memo_key(rows.tobytes(), 0, cfg)
@@ -300,14 +301,26 @@ def _gather(yp, buf, start, size):
 
 
 def _roots(yp, roots):
-    """One buffer of the row ids of every array in `roots`, each root's
-    start and size in it, and whether each has a constant response."""
-    roots = [np.asarray(rows, dtype=np.intp) for rows in roots]
-    size = np.array([idx.size for idx in roots], dtype=np.intp)
-    buf = np.concatenate(roots)
+    """One buffer of the row ids of every root in `roots`, a list of
+    (roots x n) blocks of row ids, each root's start and size in it, and
+    whether each has a constant response.  A 1-d array is a block of one
+    root."""
+    roots = [np.atleast_2d(np.asarray(block, dtype=np.intp)) for block in roots]
+    size = np.concatenate([np.full(len(block), block.shape[1], np.intp)
+                           for block in roots])
+    buf = np.concatenate([block.ravel() for block in roots])
     start = np.cumsum(size) - size
     _, real, rows = _gather(yp, buf, start, size)
     return buf, start, size, _all_equal(yp.take(rows), real)
+
+
+def _by_size(sizes):
+    """Each distinct value s of `sizes`, ascending, and where it occurs."""
+    order = np.argsort(sizes, kind="stable")
+    counts = np.bincount(sizes)
+    ends = np.cumsum(counts)
+    for s in np.flatnonzero(counts).tolist():
+        yield s, order[ends[s] - counts[s]:ends[s]]
 
 
 def _calls(sizes):
@@ -367,76 +380,89 @@ def _split(Xp, yp, buf, start, size, features, cfg: TreeConfig):
 
 
 def _grow_levels(X, y, roots, cfg: TreeConfig, memo: dict) -> None:
-    """Put into `memo` the tree of every row-id array in `roots`, grown
-    level by level with every feature searched at each node.
+    """Put into `memo` the tree of every root in `roots` (row-id blocks, see
+    `_roots`), all grown in one pass, level by level, every node searching
+    every feature.
 
     Keys come from `_memo_key`; this is the only function that writes a
     memo, and `build_tree` reads its roots back from it.  A node's row ids
-    are a slice of one buffer of every root's ids (`_roots`).  Each level's
-    new nodes pass the pre-score leaf rules in one array step; `_split`
-    scores the level's other distinct new nodes, all searching one
+    are a slice of one buffer of every root's ids.  In the pass a distinct
+    node is an integer id: a level keys its nodes one size at a time, from a
+    byte view of their (nodes, size) block of row ids, and looks each key up
+    in a key -> id dict.  The level's new nodes pass the pre-score leaf
+    rules in one array step; `_split` scores the others, all searching one
     read-only row of every feature, and partitions their slices into their
-    children's.  No slice changes once its node is a leaf, so the pass
-    values every distinct leaf at its end in one `_leaf_values` call.
-    Split nodes are frozen afterwards by ascending size, children first.
+    children's.  No slice changes once its node is a leaf, so one
+    `_leaf_values` call values every leaf at the end; then the splits,
+    recorded as per-level arrays of ids, become `Internal` objects by
+    ascending size, children first.  Only then does `memo` change.
     """
     Xp, yp = _padded(X, y)
     buf, start, size, constant = _roots(yp, roots)
     features = np.arange(X.shape[1], dtype=np.int64)
-    seen = set()
-    leaves = []  # (key, start, size) of each new leaf
-    splits = []  # (n, key, feature, threshold, decrease, left key, right key)
+    ids: dict = {}  # key -> id of each distinct node, from 0
+    built: list = []  # by id: the memo's node, else None until built
+    leaves, splits = [], []  # per level: arrays of the new leaves, splits
 
-    def enqueue(start, size, depth: int, constant):
-        """Key the new nodes of `depth` at ``buf[start[i]:start[i] +
-        size[i]]`` and add those that a pre-score leaf rule makes leaves
-        to `leaves`.  Returns every node's key and the indices of the
-        nodes to score: those neither in the memo nor seen before."""
-        leaf = _is_leaf(cfg, size, depth, constant).tolist()
-        keys, todo = [], []
-        for i, (s, n) in enumerate(zip(start.tolist(), size.tolist())):
-            key = _memo_key(buf[s:s + n].tobytes(), depth, cfg)
-            keys.append(key)
-            if key in memo or key in seen:
-                continue
-            seen.add(key)
-            if leaf[i]:
-                leaves.append((key, s, n))
-            else:
-                todo.append(i)
-        return keys, todo
+    def identify(start, size, depth: int):
+        """The id of each node of `depth` at ``buf[start[i]:start[i] +
+        size[i]]``, and whether it is new: seen neither in this pass nor
+        in the memo."""
+        node = np.empty(size.size, np.intp)
+        new = np.zeros(size.size, bool)
+        suffix = np.frombuffer(_memo_key(b"", depth, cfg), np.uint8)
+        for s, group in _by_size(size):
+            block = np.hstack((
+                buf.take(start[group][:, None] + np.arange(s)).view(np.uint8),
+                np.broadcast_to(suffix, (group.size, suffix.size))))
+            got, fresh = [], []
+            keys = block.view((np.void, block.shape[1])).ravel().tolist()
+            for j, key in enumerate(keys):
+                i = ids.setdefault(key, len(built))
+                if i == len(built):
+                    built.append(memo.get(key))
+                    if built[i] is None:
+                        fresh.append(j)
+                got.append(i)
+            node[group] = got
+            new[group[fresh]] = True
+        return node, new
 
-    keys, todo = enqueue(start, size, 0, constant)
+    node, new = identify(start, size, 0)
     depth = 0
-    while todo:
-        start, size, keys = start[todo], size[todo], [keys[i] for i in todo]
+    while node.size:
+        leaf = new & _is_leaf(cfg, size, depth, constant)
+        leaves.append((node[leaf], start[leaf], size[leaf]))
+        todo = np.flatnonzero(new & ~leaf)
+        node, start, size = node[todo], start[todo], size[todo]
         feat, thr, dec, n_left, kid_constant = _split(
             Xp, yp, buf, start, size,
             np.broadcast_to(features, (size.size, features.size)), cfg)
-        leaf = np.flatnonzero(feat < 0)
-        leaves += zip([keys[i] for i in leaf.tolist()], start[leaf].tolist(),
-                      size[leaf].tolist())
-        split = np.flatnonzero(feat >= 0)
-        parents = (size[split].tolist(), [keys[i] for i in split.tolist()],
-                   feat[split].tolist(), thr[split].tolist(),
-                   dec[split].tolist())
+        leaf = feat < 0
+        leaves.append((node[leaf], start[leaf], size[leaf]))
+        split = ~leaf
+        n, n_left = size[split], n_left[split]
         # Each split's children, left then right, in its slice.
-        start, n_left = start[split], n_left[split]
-        start = np.stack((start, start + n_left), axis=1).ravel()
-        size = np.stack((n_left, size[split] - n_left), axis=1).ravel()
+        start = np.stack((start[split], start[split] + n_left), axis=1).ravel()
+        size = np.stack((n_left, n - n_left), axis=1).ravel()
         depth += 1
-        keys, todo = enqueue(start, size, depth, kid_constant[split].ravel())
-        splits += zip(*parents, keys[::2], keys[1::2])
-    at = np.array([leaf[1:] for leaf in leaves], np.intp).reshape(-1, 2)
-    values = _leaf_values(yp, buf, at[:, 0], at[:, 1])
-    for (key, _, n), value in zip(leaves, values.tolist()):
-        memo[key] = Leaf(value=value, n=n)
-    splits.sort(key=lambda s: s[0])
-    for n, key, f, t, dec, lkey, rkey in splits:
-        memo[key] = Internal(
-            feature=f, threshold=t, decrease=dec, n=n,
-            left=memo[lkey], right=memo[rkey],
-        )
+        kids, new = identify(start, size, depth)
+        splits.append((node[split], n, feat[split], thr[split], dec[split],
+                       kids[::2], kids[1::2]))
+        node, constant = kids, kid_constant[split].ravel()
+    leaf, at, n = map(np.concatenate, zip(*leaves))
+    for i, rows_n, value in zip(leaf.tolist(), n.tolist(),
+                                _leaf_values(yp, buf, at, n).tolist()):
+        built[i] = Leaf(value, rows_n)
+    splits = [np.concatenate(col) for col in zip(*splits)]
+    order = np.argsort(splits[1], kind="stable")
+    for lo in range(0, order.size, _BUILD_BLOCK):
+        block = order[lo:lo + _BUILD_BLOCK]
+        for i, rows_n, f, t, dec, left, right in zip(
+                *(col[block].tolist() for col in splits)):
+            built[i] = Internal(f, t, dec, rows_n, built[left], built[right])
+    del splits, order, buf  # not alive while the memo grows
+    memo.update(zip(ids, built))
 
 
 def _leaf_values(y, rows, starts, sizes) -> np.ndarray:
@@ -450,11 +476,7 @@ def _leaf_values(y, rows, starts, sizes) -> np.ndarray:
     row, and divides by s.
     """
     values = np.empty(sizes.size)
-    by_size = np.argsort(sizes, kind="stable")
-    counts = np.bincount(sizes)
-    ends = np.cumsum(counts)
-    for s in np.flatnonzero(counts).tolist():
-        group = by_size[ends[s] - counts[s]:ends[s]]
+    for s, group in _by_size(sizes):
         block = y.take(rows.take(starts[group][:, None] + np.arange(s)))
         values[group] = np.add.reduce(block, axis=1) / s
     return values

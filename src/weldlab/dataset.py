@@ -289,7 +289,8 @@ def kfold_plan(n: int, k: int, seed: int) -> FoldPlan:
 
     Fold sizes differ by at most 1 (round-robin over a seeded shuffle).
     """
-    k, seed = _integer(k, "k"), _integer(seed, "seed", 0, 2**64)
+    n, k = _integer(n, "n"), _integer(k, "k")
+    seed = _integer(seed, "seed", 0, 2**64)
     if k < 2 or k > n:
         raise ValueError(f"fold count must satisfy 2 <= k <= n, got k={k}, n={n}")
     order = list(range(n))
@@ -307,6 +308,7 @@ def bootstrap_indices(n: int, seed: int) -> list[int]:
     stream step and `mix64` written out on Python ints: a forest calls this
     once per tree.
     """
+    n = n if type(n) is int else _integer(n, "n")  # skip it for an int
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     limit = (2**64 // n) * n
@@ -332,6 +334,7 @@ def lane_bootstraps(n: int, seeds) -> np.ndarray:
     them that `next_below` would reject, which is rare, is redone by
     `bootstrap_indices`.
     """
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     seeds = np.asarray(seeds, dtype=np.uint64)

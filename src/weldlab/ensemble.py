@@ -12,14 +12,14 @@ forest trains on ``bootstrap_indices(n, derive_seed(seed, t))`` and draws
 its per-node feature subsets from the SplitMix64 stream seeded
 ``derive_seed(derive_seed(seed, t), 1)``, so each tree is independent of
 the order in which the trees are trained.  When nodes search every
-feature, the forests of one `_fit_models` pass (a final forest, the
-forests of all folds, or both) build each distinct node (same ordered run
-ids of the dataset, and same depth under a depth limit) once and share
-that frozen subtree object.  Such a forest grows all its trees together,
-level by level.  When nodes search a feature subset, every tree of the
-pass grows in lockstep: each tree pops its nodes in preorder and the trees
-advance in rounds.  Each tree's stream is a lane of one ``uint64`` state
-array, the same SplitMix64 stream draw for draw, and a round draws the
+feature, all trees of one `_fit_models` pass (a final forest, the forests
+of all folds, or both) grow together level by level, and each distinct
+node (same ordered run ids of the dataset, and same depth under a depth
+limit) is built once, one frozen subtree object that the trees share.
+When nodes search a feature subset, every tree of the pass grows in
+lockstep: each tree pops its nodes in preorder and the trees advance in
+rounds.  Each tree's stream is a lane of one ``uint64`` state array, the
+same SplitMix64 stream draw for draw, and a round draws the
 subsets of all its nodes at once, so each tree's draws keep the
 recursion's order; its bootstrap comes from the same lane arithmetic
 (`lane_bootstraps`).  The lockstep pass leaves flat node records: only the
@@ -43,7 +43,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from ._rng import derive_seed
+from ._rng import GOLDEN_GAMMA, derive_seed, mix64
 from .cart import (
     Internal,
     Leaf,
@@ -155,11 +155,9 @@ def _fit_models(X, y, fits, spec: ModelSpec) -> list:
     Forest tree t trains on ``ids[bootstrap_indices(len(ids),
     derive_seed(seed, t))]`` (or on `ids` without bootstrap).
 
-    When nodes search every feature (m == p), the forests of every fit
-    share one subtree memo (see `build_tree`).  `cart._grow_levels` grows
-    each forest's roots together, level by level, and its trees'
-    `build_tree` calls find them there.  One pass per forest, not one over
-    all forests, keeps fewer nodes pending and peak memory lower.  With
+    When nodes search every feature (m == p), one `cart._grow_levels` pass
+    grows the trees of every fit, level by level, into one subtree memo
+    (see `build_tree`), where their `build_tree` calls find them.  With
     m < p every tree's bootstrap comes from `lane_bootstraps`, and
     `cart._grow_lockstep` then grows the trees of every fit in one pass,
     tree t drawing its feature subsets in preorder from the lane seeded
@@ -221,29 +219,25 @@ def _fit_models(X, y, fits, spec: ModelSpec) -> list:
             config=cfg,
         )
 
-    seeds = [tuple(derive_seed(seed, t) for t in range(T)) for _, seed, _ in fits]
+    # derive_seed(s, t) is mix64(s + (t + 1) * GOLDEN_GAMMA): every fit's tree
+    # seeds, and their lane seeds ``derive_seed(ts, 1)``, in uint64 arithmetic.
+    steps = np.arange(1, T + 2, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
+    seeds = mix64(np.array([[s] for _, s, _ in fits], np.uint64) + steps[:T])
+    tree_seeds = [tuple(row) for row in seeds.tolist()]  # per fit
+    roots = [
+        np.broadcast_to(ids, (T, ids.size)) if not spec.bootstrap
+        else ids[lane_bootstraps(ids.size, row)] if m < n_features
+        else ids[np.array([bootstrap_indices(ids.size, ts) for ts in row])]
+        for (ids, _, _), row in zip(fits, tree_seeds)
+    ]
     if m == n_features:
+        # No node draws features, so no tree needs its rng stream.
         memo: dict = {}
-        out = []
-        for (ids, seed, held), tree_seeds in zip(fits, seeds):
-            roots = [ids[bootstrap_indices(ids.size, ts)] if spec.bootstrap
-                     else ids for ts in tree_seeds]
-            # No node draws features, so no tree needs its rng stream.
-            _grow_levels(X, y, roots, cfg, memo)
-            out.append(result(forest(seed, tree_seeds, [
-                build_tree(X, y, cfg, rows=rows, memo=memo) for rows in roots
-            ]), held))
-        return out
-    roots = []
-    for (ids, _, _), tree_seeds in zip(fits, seeds):
-        roots.extend(ids[lane_bootstraps(ids.size, tree_seeds)]
-                     if spec.bootstrap else [ids] * T)
-    rec = _grow_lockstep(
-        X, y, roots,
-        np.array([derive_seed(ts, 1) for tree_seeds in seeds
-                  for ts in tree_seeds], dtype=np.uint64),
-        m, cfg,
-    )
+        _grow_levels(X, y, roots, cfg, memo)
+        return [result(forest(seed, row, [
+            build_tree(X, y, cfg, rows=rows, memo=memo) for rows in block
+        ]), held) for (_, seed, held), row, block in zip(fits, tree_seeds, roots)]
+    rec = _grow_lockstep(X, y, roots, mix64(seeds + steps[1]).ravel(), m, cfg)
     # Every (held row, tree) pair of every held-out fit, routed at once.
     pairs = [(np.repeat(held, T),
               np.tile(np.arange(f * T, (f + 1) * T), len(held)))
@@ -253,9 +247,9 @@ def _fit_models(X, y, fits, spec: ModelSpec) -> list:
         values = _route_records(rec, X, rows, nodes).tolist()
     out = []
     at = 0
-    for f, ((_, seed, held), tree_seeds) in enumerate(zip(fits, seeds)):
+    for f, ((_, seed, held), row) in enumerate(zip(fits, tree_seeds)):
         if held is None:
-            out.append(forest(seed, tree_seeds,
+            out.append(forest(seed, row,
                               _build_trees(rec, f * T, (f + 1) * T)))
             continue
         # Each row's mean over trees in index order, as `predict_ensemble`.
@@ -449,9 +443,9 @@ def _fit_and_validate(d: Dataset, spec: ModelSpec, k: int):
     """`fit_model(d, spec)` and `cross_validate(d, spec, kfold_plan(len(d),
     k, spec.seed))`, equal to those two calls, from one `_fit_models` pass.
 
-    The fold plan is built and checked before any tree grows.  With m < p
-    the final forest and every fold forest grow in one lockstep pass; with
-    m == p they share one subtree memo.
+    The fold plan is built and checked before any tree grows.  The final
+    forest and every fold forest grow in one pass: in lockstep with m < p,
+    level by level with m == p.
     """
     plan = kfold_plan(len(d), k, spec.seed)
     X, y = d.features(), d.responses()

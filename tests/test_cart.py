@@ -326,6 +326,27 @@ class TestRowsAndMemo:
         with pytest.raises(ValueError):
             build_tree(X, y, rows=rows)
 
+    @pytest.mark.parametrize("rows", [[-1, 0], [0, 12],
+                                      np.array([2**63], np.uint64)])
+    def test_out_of_range_rows_rejected(self, rows):
+        """2^63 as a uint64 id wraps negative once cast to np.intp."""
+        X, y = grid_data(3)
+        with pytest.raises(ValueError, match=r"^row ids must be in \[0, 12\)$"):
+            build_tree(X, y, rows=rows)
+        with pytest.raises(ValueError, match=r"^row ids must be in \[0, 12\)$"):
+            build_tree(X, y, rows=rows, memo={})
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8])
+    def test_narrow_integer_rows_accepted(self, dtype):
+        X, y = grid_data(3)
+        rows = [0, 3, 3, 11, 7]
+        memo: dict = {}
+        tree = build_tree(X, y, rows=np.array(rows, dtype), memo=memo)
+        assert tree == build_tree(X, y, rows=np.array(rows, dtype))
+        assert tree == build_tree(X[rows], y[rows])
+        # the same memo key as np.intp rows
+        assert build_tree(X, y, rows=rows, memo=memo) is tree
+
     @pytest.mark.parametrize("m", [3, 1])  # m < p: the memo is ignored
     @pytest.mark.parametrize("bootstrap", [True, False])
     @pytest.mark.parametrize("min_leaf", [1, 2])
@@ -452,13 +473,58 @@ class TestGrowLevels:
             assert tree == build_tree(X[rows], y[rows])
 
     def test_default_report_calls_are_few(self, batch_calls):
-        """A default report (seed 0) scores 4,830 nodes in batches: 41
-        calls, where one call per node size took 134.  The final forest and
-        its leave-one-out folds share one memo (5,084 nodes when the final
-        forest had its own)."""
+        """A default report (seed 0) scores 4,830 nodes in batches: 18
+        calls, with the final forest and its leave-one-out folds grown in
+        one pass that shares one memo (41 calls with one pass per forest,
+        134 with one call per node size; 5,084 nodes when the final forest
+        had its own memo)."""
         run_pipeline(RunConfig(seed=0))
         assert sum(len(sizes) for sizes, _ in batch_calls) == 4830
-        assert len(batch_calls) <= 60
+        assert len(batch_calls) == 18
+
+    def test_memo_holds_only_built_nodes(self, builtin):
+        """A pass writes only `Leaf` and `Internal` values, also when its
+        trees reuse nodes that an earlier pass built, and keeps those."""
+        X, y = builtin.features(), builtin.responses()
+        memo: dict = {}
+        _grow_levels(X, y, [bootstrap_indices(9, s) for s in range(20)],
+                     TreeConfig(), memo)
+        before = dict(memo)
+        roots = [bootstrap_indices(9, s) for s in range(10, 60)]
+        _grow_levels(X, y, roots, TreeConfig(), memo)
+        assert all(type(key) is bytes for key in memo)
+        assert all(type(node) in (Leaf, Internal) for node in memo.values())
+        assert all(memo[key] is node for key, node in before.items())
+        old = {id(node) for node in before.values()}
+        assert any(id(node.left) in old or id(node.right) in old
+                   for key, node in memo.items()
+                   if key not in before and isinstance(node, Internal))
+        for rows in roots:
+            assert build_tree(X, y, rows=rows, memo=memo) == build_tree(
+                X[rows], y[rows])
+
+    def test_a_failing_pass_leaves_the_memo_as_it_was(self, builtin,
+                                                      monkeypatch):
+        X, y = builtin.features(), builtin.responses()
+        memo: dict = {}
+        _grow_levels(X, y, [np.arange(9)], TreeConfig(), memo)
+        before = list(memo.items())
+        calls = []
+        batch_kernel = weldlab.cart.best_splits
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("kernel failed")
+            return batch_kernel(*args)
+
+        monkeypatch.setattr(weldlab.cart, "best_splits", failing)
+        roots = [bootstrap_indices(9, s) for s in range(200)]
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            _grow_levels(X, y, roots, TreeConfig(), memo)
+        assert len(calls) == 2
+        assert list(memo.items()) == before
+        assert all(memo[key] is node for key, node in before)
 
     def test_threshold_rounding_onto_the_lower_value_goes_left(self):
         # the midpoint of two adjacent floats rounds to the lower one

@@ -271,6 +271,14 @@ class TestKfold:
     def test_numpy_seed_equals_int_seed(self):
         assert kfold_plan(9, 3, np.uint64(2**64 - 1)) == kfold_plan(9, 3, 2**64 - 1)
 
+    @pytest.mark.parametrize("n", [9.0, 2.5, True, "9"])
+    def test_non_integer_run_count_rejected(self, n):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            kfold_plan(n, 3, seed=0)
+
+    def test_numpy_run_count_equals_int(self):
+        assert kfold_plan(np.int64(9), 3, 0) == kfold_plan(9, 3, 0)
+
 
 class TestBootstrap:
     def test_single_element(self):
@@ -285,8 +293,17 @@ class TestBootstrap:
         assert all(0 <= i < 9 for i in idx)
 
     def test_zero_n_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0"):
             bootstrap_indices(0, seed=0)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
+    def test_non_integer_n_rejected(self, n):
+        """2.5 drew float indices and True one index."""
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            bootstrap_indices(n, seed=0)
+
+    def test_numpy_n_equals_int(self):
+        assert bootstrap_indices(np.int32(9), 5) == bootstrap_indices(9, 5)
 
     def test_distinct_fraction_expectation(self):
         # E[distinct / n] = 1 - (1 - 1/9)^9 for with-replacement draws
@@ -343,8 +360,13 @@ class TestLaneBootstraps:
         assert got.tolist() == [bootstrap_indices(n, s) for s in seeds]
 
     def test_zero_n_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0"):
             lane_bootstraps(0, [1])
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            lane_bootstraps(n, [1, 2])
 
 
 class TestSplitMix:
