@@ -17,7 +17,8 @@ import numpy as np
 
 from ._rng import SplitMix64, lane_subsets
 from .dataset import Dataset, _check_fields, _integer, _real
-from .kernels import best_split, best_splits
+# Unused `best_split` stays bound: perfbench's tracer wraps `weldlab.cart.best_split`.
+from .kernels import _best_split_loops, best_split, best_splits  # noqa: F401
 
 
 # --- purity toolbox -------------------------------------------------------
@@ -174,10 +175,11 @@ def build_tree(
 ) -> TreeNode:
     """Recursive binary splitting of (X, y) by variance reduction.
 
-    When `rng` is given and `n_feature_candidates` < feature count, each
-    node searches only a freshly drawn feature subset (random-forest mode).
-    Recursion is preorder (left before right) so the rng stream is
-    deterministic.
+    When `n_feature_candidates` < feature count, each node searches only a
+    feature subset freshly drawn from `rng` (random-forest mode), which
+    must then be given.  Recursion is preorder (left before right) so the
+    rng stream is deterministic.  A node is a list of row ids into lists
+    of `X` and `y`; a leaf's value is ``np.add.reduce(ys) / n``.
 
     `rows` lists the training-row ids of `X` the tree grows on, in order and
     with repeats (a bootstrap sample); the default is every row once.  The
@@ -202,6 +204,8 @@ def build_tree(
     m = n_feature_candidates if n_feature_candidates is not None else n_features
     if not 1 <= m <= n_features:
         raise ValueError(f"feature subsample count must be in [1, {n_features}]")
+    if m < n_features and rng is None:
+        raise ValueError("drawing a feature subset per node needs an rng")
     if rows is None:
         rows = np.arange(y.shape[0], dtype=np.intp)
     else:
@@ -214,45 +218,36 @@ def build_tree(
         # A negative id reads as a huge unsigned one.
         if rows.view(np.uintp).max() >= y.shape[0]:
             raise ValueError(f"row ids must be in [0, {y.shape[0]})")
-    draws = rng is not None and m < n_features
+    draws = m < n_features
     if memo is not None and not draws:
         key = _memo_key(rows.tobytes(), 0, cfg)
         if key not in memo:
             _grow_levels(X, y, [rows], cfg, memo)
         return memo[key]
-    all_features = np.arange(n_features, dtype=np.int64)
+    Xl, yl = X.tolist(), y.tolist()
+    features = range(n_features)
 
-    def grow(idx: np.ndarray, depth: int) -> TreeNode:
-        ys = y[idx]
-        n = idx.size
-        # A single row is constant: skip its min and max.  A Python bool
-        # keeps `_is_leaf` off numpy scalar operators, ~1 us each.
-        if _is_leaf(cfg, n, depth, n == 1 or bool(ys.min() == ys.max())):
-            return Leaf(value=float(ys.mean()), n=n)
-        if draws:
-            feats = np.asarray(rng.sample_without_replacement(n_features, m), dtype=np.int64)
-        else:
-            feats = all_features
-        Xs = X[idx]
-        feat, thr, children_sse, parent_sse = best_split(
-            Xs, ys, feats, cfg.min_samples_leaf
-        )
-        decrease = (parent_sse - children_sse) / n
-        if _is_leaf(cfg, n, depth, False, feat, decrease):
-            return Leaf(value=float(ys.mean()), n=n)
-        mask = Xs[:, feat] <= thr
-        left = grow(idx[mask], depth + 1)
-        right = grow(idx[~mask], depth + 1)
-        return Internal(
-            feature=int(feat), threshold=float(thr), decrease=float(decrease),
-            n=n, left=left, right=right,
-        )
+    def grow(idx: list, depth: int) -> TreeNode:
+        n = len(idx)
+        ys = [yl[i] for i in idx]
+        if not _is_leaf(cfg, n, depth, min(ys) == max(ys)):
+            feats = rng.sample_without_replacement(n_features, m) if draws else features
+            feat, thr, children_sse, parent_sse = _best_split_loops(
+                [Xl[i] for i in idx], ys, feats, cfg.min_samples_leaf)
+            decrease = (parent_sse - children_sse) / n
+            if not _is_leaf(cfg, n, depth, False, feat, decrease):
+                left = grow([i for i in idx if Xl[i][feat] <= thr], depth + 1)
+                right = grow([i for i in idx if not Xl[i][feat] <= thr], depth + 1)
+                return Internal(feat, thr, decrease, n, left, right)
+        # numpy's pairwise sum, as `y[idx].mean()` takes: Python's `sum`
+        # adds in sequence, which rounds differently from 8 rows up.
+        return Leaf(float(np.add.reduce(ys) / n), n)
 
     try:
-        return grow(rows, 0)
+        return grow(rows.tolist(), 0)
     finally:
         # grow refers to itself; breaking that cycle frees this call's
-        # arrays and rng now rather than at the next cyclic collection.
+        # lists and rng now rather than at the next cyclic collection.
         del grow
 
 
@@ -467,13 +462,13 @@ def _grow_levels(X, y, roots, cfg: TreeConfig, memo: dict) -> None:
 
 def _leaf_values(y, rows, starts, sizes) -> np.ndarray:
     """Value of each leaf whose row ids are ``rows[starts[i]:starts[i] +
-    sizes[i]]``, equal bit for bit to the recursion's ``float(y[idx].mean())``
-    of the leaf's row ids `idx`.
+    sizes[i]]``, equal bit for bit to the recursion's ``np.add.reduce(ys) /
+    n`` of the leaf's n responses `ys`.
 
     The leaves of each size s are valued together: one ``np.add.reduce``
     along the rows of their (leaves, s) block of responses runs numpy's
-    pairwise sum over each C-contiguous row, as ``mean`` does over its one
-    row, and divides by s.
+    pairwise sum over each C-contiguous row, as it does over the
+    recursion's one list, and divides by s.
     """
     values = np.empty(sizes.size)
     for s, group in _by_size(sizes):

@@ -311,8 +311,10 @@ def bootstrap_indices(n: int, seed: int) -> list[int]:
     n = n if type(n) is int else _integer(n, "n")  # skip it for an int
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if type(seed) is not int or not 0 <= seed <= MASK64:  # skip it for an int in range
+        seed = _integer(seed, "seed", 0, 2**64)
     limit = (2**64 // n) * n
-    state = seed & MASK64
+    state = seed
     out: list[int] = []
     while len(out) < n:
         state = (state + GOLDEN_GAMMA) & MASK64
@@ -337,7 +339,7 @@ def lane_bootstraps(n: int, seeds) -> np.ndarray:
     n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    seeds = np.asarray(seeds, dtype=np.uint64)
+    seeds = np.array([_integer(s, "seed", 0, 2**64) for s in seeds], np.uint64)
     steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
     draws = mix64(seeds[:, None] + steps)
     rows = (draws % np.uint64(n)).astype(np.intp)

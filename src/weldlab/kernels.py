@@ -5,14 +5,14 @@ sequences (lists, or numpy arrays): per candidate feature, a stable
 ``sorted`` order of the rows, sequential running sums of y and y^2, and
 the clamped SSE expression at every cut, keeping the first minimum by a
 strict ``<`` over features and then cuts.  It is the single-tree
-recursion's kernel, through ``best_split``, and the reference the test
-suite holds ``best_splits`` to.  ``best_splits`` scores a batch of nodes,
-padded on the right to the largest and each with its own row of candidate
-features, in one numpy pass with the same steps along each node's own
-axis (a stable argsort, a sequential ``np.add.accumulate``, the same
-expression, a row-major argmin): pads sort last, no sum that is read
-includes one, and every node's result equals ``best_split`` on that node
-alone, bit for bit.
+recursion's kernel, called on Python lists, and the reference the test
+suite holds ``best_splits`` to; ``best_split`` is the same loop on numpy
+arrays.  ``best_splits`` scores a batch of nodes, padded on the right to
+the largest and each with its own row of candidate features, in one numpy
+pass with the same steps along each node's own axis (a stable argsort, a
+sequential ``np.add.accumulate``, the same expression, a row-major
+argmin): pads sort last, no sum that is read includes one, and every
+node's result equals ``best_split`` on that node alone, bit for bit.
 
 Split contract: candidate thresholds are midpoints between consecutive
 distinct sorted values, comparison is ``<=`` (left), the score is the
@@ -85,7 +85,7 @@ def best_split(X, y, features, min_leaf=1):
     of candidate column indices.  Returns (feature, threshold,
     children_sse, parent_sse) as Python numbers from `_best_split_loops`
     on the arrays' values; feature is -1 when no split satisfies the
-    distinct-boundary and min_leaf constraints.
+    distinct-boundary and min_leaf constraints.  No tree grower calls it.
     """
     return _best_split_loops(X.tolist(), y.tolist(), features.tolist(), min_leaf)
 

@@ -1,5 +1,6 @@
 import gc
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -220,6 +221,15 @@ class TestFitRegressionTree:
         with pytest.raises(ValueError):
             build_tree(np.empty((0, 2)), np.empty(0))
 
+    @pytest.mark.parametrize("memo", [None, {}])
+    def test_feature_subset_without_rng_rejected(self, builtin, memo):
+        """It was ignored: every node searched every feature."""
+        X, y = builtin.features(), builtin.responses()
+        with pytest.raises(ValueError, match="needs an rng"):
+            build_tree(X, y, TreeConfig(), None, 1, memo=memo)
+        # searching every feature draws nothing and needs no rng
+        assert build_tree(X, y, TreeConfig(), None, 3, memo=memo) == build_tree(X, y)
+
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
             TreeConfig(max_depth=-1)
@@ -289,6 +299,28 @@ class TestFitRegressionTree:
             queries = rng.uniform(-2, 2, (20, 3))
             for q in queries:
                 assert y.min() <= predict_tree(tree, q) <= y.max()
+
+
+class TestRecursionKernel:
+    @pytest.mark.parametrize("kw, nodes", [
+        ({"model": "gbm"}, 3558),  # 500 stage trees
+        ({"model": "gbm", "depth": 3}, 2859),
+        ({}, 8),  # the CART tree of a forest report
+    ])
+    def test_report_nodes_are_scored_on_lists(self, monkeypatch, kw, nodes):
+        """A seed-0 report's recursion scores each of its nodes with one
+        `_best_split_loops` call, never through the numpy-array adaptor
+        `best_split`."""
+        calls = Counter()
+        for name in ("_best_split_loops", "best_split"):
+            def counting(*args, name=name, kernel=getattr(weldlab.cart, name)):
+                calls[name] += 1
+                return kernel(*args)
+
+            monkeypatch.setattr(weldlab.cart, name, counting)
+        run_pipeline(RunConfig(seed=0, **kw))
+        assert calls["_best_split_loops"] == nodes
+        assert calls["best_split"] == 0
 
 
 def grid_data(seed, n=12, p=3):
@@ -428,7 +460,7 @@ class TestGrowLevels:
             _grow_levels(X, y, roots, cfg, memo)
             with monkeypatch.context() as m:
                 # every node is in the memo: no kernel runs again
-                m.setattr(weldlab.cart, "best_split", None)
+                m.setattr(weldlab.cart, "_best_split_loops", None)
                 m.setattr(weldlab.cart, "best_splits", None)
                 _grow_levels(X, y, roots, cfg, memo)
                 trees = [build_tree(X, y, cfg, rows=r, memo=memo) for r in roots]
@@ -446,7 +478,7 @@ class TestGrowLevels:
         def refuse(*args):
             raise AssertionError("a memo tree was grown node by node")
 
-        monkeypatch.setattr(weldlab.cart, "best_split", refuse)
+        monkeypatch.setattr(weldlab.cart, "_best_split_loops", refuse)
         assert build_tree(X, y, cfg, rows=rows, memo={}) == alone
 
     @pytest.mark.parametrize("cap", [None, 20])

@@ -305,6 +305,19 @@ class TestBootstrap:
     def test_numpy_n_equals_int(self):
         assert bootstrap_indices(np.int32(9), 5) == bootstrap_indices(9, 5)
 
+    @pytest.mark.parametrize("seed, match", [
+        (2.5, "^seed must be an integer"), (True, "^seed must be an integer"),
+        (-1, "^seed -1 is outside"), (2**64, f"^seed {2**64} is outside"),
+    ])
+    def test_bad_seed_rejected(self, seed, match):
+        """-1 drew seed 2^64 - 1's indices, True seed 1's, and 2.5 raised a
+        TypeError."""
+        with pytest.raises(ValueError, match=match):
+            bootstrap_indices(9, seed)
+
+    def test_numpy_seed_equals_int_seed(self):
+        assert bootstrap_indices(9, np.uint64(MASK64)) == bootstrap_indices(9, MASK64)
+
     def test_distinct_fraction_expectation(self):
         # E[distinct / n] = 1 - (1 - 1/9)^9 for with-replacement draws
         expected = 1.0 - (1.0 - 1.0 / 9.0) ** 9
@@ -367,6 +380,21 @@ class TestLaneBootstraps:
     def test_non_integer_n_rejected(self, n):
         with pytest.raises(ValueError, match="^n must be an integer"):
             lane_bootstraps(n, [1, 2])
+
+    @pytest.mark.parametrize("seed, match", [
+        (2.5, "^seed must be an integer"), (True, "^seed must be an integer"),
+        (-1, "^seed -1 is outside"), (2**64, f"^seed {2**64} is outside"),
+    ])
+    def test_bad_seed_rejected(self, seed, match):
+        """2.5 drew seed 2's indices and True seed 1's; -1 and 2^64 raised
+        an OverflowError."""
+        with pytest.raises(ValueError, match=match):
+            lane_bootstraps(9, [1, seed])
+
+    def test_numpy_seeds_equal_int_seeds(self):
+        seeds = [0, 7, MASK64]
+        assert np.array_equal(lane_bootstraps(9, np.array(seeds, np.uint64)),
+                              lane_bootstraps(9, seeds))
 
 
 class TestSplitMix:

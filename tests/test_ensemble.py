@@ -47,23 +47,24 @@ HARDNESS_RANGE = (58.3, 74.2)
 
 @pytest.fixture
 def scored_nodes(monkeypatch):
-    """Nodes the split kernels score: one per `best_split` call under
-    "best_split", the real nodes of every `best_splits` call under
-    "best_splits".  A call holds one node per row of `yb`, whether its
-    nodes share one size or are padded to the largest (`sizes`)."""
+    """Nodes the split kernels score: one per `_best_split_loops` call (the
+    recursion's per-node kernel) under "per_node", the real nodes of every
+    `best_splits` call under "best_splits".  A call holds one node per row
+    of `yb`, whether its nodes share one size or are padded to the largest
+    (`sizes`)."""
     scored = Counter()
-    node_kernel = weldlab.cart.best_split
+    node_kernel = weldlab.cart._best_split_loops
     batch_kernel = weldlab.cart.best_splits
 
     def one(*args):
-        scored["best_split"] += 1
+        scored["per_node"] += 1
         return node_kernel(*args)
 
     def batch(Xb, yb, features, min_leaf, sizes):
         scored["best_splits"] += yb.shape[0]
         return batch_kernel(Xb, yb, features, min_leaf, sizes)
 
-    monkeypatch.setattr(weldlab.cart, "best_split", one)
+    monkeypatch.setattr(weldlab.cart, "_best_split_loops", one)
     monkeypatch.setattr(weldlab.cart, "best_splits", batch)
     return scored
 
@@ -272,7 +273,7 @@ class TestForestSharedSubtrees:
         folds = TestCrossValidate._fold_models(monkeypatch)
         cross_validate(builtin, spec, plan)
         # m == p: every node was scored in a batch, none one at a time
-        assert scored_nodes["best_split"] == 0 < scored_nodes["best_splits"]
+        assert scored_nodes["per_node"] == 0 < scored_nodes["best_splits"]
         X, y = builtin.features(), builtin.responses()
         stage = [(final, np.arange(9))] + [
             (model, np.flatnonzero(np.asarray(plan.assignments) != f))
@@ -338,7 +339,7 @@ class TestLockstepGrowth:
                          bootstrap=bootstrap, seed=8)
         stage = self._stage(d, spec, 3, monkeypatch)
         # Every node was scored in a batch, none one at a time.
-        assert scored_nodes["best_split"] == 0 < scored_nodes["best_splits"]
+        assert scored_nodes["per_node"] == 0 < scored_nodes["best_splits"]
         X, y = d.features(), d.responses()
         for model, train in stage:
             for tree, ts in zip(model.trees, model.tree_seeds, strict=True):
@@ -416,14 +417,14 @@ class TestLockstepGrowth:
         assert sum(roots) == 50 and sum(map(bool, roots)) > 1 and 50 * len(d) > cap
         # Nodes of different sizes share calls.
         assert any(len(set(sizes)) > 1 for sizes, _ in calls)
-        assert scored_nodes["best_split"] == 0
+        assert scored_nodes["per_node"] == 0
         X, y = d.features(), d.responses()
         for tree, ts in zip(model.trees, model.tree_seeds, strict=True):
             rows = bootstrap_indices(len(d), ts)
             assert tree == build_tree(X[rows], y[rows], spec.config,
                                       SplitMix64(derive_seed(ts, 1)), 2)
         # The calls held one real node per node the recursion scores.
-        assert scored_nodes["best_splits"] == scored_nodes["best_split"]
+        assert scored_nodes["best_splits"] == scored_nodes["per_node"]
 
     def test_calls_per_fit_are_few(self, batch_calls):
         """One 50-tree m=2 fit on the 81-run design takes one call per
