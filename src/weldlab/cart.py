@@ -177,9 +177,8 @@ def build_tree(
 
     When `n_feature_candidates` < feature count, each node searches only a
     feature subset freshly drawn from `rng` (random-forest mode), which
-    must then be given.  Recursion is preorder (left before right) so the
-    rng stream is deterministic.  A node is a list of row ids into lists
-    of `X` and `y`; a leaf's value is ``np.add.reduce(ys) / n``.
+    must then be given.  `X` and `y` must be finite.  The tree is grown by
+    one `_grow` call on lists of `X` and `y`.
 
     `rows` lists the training-row ids of `X` the tree grows on, in order and
     with repeats (a bootstrap sample); the default is every row once.  The
@@ -221,34 +220,42 @@ def build_tree(
     draws = m < n_features
     if memo is not None and not draws:
         key = _memo_key(rows.tobytes(), 0, cfg)
-        if key not in memo:
-            _grow_levels(X, y, [rows], cfg, memo)
+        if key in memo:  # grown from data already checked
+            return memo[key]
+    # A NaN or inf can make a threshold that sends every row one way.
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("X and y must be finite")
+    if memo is not None and not draws:
+        _grow_levels(X, y, [rows], cfg, memo)
         return memo[key]
-    Xl, yl = X.tolist(), y.tolist()
-    features = range(n_features)
+    return _grow(X.tolist(), y.tolist(), rows.tolist(), 0, cfg, rng,
+                 m if draws else 0)
 
-    def grow(idx: list, depth: int) -> TreeNode:
-        n = len(idx)
-        ys = [yl[i] for i in idx]
-        if not _is_leaf(cfg, n, depth, min(ys) == max(ys)):
-            feats = rng.sample_without_replacement(n_features, m) if draws else features
-            feat, thr, children_sse, parent_sse = _best_split_loops(
-                [Xl[i] for i in idx], ys, feats, cfg.min_samples_leaf)
-            decrease = (parent_sse - children_sse) / n
-            if not _is_leaf(cfg, n, depth, False, feat, decrease):
-                left = grow([i for i in idx if Xl[i][feat] <= thr], depth + 1)
-                right = grow([i for i in idx if not Xl[i][feat] <= thr], depth + 1)
-                return Internal(feat, thr, decrease, n, left, right)
-        # numpy's pairwise sum, as `y[idx].mean()` takes: Python's `sum`
-        # adds in sequence, which rounds differently from 8 rows up.
-        return Leaf(float(np.add.reduce(ys) / n), n)
 
-    try:
-        return grow(rows.tolist(), 0)
-    finally:
-        # grow refers to itself; breaking that cycle frees this call's
-        # lists and rng now rather than at the next cyclic collection.
-        del grow
+def _grow(Xl, yl, idx, depth, cfg, rng=None, m=0, lam=0.0) -> TreeNode:
+    """The tree grown at `depth` from the rows `idx`, ids into the lists
+    `Xl` (feature rows) and `yl` (responses), unchecked: the one single-tree
+    grower.  Preorder, each node searching `m` features drawn from `rng`,
+    or every feature when `m` is 0.  A leaf is valued sum(ys) / (n + lam),
+    as ``mean * (n / (n + lam))``, which is the mean itself at `lam` 0.
+    """
+    n = len(idx)
+    ys = [yl[i] for i in idx]
+    if not _is_leaf(cfg, n, depth, min(ys) == max(ys)):
+        p = len(Xl[idx[0]])
+        feats = rng.sample_without_replacement(p, m) if m else range(p)
+        feat, thr, children_sse, parent_sse = _best_split_loops(
+            [Xl[i] for i in idx], ys, feats, cfg.min_samples_leaf)
+        decrease = (parent_sse - children_sse) / n
+        if not _is_leaf(cfg, n, depth, False, feat, decrease):
+            left = [i for i in idx if Xl[i][feat] <= thr]
+            right = [i for i in idx if not Xl[i][feat] <= thr]
+            return Internal(feat, thr, decrease, n,
+                            _grow(Xl, yl, left, depth + 1, cfg, rng, m, lam),
+                            _grow(Xl, yl, right, depth + 1, cfg, rng, m, lam))
+    # numpy's pairwise sum, as `y[idx].mean()` takes: Python's `sum` adds
+    # in sequence, which rounds differently from 8 rows up.
+    return Leaf(float(np.add.reduce(ys) / n) * (n / (n + lam)), n)
 
 
 def _memo_key(rows: bytes, depth: int, cfg: TreeConfig) -> bytes:

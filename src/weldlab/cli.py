@@ -39,12 +39,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", choices=["rf", "gbm"])
-    p.add_argument("--trees", type=int, help="forest size")
-    p.add_argument("--rounds", type=int, help="boosting rounds")
+    p.add_argument("--trees", type=int, help="forest size (rf only)")
+    p.add_argument("--rounds", type=int, help="boosting rounds (gbm only)")
     p.add_argument("--depth", type=int, help="max tree depth (0 = unlimited)")
-    p.add_argument("--nu", type=float, help="boosting learning rate")
-    p.add_argument("--lambda", dest="lam", type=float, help="L2 leaf penalty")
-    p.add_argument("--m", type=int, help="features searched per split")
+    p.add_argument("--nu", type=float, help="boosting learning rate (gbm only)")
+    p.add_argument("--lambda", dest="lam", type=float, help="L2 leaf penalty (gbm only)")
+    p.add_argument("--m", type=int, help="features searched per split (rf only)")
     p.add_argument("--cv", help="'loo' or 'k:<K>'")
 
 

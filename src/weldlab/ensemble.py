@@ -50,6 +50,7 @@ from .cart import (
     TreeConfig,
     TreeNode,
     _build_trees,
+    _grow,
     _grow_levels,
     _grow_lockstep,
     _route,
@@ -134,16 +135,6 @@ class ModelSpec:
             raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
 
 
-def _shrink_leaves(t: TreeNode, lam: float) -> TreeNode:
-    """Rescale leaf means to sum(residuals) / (n + lambda)."""
-    if isinstance(t, Leaf):
-        return Leaf(value=t.value * (t.n / (t.n + lam)), n=t.n)
-    return Internal(
-        feature=t.feature, threshold=t.threshold, decrease=t.decrease, n=t.n,
-        left=_shrink_leaves(t.left, lam), right=_shrink_leaves(t.right, lam),
-    )
-
-
 def _fit_models(X, y, fits, spec: ModelSpec) -> list:
     """One result per ``(ids, seed, held)`` triple in `fits`, in that order:
     the `spec` model trained on the rows `ids` of (X, y) with `seed` when
@@ -151,8 +142,9 @@ def _fit_models(X, y, fits, spec: ModelSpec) -> list:
     list of floats equal to `predict_ensemble`'s.
 
     A model on a subset of a dataset's rows equals one fitted on the
-    sub-dataset of those rows.  A boosted model trains on ``X[ids], y[ids]``.
-    Forest tree t trains on ``ids[bootstrap_indices(len(ids),
+    sub-dataset of those rows.  A boosted fit turns ``X[ids]`` into lists
+    once, and each round only its residuals, for its stage's `cart._grow`
+    call.  Forest tree t trains on ``ids[bootstrap_indices(len(ids),
     derive_seed(seed, t))]`` (or on `ids` without bootstrap).
 
     When nodes search every feature (m == p), one `cart._grow_levels` pass
@@ -178,16 +170,16 @@ def _fit_models(X, y, fits, spec: ModelSpec) -> list:
     if spec.kind == "gbm":
         models = []
         for ids, seed, held in fits:
-            Xs, ys = X[ids], y[ids]
+            ys = y[ids]
             f0 = float(ys.mean())
             current = np.full_like(ys, f0)
             mse_track = [float(np.mean((ys - current) ** 2))]
             stages = []
-            rows = Xs.tolist()
+            rows = X[ids].tolist()
+            root = list(range(len(rows)))
             for _ in range(spec.rounds):
-                stage = build_tree(Xs, ys - current, cfg)
-                if spec.lam > 0.0:
-                    stage = _shrink_leaves(stage, spec.lam)
+                stage = _grow(rows, (ys - current).tolist(), root, 0, cfg,
+                              lam=spec.lam)
                 stages.append(stage)
                 current = current + spec.nu * np.asarray(
                     [_route(stage, row) for row in rows])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import weldlab.cart
+import weldlab.ensemble
 from weldlab._rng import SplitMix64, derive_seed
 from weldlab.cart import (
     ClassDistribution,
@@ -230,6 +231,20 @@ class TestFitRegressionTree:
         # searching every feature draws nothing and needs no rng
         assert build_tree(X, y, TreeConfig(), None, 3, memo=memo) == build_tree(X, y)
 
+    @pytest.mark.parametrize("memo", [None, {}])
+    @pytest.mark.parametrize("x, y", [
+        (np.nan, 2.0),  # failed with "min() arg is an empty sequence"
+        (np.inf, 2.0),  # threshold (3 + inf) / 2: every row went left, forever
+        (2.0, np.nan),  # grew a Leaf(value=nan, n=3)
+    ])
+    def test_non_finite_data_rejected(self, memo, x, y):
+        """Before anything grows; with a memo the NaN feature failed in a
+        numpy broadcast."""
+        with pytest.raises(ValueError, match="must be finite"):
+            build_tree(np.array([[1.0], [x], [3.0]]), np.array([1.0, y, 3.0]),
+                       memo=memo)
+        assert not memo
+
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
             TreeConfig(max_depth=-1)
@@ -302,25 +317,33 @@ class TestFitRegressionTree:
 
 
 class TestRecursionKernel:
-    @pytest.mark.parametrize("kw, nodes", [
-        ({"model": "gbm"}, 3558),  # 500 stage trees
-        ({"model": "gbm", "depth": 3}, 2859),
-        ({}, 8),  # the CART tree of a forest report
+    @pytest.mark.parametrize("kw, nodes, builds", [
+        ({"model": "gbm"}, 3558, 1),  # 500 stage trees
+        ({"model": "gbm", "depth": 3}, 2859, 1),
+        ({}, 8, 2001),  # the CART tree, and 2,000 forest read-backs
     ])
-    def test_report_nodes_are_scored_on_lists(self, monkeypatch, kw, nodes):
+    def test_report_nodes_are_scored_on_lists(self, monkeypatch, kw, nodes,
+                                              builds):
         """A seed-0 report's recursion scores each of its nodes with one
         `_best_split_loops` call, never through the numpy-array adaptor
-        `best_split`."""
+        `best_split`.  Boosting rounds grow their stages without the public
+        `build_tree` (it took 501 calls per gbm report); only the CART tree
+        and the forest read-backs call it."""
         calls = Counter()
-        for name in ("_best_split_loops", "best_split"):
-            def counting(*args, name=name, kernel=getattr(weldlab.cart, name)):
+        for module, name in ((weldlab.cart, "_best_split_loops"),
+                             (weldlab.cart, "best_split"),
+                             (weldlab.cart, "build_tree"),
+                             (weldlab.ensemble, "build_tree")):
+            def counting(*args, name=name, real=getattr(module, name),
+                         **kwargs):
                 calls[name] += 1
-                return kernel(*args)
+                return real(*args, **kwargs)
 
-            monkeypatch.setattr(weldlab.cart, name, counting)
+            monkeypatch.setattr(module, name, counting)
         run_pipeline(RunConfig(seed=0, **kw))
         assert calls["_best_split_loops"] == nodes
         assert calls["best_split"] == 0
+        assert calls["build_tree"] == builds
 
 
 def grid_data(seed, n=12, p=3):

@@ -462,21 +462,34 @@ class TestGbm:
         for earlier, later in zip(track, track[1:]):
             assert later <= earlier + 1e-12
 
-    def test_lambda_shrinks_leaves(self, builtin):
-        plain = fit_gbm(builtin, rounds=1, cfg=TreeConfig(max_depth=2), nu=1.0)
-        penalized = fit_gbm(
-            builtin, rounds=1, cfg=TreeConfig(max_depth=2), nu=1.0, lam=5.0
-        )
+    @pytest.mark.parametrize("lam", [1.0, 5.0])
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_lambda_shrinks_leaves(self, builtin, lam, depth):
+        """Stage k is `build_tree` of the residuals y - F_{k-1}, each leaf
+        rescaled to value * (n / (n + lam)), field for field, bit for bit."""
+        cfg = TreeConfig(max_depth=depth)
+        model = fit_gbm(builtin, rounds=3, cfg=cfg, nu=0.5, lam=lam)
+        X, y = builtin.features(), builtin.responses()
 
-        def leaves(node):
+        def shrunk(node):
             if isinstance(node, Leaf):
-                yield node
-            else:
-                yield from leaves(node.left)
-                yield from leaves(node.right)
+                return Leaf(node.value * (node.n / (node.n + lam)), node.n)
+            return Internal(node.feature, node.threshold, node.decrease, node.n,
+                            shrunk(node.left), shrunk(node.right))
 
-        for a, b in zip(leaves(plain.stages[0]), leaves(penalized.stages[0])):
-            assert b.value == pytest.approx(a.value * a.n / (a.n + 5.0), rel=1e-12)
+        def bits(node):
+            """Every field of every node, each float as its exact hex."""
+            if isinstance(node, Leaf):
+                return ("leaf", node.value.hex(), node.n)
+            return (node.feature, node.threshold.hex(), node.decrease.hex(),
+                    node.n, bits(node.left), bits(node.right))
+
+        current = np.full_like(y, model.f0)  # F_0, then F_1, F_2
+        for stage in model.stages:
+            assert bits(stage) == bits(shrunk(build_tree(X, y - current, cfg)))
+            current = current + model.nu * np.asarray(
+                [predict_tree(stage, row) for row in X])
+        assert len(model.stages) == 3 and isinstance(model.stages[1], Internal)
 
     def test_mse_non_increasing_with_lambda(self, builtin):
         model = fit_gbm(
