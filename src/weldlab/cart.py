@@ -184,14 +184,10 @@ def build_tree(
     with repeats (a bootstrap sample); the default is every row once.  The
     tree equals ``build_tree(X[rows], y[rows], ...)``.
 
-    `memo` is a dict that callers share across trees grown on the same `X`,
-    `y` and `cfg`.  It maps a node's ordered row ids (plus its depth when
-    `max_depth` is set) to the subtree already built from them, so trees
-    that reach the same node share one frozen subtree object and the split
-    kernel runs once for it.  A tree with a memo is grown into it by
-    `_grow_levels` (unless its root is there already) and read back from
-    it.  The memo is ignored when nodes draw feature subsets, because such
-    a subtree also depends on the rng stream.
+    `memo` is a read-only table that `_grow_levels` returned for the same
+    `X`, `y` and `cfg`: a tree whose `rows` it keys is read from it, and any
+    other grown as without it.  It is ignored when nodes draw feature
+    subsets, because such a tree also depends on the rng stream.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
@@ -217,19 +213,15 @@ def build_tree(
         # A negative id reads as a huge unsigned one.
         if rows.view(np.uintp).max() >= y.shape[0]:
             raise ValueError(f"row ids must be in [0, {y.shape[0]})")
-    draws = m < n_features
-    if memo is not None and not draws:
-        key = _memo_key(rows.tobytes(), 0, cfg)
-        if key in memo:  # grown from data already checked
-            return memo[key]
+    if memo is not None and m == n_features:
+        tree = memo.get(_memo_key(rows.tobytes(), 0, cfg))
+        if tree is not None:  # grown from data already checked
+            return tree
     # A NaN or inf can make a threshold that sends every row one way.
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("X and y must be finite")
-    if memo is not None and not draws:
-        _grow_levels(X, y, [rows], cfg, memo)
-        return memo[key]
     return _grow(X.tolist(), y.tolist(), rows.tolist(), 0, cfg, rng,
-                 m if draws else 0)
+                 m if m < n_features else 0)
 
 
 def _grow(Xl, yl, idx, depth, cfg, rng=None, m=0, lam=0.0) -> TreeNode:
@@ -381,38 +373,36 @@ def _split(Xp, yp, buf, start, size, features, cfg: TreeConfig):
     return feat, thr, decrease, n_left, constant
 
 
-def _grow_levels(X, y, roots, cfg: TreeConfig, memo: dict) -> None:
-    """Put into `memo` the tree of every root in `roots` (row-id blocks, see
-    `_roots`), all grown in one pass, level by level, every node searching
-    every feature.
+def _grow_levels(X, y, roots, cfg: TreeConfig) -> dict:
+    """A dict from the key (`_memo_key` at depth 0) of each distinct root in
+    `roots` (row-id blocks, see `_roots`) to its tree, all grown in one pass,
+    level by level, every node searching every feature: `build_tree`'s memo.
 
-    Keys come from `_memo_key`; this is the only function that writes a
-    memo, and `build_tree` reads its roots back from it.  A node's row ids
-    are a slice of one buffer of every root's ids.  In the pass a distinct
-    node is an integer id: a level keys its nodes one size at a time, from a
-    byte view of their (nodes, size) block of row ids, and looks each key up
-    in a key -> id dict.  The level's new nodes pass the pre-score leaf
+    A node's row ids are a slice of one buffer of every root's ids.  In the
+    pass a distinct node is an integer id: a level keys its nodes one size
+    at a time, from a byte view of their (nodes, size) block of row ids, and
+    looks each key up in a key -> id dict, so trees of the pass that reach
+    the same node share it.  The level's new nodes pass the pre-score leaf
     rules in one array step; `_split` scores the others, all searching one
     read-only row of every feature, and partitions their slices into their
     children's.  No slice changes once its node is a leaf, so one
     `_leaf_values` call values every leaf at the end; then the splits,
     recorded as per-level arrays of ids, become `Internal` objects by
-    ascending size, children first.  Only then does `memo` change.
+    ascending size, children first.
     """
     Xp, yp = _padded(X, y)
     buf, start, size, constant = _roots(yp, roots)
     features = np.arange(X.shape[1], dtype=np.int64)
     ids: dict = {}  # key -> id of each distinct node, from 0
-    built: list = []  # by id: the memo's node, else None until built
     leaves, splits = [], []  # per level: arrays of the new leaves, splits
 
     def identify(start, size, depth: int):
         """The id of each node of `depth` at ``buf[start[i]:start[i] +
-        size[i]]``, and whether it is new: seen neither in this pass nor
-        in the memo."""
+        size[i]]``, and whether it is new: not seen before in this pass."""
         node = np.empty(size.size, np.intp)
         new = np.zeros(size.size, bool)
         suffix = np.frombuffer(_memo_key(b"", depth, cfg), np.uint8)
+        count = len(ids)
         for s, group in _by_size(size):
             block = np.hstack((
                 buf.take(start[group][:, None] + np.arange(s)).view(np.uint8),
@@ -420,17 +410,17 @@ def _grow_levels(X, y, roots, cfg: TreeConfig, memo: dict) -> None:
             got, fresh = [], []
             keys = block.view((np.void, block.shape[1])).ravel().tolist()
             for j, key in enumerate(keys):
-                i = ids.setdefault(key, len(built))
-                if i == len(built):
-                    built.append(memo.get(key))
-                    if built[i] is None:
-                        fresh.append(j)
+                i = ids.setdefault(key, count)
+                if i == count:
+                    fresh.append(j)
+                    count += 1
                 got.append(i)
             node[group] = got
             new[group[fresh]] = True
         return node, new
 
     node, new = identify(start, size, 0)
+    n_roots = len(ids)  # the roots are the first keys, ids 0 to n_roots - 1
     depth = 0
     while node.size:
         leaf = new & _is_leaf(cfg, size, depth, constant)
@@ -452,6 +442,7 @@ def _grow_levels(X, y, roots, cfg: TreeConfig, memo: dict) -> None:
         splits.append((node[split], n, feat[split], thr[split], dec[split],
                        kids[::2], kids[1::2]))
         node, constant = kids, kid_constant[split].ravel()
+    built: list = [None] * len(ids)  # by id
     leaf, at, n = map(np.concatenate, zip(*leaves))
     for i, rows_n, value in zip(leaf.tolist(), n.tolist(),
                                 _leaf_values(yp, buf, at, n).tolist()):
@@ -463,8 +454,7 @@ def _grow_levels(X, y, roots, cfg: TreeConfig, memo: dict) -> None:
         for i, rows_n, f, t, dec, left, right in zip(
                 *(col[block].tolist() for col in splits)):
             built[i] = Internal(f, t, dec, rows_n, built[left], built[right])
-    del splits, order, buf  # not alive while the memo grows
-    memo.update(zip(ids, built))
+    return dict(zip(ids, built[:n_roots]))
 
 
 def _leaf_values(y, rows, starts, sizes) -> np.ndarray:
@@ -651,22 +641,23 @@ def _route(t: TreeNode, x) -> float:
 def predict_tree(t: TreeNode, x: Sequence[float]) -> float:
     """Route by threshold comparisons (<= goes left); return the leaf mean.
 
-    Each call walks the whole tree to check `x` against every feature index
-    it references.  Ensembles validate once per model instead, not once per
-    tree call: `predict_ensemble` checks the vector length against the
-    model's feature count, and `model_from_json` checks every split feature
-    at load.
+    Each call checks that `x` is finite (a NaN would go right at every split)
+    and walks the whole tree to check it against every feature index it
+    references.  Ensembles validate once per model instead, not once per tree
+    call: `predict_ensemble` checks the vector length against the model's
+    feature count, and `model_from_json` checks every split feature at load.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("x must be a single feature vector")
+    row = [_real(v, f"feature {i}") for i, v in enumerate(x.tolist())]
     arity = tree_arity(t)
     if arity > x.shape[0]:
         raise ValueError(
             f"feature vector has {x.shape[0]} entries but the tree "
             f"references feature index {arity - 1}"
         )
-    return _route(t, x)
+    return _route(t, row)
 
 
 def count_nodes(t: TreeNode) -> tuple[int, int]:
@@ -684,7 +675,7 @@ _FMT = "%.6g"
 def _node_label(t: TreeNode, feature_names: Sequence[str] | None) -> str:
     if isinstance(t, Leaf):
         return f"leaf: value={_FMT % t.value} (n={t.n})"
-    name = feature_names[t.feature] if feature_names else f"x{t.feature}"
+    name = f"x{t.feature}" if feature_names is None else feature_names[t.feature]
     return f"{name} <= {_FMT % t.threshold}"
 
 
@@ -695,6 +686,9 @@ def export_tree(
 ) -> str:
     """Render the tree: 'text' is an indented rule list, 'graph' a DOT
     digraph.  Ordering is deterministic (left before right)."""
+    if feature_names is not None and len(feature_names) < tree_arity(t):
+        raise ValueError(f"the tree's arity is {tree_arity(t)}, but "
+                         f"feature_names has {len(feature_names)}")
     if format == "text":
         lines: list[str] = []
 

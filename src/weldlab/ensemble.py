@@ -14,8 +14,8 @@ its per-node feature subsets from the SplitMix64 stream seeded
 the order in which the trees are trained.  When nodes search every
 feature, all trees of one `_fit_models` pass (a final forest, the forests
 of all folds, or both) grow together level by level, and each distinct
-node (same ordered run ids of the dataset, and same depth under a depth
-limit) is built once, one frozen subtree object that the trees share.
+node of the pass (same ordered run ids of the dataset, and same depth under
+a depth limit) is built once, one frozen subtree object that its trees share.
 When nodes search a feature subset, every tree of the pass grows in
 lockstep: each tree pops its nodes in preorder and the trees advance in
 rounds.  Each tree's stream is a lane of one ``uint64`` state array, the
@@ -148,8 +148,8 @@ def _fit_models(X, y, fits, spec: ModelSpec) -> list:
     derive_seed(seed, t))]`` (or on `ids` without bootstrap).
 
     When nodes search every feature (m == p), one `cart._grow_levels` pass
-    grows the trees of every fit, level by level, into one subtree memo
-    (see `build_tree`), where their `build_tree` calls find them.  With
+    grows the trees of every fit, level by level, and returns them keyed by
+    their row ids, a table in which their `build_tree` calls find them.  With
     m < p every tree's bootstrap comes from `lane_bootstraps`, and
     `cart._grow_lockstep` then grows the trees of every fit in one pass,
     tree t drawing its feature subsets in preorder from the lane seeded
@@ -224,8 +224,7 @@ def _fit_models(X, y, fits, spec: ModelSpec) -> list:
     ]
     if m == n_features:
         # No node draws features, so no tree needs its rng stream.
-        memo: dict = {}
-        _grow_levels(X, y, roots, cfg, memo)
+        memo = _grow_levels(X, y, roots, cfg)
         return [result(forest(seed, row, [
             build_tree(X, y, cfg, rows=rows, memo=memo) for rows in block
         ]), held) for (_, seed, held), row, block in zip(fits, tree_seeds, roots)]
@@ -291,7 +290,8 @@ def predict_ensemble(model: EnsembleModel, x: Sequence[float]) -> float:
         raise ValueError(
             f"expected a feature vector of length {model.n_features}"
         )
-    row = x.tolist()  # Python floats: cheaper to index than numpy scalars
+    # Python floats (cheaper to index than numpy scalars), finite as in predict_tree
+    row = [_real(v, f"feature {i}") for i, v in enumerate(x.tolist())]
     if isinstance(model, ForestModel):
         return float(sum(_route(t, row) for t in model.trees) / len(model.trees))
     return model.f0 + model.nu * sum(_route(t, row) for t in model.stages)
@@ -332,7 +332,10 @@ def feature_importance(
         nf = model.n_features
         trees = model.trees if isinstance(model, ForestModel) else model.stages
     else:
-        nf = n_features if n_features is not None else tree_arity(model)
+        arity = tree_arity(model)
+        nf = arity if n_features is None else n_features
+        if nf < arity:
+            raise ValueError(f"the tree's arity is {arity}, but n_features is {nf}")
         trees = (model,)
     acc = np.zeros(max(nf, 1))
     for t in trees:
@@ -486,13 +489,15 @@ def _list(value, what: str) -> list:
 
 def _node_from_dict(obj, n_features: int) -> TreeNode:
     """Rebuild a tree, rejecting any split feature outside [0, n_features)."""
-    if isinstance(obj, dict) and "leaf" in obj:
+    if not isinstance(obj, dict) or ("leaf" in obj) == ("split" in obj):
+        raise ValueError("a tree node must be a JSON object with exactly one "
+                         "of 'leaf' and 'split'")
+    if "leaf" in obj:
         value, n = _fields(obj["leaf"], "a leaf", ("value", "n"))
         return Leaf(value=float(_real(value, "leaf value")),
                     n=_integer(n, "leaf n", 1))
-    (s,) = _fields(obj, "a tree node", ("split",))
-    feature, threshold, decrease, n, left, right = _fields(
-        s, "a split", ("feature", "threshold", "decrease", "n", "left", "right"))
+    feature, threshold, decrease, n, left, right = _fields(obj["split"], "a split", (
+        "feature", "threshold", "decrease", "n", "left", "right"))
     return Internal(
         feature=_integer(feature, "split feature", 0, n_features),
         threshold=float(_real(threshold, "split threshold")),

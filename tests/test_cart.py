@@ -395,12 +395,12 @@ class TestRowsAndMemo:
     def test_narrow_integer_rows_accepted(self, dtype):
         X, y = grid_data(3)
         rows = [0, 3, 3, 11, 7]
-        memo: dict = {}
-        tree = build_tree(X, y, rows=np.array(rows, dtype), memo=memo)
+        memo = _grow_levels(X, y, [rows], TreeConfig())
+        (tree,) = memo.values()
+        # the same memo key as np.intp rows
+        assert build_tree(X, y, rows=np.array(rows, dtype), memo=memo) is tree
         assert tree == build_tree(X, y, rows=np.array(rows, dtype))
         assert tree == build_tree(X[rows], y[rows])
-        # the same memo key as np.intp rows
-        assert build_tree(X, y, rows=rows, memo=memo) is tree
 
     @pytest.mark.parametrize("m", [3, 1])  # m < p: the memo is ignored
     @pytest.mark.parametrize("bootstrap", [True, False])
@@ -412,9 +412,11 @@ class TestRowsAndMemo:
         for X, y in [(builtin.features(), builtin.responses()), grid_data(5)]:
             n = y.shape[0]
             for seed in range(3):
-                memo: dict = {}
-                for t in range(20):
-                    ts = derive_seed(seed, t)
+                seeds = [derive_seed(seed, t) for t in range(20)]
+                memo = _grow_levels(X, y, [
+                    bootstrap_indices(n, ts) if bootstrap else np.arange(n)
+                    for ts in seeds], cfg)
+                for ts in seeds:
                     rows = bootstrap_indices(n, ts) if bootstrap else None
                     on_rng, off_rng = SplitMix64(ts), SplitMix64(ts)
                     on = build_tree(X, y, cfg, on_rng, m, rows=rows, memo=memo)
@@ -422,25 +424,35 @@ class TestRowsAndMemo:
                     assert on == off
                     # both trees left the rng stream at the same position
                     assert on_rng.next_u64() == off_rng.next_u64()
-                assert bool(memo) == (m == X.shape[1])
+                    # read from the memo exactly when no node draws
+                    assert any(on is tree for tree in memo.values()) == (
+                        m == X.shape[1])
 
     def test_memo_tells_depths_apart_under_max_depth(self, builtin):
         X, y = builtin.features(), builtin.responses()
         cfg = TreeConfig(max_depth=1)
-        memo: dict = {}
+        whole = build_tree(X, y, cfg)
+        # the first tree's depth-1 left leaf, grown in the same pass as a root
+        left_rows = np.flatnonzero(X[:, whole.feature] <= whole.threshold)
+        memo = _grow_levels(X, y, [np.arange(9), left_rows], cfg)
         first = build_tree(X, y, cfg, memo=memo)
-        # the first tree's depth-1 left leaf, grown again as a root
-        left_rows = np.flatnonzero(X[:, first.feature] <= first.threshold)
         second = build_tree(X, y, cfg, rows=left_rows, memo=memo)
+        assert first == whole and isinstance(first.left, Leaf)
         assert isinstance(second, Internal)
         assert second == build_tree(X, y, cfg, rows=left_rows)
 
     def test_repeated_rows_reuse_the_built_subtree(self, builtin):
+        """Within one pass: a root equal to another tree's node is that
+        node, and a repeated root is built once."""
         X, y = builtin.features(), builtin.responses()
-        memo: dict = {}
+        whole = build_tree(X, y)
+        left_rows = np.flatnonzero(X[:, whole.feature] <= whole.threshold)
+        memo = _grow_levels(X, y, [np.arange(9), left_rows, np.arange(9)],
+                            TreeConfig())
+        assert len(memo) == 2
         first = build_tree(X, y, memo=memo)
+        assert first == whole
         assert build_tree(X, y, memo=memo) is first
-        left_rows = np.flatnonzero(X[:, first.feature] <= first.threshold)
         assert build_tree(X, y, rows=left_rows, memo=memo) is first.left
 
     def test_build_leaves_no_reference_cycle(self, builtin):
@@ -450,7 +462,8 @@ class TestRowsAndMemo:
         gc.collect()
         gc.disable()
         try:
-            build_tree(X, y, memo={})
+            build_tree(X, y, memo=_grow_levels(X, y, [np.arange(9)],
+                                               TreeConfig()))
             build_tree(X, y, TreeConfig(max_depth=2), SplitMix64(1), 2,
                        rows=[0, 3, 3, 8, 5])
             assert gc.collect() == 0
@@ -479,13 +492,14 @@ class TestGrowLevels:
             )
             roots = [gen.integers(0, n, n) for _ in range(int(gen.integers(1, 12)))]
             roots += roots[:2] + [np.arange(n), np.arange(n)[1:] if n > 1 else [0]]
-            memo: dict = {}
-            _grow_levels(X, y, roots, cfg, memo)
+            memo = _grow_levels(X, y, roots, cfg)
+            # one entry per distinct root
+            assert len(memo) == len(
+                {np.asarray(r, np.intp).tobytes() for r in roots})
             with monkeypatch.context() as m:
-                # every node is in the memo: no kernel runs again
+                # every root is in the memo: no kernel runs again
                 m.setattr(weldlab.cart, "_best_split_loops", None)
                 m.setattr(weldlab.cart, "best_splits", None)
-                _grow_levels(X, y, roots, cfg, memo)
                 trees = [build_tree(X, y, cfg, rows=r, memo=memo) for r in roots]
             for rows, tree in zip(roots, trees):
                 assert tree == build_tree(X[rows], y[rows], cfg)
@@ -502,7 +516,10 @@ class TestGrowLevels:
             raise AssertionError("a memo tree was grown node by node")
 
         monkeypatch.setattr(weldlab.cart, "_best_split_loops", refuse)
-        assert build_tree(X, y, cfg, rows=rows, memo={}) == alone
+        memo = _grow_levels(X, y, [np.arange(9) if rows is None else rows], cfg)
+        (tree,) = memo.values()
+        assert tree == alone
+        assert build_tree(X, y, cfg, rows=rows, memo=memo) is tree
 
     @pytest.mark.parametrize("cap", [None, 20])
     def test_calls_mix_sizes_under_the_row_cap(self, builtin, monkeypatch,
@@ -514,8 +531,7 @@ class TestGrowLevels:
         cap = weldlab.cart._CALL_ROWS
         X, y = builtin.features(), builtin.responses()
         roots = [bootstrap_indices(9, derive_seed(5, t)) for t in range(200)]
-        memo: dict = {}
-        _grow_levels(X, y, roots, TreeConfig(), memo)
+        memo = _grow_levels(X, y, roots, TreeConfig())
         assert all(len(sizes) * width <= cap for sizes, width in batch_calls)
         assert all(width == max(sizes) and min(sizes) >= 1
                    for sizes, width in batch_calls)
@@ -538,57 +554,36 @@ class TestGrowLevels:
         assert len(batch_calls) == 18
 
     def test_memo_holds_only_built_nodes(self, builtin):
-        """A pass writes only `Leaf` and `Internal` values, also when its
-        trees reuse nodes that an earlier pass built, and keeps those."""
+        """A pass returns only `Leaf` and `Internal` values under the bytes
+        keys of its roots, and its trees share the nodes they reach in
+        common."""
         X, y = builtin.features(), builtin.responses()
-        memo: dict = {}
-        _grow_levels(X, y, [bootstrap_indices(9, s) for s in range(20)],
-                     TreeConfig(), memo)
-        before = dict(memo)
-        roots = [bootstrap_indices(9, s) for s in range(10, 60)]
-        _grow_levels(X, y, roots, TreeConfig(), memo)
+        roots = [bootstrap_indices(9, s) for s in range(60)]
+        memo = _grow_levels(X, y, roots, TreeConfig())
         assert all(type(key) is bytes for key in memo)
+        assert set(memo) == {np.asarray(r, np.intp).tobytes() for r in roots}
         assert all(type(node) in (Leaf, Internal) for node in memo.values())
-        assert all(memo[key] is node for key, node in before.items())
-        old = {id(node) for node in before.values()}
-        assert any(id(node.left) in old or id(node.right) in old
-                   for key, node in memo.items()
-                   if key not in before and isinstance(node, Internal))
+
+        def nodes(t):
+            yield id(t)
+            if isinstance(t, Internal):
+                yield from nodes(t.left)
+                yield from nodes(t.right)
+
+        owners = Counter(i for t in memo.values() for i in set(nodes(t)))
+        assert max(owners.values()) > 1
         for rows in roots:
             assert build_tree(X, y, rows=rows, memo=memo) == build_tree(
                 X[rows], y[rows])
-
-    def test_a_failing_pass_leaves_the_memo_as_it_was(self, builtin,
-                                                      monkeypatch):
-        X, y = builtin.features(), builtin.responses()
-        memo: dict = {}
-        _grow_levels(X, y, [np.arange(9)], TreeConfig(), memo)
-        before = list(memo.items())
-        calls = []
-        batch_kernel = weldlab.cart.best_splits
-
-        def failing(*args):
-            calls.append(args)
-            if len(calls) == 2:
-                raise RuntimeError("kernel failed")
-            return batch_kernel(*args)
-
-        monkeypatch.setattr(weldlab.cart, "best_splits", failing)
-        roots = [bootstrap_indices(9, s) for s in range(200)]
-        with pytest.raises(RuntimeError, match="kernel failed"):
-            _grow_levels(X, y, roots, TreeConfig(), memo)
-        assert len(calls) == 2
-        assert list(memo.items()) == before
-        assert all(memo[key] is node for key, node in before)
 
     def test_threshold_rounding_onto_the_lower_value_goes_left(self):
         # the midpoint of two adjacent floats rounds to the lower one
         lo = 1.0
         X = np.array([[np.nextafter(lo, 2.0)], [lo], [lo]])
         y = np.array([5.0, 1.0, 2.0])
-        memo: dict = {}
-        _grow_levels(X, y, [np.arange(3)], TreeConfig(), memo)
+        memo = _grow_levels(X, y, [np.arange(3)], TreeConfig())
         tree = build_tree(X, y, memo=memo)
+        assert list(memo.values()) == [tree]
         assert tree.threshold == lo
         assert (tree.left.n, tree.right.n) == (2, 1)
         assert tree == build_tree(X, y)
@@ -750,6 +745,15 @@ class TestPredictTree:
                            "but the tree references feature index"):
             predict_tree(tree, [800.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_non_finite_feature_rejected(self, builtin, bad, at):
+        """A NaN went right at every split (58.3 on the builtin tree)."""
+        x = [1.0, 1.0, 1.0]
+        x[at] = bad
+        with pytest.raises(ValueError, match=f"feature {at} must be finite"):
+            predict_tree(fit_regression_tree(builtin), x)
+
 
 class TestExportTree:
     def test_single_leaf_one_line(self):
@@ -775,6 +779,24 @@ class TestExportTree:
         tree = fit_regression_tree(builtin, TreeConfig(max_depth=1))
         out = export_tree(tree, "text", feature_names=builtin.factor_names)
         assert out.splitlines()[0].split(" <= ")[0] in builtin.factor_names
+
+    @pytest.mark.parametrize("format", ["text", "graph"])
+    @pytest.mark.parametrize("names", [["a"], []])
+    def test_too_few_feature_names_rejected(self, builtin, format, names):
+        """One name raised a bare IndexError (list index out of range); no
+        names printed x0, x1, ... as if none were given."""
+        tree = fit_regression_tree(builtin)
+        with pytest.raises(ValueError, match=r"^the tree's arity is 3, but "
+                           rf"feature_names has {len(names)}$"):
+            export_tree(tree, format, feature_names=names)
+
+    def test_feature_names_as_an_array(self, builtin):
+        """An array of names raised "The truth value of an array ... is
+        ambiguous"."""
+        tree = fit_regression_tree(builtin)
+        names = builtin.factor_names
+        assert export_tree(tree, feature_names=np.array(names)) == export_tree(
+            tree, feature_names=names)
 
     def test_graph_format(self, builtin):
         tree = fit_regression_tree(builtin, TreeConfig(max_depth=1))

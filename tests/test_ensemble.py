@@ -190,6 +190,20 @@ class TestRandomForest:
         with pytest.raises(ValueError):
             predict_ensemble(model, [1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["rf", "gbm"])
+    def test_non_finite_feature_rejected(self, builtin, kind, bad):
+        """A NaN went right at every split: a 5-tree forest predicted
+        62.376 for (nan, 50, 0.2)."""
+        model = (fit_random_forest(builtin, 5) if kind == "rf"
+                 else fit_gbm(builtin, rounds=5))
+        with pytest.raises(ValueError, match="feature 0 must be finite"):
+            predict_ensemble(model, [bad, 50.0, 0.2])
+        X = builtin.features()
+        X[4, 2] = bad
+        with pytest.raises(ValueError, match="feature 2 must be finite"):
+            predict_ensemble_many(model, X)
+
     def test_prediction_permutation_invariant_in_tree_order(self, builtin):
         from dataclasses import replace
 
@@ -557,6 +571,14 @@ class TestFeatureImportance:
                 tree, n_features=tree_arity(tree)
             )
 
+    @pytest.mark.parametrize("n_features", [0, 1, 2])
+    def test_too_few_features_for_a_tree_rejected(self, builtin, n_features):
+        """n_features=1 raised a bare IndexError: index 1 is out of bounds."""
+        tree = build_tree(builtin.features(), builtin.responses())
+        with pytest.raises(ValueError, match=r"^the tree's arity is 3, but "
+                           rf"n_features is {n_features}$"):
+            feature_importance(tree, n_features=n_features)
+
     def test_builtin_forest_argmax_rpm(self, builtin):
         model = fit_random_forest(builtin, trees=200, m=3, seed=7)
         imp = feature_importance(model)
@@ -882,6 +904,31 @@ class TestOnePassStage:
         cross_validate(builtin, spec, kfold_plan(9, 3, seed=1))
         assert calls == {"_grow_levels": 1}
 
+    def test_every_feature_stage_reads_its_trees_from_the_pass(
+        self, builtin, monkeypatch,
+    ):
+        """A default rf stage (seed 0): `_grow_levels` returns one tree per
+        distinct root, 200 for the final forest and each of its 9 folds, and
+        every `build_tree` read-back finds its tree there, growing none."""
+        tables = []
+        grow_levels = weldlab.ensemble._grow_levels
+
+        def recording(*args):
+            tables.append(grow_levels(*args))
+            return tables[-1]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a read-back grew its tree")
+
+        monkeypatch.setattr(weldlab.ensemble, "_grow_levels", recording)
+        monkeypatch.setattr(weldlab.cart, "_grow", refuse)
+        model, _ = _fit_and_validate(builtin, ModelSpec(kind="rf"), 9)
+        (table,) = tables
+        assert len(table) == 2000
+        assert all(type(tree) in (Leaf, Internal) for tree in table.values())
+        built = {id(tree) for tree in table.values()}
+        assert all(id(tree) in built for tree in model.trees)
+
     def test_every_feature_stage_peak_heap(self, builtin):
         """tracemalloc's peak over a default rf stage (200 trees, final
         forest and 9 leave-one-out folds, seed 0) after a warm-up call:
@@ -1026,6 +1073,12 @@ class TestSerialization:
         ("gbm", lambda doc: doc.update(trees=[{"leaf": {"value": 1.0}}] * 3),
          "a leaf lacks 'n'"),
         ("gbm", lambda doc: doc.update(trees=[[]] * 3), "a tree node must be"),
+        # the split was silently dropped
+        ("rf", lambda doc: doc["trees"].__setitem__(
+            0, {"leaf": {"value": 1.0, "n": 1}, "split": 3}),
+         "exactly one of 'leaf' and 'split'"),
+        ("rf", lambda doc: doc["trees"].__setitem__(0, {}),
+         "exactly one of 'leaf' and 'split'"),
         ("rf", lambda doc: doc.update(m=99), r"m must be in \[1, 3\], got 99"),
         ("rf", lambda doc: doc.update(m=None), r"m must be in \[1, 3\], got None"),
         ("rf", lambda doc: doc.update(bootstrap="no"), "bootstrap must be a bool"),
