@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -42,11 +42,6 @@ class ClassDistribution:
     def frequencies(self) -> tuple[float, ...]:
         t = self.total
         return tuple(c / t for c in self.counts)
-
-    @classmethod
-    def from_labels(cls, labels: Iterable) -> "ClassDistribution":
-        counter = Counter(labels)
-        return cls(counts=tuple(counter[k] for k in sorted(counter)))
 
 
 @dataclass(frozen=True)
@@ -184,9 +179,10 @@ def build_tree(
     with repeats (a bootstrap sample); the default is every row once.  The
     tree equals ``build_tree(X[rows], y[rows], ...)``.
 
-    `memo` is a read-only table that `_grow_levels` returned for the same
-    `X`, `y` and `cfg`: a tree whose `rows` it keys is read from it, and any
-    other grown as without it.  It is ignored when nodes draw feature
+    `memo` is a read-only table from the key of each root of one
+    `_grow_forests` pass over the same `X`, `y` and `cfg` to its tree: a
+    tree whose `rows` it keys is read from it, and any other grown as
+    without it.  It is ignored when nodes draw feature
     subsets, because such a tree also depends on the rng stream.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
@@ -214,7 +210,9 @@ def build_tree(
         if rows.view(np.uintp).max() >= y.shape[0]:
             raise ValueError(f"row ids must be in [0, {y.shape[0]})")
     if memo is not None and m == n_features:
-        tree = memo.get(_memo_key(rows.tobytes(), 0, cfg))
+        # The pass's key of a root: its row ids, then depth 0 under a limit.
+        tree = memo.get(
+            (np.append(rows, 0) if cfg.max_depth else rows).tobytes())
         if tree is not None:  # grown from data already checked
             return tree
     # A NaN or inf can make a threshold that sends every row one way.
@@ -248,12 +246,6 @@ def _grow(Xl, yl, idx, depth, cfg, rng=None, m=0, lam=0.0) -> TreeNode:
     # numpy's pairwise sum, as `y[idx].mean()` takes: Python's `sum` adds
     # in sequence, which rounds differently from 8 rows up.
     return Leaf(float(np.add.reduce(ys) / n) * (n / (n + lam)), n)
-
-
-def _memo_key(rows: bytes, depth: int, cfg: TreeConfig) -> bytes:
-    """Memo key of the node grown from the row ids `rows` (as `np.intp`
-    bytes) at `depth`; the depth counts only under a depth limit."""
-    return rows + depth.to_bytes(8, "little") if cfg.max_depth else rows
 
 
 # --- batched growth -------------------------------------------------------
@@ -373,90 +365,6 @@ def _split(Xp, yp, buf, start, size, features, cfg: TreeConfig):
     return feat, thr, decrease, n_left, constant
 
 
-def _grow_levels(X, y, roots, cfg: TreeConfig) -> dict:
-    """A dict from the key (`_memo_key` at depth 0) of each distinct root in
-    `roots` (row-id blocks, see `_roots`) to its tree, all grown in one pass,
-    level by level, every node searching every feature: `build_tree`'s memo.
-
-    A node's row ids are a slice of one buffer of every root's ids.  In the
-    pass a distinct node is an integer id: a level keys its nodes one size
-    at a time, from a byte view of their (nodes, size) block of row ids, and
-    looks each key up in a key -> id dict, so trees of the pass that reach
-    the same node share it.  The level's new nodes pass the pre-score leaf
-    rules in one array step; `_split` scores the others, all searching one
-    read-only row of every feature, and partitions their slices into their
-    children's.  No slice changes once its node is a leaf, so one
-    `_leaf_values` call values every leaf at the end; then the splits,
-    recorded as per-level arrays of ids, become `Internal` objects by
-    ascending size, children first.
-    """
-    Xp, yp = _padded(X, y)
-    buf, start, size, constant = _roots(yp, roots)
-    features = np.arange(X.shape[1], dtype=np.int64)
-    ids: dict = {}  # key -> id of each distinct node, from 0
-    leaves, splits = [], []  # per level: arrays of the new leaves, splits
-
-    def identify(start, size, depth: int):
-        """The id of each node of `depth` at ``buf[start[i]:start[i] +
-        size[i]]``, and whether it is new: not seen before in this pass."""
-        node = np.empty(size.size, np.intp)
-        new = np.zeros(size.size, bool)
-        suffix = np.frombuffer(_memo_key(b"", depth, cfg), np.uint8)
-        count = len(ids)
-        for s, group in _by_size(size):
-            block = np.hstack((
-                buf.take(start[group][:, None] + np.arange(s)).view(np.uint8),
-                np.broadcast_to(suffix, (group.size, suffix.size))))
-            got, fresh = [], []
-            keys = block.view((np.void, block.shape[1])).ravel().tolist()
-            for j, key in enumerate(keys):
-                i = ids.setdefault(key, count)
-                if i == count:
-                    fresh.append(j)
-                    count += 1
-                got.append(i)
-            node[group] = got
-            new[group[fresh]] = True
-        return node, new
-
-    node, new = identify(start, size, 0)
-    n_roots = len(ids)  # the roots are the first keys, ids 0 to n_roots - 1
-    depth = 0
-    while node.size:
-        leaf = new & _is_leaf(cfg, size, depth, constant)
-        leaves.append((node[leaf], start[leaf], size[leaf]))
-        todo = np.flatnonzero(new & ~leaf)
-        node, start, size = node[todo], start[todo], size[todo]
-        feat, thr, dec, n_left, kid_constant = _split(
-            Xp, yp, buf, start, size,
-            np.broadcast_to(features, (size.size, features.size)), cfg)
-        leaf = feat < 0
-        leaves.append((node[leaf], start[leaf], size[leaf]))
-        split = ~leaf
-        n, n_left = size[split], n_left[split]
-        # Each split's children, left then right, in its slice.
-        start = np.stack((start[split], start[split] + n_left), axis=1).ravel()
-        size = np.stack((n_left, n - n_left), axis=1).ravel()
-        depth += 1
-        kids, new = identify(start, size, depth)
-        splits.append((node[split], n, feat[split], thr[split], dec[split],
-                       kids[::2], kids[1::2]))
-        node, constant = kids, kid_constant[split].ravel()
-    built: list = [None] * len(ids)  # by id
-    leaf, at, n = map(np.concatenate, zip(*leaves))
-    for i, rows_n, value in zip(leaf.tolist(), n.tolist(),
-                                _leaf_values(yp, buf, at, n).tolist()):
-        built[i] = Leaf(value, rows_n)
-    splits = [np.concatenate(col) for col in zip(*splits)]
-    order = np.argsort(splits[1], kind="stable")
-    for lo in range(0, order.size, _BUILD_BLOCK):
-        block = order[lo:lo + _BUILD_BLOCK]
-        for i, rows_n, f, t, dec, left, right in zip(
-                *(col[block].tolist() for col in splits)):
-            built[i] = Internal(f, t, dec, rows_n, built[left], built[right])
-    return dict(zip(ids, built[:n_roots]))
-
-
 def _leaf_values(y, rows, starts, sizes) -> np.ndarray:
     """Value of each leaf whose row ids are ``rows[starts[i]:starts[i] +
     sizes[i]]``, equal bit for bit to the recursion's ``np.add.reduce(ys) /
@@ -475,13 +383,13 @@ def _leaf_values(y, rows, starts, sizes) -> np.ndarray:
 
 
 class _Records(NamedTuple):
-    """Flat node records of the trees `_grow_lockstep` grows.
+    """Flat node records of the trees `_grow_forests` grows.
 
-    Tree t's root is node t, and node i belongs to tree ``tree[i]``.  Node i
-    is a leaf of value ``value[i]`` when ``feature[i]`` is -1; otherwise it
-    splits on ``X[:, feature[i]] <= threshold[i]``, with its left child at
-    ``child[i]`` and its right one at ``child[i] + 1``.  A child's id is
-    larger than its parent's.  `n` and `decrease` are those of the built
+    Node i is a leaf of value ``value[i]`` when ``feature[i]`` is -1;
+    otherwise it splits on ``X[:, feature[i]] <= threshold[i]`` into the
+    nodes ``child[i, 0]`` (left) and ``child[i, 1]`` (right), each of fewer
+    rows than node i.  Tree ``tree[i]`` made node i; a keyed node may also
+    be a node of other trees.  `n` and `decrease` are those of the built
     node; `threshold`, `decrease` and `child` mean nothing on a leaf.
     """
 
@@ -494,115 +402,180 @@ class _Records(NamedTuple):
     tree: np.ndarray
 
 
-def _grow_lockstep(X, y, roots, lanes, m: int, cfg: TreeConfig) -> _Records:
-    """The records of the tree of every row-id array in `roots`, each node
-    searching `m` features drawn from the matching lane of `lanes`; the
-    trees grow in lockstep.
+# The columns of the node records that `_grow_forests` keeps as it runs:
+# each node's slice of the row-id buffer and its depth, then the fields of
+# `_Records` but `value`.  The columns that no numpy call of the pass takes
+# as indices or sizes are 32-bit, which lowers a default rf stage's peak
+# heap by ~4%; 32-bit `start`, `n` and `tree` cost more in conversions.
+_COLUMNS = {"start": np.intp, "depth": np.int32, "feature": np.int32,
+            "threshold": np.float64, "decrease": np.float64, "n": np.intp,
+            "child": (np.int32, 2), "tree": np.intp}
 
-    `lanes` is a ``uint64`` array of SplitMix64 states (see `_rng`), one per
-    tree, advanced in place: tree t, built by `_build_trees`, equals
-    ``build_tree(X[roots[t]], y[roots[t]], cfg, SplitMix64(lanes[t]), m)``,
-    and lane t ends in that rng's final state.  Each tree visits its nodes
+
+def _key_ids(keys: dict, buf, start, size, depth, cfg: TreeConfig):
+    """The id in `keys` of each node whose row ids are ``buf[start[i]:
+    start[i] + size[i]]``, at ``depth[i]``, and whether it is new.
+
+    A node's key is the bytes of its row ids, and of its depth too under a
+    depth limit: for a root, `build_tree`'s memo key.  The nodes are keyed
+    one size at a time, from a byte view of their (nodes, size) block of row
+    ids.  A key not in `keys` takes the next id, ``len(keys)``, and the node
+    that brought it is new.
+    """
+    ids = np.empty(size.size, np.intp)
+    new = np.zeros(size.size, bool)
+    count = len(keys)
+    for s, group in _by_size(size):
+        block = buf.take(start[group][:, None] + np.arange(s))
+        if cfg.max_depth:
+            block = np.hstack((block, depth[group][:, None]))
+        got, fresh = [], []
+        for j, key in enumerate(block.view(
+                (np.void, block.itemsize * block.shape[1])).ravel().tolist()):
+            i = keys.setdefault(key, count)
+            if i == count:
+                fresh.append(j)
+                count += 1
+            got.append(i)
+        ids[group] = got
+        new[group[fresh]] = True
+    return ids, new
+
+
+def _grow_forests(X, y, roots, cfg: TreeConfig, lanes=None, m: int = 0):
+    """The records of the tree of every root in `roots` (row-id blocks, see
+    `_roots`), all grown in one pass of rounds, and the key of each
+    distinct root in record id order (none with `lanes`).
+
+    Without `lanes` every node searches every feature and a round scores
+    every waiting node: the trees grow level by level.  Nodes are keyed
+    (`_key_ids`), the roots first, so the R distinct roots are records 0 to
+    R - 1, and a node whose key is known links to that record, even while
+    it grows: the trees of the pass share their common nodes, and the
+    records form a DAG.
+
+    With `lanes`, a ``uint64`` array of SplitMix64 states (see `_rng`), one
+    per tree, advanced in place, each node searches `m` features drawn
+    from its tree's lane.  Root t is record t, and the tree built from it
+    equals ``build_tree(X[roots[t]], y[roots[t]], cfg, SplitMix64(lanes[t]),
+    m)``; lane t ends in that rng's final state.  Each tree visits its nodes
     in preorder from its own stack, so its draws come in the recursion's
-    order: a node that a pre-score leaf rule makes a leaf draws nothing,
-    and only nodes that need a split are stacked.  Each round every tree
-    pops one node; the round draws all their subsets at once
-    (`lane_subsets`) and `_split` scores them, each with its own subset.
+    order: a round pops one node per tree and draws all their subsets at
+    once (`lane_subsets`).
 
-    A node's row ids are a slice of one buffer of every root's ids
-    (`_roots`), and `_split` partitions a split node's slice in place, left
-    rows first, so each leaf's slice holds its rows in the recursion's
-    order.  A split's children are the next two node ids.  Leaf values
-    come from `_leaf_values`.
+    A node's row ids are a slice of one buffer of every root's ids.  A node
+    that a pre-score leaf rule makes a leaf draws nothing and never waits;
+    `_split` scores a round's nodes and partitions each split node's slice
+    in place, left rows first, into its children's.  No slice changes once
+    its node is a leaf, so one `_leaf_values` call values every leaf at the
+    end.
     """
     Xp, yp = _padded(X, y)
-    buf, root_start, sizes, constant = _roots(yp, roots)
-    T = sizes.size
-    # Node records, grown as needed.  A split's children are the next two
-    # free ids, left first, so `child` holds the left one.
-    cap = buf.size
-    start = np.empty(cap, np.intp)  # of the node's slice of `buf`
-    n = np.empty(cap, np.intp)
-    depth = np.empty(cap, np.intp)
-    feature = np.empty(cap, np.int64)  # -1 marks a leaf
-    threshold = np.empty(cap)
-    decrease = np.empty(cap)
-    child = np.empty(cap, np.intp)
-    tree = np.empty(cap, np.intp)
-    start[:T] = root_start
-    n[:T] = sizes
-    depth[:T] = 0
-    tree[:T] = np.arange(T)
-    count = T
-    # Each tree's stack of the nodes it has yet to score, which are at
-    # most one per depth below the root, plus the two just pushed.
-    stack = np.empty((T, sizes.max() + 2), np.intp)
-    top = np.zeros(T, np.intp)
+    buf, start, size, constant = _roots(yp, roots)
+    T, p = size.size, X.shape[1]
+    keys: dict = {}
+    # Grown as needed, by half at least.
+    store = {name: np.empty(T, dtype) for name, dtype in _COLUMNS.items()}
+    count = 0
 
-    def add(ids, constant):
-        """Apply the pre-score leaf rules to the new nodes `ids`; return
-        which of them need a split."""
-        leaf = _is_leaf(cfg, n[ids], depth[ids], constant)
-        feature[ids[leaf]] = -1
-        return ~leaf
-
-    trees = np.flatnonzero(add(np.arange(T), constant))
-    nodes = trees  # each tree's node to score this round
-    while trees.size:
-        size = n[nodes]
-        (feature[nodes], threshold[nodes], decrease[nodes], n_left,
-         kid_constant) = _split(Xp, yp, buf, start[nodes], size,
-                                lane_subsets(lanes, trees, X.shape[1], m), cfg)
-        split = feature[nodes] >= 0
-        parent, trees_split = nodes[split], trees[split]
-        kids = count + np.arange(2 * parent.size)
-        count += kids.size
+    def add(at, rows_n, depth, constant, tree):
+        """Record each new node of the nodes at ``buf[at[i]:at[i] +
+        rows_n[i]]``, of depth ``depth[i]`` in tree ``tree[i]``; return each
+        node's id and whether it is new and not a leaf by the pre-score
+        rules."""
+        nonlocal store, count
+        if lanes is None:
+            ids, new = _key_ids(keys, buf, at, rows_n, depth, cfg)
+        else:  # every node is new
+            ids, new = np.arange(count, count + at.size), slice(None)
+        fresh = ids[new]
+        count += fresh.size
+        cap = len(store["n"])
         if count > cap:
-            cap = 2 * count
-            start, n, depth, feature, threshold, decrease, child, tree = (
-                np.concatenate((col, np.empty(cap - col.size, col.dtype)))
-                for col in (start, n, depth, feature, threshold, decrease,
-                            child, tree))
-        left, right = kids[::2], kids[1::2]
-        child[parent] = left
-        start[left] = start[parent]
-        start[right] = start[parent] + n_left[split]
-        n[left] = n_left[split]
-        n[right] = size[split] - n_left[split]
-        depth[kids] = np.repeat(depth[parent] + 1, 2)
-        tree[kids] = np.repeat(trees_split, 2)
-        todo = add(kids, kid_constant[split].ravel())
-        # Push the right child, then the left, so that the left pops first.
-        for side, push in ((right, todo[1::2]), (left, todo[::2])):
-            t = trees_split[push]
-            stack[t, top[t]] = side[push]
+            store = {name: np.concatenate((store[name], np.empty(
+                max(count - cap, cap // 2), dtype)))
+                for name, dtype in _COLUMNS.items()}
+        rows_n, depth, constant = rows_n[new], depth[new], constant[new]
+        for name, value in (("start", at[new]), ("n", rows_n),
+                            ("depth", depth), ("tree", tree[new])):
+            store[name][fresh] = value
+        leaf = _is_leaf(cfg, rows_n, depth, constant)
+        store["feature"][fresh[leaf]] = -1
+        todo = np.zeros(ids.size, bool)
+        todo[new] = ~leaf
+        return ids, todo
+
+    ids, todo = add(start, size, np.zeros(T, np.intp), constant, np.arange(T))
+    n_roots = len(keys)
+    nodes = ids[todo]  # this round's nodes to score
+    if lanes is not None:
+        # Each tree's stack of the nodes it has yet to score, which are at
+        # most one per depth below the root, plus the two just pushed.
+        stack = np.empty((T, size.max() + 2), np.intp)
+        top = np.zeros(T, np.intp)
+    while nodes.size:
+        at, n, tree = (store[name][nodes] for name in ("start", "n", "tree"))
+        feat, thr, dec, n_left, kid_constant = _split(
+            Xp, yp, buf, at, n,
+            np.broadcast_to(np.arange(p), (nodes.size, p)) if lanes is None
+            else lane_subsets(lanes, tree, p, m), cfg)
+        store["feature"][nodes] = feat
+        store["threshold"][nodes] = thr
+        store["decrease"][nodes] = dec
+        split = feat >= 0
+        parent, n_left = nodes[split], n_left[split]
+        # The splits' children in their slices: every left one, then every
+        # right one.
+        depth, owner = store["depth"][parent] + 1, tree[split]
+        kids, todo = add(
+            np.concatenate((at[split], at[split] + n_left)),
+            np.concatenate((n_left, n[split] - n_left)),
+            np.concatenate((depth, depth)), kid_constant[split].T.ravel(),
+            np.concatenate((owner, owner)))
+        store["child"][parent] = kids.reshape(2, -1).T
+        if lanes is None:
+            nodes = kids[todo]
+            continue
+        # The right children first, so that the left ones pop first.
+        for push in (kids[parent.size:][todo[parent.size:]],
+                     kids[:parent.size][todo[:parent.size]]):
+            t = store["tree"][push]
+            stack[t, top[t]] = push
             top[t] += 1
-        trees = trees[top[trees] > 0]
+        trees = tree[top[tree] > 0]
         top[trees] -= 1
         nodes = stack[trees, top[trees]]
-    leaves = np.flatnonzero(feature[:count] < 0)
-    value = np.empty(count)
-    value[leaves] = _leaf_values(yp, buf, start[leaves], n[leaves])
-    return _Records(feature[:count], threshold[:count], decrease[:count],
-                    n[:count], child[:count], value, tree[:count])
+    store = {name: col[:count] for name, col in store.items()}
+    leaves = np.flatnonzero(store["feature"] < 0)
+    store["value"] = np.empty(count)
+    store["value"][leaves] = _leaf_values(yp, buf, store["start"][leaves],
+                                          store["n"][leaves])
+    return (_Records(*(store[name] for name in _Records._fields)),
+            list(keys)[:n_roots])
 
 
-def _build_trees(rec: _Records, first: int, stop: int) -> list[TreeNode]:
-    """Trees `first` to ``stop - 1`` of `rec` as `Leaf` and `Internal`
-    objects, built children first, one block of records turned into Python
-    values at a time."""
-    ids = np.flatnonzero((rec.tree >= first) & (rec.tree < stop))
-    built: list = [None] * rec.tree.size
-    for hi in range(ids.size, 0, -_BUILD_BLOCK):
-        block = ids[max(hi - _BUILD_BLOCK, 0):hi][::-1]
-        for i, f, th, dec, rows_n, c, v in zip(block.tolist(), *(
-            col[block].tolist() for col in (
-                rec.feature, rec.threshold, rec.decrease, rec.n, rec.child,
-                rec.value))):
-            built[i] = Leaf(value=v, n=rows_n) if f < 0 else Internal(
-                feature=f, threshold=th, decrease=dec, n=rows_n,
-                left=built[c], right=built[c + 1])
-    return built[first:stop]
+def _build_trees(rec: _Records, ids) -> list:
+    """By record id, the tree of each record in `ids` as `Leaf` and
+    `Internal` objects, and None for every other record; `ids` must hold
+    both children of each of its splits.  The leaves are built first, then
+    the splits by ascending `n`, so children before parents (a child has
+    fewer rows than its parent), one block turned into Python values at a
+    time."""
+    built: list = [None] * rec.n.size
+    leaf = rec.feature[ids] < 0
+    leaves, splits = ids[leaf], ids[~leaf]
+    for i, value, n in zip(leaves.tolist(), rec.value[leaves].tolist(),
+                           rec.n[leaves].tolist()):
+        built[i] = Leaf(value, n)
+    splits = splits[np.argsort(rec.n[splits], kind="stable")]
+    for lo in range(0, splits.size, _BUILD_BLOCK):
+        block = splits[lo:lo + _BUILD_BLOCK]
+        for i, f, t, dec, n, left, right in zip(block.tolist(), *(
+                col[block].tolist() for col in (
+                    rec.feature, rec.threshold, rec.decrease, rec.n,
+                    rec.child[:, 0], rec.child[:, 1]))):
+            built[i] = Internal(f, t, dec, n, built[left], built[right])
+    return built
 
 
 def _route_records(rec: _Records, X, rows, nodes) -> np.ndarray:
@@ -614,7 +587,7 @@ def _route_records(rec: _Records, X, rows, nodes) -> np.ndarray:
     while live.size:
         at = nodes[live]
         goes_right = ~(X[rows[live], rec.feature[at]] <= rec.threshold[at])
-        nodes[live] = rec.child[at] + goes_right
+        nodes[live] = rec.child[at, goes_right.astype(np.intp)]
         live = live[rec.feature[nodes[live]] >= 0]
     return rec.value[nodes]
 

@@ -11,24 +11,24 @@ Every random choice derives from the caller's 64-bit seed: tree t of a
 forest trains on ``bootstrap_indices(n, derive_seed(seed, t))`` and draws
 its per-node feature subsets from the SplitMix64 stream seeded
 ``derive_seed(derive_seed(seed, t), 1)``, so each tree is independent of
-the order in which the trees are trained.  When nodes search every
-feature, all trees of one `_fit_models` pass (a final forest, the forests
-of all folds, or both) grow together level by level, and each distinct
-node of the pass (same ordered run ids of the dataset, and same depth under
-a depth limit) is built once, one frozen subtree object that its trees share.
-When nodes search a feature subset, every tree of the pass grows in
-lockstep: each tree pops its nodes in preorder and the trees advance in
-rounds.  Each tree's stream is a lane of one ``uint64`` state array, the
-same SplitMix64 stream draw for draw, and a round draws the
-subsets of all its nodes at once, so each tree's draws keep the
-recursion's order; its bootstrap comes from the same lane arithmetic
-(`lane_bootstraps`).  The lockstep pass leaves flat node records: only the
-trees of models that the caller gets back become `Leaf` and `Internal`
-objects, and a fold forest predicts its held-out runs from the records.
-Either way a node's rows are a slice of one buffer of every root's rows,
-and the nodes waiting at one time (a level's new nodes, or a round's), of
-any sizes, go through one scoring step (`cart._split`): padded to a
-common width, scored in a few batched kernel calls, and split by
+the order in which the trees are trained.  All trees of one `_fit_models`
+pass (a final forest, the forests of all folds, or both) grow together in
+one `cart._grow_forests` pass of rounds, with one of two round policies.
+When nodes search every feature, a round scores every waiting node, so the
+trees grow level by level, and each distinct node of the pass (same
+ordered run ids of the dataset, and same depth under a depth limit) is one
+record, built once into one frozen subtree object that its trees share.
+When nodes search a feature subset, a round pops one node per tree from
+the tree's preorder stack, so the trees grow in lockstep.  Each tree's
+stream is a lane of one ``uint64`` state array, the same SplitMix64 stream
+draw for draw, and a round draws the subsets of all its nodes at once, so
+each tree's draws keep the recursion's order; its bootstrap comes from the
+same lane arithmetic (`lane_bootstraps`).  In lockstep only the trees of
+models that the caller gets back become `Leaf` and `Internal` objects, and
+a fold forest predicts its held-out runs from the records.  Either way a
+node's rows are a slice of one buffer of every root's rows, and a round's
+nodes, of any sizes, go through one scoring step (`cart._split`): padded
+to a common width, scored in a few batched kernel calls, and split by
 partitioning their slices in place.  The trees, predictions and
 serialized bytes are exactly those of trees grown one by one.  Boosting is
 the stagewise additive update F_m = F_{m-1} + nu * h_m with F_0 = mean(y)
@@ -51,8 +51,7 @@ from .cart import (
     TreeNode,
     _build_trees,
     _grow,
-    _grow_levels,
-    _grow_lockstep,
+    _grow_forests,
     _route,
     _route_records,
     build_tree,
@@ -147,17 +146,19 @@ def _fit_models(X, y, fits, spec: ModelSpec) -> list:
     call.  Forest tree t trains on ``ids[bootstrap_indices(len(ids),
     derive_seed(seed, t))]`` (or on `ids` without bootstrap).
 
-    When nodes search every feature (m == p), one `cart._grow_levels` pass
-    grows the trees of every fit, level by level, and returns them keyed by
-    their row ids, a table in which their `build_tree` calls find them.  With
-    m < p every tree's bootstrap comes from `lane_bootstraps`, and
-    `cart._grow_lockstep` then grows the trees of every fit in one pass,
-    tree t drawing its feature subsets in preorder from the lane seeded
+    One `cart._grow_forests` pass grows the trees of every fit.  When
+    nodes search every feature (m == p) it grows them level by level and
+    keys their nodes, so trees that reach the same node share its record;
+    every record is then built into `Leaf` and `Internal` objects, and each
+    tree's `build_tree` call reads its tree from the table of the distinct
+    roots' keys.  With m < p every tree's bootstrap comes from
+    `lane_bootstraps`, and the pass grows the trees in lockstep, tree t
+    drawing its feature subsets in preorder from the lane seeded
     ``derive_seed(tree seed, 1)``.  Only the forests returned as models are
-    built into `Leaf` and `Internal` objects; the held rows of the others
-    are routed through the grown records.  Both growers score nodes of all
-    sizes together through `cart._split`, in kernel calls capped at
-    `cart._CALL_ROWS` padded rows, which also bounds peak memory.
+    built into objects; the held rows of the others are routed through the
+    records.  Either way the pass scores nodes of all sizes together
+    through `cart._split`, in kernel calls capped at `cart._CALL_ROWS`
+    padded rows, which also bounds peak memory.
     """
     n_features = X.shape[1]
     cfg = spec.config
@@ -224,11 +225,13 @@ def _fit_models(X, y, fits, spec: ModelSpec) -> list:
     ]
     if m == n_features:
         # No node draws features, so no tree needs its rng stream.
-        memo = _grow_levels(X, y, roots, cfg)
+        rec, keys = _grow_forests(X, y, roots, cfg)
+        # The distinct roots, one per key, are the first records.
+        memo = dict(zip(keys, _build_trees(rec, np.arange(rec.n.size))))
         return [result(forest(seed, row, [
             build_tree(X, y, cfg, rows=rows, memo=memo) for rows in block
         ]), held) for (_, seed, held), row, block in zip(fits, tree_seeds, roots)]
-    rec = _grow_lockstep(X, y, roots, mix64(seeds + steps[1]).ravel(), m, cfg)
+    rec, _ = _grow_forests(X, y, roots, cfg, mix64(seeds + steps[1]).ravel(), m)
     # Every (held row, tree) pair of every held-out fit, routed at once.
     pairs = [(np.repeat(held, T),
               np.tile(np.arange(f * T, (f + 1) * T), len(held)))
@@ -240,8 +243,9 @@ def _fit_models(X, y, fits, spec: ModelSpec) -> list:
     at = 0
     for f, ((_, seed, held), row) in enumerate(zip(fits, tree_seeds)):
         if held is None:
+            ids = np.flatnonzero((rec.tree >= f * T) & (rec.tree < (f + 1) * T))
             out.append(forest(seed, row,
-                              _build_trees(rec, f * T, (f + 1) * T)))
+                              _build_trees(rec, ids)[f * T:(f + 1) * T]))
             continue
         # Each row's mean over trees in index order, as `predict_ensemble`.
         out.append([sum(values[i:i + T]) / T
@@ -327,9 +331,13 @@ def feature_importance(
 ) -> FeatureImportance:
     """Impurity-decrease importance: each split adds (sample fraction) *
     (variance decrease) to its feature; trees of an ensemble are averaged;
-    scores normalize to sum 1 unless the model never splits."""
+    scores normalize to sum 1 unless the model never splits.  An ensemble's
+    `n_features`, when given, must be its own."""
     if isinstance(model, (ForestModel, BoostModel)):
         nf = model.n_features
+        if n_features not in (None, nf):
+            raise ValueError(f"the model has {nf} features, but n_features "
+                             f"is {n_features}")
         trees = model.trees if isinstance(model, ForestModel) else model.stages
     else:
         arity = tree_arity(model)

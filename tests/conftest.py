@@ -16,7 +16,7 @@ def builtin() -> Dataset:
 @pytest.fixture
 def batch_calls(monkeypatch) -> list:
     """(real node sizes, padded width) of every `best_splits` call that
-    the batched growers make."""
+    the batched grower makes."""
     calls = []
     batch_kernel = weldlab.cart.best_splits
 

@@ -16,8 +16,7 @@ from weldlab.cart import (
     SplitPartition,
     TreeConfig,
     _build_trees,
-    _grow_levels,
-    _grow_lockstep,
+    _grow_forests,
     _leaf_values,
     _padded,
     _route,
@@ -353,6 +352,14 @@ def grid_data(seed, n=12, p=3):
     return X, gen.integers(0, 5, n).astype(np.float64)
 
 
+def memo_of(X, y, roots, cfg):
+    """The table that `_fit_models` gives its `build_tree` read-backs:
+    the key of each distinct root of one keyed `_grow_forests` pass, to its
+    tree built from the pass's records."""
+    rec, keys = _grow_forests(X, y, roots, cfg)
+    return dict(zip(keys, _build_trees(rec, np.arange(rec.n.size))))
+
+
 class TestRowsAndMemo:
     def test_rows_equal_the_copied_sample(self):
         gen = np.random.default_rng(41)
@@ -395,7 +402,7 @@ class TestRowsAndMemo:
     def test_narrow_integer_rows_accepted(self, dtype):
         X, y = grid_data(3)
         rows = [0, 3, 3, 11, 7]
-        memo = _grow_levels(X, y, [rows], TreeConfig())
+        memo = memo_of(X, y, [rows], TreeConfig())
         (tree,) = memo.values()
         # the same memo key as np.intp rows
         assert build_tree(X, y, rows=np.array(rows, dtype), memo=memo) is tree
@@ -413,7 +420,7 @@ class TestRowsAndMemo:
             n = y.shape[0]
             for seed in range(3):
                 seeds = [derive_seed(seed, t) for t in range(20)]
-                memo = _grow_levels(X, y, [
+                memo = memo_of(X, y, [
                     bootstrap_indices(n, ts) if bootstrap else np.arange(n)
                     for ts in seeds], cfg)
                 for ts in seeds:
@@ -434,7 +441,7 @@ class TestRowsAndMemo:
         whole = build_tree(X, y, cfg)
         # the first tree's depth-1 left leaf, grown in the same pass as a root
         left_rows = np.flatnonzero(X[:, whole.feature] <= whole.threshold)
-        memo = _grow_levels(X, y, [np.arange(9), left_rows], cfg)
+        memo = memo_of(X, y, [np.arange(9), left_rows], cfg)
         first = build_tree(X, y, cfg, memo=memo)
         second = build_tree(X, y, cfg, rows=left_rows, memo=memo)
         assert first == whole and isinstance(first.left, Leaf)
@@ -447,8 +454,8 @@ class TestRowsAndMemo:
         X, y = builtin.features(), builtin.responses()
         whole = build_tree(X, y)
         left_rows = np.flatnonzero(X[:, whole.feature] <= whole.threshold)
-        memo = _grow_levels(X, y, [np.arange(9), left_rows, np.arange(9)],
-                            TreeConfig())
+        memo = memo_of(X, y, [np.arange(9), left_rows, np.arange(9)],
+                       TreeConfig())
         assert len(memo) == 2
         first = build_tree(X, y, memo=memo)
         assert first == whole
@@ -462,8 +469,7 @@ class TestRowsAndMemo:
         gc.collect()
         gc.disable()
         try:
-            build_tree(X, y, memo=_grow_levels(X, y, [np.arange(9)],
-                                               TreeConfig()))
+            build_tree(X, y, memo=memo_of(X, y, [np.arange(9)], TreeConfig()))
             build_tree(X, y, TreeConfig(max_depth=2), SplitMix64(1), 2,
                        rows=[0, 3, 3, 8, 5])
             assert gc.collect() == 0
@@ -472,7 +478,8 @@ class TestRowsAndMemo:
 
 
 class TestGrowLevels:
-    """`_grow_levels` against `build_tree` grown one tree at a time."""
+    """`_grow_forests` without lanes, level by level and keyed, against
+    `build_tree` grown one tree at a time."""
 
     @pytest.mark.parametrize("kind", ["continuous", "grid"])
     def test_memoised_trees_equal_trees_grown_alone(self, kind, monkeypatch):
@@ -492,7 +499,7 @@ class TestGrowLevels:
             )
             roots = [gen.integers(0, n, n) for _ in range(int(gen.integers(1, 12)))]
             roots += roots[:2] + [np.arange(n), np.arange(n)[1:] if n > 1 else [0]]
-            memo = _grow_levels(X, y, roots, cfg)
+            memo = memo_of(X, y, roots, cfg)
             # one entry per distinct root
             assert len(memo) == len(
                 {np.asarray(r, np.intp).tobytes() for r in roots})
@@ -516,7 +523,7 @@ class TestGrowLevels:
             raise AssertionError("a memo tree was grown node by node")
 
         monkeypatch.setattr(weldlab.cart, "_best_split_loops", refuse)
-        memo = _grow_levels(X, y, [np.arange(9) if rows is None else rows], cfg)
+        memo = memo_of(X, y, [np.arange(9) if rows is None else rows], cfg)
         (tree,) = memo.values()
         assert tree == alone
         assert build_tree(X, y, cfg, rows=rows, memo=memo) is tree
@@ -531,7 +538,7 @@ class TestGrowLevels:
         cap = weldlab.cart._CALL_ROWS
         X, y = builtin.features(), builtin.responses()
         roots = [bootstrap_indices(9, derive_seed(5, t)) for t in range(200)]
-        memo = _grow_levels(X, y, roots, TreeConfig())
+        memo = memo_of(X, y, roots, TreeConfig())
         assert all(len(sizes) * width <= cap for sizes, width in batch_calls)
         assert all(width == max(sizes) and min(sizes) >= 1
                    for sizes, width in batch_calls)
@@ -559,7 +566,7 @@ class TestGrowLevels:
         common."""
         X, y = builtin.features(), builtin.responses()
         roots = [bootstrap_indices(9, s) for s in range(60)]
-        memo = _grow_levels(X, y, roots, TreeConfig())
+        memo = memo_of(X, y, roots, TreeConfig())
         assert all(type(key) is bytes for key in memo)
         assert set(memo) == {np.asarray(r, np.intp).tobytes() for r in roots}
         assert all(type(node) in (Leaf, Internal) for node in memo.values())
@@ -581,7 +588,7 @@ class TestGrowLevels:
         lo = 1.0
         X = np.array([[np.nextafter(lo, 2.0)], [lo], [lo]])
         y = np.array([5.0, 1.0, 2.0])
-        memo = _grow_levels(X, y, [np.arange(3)], TreeConfig())
+        memo = memo_of(X, y, [np.arange(3)], TreeConfig())
         tree = build_tree(X, y, memo=memo)
         assert list(memo.values()) == [tree]
         assert tree.threshold == lo
@@ -590,8 +597,8 @@ class TestGrowLevels:
 
 
 class TestGrowLockstep:
-    """`_grow_lockstep` against `build_tree` grown one tree at a time, each
-    with a `SplitMix64` seeded as its lane."""
+    """`_grow_forests` with lanes, in lockstep, against `build_tree` grown
+    one tree at a time, each with a `SplitMix64` seeded as its lane."""
 
     @pytest.mark.parametrize("kind", ["continuous", "grid"])
     def test_trees_and_lanes_equal_trees_grown_alone(self, kind):
@@ -614,8 +621,9 @@ class TestGrowLockstep:
                      for _ in range(int(gen.integers(1, 12)))]
             seeds = [int(s) for s in gen.integers(0, 2**63, len(roots))]
             lanes = np.array(seeds, dtype=np.uint64)
-            rec = _grow_lockstep(X, y, roots, lanes, m, cfg)
-            trees = _build_trees(rec, 0, len(roots))
+            rec, keys = _grow_forests(X, y, roots, cfg, lanes, m)
+            assert keys == []
+            trees = _build_trees(rec, np.arange(rec.n.size))[:len(roots)]
             for rows, seed, state, tree in zip(roots, seeds, lanes.tolist(),
                                                trees, strict=True):
                 rng = SplitMix64(seed)
@@ -624,7 +632,8 @@ class TestGrowLockstep:
             # Any run of trees builds alone as it builds among all.
             first = int(gen.integers(0, len(roots)))
             stop = int(gen.integers(first, len(roots) + 1))
-            assert _build_trees(rec, first, stop) == trees[first:stop]
+            ids = np.flatnonzero((rec.tree >= first) & (rec.tree < stop))
+            assert _build_trees(rec, ids)[first:stop] == trees[first:stop]
             # Every row routed from every root through the records.
             pairs = [(r, t) for r in range(n) for t in range(len(roots))]
             rows, nodes = map(np.array, zip(*pairs))
@@ -636,16 +645,73 @@ class TestGrowLockstep:
         parent's and belongs to the parent's tree."""
         X, y = builtin.features(), builtin.responses()
         roots = [bootstrap_indices(9, s) for s in range(30)]
-        rec = _grow_lockstep(X, y, roots, np.arange(30, dtype=np.uint64), 2,
-                             TreeConfig())
+        rec, _ = _grow_forests(X, y, roots, TreeConfig(),
+                               np.arange(30, dtype=np.uint64), 2)
         assert rec.tree[:30].tolist() == list(range(30))
         split = np.flatnonzero(rec.feature >= 0)
-        for kid in (rec.child[split], rec.child[split] + 1):
+        for kid in (rec.child[split, 0], rec.child[split, 1]):
             assert np.all(kid > split)
             assert np.array_equal(rec.tree[kid], rec.tree[split])
-        assert np.array_equal(rec.n[split], rec.n[rec.child[split]]
-                              + rec.n[rec.child[split] + 1])
+        assert np.array_equal(rec.n[split], rec.n[rec.child[split, 0]]
+                              + rec.n[rec.child[split, 1]])
         assert len({len(col) for col in rec}) == 1
+
+
+class TestRecords:
+    """The records of one `_grow_forests` pass, keyed (a DAG whose nodes
+    trees share) and with lanes."""
+
+    CONFIGS = [TreeConfig(), TreeConfig(max_depth=2),
+               TreeConfig(min_samples_leaf=2)]
+
+    @staticmethod
+    def _roots(n):
+        """Bootstraps, repeated roots, and roots equal to other trees'
+        nodes."""
+        roots = [bootstrap_indices(n, s) for s in range(40)]
+        return roots + roots[:3] + [np.arange(n), np.arange(n)[: n // 2]]
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    @pytest.mark.parametrize("keyed", [True, False])
+    def test_children_split_their_parent(self, builtin, keyed, cfg):
+        for X, y in [(builtin.features(), builtin.responses()), grid_data(5)]:
+            roots = self._roots(y.size)
+            lanes = None if keyed else np.arange(len(roots), dtype=np.uint64)
+            rec, _ = _grow_forests(X, y, roots, cfg, lanes, 0 if keyed else 2)
+            assert len({len(col) for col in rec}) == 1
+            split = np.flatnonzero(rec.feature >= 0)
+            left, right = rec.child[split, 0], rec.child[split, 1]
+            assert np.all(rec.n[left] < rec.n[split])
+            assert np.all(rec.n[right] < rec.n[split])
+            assert np.array_equal(rec.n[left] + rec.n[right], rec.n[split])
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_one_record_per_distinct_key(self, builtin, cfg):
+        """A keyed pass makes one record per distinct (row ids, depth under
+        a depth limit) of the nodes of its trees, each grown alone, and
+        returns the key of each distinct root, once."""
+
+        def key(rows, depth):
+            suffix = np.intp(depth).tobytes() if cfg.max_depth else b""
+            return rows.tobytes() + suffix
+
+        def node_keys(tree, rows, depth):
+            yield key(rows, depth)
+            if isinstance(tree, Internal):
+                left = X[rows, tree.feature] <= tree.threshold
+                yield from node_keys(tree.left, rows[left], depth + 1)
+                yield from node_keys(tree.right, rows[~left], depth + 1)
+
+        for X, y in [(builtin.features(), builtin.responses()), grid_data(5)]:
+            roots = [np.asarray(r, np.intp) for r in self._roots(y.size)]
+            rec, keys = _grow_forests(X, y, roots, cfg)
+            trees = [build_tree(X[rows], y[rows], cfg) for rows in roots]
+            distinct = {k for rows, tree in zip(roots, trees)
+                        for k in node_keys(tree, rows, 0)}
+            # Fewer records than the trees have nodes: the trees share.
+            assert rec.n.size == len(distinct) < sum(
+                sum(count_nodes(tree)) for tree in trees)
+            assert sorted(keys) == sorted({key(rows, 0) for rows in roots})
 
 
 class TestSplit:

@@ -190,7 +190,7 @@ class TestFoldPlanFirst:
         def refuse(*args, **kwargs):
             raise AssertionError("a model tree grew before the fold plan")
 
-        for name in ("_grow_lockstep", "_grow_levels", "build_tree"):
+        for name in ("_grow_forests", "build_tree"):
             monkeypatch.setattr(weldlab.ensemble, name, refuse)
         code, out, err = run_cli(capsys, "fit", "--cv", "k:10", *flags)
         assert code == EXIT_ALL_FAILED

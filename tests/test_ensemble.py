@@ -15,6 +15,8 @@ from weldlab.cart import (
     Leaf,
     TreeConfig,
     _build_trees,
+    _route,
+    _route_records,
     build_tree,
     count_nodes,
     predict_tree,
@@ -226,13 +228,14 @@ class TestTreeSeeds:
     def test_tree_and_lane_seeds_equal_derive_seed(self, builtin, monkeypatch,
                                                    seed):
         lanes = []
-        grow = weldlab.ensemble._grow_lockstep
+        grow = weldlab.ensemble._grow_forests
 
-        def recording(X, y, roots, lane_seeds, m, cfg):
-            lanes.append(lane_seeds.tolist())
-            return grow(X, y, roots, lane_seeds, m, cfg)
+        def recording(X, y, roots, cfg, lane_seeds=None, m=0):
+            if lane_seeds is not None:
+                lanes.append(lane_seeds.tolist())
+            return grow(X, y, roots, cfg, lane_seeds, m)
 
-        monkeypatch.setattr(weldlab.ensemble, "_grow_lockstep", recording)
+        monkeypatch.setattr(weldlab.ensemble, "_grow_forests", recording)
         for trees in (1, 2, 200):
             want = tuple(derive_seed(seed, t) for t in range(trees))
             for m in (None, 1):
@@ -317,8 +320,8 @@ def factorial_81(seed=0):
 
 class TestLockstepGrowth:
     """Forests that search m < p features per split grow in lockstep
-    (`cart._grow_lockstep`): every tree of the call must equal the preorder
-    recursion of `build_tree` grown alone, draw for draw."""
+    (`cart._grow_forests` with lanes): every tree of the call must equal
+    the preorder recursion of `build_tree` grown alone, draw for draw."""
 
     @staticmethod
     def _stage(d, spec, k, monkeypatch):
@@ -369,13 +372,13 @@ class TestLockstepGrowth:
         alone: draws = (state - seed) * GOLDEN_GAMMA^-1 mod 2^64."""
         d = builtin if data == "builtin" else factorial_81()
         calls = []  # (lane seeds, the lanes the call advanced)
-        grow = weldlab.ensemble._grow_lockstep
+        grow = weldlab.ensemble._grow_forests
 
-        def recording(X, y, roots, lanes, m, cfg):
+        def recording(X, y, roots, cfg, lanes, m):
             calls.append((lanes.copy(), lanes))
-            return grow(X, y, roots, lanes, m, cfg)
+            return grow(X, y, roots, cfg, lanes, m)
 
-        monkeypatch.setattr(weldlab.ensemble, "_grow_lockstep", recording)
+        monkeypatch.setattr(weldlab.ensemble, "_grow_forests", recording)
         cfg = TreeConfig(min_samples_leaf=2)
         spec = ModelSpec(kind="rf", config=cfg, trees=10, m=2, seed=4)
         stage = self._stage(d, spec, 3, monkeypatch)
@@ -579,6 +582,18 @@ class TestFeatureImportance:
                            rf"n_features is {n_features}$"):
             feature_importance(tree, n_features=n_features)
 
+    @pytest.mark.parametrize("n_features", [0, 1, 2, 4, 7])
+    @pytest.mark.parametrize("kind", ["rf", "gbm"])
+    def test_other_feature_count_for_an_ensemble_rejected(self, builtin, kind,
+                                                          n_features):
+        """It was ignored: a 5-tree forest gave its 3 scores for 1 and 7."""
+        model = fit_model(builtin, ModelSpec(kind=kind, trees=5, rounds=5))
+        with pytest.raises(ValueError, match=r"^the model has 3 features, "
+                           rf"but n_features is {n_features}$"):
+            feature_importance(model, n_features=n_features)
+        assert feature_importance(model, n_features=3) == feature_importance(
+            model)
+
     def test_builtin_forest_argmax_rpm(self, builtin):
         model = fit_random_forest(builtin, trees=200, m=3, seed=7)
         imp = feature_importance(model)
@@ -688,14 +703,14 @@ class TestCrossValidate:
 
         Boosted and m == p fold models are the distinct models that
         `predict_ensemble` predicts with.  An m < p fold forest predicts
-        from the records of its fit's one `_grow_lockstep` pass; it is
-        built from them by `cart._build_trees`, the builder of the models
-        that `_fit_models` returns.
+        from the records of its fit's one `_grow_forests` pass with lanes;
+        it is built from them by `cart._build_trees`, the builder of the
+        models that `_fit_models` returns.
         """
         models = []
         grown = []
         predict = weldlab.ensemble.predict_ensemble
-        grow = weldlab.ensemble._grow_lockstep
+        grow = weldlab.ensemble._grow_forests
         fit_models = weldlab.ensemble._fit_models
 
         def predicting(model, x):
@@ -703,9 +718,11 @@ class TestCrossValidate:
                 models.append(model)
             return predict(model, x)
 
-        def growing(*args):
-            grown.append(grow(*args))
-            return grown[-1]
+        def growing(X, y, roots, cfg, lanes=None, m=0):
+            rec, keys = grow(X, y, roots, cfg, lanes, m)
+            if lanes is not None:
+                grown.append(rec)
+            return rec, keys
 
         def fitting(X, y, fits, spec):
             out = fit_models(X, y, fits, spec)
@@ -715,8 +732,11 @@ class TestCrossValidate:
                 T = spec.trees
                 for i, (_, seed, held) in enumerate(fits):
                     if held is not None:
+                        ids = np.flatnonzero((rec.tree >= i * T)
+                                             & (rec.tree < (i + 1) * T))
+                        trees = _build_trees(rec, ids)[i * T:(i + 1) * T]
                         models.append(ForestModel(
-                            trees=tuple(_build_trees(rec, i * T, (i + 1) * T)),
+                            trees=tuple(trees),
                             tree_seeds=tuple(derive_seed(seed, t) for t in range(T)),
                             n_features=X.shape[1], m=spec.m,
                             bootstrap=spec.bootstrap, seed=seed,
@@ -725,7 +745,7 @@ class TestCrossValidate:
             return out
 
         monkeypatch.setattr(weldlab.ensemble, "predict_ensemble", predicting)
-        monkeypatch.setattr(weldlab.ensemble, "_grow_lockstep", growing)
+        monkeypatch.setattr(weldlab.ensemble, "_grow_forests", growing)
         monkeypatch.setattr(weldlab.ensemble, "_fit_models", fitting)
         return models
 
@@ -845,7 +865,7 @@ class TestOnePassStage:
     def test_subset_stage_grows_once_and_builds_the_final_forest(
         self, builtin, monkeypatch, k,
     ):
-        """With m < p: one `_grow_lockstep` call for every forest, `Leaf`
+        """With m < p: one `_grow_forests` call for every forest, `Leaf`
         and `Internal` objects for the final forest only, no per-fold
         `predict_ensemble`, and no scalar bootstrap for seeds without a
         rejected draw."""
@@ -858,13 +878,13 @@ class TestOnePassStage:
             def wrapper(*args):
                 calls[name] += 1
                 if name == "_build_trees":
-                    built.append(args[1:])
+                    built.append(args)
                 return real(*args)
 
             monkeypatch.setattr(weldlab.ensemble, name, wrapper)
 
-        for name in ("_grow_lockstep", "_grow_levels", "_build_trees",
-                     "predict_ensemble", "build_tree"):
+        for name in ("_grow_forests", "_build_trees", "predict_ensemble",
+                     "build_tree"):
             counting(name)
         monkeypatch.setattr(weldlab.ensemble, "bootstrap_indices", None)
         monkeypatch.setattr(weldlab.dataset, "bootstrap_indices", None)
@@ -878,63 +898,100 @@ class TestOnePassStage:
         spec = ModelSpec(kind="rf", trees=30, m=2, seed=21)
         model, _ = _fit_and_validate(builtin, spec, k)
         monkeypatch.undo()
-        assert calls == {"_grow_lockstep": 1, "_build_trees": 1}
-        assert built == [(0, spec.trees)]
+        assert calls == {"_grow_forests": 1, "_build_trees": 1}
+        # The records of the final forest's trees, 0 to trees - 1.
+        ((rec, ids),) = built
+        assert np.array_equal(ids, np.flatnonzero(rec.tree < spec.trees))
         splits, leaves = map(sum, zip(*map(count_nodes, model.trees)))
         assert made == {Internal: splits, Leaf: leaves}
 
     @pytest.mark.parametrize("bootstrap", [True, False])
     def test_every_feature_stage_grows_once(self, builtin, monkeypatch,
                                             bootstrap):
-        """With m == p: one `_grow_levels` call for every forest of
+        """With m == p: one keyed `_grow_forests` call for every forest of
         `_fit_and_validate`, and one for every fold of `cross_validate`;
         no `build_tree` read-back grows again."""
         calls = Counter()
         for module in (weldlab.ensemble, weldlab.cart):
-            for name in ("_grow_levels", "_grow_lockstep"):
-                def wrapper(*args, real=getattr(module, name), name=name):
-                    calls[name] += 1
-                    return real(*args)
+            def wrapper(X, y, roots, cfg, lanes=None, m=0,
+                        real=module._grow_forests):
+                calls["keyed" if lanes is None else "lanes"] += 1
+                return real(X, y, roots, cfg, lanes, m)
 
-                monkeypatch.setattr(module, name, wrapper)
+            monkeypatch.setattr(module, "_grow_forests", wrapper)
         spec = ModelSpec(kind="rf", trees=30, bootstrap=bootstrap, seed=21)
         _fit_and_validate(builtin, spec, 9)
-        assert calls == {"_grow_levels": 1}
+        assert calls == {"keyed": 1}
         calls.clear()
         cross_validate(builtin, spec, kfold_plan(9, 3, seed=1))
-        assert calls == {"_grow_levels": 1}
+        assert calls == {"keyed": 1}
 
     def test_every_feature_stage_reads_its_trees_from_the_pass(
         self, builtin, monkeypatch,
     ):
-        """A default rf stage (seed 0): `_grow_levels` returns one tree per
-        distinct root, 200 for the final forest and each of its 9 folds, and
-        every `build_tree` read-back finds its tree there, growing none."""
-        tables = []
-        grow_levels = weldlab.ensemble._grow_levels
+        """A default rf stage (seed 0): its one `_grow_forests` pass keys
+        one root per distinct root, 200 for the final forest and each of its
+        9 folds, `_build_trees` builds every record, and every `build_tree`
+        read-back finds its tree among the roots' trees, growing none."""
+        passes, builds = [], []
+        grow = weldlab.ensemble._grow_forests
+        build = weldlab.ensemble._build_trees
 
         def recording(*args):
-            tables.append(grow_levels(*args))
-            return tables[-1]
+            passes.append(grow(*args))
+            return passes[-1]
+
+        def building(*args):
+            builds.append(build(*args))
+            return builds[-1]
 
         def refuse(*args, **kwargs):
             raise AssertionError("a read-back grew its tree")
 
-        monkeypatch.setattr(weldlab.ensemble, "_grow_levels", recording)
+        monkeypatch.setattr(weldlab.ensemble, "_grow_forests", recording)
+        monkeypatch.setattr(weldlab.ensemble, "_build_trees", building)
         monkeypatch.setattr(weldlab.cart, "_grow", refuse)
         model, _ = _fit_and_validate(builtin, ModelSpec(kind="rf"), 9)
-        (table,) = tables
-        assert len(table) == 2000
-        assert all(type(tree) in (Leaf, Internal) for tree in table.values())
-        built = {id(tree) for tree in table.values()}
-        assert all(id(tree) in built for tree in model.trees)
+        ((rec, keys),) = passes
+        (built,) = builds
+        assert len(keys) == 2000
+        assert len(built) == rec.n.size
+        assert all(type(tree) in (Leaf, Internal) for tree in built)
+        roots = {id(tree) for tree in built[:len(keys)]}
+        assert all(id(tree) in roots for tree in model.trees)
+
+    def test_every_feature_stage_routes_its_records(self, builtin,
+                                                    monkeypatch):
+        """The keyed records of a default rf stage (seed 0), a DAG, route
+        every (row, root) pair to the leaf that `_route` reaches in the
+        root's built tree."""
+        passes = []
+        grow = weldlab.ensemble._grow_forests
+
+        def recording(X, y, roots, cfg, *args):
+            passes.append((roots, grow(X, y, roots, cfg, *args)))
+            return passes[-1][1]
+
+        monkeypatch.setattr(weldlab.ensemble, "_grow_forests", recording)
+        _fit_and_validate(builtin, ModelSpec(kind="rf"), 9)
+        ((roots, (rec, keys)),) = passes
+        X = builtin.features()
+        built = _build_trees(rec, np.arange(rec.n.size))
+        record = {key: i for i, key in enumerate(keys)}
+        nodes = [record[rows.tobytes()] for block in roots for rows in block]
+        assert len(nodes) == 2000
+        pairs = list(itertools.product(range(len(X)), nodes))
+        rows, starts = map(np.array, zip(*pairs))
+        assert _route_records(rec, X, rows, starts).tolist() == [
+            _route(built[node], X[row].tolist()) for row, node in pairs]
 
     def test_every_feature_stage_peak_heap(self, builtin):
         """tracemalloc's peak over a default rf stage (200 trees, final
         forest and 9 leave-one-out folds, seed 0) after a warm-up call:
         2,195 KB on CPython 3.11 and numpy 2.4 with the stage grown in one
-        pass (1,810 KB with one pass per forest).  The bound is that plus
-        15%: a change that keeps more objects alive at once fails here."""
+        pass (1,810 KB with one pass per forest; 2,411 KB since both round
+        policies share one record store).  The bound is 2,195 KB plus 15%:
+        a change that keeps more objects alive at once fails here."""
         spec = ModelSpec(kind="rf", seed=0)
         _fit_and_validate(builtin, spec, 9)
         tracemalloc.start()
@@ -962,7 +1019,7 @@ class TestOnePassStage:
         def refuse(*args, **kwargs):
             raise AssertionError("a tree grew before the fold plan")
 
-        for name in ("_grow_lockstep", "_grow_levels", "build_tree"):
+        for name in ("_grow_forests", "build_tree"):
             monkeypatch.setattr(weldlab.ensemble, name, refuse)
         for m in (None, 2):
             with pytest.raises(ValueError, match=r"^fold count must satisfy "

@@ -179,13 +179,13 @@ class TestModelStageCalls:
 
     def test_subset_report_grows_every_forest_in_one_pass(self, monkeypatch):
         calls = []
-        grow = weldlab.ensemble._grow_lockstep
+        grow = weldlab.ensemble._grow_forests
 
-        def recording(X, y, roots, lanes, m, cfg):
+        def recording(X, y, roots, cfg, lanes, m):
             calls.append(lanes.size)
-            return grow(X, y, roots, lanes, m, cfg)
+            return grow(X, y, roots, cfg, lanes, m)
 
-        monkeypatch.setattr(weldlab.ensemble, "_grow_lockstep", recording)
+        monkeypatch.setattr(weldlab.ensemble, "_grow_forests", recording)
         monkeypatch.setattr(weldlab.ensemble, "bootstrap_indices", None)
         doc = run_pipeline(RunConfig(trees=40, m=2, cv="k:3", seed=5))
         assert doc.errors == {}
