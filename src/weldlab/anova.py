@@ -5,6 +5,10 @@ per factor; the last level carries -1).  Adjusted SS are Type-III-style
 nested-model SSE differences, which stay order-independent on
 non-orthogonal designs.  The F upper tail is computed from scratch via the
 regularized incomplete beta continued fraction.
+
+No product goes through BLAS, whose kernel (and so its rounding) depends on
+the CPU: each is elementwise products summed by `np.add.reduce` in one
+fixed order, and one elimination per model gives beta and the hat diagonal.
 """
 
 from __future__ import annotations
@@ -42,19 +46,18 @@ class LeverageOneError(ValueError):
     """A run with hat diagonal 1 makes PRESS undefined."""
 
 
+def _sum_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sums of `a * b` (broadcast) over the last axis, in a fixed order."""
+    return np.add.reduce(a * b, axis=-1)
+
+
 def _solve_normal(A: np.ndarray, B: np.ndarray, labels: list[str]):
     """Gaussian elimination with partial pivoting on the normal equations.
 
     `labels` names the source of each column (for the singularity error).
-    Solves A Z = B for possibly multiple right-hand sides.
+    Solves A Z = B column by column, each column alone.
     """
-    A = A.copy()
-    B = B.copy().astype(np.float64)
-    if B.ndim == 1:
-        B = B[:, None]
-        squeeze = True
-    else:
-        squeeze = False
+    A, B = A.copy(), B.copy()
     p = A.shape[0]
     perm = list(range(p))
     max_pivot = 0.0
@@ -74,31 +77,26 @@ def _solve_normal(A: np.ndarray, B: np.ndarray, labels: list[str]):
         B[k + 1 :] -= factors[:, None] * B[k]
     Z = np.empty_like(B)
     for k in range(p - 1, -1, -1):
-        Z[k] = (B[k] - A[k, k + 1 :] @ Z[k + 1 :]) / A[k, k]
-    return Z[:, 0] if squeeze else Z
+        Z[k] = (B[k] - _sum_products(A[k, k + 1 :], Z[k + 1 :].T)) / A[k, k]
+    return Z
 
 
 def _design_matrix(d: Dataset, include: tuple[int, ...]):
-    """Effects-coded design: intercept + contrasts for factors in `include`.
-
-    Returns (X, column labels, {factor index: column slice}).
-    """
+    """Effects-coded design (intercept + contrasts for factors in `include`)
+    and its column labels."""
     n = len(d)
     cols = [np.ones(n)]
     labels = ["intercept"]
-    spans: dict[int, slice] = {}
     F = d.features()
     for fi in include:
         levels = d.levels(fi)
-        start = len(cols)
         for k in range(len(levels) - 1):
             c = np.where(
                 F[:, fi] == levels[k], 1.0, np.where(F[:, fi] == levels[-1], -1.0, 0.0)
             )
             cols.append(c)
             labels.append(d.factor_names[fi])
-        spans[fi] = slice(start, len(cols))
-    return np.column_stack(cols), labels, spans
+    return np.column_stack(cols), labels
 
 
 @dataclass(frozen=True)
@@ -127,19 +125,20 @@ def fit_glm(d: Dataset, include_factors: tuple[int, ...] | None = None) -> GlmFi
     """
     if include_factors is None:
         include_factors = tuple(range(len(d.factor_names)))
-    X, labels, _ = _design_matrix(d, include_factors)
+    X, labels = _design_matrix(d, include_factors)
     n, p = X.shape
     if p > n:
         raise ValueError(f"model needs {p} parameters but only {n} runs")
     y = d.responses()
-    XtX = X.T @ X
-    beta = _solve_normal(XtX, X.T @ y, labels)
-    fitted = X @ beta
+    XtX = _sum_products(X.T[:, None, :], X.T)
+    # One elimination solves XtX [beta | Z] = [X'y | X'], and the hat
+    # diagonal is h_i = x_i . solve(XtX, x_i) = x_i . Z[:, i].
+    Z = _solve_normal(XtX, np.column_stack((_sum_products(X.T, y), X.T)), labels)
+    beta = Z[:, 0]
+    fitted = _sum_products(X, beta)
     residuals = y - fitted
-    # hat diagonal: h_i = x_i . solve(XtX, x_i)
-    Z = _solve_normal(XtX, X.T, labels)
-    hat = np.einsum("ij,ji->i", X, Z)
-    sse = float(residuals @ residuals)
+    hat = _sum_products(X, Z[:, 1:].T)
+    sse = float(_sum_products(residuals, residuals))
     ybar = float(y.mean())
     sst = float(((y - ybar) ** 2).sum())
     return GlmFit(
@@ -254,7 +253,7 @@ def model_summary(fit: GlmFit) -> ModelSummary:
             f"run {worst} has leverage ~1; PRESS (predicted R^2) undefined"
         )
     loo = fit.residuals / (1.0 - fit.hat_diagonal)
-    press = float(loo @ loo)
+    press = float(_sum_products(loo, loo))
     return summary_from_aggregates(
         fit.sse, fit.error_df, fit.sst, len(fit.dataset) - 1, press
     )

@@ -4,10 +4,10 @@
 the analysis stages that `_STAGES` lists once, in report order.  A stage is
 a function ``(dataset, cfg) -> (section, warnings, discrepancies)``.  A
 domain failure in a stage (a ValueError or ArithmeticError) is recorded
-under the stage's name instead of aborting the rest, while programming
-errors propagate.  Discrepancies against the published tables are kept for
-the embedded dataset only.  Every report embeds the seed and
-hyperparameters needed to replay it.
+under the stage's name, as its class name and message, instead of aborting
+the rest, while programming errors propagate.  Discrepancies against the
+published tables are kept for the embedded dataset only.  Every report
+embeds the seed and hyperparameters needed to replay it.
 
 Each report section is described once, in `_blocks`: its text lines, its
 tables (raw cells with text and CSV headers) and its CSV-only files.  The
@@ -99,6 +99,9 @@ class RunConfig:
         if self.m is not None and self.m > n_factors:
             raise ValueError(f"m must be in [1, {n_factors}], got {self.m}")
         _parse_cv(self.cv)  # validate early
+        # Boosted trees search every feature: a gbm report writes m as null.
+        if self.model == "gbm":
+            object.__setattr__(self, "m", None)
 
 
 def _parse_cv(spec: str) -> int | None:
@@ -168,7 +171,7 @@ def run_pipeline(cfg: RunConfig) -> ReportDocument:
         try:
             section, warnings, discrepancies = stage(d, cfg)
         except (ValueError, ArithmeticError) as exc:
-            doc.errors[name] = str(exc)
+            doc.errors[name] = f"{type(exc).__name__}: {exc}"
             continue
         doc.sections[name] = section
         doc.warnings.extend(warnings)

@@ -1,6 +1,15 @@
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import weldlab
+from weldlab import anova
 from weldlab.anova import (
     LeverageOneError,
     RankDeficiencyError,
@@ -238,6 +247,117 @@ class TestModelSummary:
         fit = fit_glm(d, include_factors=(0,))
         with pytest.raises(LeverageOneError):
             model_summary(fit)
+
+
+# The full-precision ANOVA values (as float.hex) of the builtin data and of
+# two responses on its settings whose 6-digit ANOVA sections once differed
+# between OpenBLAS's Prescott and Haswell kernels.
+_ANOVA_VALUES = """
+import json
+
+from weldlab.anova import anova_table, fit_glm, model_summary
+from weldlab.dataset import Dataset, Run, builtin_aa6262
+
+RESPONSES = (
+    None,
+    [83.692, 59.593, 58.47, 62.04, 50.77, 83.2, 85.65, 47.2, 48.1],
+    [46.04, 42.405, 73.03, 45.5, 50.8, 85.5, 61.1, 88.7, 65.57],
+)
+
+
+def anova_values():
+    builtin = builtin_aa6262()
+    out = []
+    for ys in RESPONSES:
+        d = builtin if ys is None else Dataset(runs=tuple(
+            Run(*r.factors(), y) for r, y in zip(builtin.runs, ys)))
+        fit = fit_glm(d)
+        values = [fit.sse, model_summary(fit).press,
+                  *(r.adj_ss for r in anova_table(fit).rows),
+                  *fit.coefficients.tolist(), *fit.hat_diagonal.tolist()]
+        out.append([v.hex() for v in values])
+    return out
+
+
+if __name__ == "__main__":
+    print(json.dumps(anova_values()))
+"""
+
+
+def _cpu_has_avx2() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return bool(__cpu_features__.get("AVX2"))
+
+
+class TestOneSolveWithoutBlas:
+    @pytest.mark.parametrize("coretype", ["Prescott", "Haswell"])
+    def test_values_equal_under_every_blas_kernel(self, coretype):
+        """OpenBLAS picks its kernel from the CPU, and OPENBLAS_CORETYPE
+        forces one: the values must not depend on it.  Prescott runs on any
+        x86-64 CPU, Haswell needs AVX2."""
+        if platform.machine().lower() not in ("x86_64", "amd64"):
+            pytest.skip("OpenBLAS core types are x86-64 kernels")
+        if coretype == "Haswell" and not _cpu_has_avx2():
+            pytest.skip("the Haswell kernel needs AVX2")
+        here = {"__name__": "anova_values"}
+        exec(_ANOVA_VALUES, here)
+        src = str(Path(weldlab.__file__).parents[1])
+        env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run(
+            [sys.executable, "-c", _ANOVA_VALUES],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        assert json.loads(out.stdout) == here["anova_values"]()
+
+    def test_stacked_solve_equals_separate_solves(self):
+        """`fit_glm` solves [X'y | X'] in one elimination; beta and each hat
+        entry equal those of solving each right-hand side alone, bit for
+        bit, on random effects-coded designs."""
+        rng = np.random.default_rng(27)
+        checked = 0
+        for _ in range(40):
+            levels = [rng.choice([700.0, 800.0, 900.0, 1000.0],
+                                 size=int(rng.integers(2, 5)), replace=False),
+                      rng.choice([40.0, 50.0, 60.0], size=int(rng.integers(2, 4)),
+                                 replace=False),
+                      rng.choice([0.1, 0.2, 0.3], size=int(rng.integers(2, 4)),
+                                 replace=False)]
+            rows = [(*(float(rng.choice(lv)) for lv in levels),
+                     float(rng.uniform(40, 90)))
+                    for _ in range(int(rng.integers(9, 25)))]
+            d = make_dataset(rows)
+            try:
+                fit = fit_glm(d)
+            except ValueError:  # too few runs, or a confounded design
+                continue
+            X, labels = anova._design_matrix(d, (0, 1, 2))
+            XtX = anova._sum_products(X.T[:, None, :], X.T)
+            Xty = anova._sum_products(X.T, d.responses())
+            beta = anova._solve_normal(XtX, Xty[:, None], labels)[:, 0]
+            hat = [anova._sum_products(
+                       X[i], anova._solve_normal(XtX, X.T[:, [i]], labels)[:, 0])
+                   for i in range(len(d))]
+            assert np.array_equal(fit.coefficients, beta)
+            assert np.array_equal(fit.hat_diagonal, np.array(hat))
+            checked += 1
+        assert checked >= 20
+
+    def test_one_solve_per_model(self, builtin, monkeypatch):
+        calls = []
+        solve = anova._solve_normal
+
+        def counting(*args):
+            calls.append(args[1].shape)
+            return solve(*args)
+
+        monkeypatch.setattr(anova, "_solve_normal", counting)
+        fit_glm(builtin)
+        assert calls == [(7, 10)]
 
 
 class TestFSurvival:

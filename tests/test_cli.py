@@ -127,9 +127,12 @@ class TestSubcommands:
         assert "--builtin" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, code, failed", [
-        ("anova", EXIT_ALL_FAILED, "anova failed: model needs 3 parameters"),
-        ("fit", EXIT_ALL_FAILED, "model failed: fold 0 leaves only 1 training run"),
-        ("taguchi", EXIT_OK, "taguchi failed: factor 'rpm' has a single level"),
+        ("anova", EXIT_ALL_FAILED,
+         "anova failed: ValueError: model needs 3 parameters"),
+        ("fit", EXIT_ALL_FAILED,
+         "model failed: ValueError: fold 0 leaves only 1 training run"),
+        ("taguchi", EXIT_OK,
+         "taguchi failed: DegenerateFactorError: factor 'rpm' has a single level"),
     ])
     def test_exit_3_when_every_printed_stage_fails(
         self, capsys, tmp_path, command, code, failed
@@ -195,7 +198,7 @@ class TestFoldPlanFirst:
         code, out, err = run_cli(capsys, "fit", "--cv", "k:10", *flags)
         assert code == EXIT_ALL_FAILED
         assert out == ""
-        assert err == ("weldlab: stage model failed: fold count must satisfy "
+        assert err == ("weldlab: stage model failed: ValueError: fold count must satisfy "
                        "2 <= k <= n, got k=10, n=9\n")
 
 

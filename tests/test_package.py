@@ -36,3 +36,43 @@ def test_every_private_helper_is_used():
                     private[node.name] = f"{path.name}:{node.lineno}"
             used |= names
     assert {name: at for name, at in private.items() if name not in used} == {}
+
+
+_BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
+
+
+def _dotted(node: ast.AST) -> list[str]:
+    """The parts of a called name: ``np.linalg.solve`` -> np, linalg, solve."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return parts[::-1]
+
+
+def test_no_report_value_goes_through_blas():
+    """A BLAS product picks its kernel, and so its rounding, from the CPU,
+    so two machines could print different reports for the same input.  No
+    module may use ``@`` or call a numpy product or anything in `linalg`;
+    sums of products go through `np.add.reduce` in a fixed order."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)):
+                bad = isinstance(node.op, ast.MatMult)
+            elif isinstance(node, ast.Call):
+                parts = _dotted(node.func)
+                bad = bool(parts) and (parts[-1] in _BLAS_CALLS
+                                       or "linalg" in parts)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [a.name for a in node.names]
+                if isinstance(node, ast.ImportFrom):
+                    modules.append(node.module or "")
+                bad = any("linalg" in m.split(".") for m in modules)
+            else:
+                continue
+            if bad:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

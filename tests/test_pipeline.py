@@ -7,6 +7,7 @@ import pytest
 import weldlab.cart
 import weldlab.ensemble
 import weldlab.pipeline
+from weldlab.cli import main
 from weldlab.dataset import builtin_aa6262, write_csv
 from weldlab.pipeline import (
     ReportDocument,
@@ -16,6 +17,7 @@ from weldlab.pipeline import (
     report_text,
     run_pipeline,
 )
+from weldlab.taguchi import DegenerateFactorError
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +152,15 @@ class TestRunPipeline:
         assert doc.sections["model"]["spec"]["kind"] == "gbm"
         assert doc.errors == {}
 
+    def test_gbm_report_writes_m_as_null(self):
+        """Boosted trees search every feature, so `m` would only echo an
+        unused flag."""
+        with_m = report_json(run_pipeline(RunConfig(model="gbm", rounds=3, m=2)))
+        doc = json.loads(with_m)
+        assert doc["config"]["m"] is None
+        assert doc["sections"]["model"]["spec"]["m"] is None
+        assert with_m == report_json(run_pipeline(RunConfig(model="gbm", rounds=3)))
+
     def test_nominal_criterion_annotates_not_aborts(self):
         # single-replicate runs cannot produce a nominal-is-best S/N
         doc = run_pipeline(RunConfig(criterion="nominal", trees=5))
@@ -210,17 +221,23 @@ class TestStageIsolation:
 
         monkeypatch.setattr(*STAGE_CALLS[stage], broken)
 
-    @pytest.mark.parametrize("error", [ValueError, ArithmeticError])
+    @pytest.mark.parametrize("error", [ValueError, ArithmeticError,
+                                       DegenerateFactorError, ZeroDivisionError])
     @pytest.mark.parametrize("stage", list(STAGE_CALLS))
     def test_domain_failure_recorded_under_its_stage(
-        self, monkeypatch, stage, error
+        self, monkeypatch, capsys, stage, error
     ):
+        """The record names the exception's own class, subclasses too, in
+        the document, both reports and the CLI's stderr line."""
         self._break(monkeypatch, stage, error("broken stage"))
         doc = run_pipeline(RunConfig(trees=5))
-        assert doc.errors == {stage: "broken stage"}
+        message = f"{error.__name__}: broken stage"
+        assert doc.errors == {stage: message}
         assert set(doc.sections) == {"dataset", *STAGE_CALLS} - {stage}
-        assert f"- {stage}: broken stage" in report_text(doc)
-        assert json.loads(report_json(doc))["errors"] == {stage: "broken stage"}
+        assert f"- {stage}: {message}" in report_text(doc)
+        assert json.loads(report_json(doc))["errors"] == {stage: message}
+        assert main(["report", "--trees", "5"]) == 0
+        assert f"weldlab: stage {stage} failed: {message}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("stage", list(STAGE_CALLS))
     def test_programming_error_propagates(self, monkeypatch, stage):
