@@ -1,10 +1,11 @@
 """Main-effects general linear model, ANOVA table, and model summary.
 
-Factors enter through effects coding (intercept plus L-1 contrast columns
-per factor; the last level carries -1).  Adjusted SS are Type-III-style
-nested-model SSE differences, which stay order-independent on
-non-orthogonal designs.  The F upper tail is computed from scratch via the
-regularized incomplete beta continued fraction.
+Factors enter through effects coding of `Dataset.level_codes` (intercept
+plus L-1 contrast columns per factor; contrast k is 1 at level k, -1 at the
+last level, 0 elsewhere; Montgomery, *Design and Analysis of Experiments*).
+Adjusted SS are Type-III-style nested-model SSE differences, which stay
+order-independent on non-orthogonal designs.  The F upper tail is computed
+from scratch via the regularized incomplete beta continued fraction.
 
 No product goes through BLAS, whose kernel (and so its rounding) depends on
 the CPU: each is elementwise products summed by `np.add.reduce` in one
@@ -84,19 +85,14 @@ def _solve_normal(A: np.ndarray, B: np.ndarray, labels: list[str]):
 def _design_matrix(d: Dataset, include: tuple[int, ...]):
     """Effects-coded design (intercept + contrasts for factors in `include`)
     and its column labels."""
-    n = len(d)
-    cols = [np.ones(n)]
+    levels, codes = d.level_codes()
+    cols = [np.ones((len(d), 1))]
     labels = ["intercept"]
-    F = d.features()
     for fi in include:
-        levels = d.levels(fi)
-        for k in range(len(levels) - 1):
-            c = np.where(
-                F[:, fi] == levels[k], 1.0, np.where(F[:, fi] == levels[-1], -1.0, 0.0)
-            )
-            cols.append(c)
-            labels.append(d.factor_names[fi])
-    return np.column_stack(cols), labels
+        c, last = codes[:, fi, None], len(levels[fi]) - 1
+        cols.append((c == np.arange(last)) - (c == last) * 1.0)
+        labels += [d.FACTOR_NAMES[fi]] * last
+    return np.hstack(cols), labels
 
 
 @dataclass(frozen=True)
@@ -124,7 +120,7 @@ def fit_glm(d: Dataset, include_factors: tuple[int, ...] | None = None) -> GlmFi
     the reduced fits behind adjusted SS; `()` gives the mean-only model).
     """
     if include_factors is None:
-        include_factors = tuple(range(len(d.factor_names)))
+        include_factors = tuple(range(len(d.FACTOR_NAMES)))
     X, labels = _design_matrix(d, include_factors)
     n, p = X.shape
     if p > n:
@@ -185,12 +181,13 @@ def anova_table(fit: GlmFit) -> AnovaTable:
             "error DF is 0 (saturated model); no F tests possible"
         )
     d = fit.dataset
+    levels, _ = d.level_codes()
     mse = fit.sse / fit.error_df
     rows = []
     for fi in fit.included_factors:
         reduced = fit_glm(d, tuple(f for f in fit.included_factors if f != fi))
         adj_ss = reduced.sse - fit.sse
-        df = len(d.levels(fi)) - 1
+        df = len(levels[fi]) - 1
         if df > 0:
             ms = adj_ss / df
             f = ms / mse
@@ -199,7 +196,7 @@ def anova_table(fit: GlmFit) -> AnovaTable:
             ms = f = p = None
         rows.append(
             AnovaRow(
-                source=d.factor_names[fi],
+                source=d.FACTOR_NAMES[fi],
                 df=df,
                 adj_ss=adj_ss,
                 adj_ms=ms,

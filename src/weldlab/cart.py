@@ -681,7 +681,9 @@ def export_tree(
         def walk_g(node: TreeNode) -> int:
             nid = counter[0]
             counter[0] += 1
-            lines.append(f'  n{nid} [label="{_node_label(node, feature_names)}"];')
+            label = _node_label(node, feature_names)
+            label = label.replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  n{nid} [label="{label}"];')
             if isinstance(node, Internal):
                 left_id = walk_g(node.left)
                 right_id = walk_g(node.right)

@@ -4,7 +4,9 @@ The CSV schema is fixed: header ``rpm,traverse_mm_min,plan_depth_mm,hardness``
 with '.' decimals; extra or repeated columns and data rows with more cells
 than the header are rejected to prevent silent misuse.
 Run order is preserved exactly as ingested and every iteration over runs
-follows stored order (the determinism anchor).
+follows stored order (the determinism anchor).  `Dataset.level_codes` is the
+one place that decides which runs share a level of a factor; the Taguchi
+table, the design check and the ANOVA design all read it.
 
 Every number that enters weldlab passes one of two checks, `_integer` or
 `_real`, which raise a ValueError that names what is wrong.
@@ -16,14 +18,13 @@ import csv
 import numbers
 import sys
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from ._rng import GOLDEN_GAMMA, MASK64, MIX_MUL_1, MIX_MUL_2, SplitMix64, mix64
 
 CSV_COLUMNS = ("rpm", "traverse_mm_min", "plan_depth_mm", "hardness")
-FACTOR_NAMES = CSV_COLUMNS[:3]
-RESPONSE_NAME = CSV_COLUMNS[3]
 
 
 class SchemaError(ValueError):
@@ -103,8 +104,8 @@ class Run:
 @dataclass(frozen=True)
 class Dataset:
     runs: tuple[Run, ...]
-    factor_names: tuple[str, ...] = FACTOR_NAMES
-    response_name: str = RESPONSE_NAME
+    FACTOR_NAMES: ClassVar[tuple[str, ...]] = CSV_COLUMNS[:3]
+    RESPONSE_NAME: ClassVar[str] = CSV_COLUMNS[3]
 
     def __post_init__(self):
         if len(self.runs) < 2:
@@ -124,9 +125,18 @@ class Dataset:
     def responses(self) -> np.ndarray:
         return np.asarray([r.hardness for r in self.runs], dtype=np.float64)
 
+    def level_codes(self) -> tuple[tuple[tuple[float, ...], ...], np.ndarray]:
+        """Each factor's distinct settings, ascending, and an (n, 3)
+        ``np.intp`` array of each run's 0-based index into its factor's
+        settings, rows in stored run order."""
+        columns = tuple(zip(*(r.factors() for r in self.runs)))
+        levels = tuple(tuple(sorted(set(col))) for col in columns)
+        return levels, np.array(
+            [np.array(lv).searchsorted(col) for lv, col in zip(levels, columns)]).T
+
     def levels(self, factor_index: int) -> tuple[float, ...]:
         """Distinct settings of one factor, ascending."""
-        return tuple(sorted({r.factors()[factor_index] for r in self.runs}))
+        return self.level_codes()[0][factor_index]
 
 
 # The nine runs of the embedded experiment, in sample-ID order.
@@ -235,24 +245,21 @@ class SummaryStats:
 
 
 def summarize(d: Dataset) -> SummaryStats:
-    cols = d.factor_names + (d.response_name,)
     M = np.column_stack([d.features(), d.responses()])
     mins = M.min(axis=0)
     maxs = M.max(axis=0)
     means = M.mean(axis=0)
     stds = M.std(axis=0)  # population
 
-    c = M.shape[1]
-    corr = np.full((c, c), np.nan)
-    centered = M - means
-    for i in range(c):
-        for j in range(c):
-            if stds[i] == 0.0 or stds[j] == 0.0:
-                continue
-            cov = float(np.mean(centered[:, i] * centered[:, j]))
-            corr[i, j] = cov / (stds[i] * stds[j])
+    # Run products C-contiguous along the run axis, so `np.add.reduce` sums
+    # each covariance in the pairwise order `np.mean` of one pair uses.
+    centered = np.ascontiguousarray((M - means).T)
+    cov = np.add.reduce(centered[:, None, :] * centered, axis=-1) / len(d)
+    defined = (stds != 0.0)[:, None] & (stds != 0.0)
+    corr = np.full(cov.shape, np.nan)
+    np.divide(cov, stds[:, None] * stds, out=corr, where=defined)
     return SummaryStats(
-        columns=cols,
+        columns=d.FACTOR_NAMES + (d.RESPONSE_NAME,),
         minimum=tuple(float(v) for v in mins),
         maximum=tuple(float(v) for v in maxs),
         mean=tuple(float(v) for v in means),

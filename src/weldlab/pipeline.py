@@ -29,7 +29,7 @@ from . import anova as anova_mod
 from . import published
 from .cart import TreeConfig, export_tree, fit_regression_tree
 from .dataset import (
-    FACTOR_NAMES,
+    Dataset,
     _check_fields,
     _integer,
     _real,
@@ -95,7 +95,7 @@ class RunConfig:
                       + (() if self.m is None else ("m",)))
         _check_fields(self, _real, ("nu", "lam"))
         _model_spec(self)
-        n_factors = len(FACTOR_NAMES)
+        n_factors = len(Dataset.FACTOR_NAMES)
         if self.m is not None and self.m > n_factors:
             raise ValueError(f"m must be in [1, {n_factors}], got {self.m}")
         _parse_cv(self.cv)  # validate early
@@ -287,7 +287,7 @@ def _model(d, cfg: RunConfig):
             None if m is None else _metrics_dict(m) for m in cv.fold_metrics
         ],
         "feature_importance": {
-            name: importance.scores[i] for i, name in enumerate(d.factor_names)
+            name: importance.scores[i] for i, name in enumerate(d.FACTOR_NAMES)
         },
     }
     pub = (published.PUBLISHED_RF_METRICS if cfg.model == "rf"
@@ -307,8 +307,8 @@ def _model(d, cfg: RunConfig):
 def _tree(d, cfg: RunConfig):
     tree = fit_regression_tree(d, TreeConfig(max_depth=cfg.depth))
     return {
-        "text": export_tree(tree, "text", feature_names=d.factor_names),
-        "graph": export_tree(tree, "graph", feature_names=d.factor_names),
+        "text": export_tree(tree, "text", feature_names=d.FACTOR_NAMES),
+        "graph": export_tree(tree, "graph", feature_names=d.FACTOR_NAMES),
     }, [], []
 
 

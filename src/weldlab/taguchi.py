@@ -2,14 +2,18 @@
 
 Larger-is-better is the criterion that drives the analysis (the goal is
 maximum hardness); smaller-is-better and nominal-is-best are provided
-behind the same interface for generality.
+behind the same interface for generality.  Level means and the design
+check count and sum over `Dataset.level_codes`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .dataset import Dataset
 
@@ -100,31 +104,24 @@ def response_table(d: Dataset, criterion: str = "larger") -> ResponseTable:
     """Level means of the raw response and of per-run S/N, per factor.
 
     Every factor needs >= 2 levels and every level >= 1 run; single-level
-    factors raise DegenerateFactorError.
+    factors raise DegenerateFactorError.  A level's sums come from
+    `np.bincount`, which adds the weights of its runs in stored run order.
     """
     y = d.responses()
-    sn = [sn_ratio([r.hardness], criterion) for r in d.runs]
+    sn = np.array([sn_ratio([v], criterion) for v in y.tolist()])
+    levels, codes = d.level_codes()
 
     raw_effects = []
     sn_effects = []
-    for fi, name in enumerate(d.factor_names):
-        levels = d.levels(fi)
-        if len(levels) < 2:
+    for fi, name in enumerate(d.FACTOR_NAMES):
+        if len(levels[fi]) < 2:
             raise DegenerateFactorError(
-                f"factor {name!r} has a single level {levels[0]}"
+                f"factor {name!r} has a single level {levels[fi][0]}"
             )
-        raw_means = []
-        sn_means = []
-        for lv in levels:
-            members = [i for i, r in enumerate(d.runs) if r.factors()[fi] == lv]
-            raw_means.append(float(sum(y[i] for i in members)) / len(members))
-            sn_means.append(float(sum(sn[i] for i in members)) / len(members))
-        raw_effects.append(
-            (name, levels, tuple(raw_means), max(raw_means) - min(raw_means))
-        )
-        sn_effects.append(
-            (name, levels, tuple(sn_means), max(sn_means) - min(sn_means))
-        )
+        counts = np.bincount(codes[:, fi])
+        for values, effects in ((y, raw_effects), (sn, sn_effects)):
+            means = (np.bincount(codes[:, fi], values) / counts).tolist()
+            effects.append((name, levels[fi], tuple(means), max(means) - min(means)))
     return ResponseTable(
         raw=_ranked(raw_effects),
         s_n=_ranked(sn_effects),
@@ -144,19 +141,20 @@ class LevelChoice:
 def optimal_combination(
     table: ResponseTable, basis: str = "raw"
 ) -> tuple[LevelChoice, ...]:
-    """Per factor, the level with the maximum mean on the chosen basis.
-
-    Larger-is-better throughout; ties break toward the lowest level index.
+    """Per factor, the best level on the chosen basis: the largest S/N mean,
+    or the largest raw mean (the smallest under the "smaller" criterion).
+    Ties break toward the lowest level index.
     """
     if basis == "raw":
         effects = table.raw
+        sign = -1.0 if table.criterion == "smaller" else 1.0
     elif basis == "s_n":
-        effects = table.s_n
+        effects, sign = table.s_n, 1.0
     else:
         raise ValueError(f"basis must be 'raw' or 's_n', got {basis!r}")
     choices = []
     for eff in effects:
-        best = max(range(len(eff.means)), key=lambda i: (eff.means[i], -i))
+        best = max(range(len(eff.means)), key=lambda i: (sign * eff.means[i], -i))
         choices.append(
             LevelChoice(
                 factor=eff.factor,
@@ -187,26 +185,15 @@ def check_design(d: Dataset) -> DesignDiagnostics:
     """Balance: each level appears equally often.  Orthogonality of a pair:
     every (level_i, level_j) combination appears equally often, absences
     counting as zero."""
-    balanced = {}
-    for fi, name in enumerate(d.factor_names):
-        counts = {}
-        for r in d.runs:
-            lv = r.factors()[fi]
-            counts[lv] = counts.get(lv, 0) + 1
-        balanced[name] = len(set(counts.values())) == 1
-
+    levels, codes = d.level_codes()
+    names = d.FACTOR_NAMES
+    balanced = {name: len(set(np.bincount(codes[:, fi]).tolist())) == 1
+                for fi, name in enumerate(names)}
     orthogonal = {}
-    nf = len(d.factor_names)
-    for i in range(nf):
-        for j in range(i + 1, nf):
-            li = d.levels(i)
-            lj = d.levels(j)
-            combo_counts = {(a, b): 0 for a in li for b in lj}
-            for r in d.runs:
-                combo_counts[(r.factors()[i], r.factors()[j])] += 1
-            orthogonal[(d.factor_names[i], d.factor_names[j])] = (
-                len(set(combo_counts.values())) == 1
-            )
+    for i, j in itertools.combinations(range(len(names)), 2):
+        li, lj = len(levels[i]), len(levels[j])
+        cells = np.bincount(codes[:, i] * lj + codes[:, j], minlength=li * lj)
+        orthogonal[(names[i], names[j])] = len(set(cells.tolist())) == 1
     return DesignDiagnostics(balanced=balanced, orthogonal_pairs=orthogonal)
 
 

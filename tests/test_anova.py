@@ -136,7 +136,7 @@ class TestAnovaTable:
 
     def test_row_order_is_declaration_order(self, builtin):
         table = anova_table(fit_glm(builtin))
-        assert [r.source for r in table.rows] == list(builtin.factor_names)
+        assert [r.source for r in table.rows] == list(builtin.FACTOR_NAMES)
 
     def test_orthogonal_design_decomposes_exactly(self):
         # replicated 2x2 factorial in (rpm, traverse), depth crossed evenly:

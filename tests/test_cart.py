@@ -843,8 +843,8 @@ class TestExportTree:
 
     def test_feature_names_used(self, builtin):
         tree = fit_regression_tree(builtin, TreeConfig(max_depth=1))
-        out = export_tree(tree, "text", feature_names=builtin.factor_names)
-        assert out.splitlines()[0].split(" <= ")[0] in builtin.factor_names
+        out = export_tree(tree, "text", feature_names=builtin.FACTOR_NAMES)
+        assert out.splitlines()[0].split(" <= ")[0] in builtin.FACTOR_NAMES
 
     @pytest.mark.parametrize("format", ["text", "graph"])
     @pytest.mark.parametrize("names", [["a"], []])
@@ -860,7 +860,7 @@ class TestExportTree:
         """An array of names raised "The truth value of an array ... is
         ambiguous"."""
         tree = fit_regression_tree(builtin)
-        names = builtin.factor_names
+        names = builtin.FACTOR_NAMES
         assert export_tree(tree, feature_names=np.array(names)) == export_tree(
             tree, feature_names=names)
 
@@ -870,6 +870,19 @@ class TestExportTree:
         assert dot.startswith("digraph tree {")
         assert dot.rstrip().endswith("}")
         assert dot.count("->") == 2
+
+    def test_graph_labels_escaped(self):
+        """A name with a quote wrote `label="rp"m <= 1100"`, which is not
+        valid DOT; the text format writes names as they are."""
+        tree = Internal(
+            feature=1, threshold=1100.0, decrease=1.0, n=4,
+            left=Leaf(value=1.0, n=2), right=Leaf(value=5.0, n=2),
+        )
+        names = ["x", 'rp"m\\', "z"]
+        dot = export_tree(tree, "graph", feature_names=names)
+        assert dot.splitlines()[1] == '  n0 [label="rp\\"m\\\\ <= 1100"];'
+        text = export_tree(tree, "text", feature_names=names)
+        assert text.splitlines()[0] == 'rp"m\\ <= 1100'
 
     def test_deterministic(self, builtin):
         a = export_tree(fit_regression_tree(builtin), "text")

@@ -69,6 +69,24 @@ class TestBuiltin:
         assert builtin.levels(0) == (800.0, 1000.0, 1200.0)
         assert builtin.levels(2) == (0.1, 0.2, 0.3)
 
+    def test_level_codes(self, builtin):
+        levels, codes = builtin.level_codes()
+        assert levels == ((800.0, 1000.0, 1200.0), (40.0, 50.0, 60.0),
+                          (0.1, 0.2, 0.3))
+        assert codes.dtype == np.intp
+        assert codes.tolist() == [[0, 0, 0], [0, 1, 1], [0, 2, 2],
+                                  [1, 0, 1], [1, 1, 2], [1, 2, 0],
+                                  [2, 0, 2], [2, 1, 1], [2, 2, 0]]
+
+    @pytest.mark.parametrize("keyword", ["factor_names", "response_name"])
+    def test_names_are_not_options(self, builtin, keyword):
+        """Two factor names made the ANOVA drop a factor (2 sources, error
+        df 4); the names are fixed by the CSV schema."""
+        with pytest.raises(TypeError, match=keyword):
+            Dataset(runs=builtin.runs, **{keyword: ("rpm", "depth")})
+        assert Dataset.FACTOR_NAMES + (Dataset.RESPONSE_NAME,) == (
+            "rpm", "traverse_mm_min", "plan_depth_mm", "hardness")
+
 
 class TestLoadCsv:
     def test_roundtrip_bit_for_bit(self, builtin, tmp_path):

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from weldlab import anova
 from weldlab.taguchi import (
     DegenerateFactorError,
     check_design,
@@ -145,7 +147,7 @@ class TestResponseTable:
     def test_rows_flatten(self, builtin):
         rows = response_table_rows(response_table(builtin))
         assert len(rows) == 9  # 3 factors x 3 levels
-        assert {r["factor"] for r in rows} == set(builtin.factor_names)
+        assert {r["factor"] for r in rows} == set(builtin.FACTOR_NAMES)
 
 
 class TestOptimalCombination:
@@ -154,13 +156,26 @@ class TestOptimalCombination:
         assert [c.level_value for c in best] == [1000.0, 60.0, 0.1]
         assert [c.level_index for c in best] == [2, 3, 1]
 
+    def test_builtin_smaller_takes_smallest_raw_mean(self, builtin):
+        """The raw basis took the largest mean under "smaller" too (levels
+        2/3/1); it now agrees with the S/N basis."""
+        table = response_table(builtin, criterion="smaller")
+        raw = optimal_combination(table, basis="raw")
+        assert [c.level_index for c in raw] == [3, 1, 2]
+        assert [c.mean for c in raw] == [min(e.means) for e in table.raw]
+        sn = optimal_combination(table, basis="s_n")
+        assert [c.level_index for c in sn] == [3, 1, 2]
+
     def test_constant_ties_to_level_one(self):
         d = make_dataset(
             [(800, 40, 0.1, 7.0), (800, 50, 0.2, 7.0), (900, 40, 0.2, 7.0),
              (900, 50, 0.1, 7.0)]
         )
-        best = optimal_combination(response_table(d))
-        assert [c.level_index for c in best] == [1, 1, 1]
+        for criterion in ("larger", "smaller"):
+            table = response_table(d, criterion=criterion)
+            for basis in ("raw", "s_n"):
+                best = optimal_combination(table, basis=basis)
+                assert [c.level_index for c in best] == [1, 1, 1]
 
     def test_dominant_level_wins(self):
         d = make_dataset(
@@ -231,3 +246,84 @@ class TestCheckDesign:
         assert j["balanced"]["rpm"] is True
         assert j["orthogonal_pairs"]["traverse_mm_min*plan_depth_mm"] is False
         assert j["all_orthogonal"] is False
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+class TestLevelCodesAgainstRunScans:
+    """On random unbalanced designs (uneven level counts, levels of 8 and
+    more runs, shuffled run order), everything read from
+    `Dataset.level_codes` equals a scan of every run for every level."""
+
+    @staticmethod
+    def designs(count: int):
+        rng = np.random.default_rng(0)
+        for _ in range(count):
+            n = int(rng.integers(16, 48))
+            columns = []
+            for _ in range(3):
+                settings = rng.uniform(0.05, 2000.0, size=int(rng.integers(2, 6)))
+                # Every setting once, the rest drawn with uneven weights.
+                col = np.concatenate([settings, rng.choice(
+                    settings, size=n - len(settings),
+                    p=rng.dirichlet(np.full(len(settings), 0.7)))])
+                columns.append(rng.permutation(col))
+            y = rng.uniform(20.0, 90.0, size=n)
+            yield make_dataset(zip(*(c.tolist() for c in columns), y.tolist()))
+
+    def test_designs_match_per_run_scans(self):
+        big_levels = 0
+        for d in self.designs(60):
+            levels, codes = d.level_codes()
+            y = d.responses()
+            F = d.features()
+            for fi in range(3):
+                want = tuple(sorted({r.factors()[fi] for r in d.runs}))
+                assert _hex(levels[fi]) == _hex(want)
+                assert d.levels(fi) == levels[fi]
+                assert codes[:, fi].tolist() == [
+                    want.index(r.factors()[fi]) for r in d.runs]
+                counts = [sum(r.factors()[fi] == lv for r in d.runs) for lv in want]
+                big_levels += max(counts) >= 8
+            for criterion in ("larger", "smaller"):
+                sn = [sn_ratio([r.hardness], criterion) for r in d.runs]
+                table = response_table(d, criterion)
+                for fi in range(3):
+                    for eff, values in ((table.raw[fi], y), (table.s_n[fi], sn)):
+                        means = []
+                        for lv in levels[fi]:
+                            members = [i for i, r in enumerate(d.runs)
+                                       if r.factors()[fi] == lv]
+                            means.append(float(sum(values[i] for i in members))
+                                         / len(members))
+                        assert _hex(eff.means) == _hex(means)
+
+            diag = check_design(d)
+            for fi, name in enumerate(d.FACTOR_NAMES):
+                counts = {}
+                for r in d.runs:
+                    counts[r.factors()[fi]] = counts.get(r.factors()[fi], 0) + 1
+                assert diag.balanced[name] == (len(set(counts.values())) == 1)
+            for i in range(3):
+                for j in range(i + 1, 3):
+                    cells = {(a, b): 0 for a in levels[i] for b in levels[j]}
+                    for r in d.runs:
+                        cells[(r.factors()[i], r.factors()[j])] += 1
+                    pair = (d.FACTOR_NAMES[i], d.FACTOR_NAMES[j])
+                    assert diag.orthogonal_pairs[pair] == (
+                        len(set(cells.values())) == 1)
+
+            X, labels = anova._design_matrix(d, (0, 1, 2))
+            cols = [np.ones(len(d))]
+            for fi in range(3):
+                lv = levels[fi]
+                for k in range(len(lv) - 1):
+                    cols.append(np.where(F[:, fi] == lv[k], 1.0,
+                                         np.where(F[:, fi] == lv[-1], -1.0, 0.0)))
+            assert _hex(X.ravel()) == _hex(np.column_stack(cols).ravel())
+            assert labels == ["intercept"] + [
+                name for fi, name in enumerate(d.FACTOR_NAMES)
+                for _ in range(len(levels[fi]) - 1)]
+        assert big_levels >= 150  # of 180 factors
