@@ -4,8 +4,10 @@ Factors enter through effects coding of `Dataset.level_codes` (intercept
 plus L-1 contrast columns per factor; contrast k is 1 at level k, -1 at the
 last level, 0 elsewhere; Montgomery, *Design and Analysis of Experiments*).
 Adjusted SS are Type-III-style nested-model SSE differences, which stay
-order-independent on non-orthogonal designs.  The F upper tail is computed
-from scratch via the regularized incomplete beta continued fraction.
+order-independent on non-orthogonal designs; each reduced model is the one
+full design without a factor's columns.  F and p are undefined, and None,
+when the full fit is exact (SSE 0).  The F upper tail is computed from
+scratch via the regularized incomplete beta continued fraction.
 
 No product goes through BLAS, whose kernel (and so its rounding) depends on
 the CPU: each is elementwise products summed by `np.add.reduce` in one
@@ -52,7 +54,7 @@ def _sum_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add.reduce(a * b, axis=-1)
 
 
-def _solve_normal(A: np.ndarray, B: np.ndarray, labels: list[str]):
+def _solve_normal(A: np.ndarray, B: np.ndarray, labels: tuple[str, ...]):
     """Gaussian elimination with partial pivoting on the normal equations.
 
     `labels` names the source of each column (for the singularity error).
@@ -82,23 +84,23 @@ def _solve_normal(A: np.ndarray, B: np.ndarray, labels: list[str]):
     return Z
 
 
-def _design_matrix(d: Dataset, include: tuple[int, ...]):
-    """Effects-coded design (intercept + contrasts for factors in `include`)
-    and its column labels."""
+def _design_matrix(d: Dataset):
+    """Effects-coded design (intercept + each factor's contrasts) and the
+    source of each column."""
     levels, codes = d.level_codes()
     cols = [np.ones((len(d), 1))]
-    labels = ["intercept"]
-    for fi in include:
+    labels = ("intercept",)
+    for fi, name in enumerate(d.FACTOR_NAMES):
         c, last = codes[:, fi, None], len(levels[fi]) - 1
         cols.append((c == np.arange(last)) - (c == last) * 1.0)
-        labels += [d.FACTOR_NAMES[fi]] * last
+        labels += (name,) * last
     return np.hstack(cols), labels
 
 
 @dataclass(frozen=True)
 class GlmFit:
     dataset: Dataset
-    included_factors: tuple[int, ...]
+    labels: tuple[str, ...]  # the source of each design column
     design: np.ndarray
     coefficients: np.ndarray
     fitted: np.ndarray
@@ -113,18 +115,18 @@ class GlmFit:
         return self.design.shape[1]
 
 
-def fit_glm(d: Dataset, include_factors: tuple[int, ...] | None = None) -> GlmFit:
-    """Least squares for the effects-coded main-effects model.
-
-    `include_factors` restricts the model to a subset of factors (used for
-    the reduced fits behind adjusted SS; `()` gives the mean-only model).
-    """
-    if include_factors is None:
-        include_factors = tuple(range(len(d.FACTOR_NAMES)))
-    X, labels = _design_matrix(d, include_factors)
+def fit_glm(d: Dataset) -> GlmFit:
+    """Least squares for the effects-coded main-effects model."""
+    X, labels = _design_matrix(d)
     n, p = X.shape
     if p > n:
         raise ValueError(f"model needs {p} parameters but only {n} runs")
+    return _fit(d, X, labels)
+
+
+def _fit(d: Dataset, X: np.ndarray, labels: tuple[str, ...]) -> GlmFit:
+    """Least squares of `d`'s responses on the design `X`, whose columns
+    come from `labels`."""
     y = d.responses()
     XtX = _sum_products(X.T[:, None, :], X.T)
     # One elimination solves XtX [beta | Z] = [X'y | X'], and the hat
@@ -139,7 +141,7 @@ def fit_glm(d: Dataset, include_factors: tuple[int, ...] | None = None) -> GlmFi
     sst = float(((y - ybar) ** 2).sum())
     return GlmFit(
         dataset=d,
-        included_factors=tuple(include_factors),
+        labels=labels,
         design=X,
         coefficients=beta,
         fitted=fitted,
@@ -147,7 +149,7 @@ def fit_glm(d: Dataset, include_factors: tuple[int, ...] | None = None) -> GlmFi
         hat_diagonal=hat,
         sse=sse,
         sst=sst,
-        error_df=n - p,
+        error_df=X.shape[0] - X.shape[1],
     )
 
 
@@ -175,35 +177,34 @@ class AnovaTable:
 
 def anova_table(fit: GlmFit) -> AnovaTable:
     """Adjusted-SS ANOVA: each factor's SS is the SSE increase from
-    refitting without that factor's contrast columns."""
+    refitting without that factor's contrast columns.  F and p are None
+    where they are undefined: for a factor with one level, and for every
+    factor when the fit is exact (SSE 0)."""
     if fit.error_df < 1:
         raise SaturatedModelError(
             "error DF is 0 (saturated model); no F tests possible"
         )
     d = fit.dataset
-    levels, _ = d.level_codes()
     mse = fit.sse / fit.error_df
     rows = []
-    for fi in fit.included_factors:
-        reduced = fit_glm(d, tuple(f for f in fit.included_factors if f != fi))
+    for name in d.FACTOR_NAMES:
+        # The reduced design must be C-contiguous: a column subset comes
+        # back F-contiguous, and `_sum_products` would then add in another
+        # order.  It goes through the full model's routine, right-hand side
+        # [X'y | X'] included, because solving [X'y] alone changes the last
+        # bits of some SSEs; so its hat diagonal is computed and dropped.
+        keep = [label != name for label in fit.labels]
+        reduced = _fit(d, np.ascontiguousarray(fit.design[:, keep]),
+                       tuple(label for label in fit.labels if label != name))
         adj_ss = reduced.sse - fit.sse
-        df = len(levels[fi]) - 1
-        if df > 0:
-            ms = adj_ss / df
+        df = fit.labels.count(name)
+        ms = adj_ss / df if df > 0 else None
+        f = p = None
+        if df > 0 and mse > 0.0:
             f = ms / mse
             p = f_survival(max(f, 0.0), df, fit.error_df)
-        else:
-            ms = f = p = None
-        rows.append(
-            AnovaRow(
-                source=d.FACTOR_NAMES[fi],
-                df=df,
-                adj_ss=adj_ss,
-                adj_ms=ms,
-                f_value=f,
-                p_value=p,
-            )
-        )
+        rows.append(AnovaRow(source=name, df=df, adj_ss=adj_ss, adj_ms=ms,
+                             f_value=f, p_value=p))
     error = AnovaRow(
         source="Error", df=fit.error_df, adj_ss=fit.sse, adj_ms=mse,
         f_value=None, p_value=None,

@@ -97,9 +97,6 @@ class Run:
             if v is not value:  # a numpy number, now a Python one
                 object.__setattr__(self, name, v)
 
-    def factors(self) -> tuple[float, float, float]:
-        return (self.rpm, self.traverse, self.depth)
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -129,14 +126,10 @@ class Dataset:
         """Each factor's distinct settings, ascending, and an (n, 3)
         ``np.intp`` array of each run's 0-based index into its factor's
         settings, rows in stored run order."""
-        columns = tuple(zip(*(r.factors() for r in self.runs)))
+        columns = self.features().T.tolist()
         levels = tuple(tuple(sorted(set(col))) for col in columns)
         return levels, np.array(
             [np.array(lv).searchsorted(col) for lv, col in zip(levels, columns)]).T
-
-    def levels(self, factor_index: int) -> tuple[float, ...]:
-        """Distinct settings of one factor, ascending."""
-        return self.level_codes()[0][factor_index]
 
 
 # The nine runs of the embedded experiment, in sample-ID order.

@@ -207,7 +207,9 @@ def _taguchi(d, cfg: RunConfig):
         "optimal_sn": _combination_dicts(sn_best),
     }
     got = tuple(c.level_index for c in raw_best)
-    if got == published.PUBLISHED_OPTIMAL_LEVELS:
+    # The published levels maximize hardness: only a maximizing optimum
+    # compares with them.
+    if cfg.criterion != "larger" or got == published.PUBLISHED_OPTIMAL_LEVELS:
         return section, [], []
     units = ("rpm", "mm/min", "mm")
     return section, [], [published.Discrepancy(

@@ -46,6 +46,15 @@ def pinv_oracle(d, drop=None):
     return X, float(resid @ resid)
 
 
+def fit_on(d, sources):
+    """The fit routine behind `fit_glm` and the reduced models, on the
+    columns of `d`'s design that come from `sources`."""
+    X, labels = anova._design_matrix(d)
+    keep = [label in sources for label in labels]
+    return anova._fit(d, np.ascontiguousarray(X[:, keep]),
+                      tuple(label for label in labels if label in sources))
+
+
 class TestFitGlm:
     def test_builtin_sst(self, builtin):
         fit = fit_glm(builtin)
@@ -81,7 +90,7 @@ class TestFitGlm:
         assert np.allclose(fit.coefficients[1:], 0.0, atol=1e-12)
 
     def test_mean_only_model(self, builtin):
-        fit = fit_glm(builtin, include_factors=())
+        fit = fit_on(builtin, ("intercept",))
         y = builtin.responses()
         assert fit.coefficients[0] == pytest.approx(y.mean())
         assert np.allclose(fit.hat_diagonal, 1.0 / 9.0)
@@ -177,6 +186,23 @@ class TestAnovaTable:
             for row in table.rows:
                 assert row.adj_ss >= -1e-9
 
+    def test_exact_fit_leaves_f_and_p_undefined(self):
+        """Replicated Hadamard cells fit exactly (SSE 0) with 4 error DF:
+        the table keeps its SS and MS, and F and p are None."""
+        cells = [
+            (800, 40, 0.1, 5.0), (800, 50, 0.2, 6.0),
+            (900, 40, 0.2, 9.0), (900, 50, 0.1, 10.0),
+        ]
+        fit = fit_glm(make_dataset(cells + cells))
+        assert (fit.sse, fit.error_df) == (0.0, 4)
+        table = anova_table(fit)
+        assert table.error.adj_ms == 0.0
+        assert [r.adj_ss for r in table.rows] == pytest.approx([32.0, 2.0, 0.0])
+        for row in table.rows:
+            assert row.df == 1 and row.adj_ms == row.adj_ss
+            assert row.f_value is None and row.p_value is None
+        assert table.significant_sources() == ()
+
     def test_saturated_model_rejected(self):
         # three 2-level factors on 4 runs: 4 parameters, 0 error DF
         d = make_dataset(
@@ -231,7 +257,7 @@ class TestModelSummary:
 
     def test_mean_model_press_algebra(self, builtin):
         # LOO residual of the mean model is e_i * n/(n-1)
-        fit = fit_glm(builtin, include_factors=())
+        fit = fit_on(builtin, ("intercept",))
         s = model_summary(fit)
         n = 9
         assert s.press == pytest.approx(fit.sst * (n / (n - 1)) ** 2, rel=1e-12)
@@ -244,33 +270,52 @@ class TestModelSummary:
             (900, 43, 0.11, 8.0), (900, 44, 0.12, 9.0), (900, 45, 0.13, 10.0),
         ]
         d = Dataset(runs=tuple(Run(*r) for r in rows))
-        fit = fit_glm(d, include_factors=(0,))
+        fit = fit_on(d, ("intercept", "rpm"))
         with pytest.raises(LeverageOneError):
             model_summary(fit)
 
 
-# The full-precision ANOVA values (as float.hex) of the builtin data and of
+# The full-precision ANOVA values (as float.hex) of the builtin data, of
 # two responses on its settings whose 6-digit ANOVA sections once differed
-# between OpenBLAS's Prescott and Haswell kernels.
+# between OpenBLAS's Prescott and Haswell kernels, and of two seeded random
+# designs of 20 runs and 13 parameters.
 _ANOVA_VALUES = """
 import json
+
+import numpy as np
 
 from weldlab.anova import anova_table, fit_glm, model_summary
 from weldlab.dataset import Dataset, Run, builtin_aa6262
 
 RESPONSES = (
-    None,
     [83.692, 59.593, 58.47, 62.04, 50.77, 83.2, 85.65, 47.2, 48.1],
     [46.04, 42.405, 73.03, 45.5, 50.8, 85.5, 61.1, 88.7, 65.57],
 )
+SEEDS = (200, 291)
+
+
+# 20-27 runs over 4, 5 and 6 levels, each level used at least once.
+def seeded_design(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 28))
+    columns = []
+    for k in (4, 5, 6):
+        settings = rng.choice(np.arange(1, 20) * 10.0, size=k, replace=False)
+        columns.append(rng.permutation(np.concatenate(
+            [settings, rng.choice(settings, size=n - k)])))
+    ys = rng.uniform(40, 90, n).round(3)
+    return Dataset(runs=tuple(
+        Run(*row) for row in zip(*(c.tolist() for c in columns), ys.tolist())))
 
 
 def anova_values():
     builtin = builtin_aa6262()
+    designs = [builtin, *(
+        Dataset(runs=tuple(Run(r.rpm, r.traverse, r.depth, y)
+                           for r, y in zip(builtin.runs, ys)))
+        for ys in RESPONSES), *map(seeded_design, SEEDS)]
     out = []
-    for ys in RESPONSES:
-        d = builtin if ys is None else Dataset(runs=tuple(
-            Run(*r.factors(), y) for r, y in zip(builtin.runs, ys)))
+    for d in designs:
         fit = fit_glm(d)
         values = [fit.sse, model_summary(fit).press,
                   *(r.adj_ss for r in anova_table(fit).rows),
@@ -282,6 +327,70 @@ def anova_values():
 if __name__ == "__main__":
     print(json.dumps(anova_values()))
 """
+
+
+# `anova_values()` as float.hex, pinned while each reduced model was still
+# refit from the runs: an ANOVA value whose arithmetic changes order (a
+# strided sum, another right-hand side) changes in its last bits here.
+_PINNED_VALUES = [
+    [
+        "0x1.555ea76d206b8p+0", "0x1.5e821d7dbf38dp+5", "0x1.a919598536069p+6",
+        "0x1.23e77f2f732c3p+5", "0x1.10aee8867e932p+4", "0x1.0691a2b3c4d5ep+6",
+        "0x1.5e6f8091a2b73p-1", "0x1.e987654320fdcp+1", "-0x1.6bcdf0123456fp+1",
+        "0x1.3817aa7069968p+0", "0x1.3628814065f1bp+1", "-0x1.fb1b88c2c99d8p+0",
+        "0x1.d27d27d27d27ep-1", "0x1.49f49f49f49f5p-1", "0x1.d27d27d27d27dp-1",
+        "0x1.d27d27d27d27ep-1", "0x1.d27d27d27d27ep-1", "0x1.49f49f49f49f4p-1",
+        "0x1.8e38e38e38e3ap-1", "0x1.49f49f49f49f5p-1", "0x1.49f49f49f49f4p-1",
+    ],
+    [
+        "0x1.96ac7dbcc4413p+9", "0x1.b0b34e62ccb54p+14", "0x1.33d8ef34d6a18p+6",
+        "0x1.726db0cdda5a7p+9", "0x1.71a0f62bb27c4p+7", "0x1.0134e81b4e81cp+6",
+        "0x1.7999999999997p+1", "0x1.08f5c28f5c284p+0", "0x1.9a6bdc8057619p+3",
+        "-0x1.b5f5e58335625p+2", "0x1.c4d47224515f9p+2", "-0x1.ef2d3149dd521p+2",
+        "0x1.d27d27d27d27ep-1", "0x1.49f49f49f49f5p-1", "0x1.d27d27d27d27dp-1",
+        "0x1.d27d27d27d27ep-1", "0x1.d27d27d27d27ep-1", "0x1.49f49f49f49f4p-1",
+        "0x1.8e38e38e38e3ap-1", "0x1.49f49f49f49f5p-1", "0x1.49f49f49f49f4p-1",
+    ],
+    [
+        "0x1.0a0bb2fec56d5p+10", "0x1.8b651d0e703c2p+14", "0x1.eddba29c779b0p+8",
+        "0x1.93df1a9fbe772p+9", "0x1.2448e8a71dec0p+4", "0x1.f092c5f92c5f9p+5",
+        "-0x1.07e4b17e4b17fp+3", "-0x1.78bf258bf2579p+0", "-0x1.6622222222224p+3",
+        "-0x1.7b17e4b17e4a7p+1", "-0x1.0962fc962fc90p+1", "0x1.40369d0369cfcp+1",
+        "0x1.d27d27d27d27ep-1", "0x1.49f49f49f49f5p-1", "0x1.d27d27d27d27dp-1",
+        "0x1.d27d27d27d27ep-1", "0x1.d27d27d27d27ep-1", "0x1.49f49f49f49f4p-1",
+        "0x1.8e38e38e38e3ap-1", "0x1.49f49f49f49f5p-1", "0x1.49f49f49f49f4p-1",
+    ],
+    [
+        "0x1.69f18c774adacp+9", "0x1.60f47f770f922p+12", "0x1.04398cfb8169bp+10",
+        "0x1.69e0d743760bep+10", "0x1.fc817b25a2988p+9", "0x1.06d8c814d6946p+6",
+        "-0x1.444543d87cf91p+3", "0x1.31a1ec088f848p+3", "0x1.12a1806536bbdp-1",
+        "-0x1.8edba091bcea6p+2", "0x1.62673fc8567c0p+3", "-0x1.b83713bec6d45p+3",
+        "0x1.d5efedbd6ea4ep+3", "0x1.877f3c7d35402p+1", "-0x1.4fbc4ec2ef7b6p+2",
+        "-0x1.1970255079b3dp+2", "-0x1.ad89f1a4dbbecp+3", "0x1.29250e4c7786bp+4",
+        "0x1.2e32ac09bc991p-1", "0x1.7c17734c36b7ap-1", "0x1.289348ec2642ep-1",
+        "0x1.4eaea4c510c3dp-1", "0x1.9294ffc2900ffp-1", "0x1.5c46a01b6d668p-1",
+        "0x1.9294ffc2900fep-1", "0x1.89b8357bbb4b6p-1", "0x1.6e1a89348ec26p-1",
+        "0x1.966bfec409766p-1", "0x1.68ce8725f3dd1p-2", "0x1.3352cbda8fc9cp-1",
+        "0x1.11a806db59a73p-1", "0x1.41f214a39aa80p-1", "0x1.7c17734c36b7bp-1",
+        "0x1.3d0f64c2df0dap-1", "0x1.6e1a89348ec26p-1", "0x1.2532c65e4810cp-1",
+        "0x1.9294ffc290101p-1", "0x1.68ce8725f3dd1p-2",
+    ],
+    [
+        "0x1.6a48df3aaa89fp+8", "0x1.9a1ae93e0efc8p+11", "0x1.4c07cb7af4a02p+7",
+        "0x1.98e47da5edfdbp+8", "0x1.13c744845c9bfp+11", "0x1.095de19f70bc2p+6",
+        "-0x1.46d97466c4b86p+1", "0x1.0cd3b72b4d1d0p-6", "-0x1.9120a5e1a274bp+1",
+        "-0x1.8622898e2f792p+1", "0x1.ccc229a1aae89p+1", "-0x1.61e51b8744307p+0",
+        "-0x1.91d7b646db95fp+2", "-0x1.2c8f0955d22eap+4", "0x1.cc986c3899be0p+3",
+        "0x1.467d7c8e3e335p+2", "-0x1.21a3894bc7c84p+4", "0x1.c9d572cf56a5bp+3",
+        "0x1.7f422491ce407p-2", "0x1.4441941395929p-1", "0x1.8232d9d0e082ap-1",
+        "0x1.3ba1dbe72a4e4p-1", "0x1.4c9abb421720ep-1", "0x1.4c9abb421720ep-1",
+        "0x1.1e73e77af3f6ap-1", "0x1.b14189fedf03bp-1", "0x1.cc343e0212edcp-2",
+        "0x1.3106bbd5f1966p-1", "0x1.a59996e968eaep-1", "0x1.a59996e968eb0p-1",
+        "0x1.40ca755264a01p-1", "0x1.7dbfb53bb6053p-1", "0x1.b14189fedf039p-1",
+        "0x1.7f422491ce407p-2", "0x1.7d50d1638fe6fp-1", "0x1.8971bd07bb385p-1",
+        "0x1.3458e3f9c07edp-1", "0x1.08817a08bdf65p-1",
+    ],
+]
 
 
 def _cpu_has_avx2() -> bool:
@@ -314,6 +423,13 @@ class TestOneSolveWithoutBlas:
         )
         assert json.loads(out.stdout) == here["anova_values"]()
 
+    def test_values_equal_pinned_hex(self):
+        """Both processes of the test above run the same code, so a bit
+        change in both would pass it; this compares with pinned values."""
+        here = {"__name__": "anova_values"}
+        exec(_ANOVA_VALUES, here)
+        assert here["anova_values"]() == _PINNED_VALUES
+
     def test_stacked_solve_equals_separate_solves(self):
         """`fit_glm` solves [X'y | X'] in one elimination; beta and each hat
         entry equal those of solving each right-hand side alone, bit for
@@ -335,7 +451,7 @@ class TestOneSolveWithoutBlas:
                 fit = fit_glm(d)
             except ValueError:  # too few runs, or a confounded design
                 continue
-            X, labels = anova._design_matrix(d, (0, 1, 2))
+            X, labels = anova._design_matrix(d)
             XtX = anova._sum_products(X.T[:, None, :], X.T)
             Xty = anova._sum_products(X.T, d.responses())
             beta = anova._solve_normal(XtX, Xty[:, None], labels)[:, 0]
@@ -348,16 +464,26 @@ class TestOneSolveWithoutBlas:
         assert checked >= 20
 
     def test_one_solve_per_model(self, builtin, monkeypatch):
+        """One ANOVA stage decides factor levels once and solves each model
+        once: the full one, then each reduced one, a column subset of the
+        full design with the same stacked right-hand side."""
         calls = []
-        solve = anova._solve_normal
+        solve, level_codes = anova._solve_normal, Dataset.level_codes
 
         def counting(*args):
             calls.append(args[1].shape)
             return solve(*args)
 
+        def counting_codes(self):
+            calls.append("level_codes")
+            return level_codes(self)
+
         monkeypatch.setattr(anova, "_solve_normal", counting)
-        fit_glm(builtin)
-        assert calls == [(7, 10)]
+        monkeypatch.setattr(Dataset, "level_codes", counting_codes)
+        fit = fit_glm(builtin)
+        anova_table(fit)
+        model_summary(fit)
+        assert calls == ["level_codes", (7, 10), (5, 10), (5, 10), (5, 10)]
 
 
 class TestFSurvival:

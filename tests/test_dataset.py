@@ -29,9 +29,9 @@ class TestRun:
         with pytest.raises(ValueError):
             Run(rpm=800.0, traverse=50.0, depth=0.2, hardness=-1.0)
 
-    def test_factors_tuple(self):
+    def test_factor_fields_in_order(self):
         r = Run(800.0, 40.0, 0.1, 65.8)
-        assert r.factors() == (800.0, 40.0, 0.1)
+        assert (r.rpm, r.traverse, r.depth) == (800.0, 40.0, 0.1)
 
     @pytest.mark.parametrize("field", ["rpm", "traverse", "depth", "hardness"])
     @pytest.mark.parametrize("value", [True, np.bool_(True), "800", None])
@@ -47,7 +47,7 @@ class TestRun:
 
     def test_numpy_values_stored_as_python_floats(self):
         r = Run(*(np.float32(v) for v in (800.0, 40.0, 0.1, 65.8)))
-        assert all(type(v) is float for v in r.factors() + (r.hardness,))
+        assert all(type(v) is float for v in (r.rpm, r.traverse, r.depth, r.hardness))
         assert r == Run(800.0, 40.0, float(np.float32(0.1)), float(np.float32(65.8)))
 
 
@@ -66,8 +66,10 @@ class TestBuiltin:
         assert [r.rpm for r in builtin.runs[:3]] == [800.0] * 3
 
     def test_levels(self, builtin):
-        assert builtin.levels(0) == (800.0, 1000.0, 1200.0)
-        assert builtin.levels(2) == (0.1, 0.2, 0.3)
+        levels, _ = builtin.level_codes()
+        assert levels[0] == (800.0, 1000.0, 1200.0)
+        assert levels[2] == (0.1, 0.2, 0.3)
+        assert all(type(v) is float for lv in levels for v in lv)
 
     def test_level_codes(self, builtin):
         levels, codes = builtin.level_codes()

@@ -19,6 +19,8 @@ from weldlab.pipeline import (
 )
 from weldlab.taguchi import DegenerateFactorError
 
+from conftest import make_dataset
+
 
 @pytest.fixture(scope="module")
 def default_doc() -> ReportDocument:
@@ -125,8 +127,13 @@ class TestRunPipeline:
         assert len(entries) == 1
 
     def test_optimum_discrepancy_logged(self, default_doc):
+        """The published levels maximize hardness, so only a larger-is-better
+        optimum is compared with them."""
         topics = [d.topic for d in default_doc.discrepancies]
         assert "optimal level combination" in topics
+        smaller = run_pipeline(RunConfig(criterion="smaller", trees=5))
+        assert "optimal level combination" not in [
+            d.topic for d in smaller.discrepancies]
 
     def test_seed_recorded_in_report(self, default_doc):
         payload = json.loads(report_json(default_doc))
@@ -142,6 +149,20 @@ class TestRunPipeline:
         assert doc.sections["anova"]["total"]["adj_ss"] == pytest.approx(
             177.736, abs=0.01
         )
+
+    def test_exact_fit_keeps_anova_section(self, tmp_path):
+        """An exact fit (SSE 0, 4 error DF) leaves F and p undefined: the
+        ANOVA section and model summary are written with them null."""
+        cells = [(800, 40, 0.1, 5.0), (800, 50, 0.2, 6.0),
+                 (900, 40, 0.2, 9.0), (900, 50, 0.1, 10.0)]
+        path = tmp_path / "exact.csv"
+        write_csv(make_dataset(cells + cells), path)
+        doc = run_pipeline(RunConfig(input_path=str(path), builtin=None, trees=5))
+        assert doc.errors == {}
+        section = doc.sections["anova"]
+        assert [(r["f_value"], r["p_value"]) for r in section["rows"]] == [
+            (None, None)] * 3
+        assert section["model_summary"]["r_sq"] == 1.0
 
     def test_missing_csv_raises_oserror(self):
         with pytest.raises(OSError):

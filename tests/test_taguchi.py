@@ -132,10 +132,11 @@ class TestResponseTable:
     def test_weighted_level_means_recover_grand_mean(self, builtin):
         t = response_table(builtin)
         y = builtin.responses()
+        F = builtin.features()
         for fi, eff in enumerate(t.raw):
             total = 0.0
             for lv, mean in zip(eff.levels, eff.means):
-                count = sum(1 for r in builtin.runs if r.factors()[fi] == lv)
+                count = sum(1 for v in F[:, fi] if v == lv)
                 total += count * mean
             assert total / len(builtin) == pytest.approx(y.mean(), abs=1e-9)
 
@@ -279,13 +280,12 @@ class TestLevelCodesAgainstRunScans:
             levels, codes = d.level_codes()
             y = d.responses()
             F = d.features()
+            factors = [(r.rpm, r.traverse, r.depth) for r in d.runs]
             for fi in range(3):
-                want = tuple(sorted({r.factors()[fi] for r in d.runs}))
+                want = tuple(sorted({f[fi] for f in factors}))
                 assert _hex(levels[fi]) == _hex(want)
-                assert d.levels(fi) == levels[fi]
-                assert codes[:, fi].tolist() == [
-                    want.index(r.factors()[fi]) for r in d.runs]
-                counts = [sum(r.factors()[fi] == lv for r in d.runs) for lv in want]
+                assert codes[:, fi].tolist() == [want.index(f[fi]) for f in factors]
+                counts = [sum(f[fi] == lv for f in factors) for lv in want]
                 big_levels += max(counts) >= 8
             for criterion in ("larger", "smaller"):
                 sn = [sn_ratio([r.hardness], criterion) for r in d.runs]
@@ -294,8 +294,8 @@ class TestLevelCodesAgainstRunScans:
                     for eff, values in ((table.raw[fi], y), (table.s_n[fi], sn)):
                         means = []
                         for lv in levels[fi]:
-                            members = [i for i, r in enumerate(d.runs)
-                                       if r.factors()[fi] == lv]
+                            members = [i for i, f in enumerate(factors)
+                                       if f[fi] == lv]
                             means.append(float(sum(values[i] for i in members))
                                          / len(members))
                         assert _hex(eff.means) == _hex(means)
@@ -303,19 +303,19 @@ class TestLevelCodesAgainstRunScans:
             diag = check_design(d)
             for fi, name in enumerate(d.FACTOR_NAMES):
                 counts = {}
-                for r in d.runs:
-                    counts[r.factors()[fi]] = counts.get(r.factors()[fi], 0) + 1
+                for f in factors:
+                    counts[f[fi]] = counts.get(f[fi], 0) + 1
                 assert diag.balanced[name] == (len(set(counts.values())) == 1)
             for i in range(3):
                 for j in range(i + 1, 3):
                     cells = {(a, b): 0 for a in levels[i] for b in levels[j]}
-                    for r in d.runs:
-                        cells[(r.factors()[i], r.factors()[j])] += 1
+                    for f in factors:
+                        cells[(f[i], f[j])] += 1
                     pair = (d.FACTOR_NAMES[i], d.FACTOR_NAMES[j])
                     assert diag.orthogonal_pairs[pair] == (
                         len(set(cells.values())) == 1)
 
-            X, labels = anova._design_matrix(d, (0, 1, 2))
+            X, labels = anova._design_matrix(d)
             cols = [np.ones(len(d))]
             for fi in range(3):
                 lv = levels[fi]
@@ -323,7 +323,7 @@ class TestLevelCodesAgainstRunScans:
                     cols.append(np.where(F[:, fi] == lv[k], 1.0,
                                          np.where(F[:, fi] == lv[-1], -1.0, 0.0)))
             assert _hex(X.ravel()) == _hex(np.column_stack(cols).ravel())
-            assert labels == ["intercept"] + [
+            assert labels == ("intercept",) + tuple(
                 name for fi, name in enumerate(d.FACTOR_NAMES)
-                for _ in range(len(levels[fi]) - 1)]
+                for _ in range(len(levels[fi]) - 1))
         assert big_levels >= 150  # of 180 factors
