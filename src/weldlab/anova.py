@@ -17,7 +17,7 @@ fixed order, and one elimination per model gives beta and the hat diagonal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,8 +97,7 @@ def _design_matrix(d: Dataset):
     return np.hstack(cols), labels
 
 
-@dataclass(frozen=True)
-class GlmFit:
+class GlmFit(NamedTuple):
     dataset: Dataset
     labels: tuple[str, ...]  # the source of each design column
     design: np.ndarray
@@ -153,8 +152,7 @@ def _fit(d: Dataset, X: np.ndarray, labels: tuple[str, ...]) -> GlmFit:
     )
 
 
-@dataclass(frozen=True)
-class AnovaRow:
+class AnovaRow(NamedTuple):
     source: str
     df: int
     adj_ss: float
@@ -163,8 +161,7 @@ class AnovaRow:
     p_value: float | None
 
 
-@dataclass(frozen=True)
-class AnovaTable:
+class AnovaTable(NamedTuple):
     rows: tuple[AnovaRow, ...]  # one per factor, declaration order
     error: AnovaRow
     total: AnovaRow
@@ -216,8 +213,7 @@ def anova_table(fit: GlmFit) -> AnovaTable:
     return AnovaTable(rows=tuple(rows), error=error, total=total)
 
 
-@dataclass(frozen=True)
-class ModelSummary:
+class ModelSummary(NamedTuple):
     s: float  # sqrt(MSE_error)
     r_sq: float
     r_sq_adjusted: float

@@ -120,17 +120,15 @@ class TreeConfig:
             raise ValueError("min_impurity_decrease must be >= 0")
 
 
-@dataclass(frozen=True, slots=True)
-class Leaf:
-    value: float  # mean response of the samples that landed here
+class Leaf(NamedTuple):
+    value: float  # mean response of its samples; sum / (n + lam) under lam
     n: int
 
 
-@dataclass(frozen=True, slots=True)
-class Internal:
+class Internal(NamedTuple):
     feature: int
     threshold: float
-    decrease: float  # response-variance decrease achieved by this split
+    decrease: float  # SSE decrease of this split / n (penalized under lam)
     n: int
     left: "TreeNode"
     right: "TreeNode"
@@ -226,8 +224,10 @@ def _grow(Xl, yl, idx, depth, cfg, rng=None, m=0, lam=0.0) -> TreeNode:
     """The tree grown at `depth` from the rows `idx`, ids into the lists
     `Xl` (feature rows) and `yl` (responses), unchecked: the one single-tree
     grower.  Preorder, each node searching `m` features drawn from `rng`,
-    or every feature when `m` is 0.  A leaf is valued sum(ys) / (n + lam),
-    as ``mean * (n / (n + lam))``, which is the mean itself at `lam` 0.
+    or every feature when `m` is 0.  Under an L2 leaf penalty `lam` a leaf
+    is valued sum(ys) / (n + lam), and splits are scored on the penalized
+    SSE (see `_best_split_loops`); at `lam` 0 these are the mean and CART's
+    variance split.
     """
     n = len(idx)
     ys = [yl[i] for i in idx]
@@ -235,7 +235,7 @@ def _grow(Xl, yl, idx, depth, cfg, rng=None, m=0, lam=0.0) -> TreeNode:
         p = len(Xl[idx[0]])
         feats = rng.sample_without_replacement(p, m) if m else range(p)
         feat, thr, children_sse, parent_sse = _best_split_loops(
-            [Xl[i] for i in idx], ys, feats, cfg.min_samples_leaf)
+            [Xl[i] for i in idx], ys, feats, cfg.min_samples_leaf, lam)
         decrease = (parent_sse - children_sse) / n
         if not _is_leaf(cfg, n, depth, False, feat, decrease):
             left = [i for i in idx if Xl[i][feat] <= thr]
@@ -245,7 +245,7 @@ def _grow(Xl, yl, idx, depth, cfg, rng=None, m=0, lam=0.0) -> TreeNode:
                             _grow(Xl, yl, right, depth + 1, cfg, rng, m, lam))
     # numpy's pairwise sum, as `y[idx].mean()` takes: Python's `sum` adds
     # in sequence, which rounds differently from 8 rows up.
-    return Leaf(float(np.add.reduce(ys) / n) * (n / (n + lam)), n)
+    return Leaf(float(np.add.reduce(ys) / (n + lam)), n)
 
 
 # --- batched growth -------------------------------------------------------

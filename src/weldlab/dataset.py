@@ -18,7 +18,7 @@ import csv
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -220,8 +220,7 @@ def write_csv(d: Dataset, path) -> None:
             writer.writerow([repr(r.rpm), repr(r.traverse), repr(r.depth), repr(r.hardness)])
 
 
-@dataclass(frozen=True)
-class SummaryStats:
+class SummaryStats(NamedTuple):
     """Column-wise descriptive stats plus a Pearson correlation matrix.
 
     Std is population (divisor n), matching the descriptive intent of the

@@ -17,7 +17,7 @@ one `cart._grow_forests` pass of rounds, with one of two round policies.
 When nodes search every feature, a round scores every waiting node, so the
 trees grow level by level, and each distinct node of the pass (same
 ordered run ids of the dataset, and same depth under a depth limit) is one
-record, built once into one frozen subtree object that its trees share.
+record, built once into one immutable subtree object that its trees share.
 When nodes search a feature subset, a round pops one node per tree from
 the tree's preorder stack, so the trees grow in lockstep.  Each tree's
 stream is a lane of one ``uint64`` state array, the same SplitMix64 stream
@@ -31,15 +31,20 @@ nodes, of any sizes, go through one scoring step (`cart._split`): padded
 to a common width, scored in a few batched kernel calls, and split by
 partitioning their slices in place.  The trees, predictions and
 serialized bytes are exactly those of trees grown one by one.  Boosting is
-the stagewise additive update F_m = F_{m-1} + nu * h_m with F_0 = mean(y)
-and leaf values sum(residuals) / (count + lambda).
+the stagewise additive update F_m = F_{m-1} + nu * h_m with F_0 = mean(y).
+Each stage h_m is grown on the residuals under XGBoost's squared-loss
+objective with the L2 leaf penalty lambda: leaf values sum(residuals) /
+(count + lambda), and splits chosen by the gain G_L^2 / (n_L + lambda) +
+G_R^2 / (n_R + lambda) - G^2 / (n + lambda), G a node's residual sum; a
+node whose best gain is not positive is a leaf.  At lambda 0 this is CART
+on the residuals.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -69,8 +74,7 @@ from .dataset import (
 )
 
 
-@dataclass(frozen=True)
-class ForestModel:
+class ForestModel(NamedTuple):
     trees: tuple[TreeNode, ...]  # index order fixes the aggregation order
     tree_seeds: tuple[int, ...]
     n_features: int
@@ -80,8 +84,7 @@ class ForestModel:
     config: TreeConfig
 
 
-@dataclass(frozen=True)
-class BoostModel:
+class BoostModel(NamedTuple):
     f0: float
     stages: tuple[TreeNode, ...]
     nu: float
@@ -282,7 +285,8 @@ def fit_gbm(
     lam: float = 0.0,
     seed: int = 0,
 ) -> BoostModel:
-    """Squared-error gradient boosting with shrinkage and L2 leaf penalty."""
+    """Squared-error gradient boosting with shrinkage and XGBoost's L2 leaf
+    penalty `lam`, which enters both the leaf values and the split gain."""
     return fit_model(d, ModelSpec(kind="gbm", config=cfg, rounds=rounds,
                                   nu=nu, lam=lam, seed=seed))
 
@@ -309,8 +313,7 @@ def predict_ensemble_many(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
 # --- feature importance ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FeatureImportance:
+class FeatureImportance(NamedTuple):
     scores: tuple[float, ...]  # normalized to sum 1, or all zero
 
     @property
@@ -358,8 +361,7 @@ def feature_importance(
 # --- metrics and cross-validation ----------------------------------------
 
 
-@dataclass(frozen=True)
-class RegressionMetrics:
+class RegressionMetrics(NamedTuple):
     mse: float
     mae: float
     r_sq: float | None  # None when the actuals have zero variance
@@ -381,8 +383,7 @@ def regression_metrics(y, yhat) -> RegressionMetrics:
     return RegressionMetrics(mse=mse, mae=mae, r_sq=r_sq)
 
 
-@dataclass(frozen=True)
-class CvResult:
+class CvResult(NamedTuple):
     plan: FoldPlan
     fold_metrics: tuple[RegressionMetrics | None, ...]  # None for 1-run folds
     pooled: RegressionMetrics
@@ -465,17 +466,9 @@ MODEL_VERSION = 1
 
 def _node_to_dict(t: TreeNode) -> dict:
     if isinstance(t, Leaf):
-        return {"leaf": {"value": t.value, "n": t.n}}
-    return {
-        "split": {
-            "feature": t.feature,
-            "threshold": t.threshold,
-            "decrease": t.decrease,
-            "n": t.n,
-            "left": _node_to_dict(t.left),
-            "right": _node_to_dict(t.right),
-        }
-    }
+        return {"leaf": t._asdict()}
+    return {"split": {**t._asdict(), "left": _node_to_dict(t.left),
+                      "right": _node_to_dict(t.right)}}
 
 
 def _fields(obj, what: str, names: Sequence[str]) -> list:

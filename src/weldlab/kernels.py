@@ -30,17 +30,22 @@ from itertools import accumulate
 import numpy as np
 
 
-def _best_split_loops(X, y, features, min_leaf):
+def _best_split_loops(X, y, features, min_leaf, lam=0.0):
     """Best split of the node whose rows are `X` (X[i][j] is feature j of
     row i) and responses `y`, over the ascending column indices
-    `features`: (feature, threshold, children SSE, parent SSE)."""
+    `features`: (feature, threshold, children SSE, parent SSE).
+
+    Under an L2 leaf penalty `lam` each SSE is the penalized one,
+    ``sum(y^2) - sum(y)^2 / (count + lam)``: the SSE about the leaf value
+    ``sum(y) / (count + lam)`` plus lam times its square.  Parent minus
+    children is then twice XGBoost's split gain for squared loss."""
     n = len(y)
     s_tot = 0.0
     ss_tot = 0.0
     for v in y:
         s_tot += v
         ss_tot += v * v
-    parent_sse = ss_tot - s_tot * s_tot / n
+    parent_sse = ss_tot - s_tot * s_tot / (n + lam)
 
     best_f = -1
     best_t = 0.0
@@ -63,11 +68,11 @@ def _best_split_loops(X, y, features, min_leaf):
             nr = n - nl
             sl = s[i]
             ssl = ss[i]
-            sse_l = ssl - sl * sl / nl
+            sse_l = ssl - sl * sl / (nl + lam)
             if sse_l < 0.0:
                 sse_l = 0.0
             sr = tot_s - sl
-            sse_r = (tot_ss - ssl) - sr * sr / nr
+            sse_r = (tot_ss - ssl) - sr * sr / (nr + lam)
             if sse_r < 0.0:
                 sse_r = 0.0
             score = sse_l + sse_r

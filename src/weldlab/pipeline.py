@@ -24,6 +24,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import anova as anova_mod
 from . import published
@@ -369,7 +370,7 @@ def report_json(doc: ReportDocument) -> str:
         "sections": doc.sections,
         "warnings": doc.warnings,
         "errors": doc.errors,
-        "discrepancies": [dx.as_dict() for dx in doc.discrepancies],
+        "discrepancies": [dx._asdict() for dx in doc.discrepancies],
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -419,8 +420,7 @@ def render(doc: ReportDocument, format: str, out_dir) -> list[Path]:
     return written
 
 
-@dataclass(frozen=True)
-class _Table:
+class _Table(NamedTuple):
     """One report table: raw cells plus how each writer labels them.
 
     The csv format writes `header` and the raw cells to `file`.  The text
@@ -564,7 +564,7 @@ def _blocks(doc: ReportDocument):
         keys = ("topic", "published", "computed", "note")
         yield _Table(
             "discrepancies.csv", keys,
-            _rows([dx.as_dict() for dx in doc.discrepancies], keys),
+            _rows([dx._asdict() for dx in doc.discrepancies], keys),
         )
 
     if doc.errors:

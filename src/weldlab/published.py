@@ -10,7 +10,7 @@ tables, and flagging discrepancies against what the embedded data give.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Printed ANOVA for the hardness response: source -> (DF, adjusted SS).
 PUBLISHED_ANOVA_SS = {
@@ -39,19 +39,10 @@ PUBLISHED_RF_METRICS = (4.42, 1.979, 0.62)
 PUBLISHED_XGB_METRICS = (4.14, 1.99, 0.65)
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(NamedTuple):
     """One published-vs-computed mismatch surfaced in reports."""
 
     topic: str
     published: str
     computed: str
     note: str
-
-    def as_dict(self) -> dict:
-        return {
-            "topic": self.topic,
-            "published": self.published,
-            "computed": self.computed,
-            "note": self.note,
-        }

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,8 +66,7 @@ def sn_ratio(y: Sequence[float], criterion: str = "larger") -> float:
     return fn(y)
 
 
-@dataclass(frozen=True)
-class FactorEffect:
+class FactorEffect(NamedTuple):
     """Per-level means for one factor on one basis, with delta and rank."""
 
     factor: str
@@ -78,8 +76,7 @@ class FactorEffect:
     rank: int  # 1 = largest delta
 
 
-@dataclass(frozen=True)
-class ResponseTable:
+class ResponseTable(NamedTuple):
     """Main-effects table over raw response means and S/N means."""
 
     raw: tuple[FactorEffect, ...]
@@ -130,8 +127,7 @@ def response_table(d: Dataset, criterion: str = "larger") -> ResponseTable:
     )
 
 
-@dataclass(frozen=True)
-class LevelChoice:
+class LevelChoice(NamedTuple):
     factor: str
     level_index: int  # 1-based, per DOE convention
     level_value: float
@@ -166,8 +162,7 @@ def optimal_combination(
     return tuple(choices)
 
 
-@dataclass(frozen=True)
-class DesignDiagnostics:
+class DesignDiagnostics(NamedTuple):
     """Balance per factor and orthogonality per factor pair."""
 
     balanced: dict[str, bool]

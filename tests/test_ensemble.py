@@ -207,10 +207,8 @@ class TestRandomForest:
             predict_ensemble_many(model, X)
 
     def test_prediction_permutation_invariant_in_tree_order(self, builtin):
-        from dataclasses import replace
-
         model = fit_random_forest(builtin, trees=17, m=2, seed=8)
-        shuffled = replace(model, trees=tuple(reversed(model.trees)))
+        shuffled = model._replace(trees=tuple(reversed(model.trees)))
         x = builtin.features()[2]
         assert predict_ensemble(shuffled, x) == pytest.approx(
             predict_ensemble(model, x), abs=1e-12
@@ -482,28 +480,48 @@ class TestGbm:
     @pytest.mark.parametrize("lam", [1.0, 5.0])
     @pytest.mark.parametrize("depth", [0, 2])
     def test_lambda_shrinks_leaves(self, builtin, lam, depth):
-        """Stage k is `build_tree` of the residuals y - F_{k-1}, each leaf
-        rescaled to value * (n / (n + lam)), field for field, bit for bit."""
+        """XGBoost's squared-loss objective under the L2 penalty lam: stage
+        k, grown on the residuals r = y - F_{k-1}, values a leaf of the rows
+        S sum(r_S) / (|S| + lam), bit for bit, and splits a node on the
+        largest gain G(left) + G(right) - G(node), where G(S) = sum(r_S)^2 /
+        (|S| + lam), over every feature and midpoint, as brute force finds
+        it; its `decrease` is that gain over its row count.  A node below
+        the depth limit whose best gain is <= 0 is a leaf."""
         cfg = TreeConfig(max_depth=depth)
         model = fit_gbm(builtin, rounds=3, cfg=cfg, nu=0.5, lam=lam)
         X, y = builtin.features(), builtin.responses()
 
-        def shrunk(node):
-            if isinstance(node, Leaf):
-                return Leaf(node.value * (node.n / (node.n + lam)), node.n)
-            return Internal(node.feature, node.threshold, node.decrease, node.n,
-                            shrunk(node.left), shrunk(node.right))
+        def gains(r, rows):
+            """(gain, feature, threshold) of every split of the rows `rows`."""
+            def G(s):
+                return r[s].sum() ** 2 / (s.size + lam)
+            out = []
+            for f in range(X.shape[1]):
+                values = np.unique(X[rows, f])
+                for t in ((values[:-1] + values[1:]) / 2).tolist():
+                    left = X[rows, f] <= t
+                    out.append((G(rows[left]) + G(rows[~left]) - G(rows), f, t))
+            return out
 
-        def bits(node):
-            """Every field of every node, each float as its exact hex."""
+        def check(node, r, rows, level):
+            assert node.n == rows.size
+            best = max((g for g, _, _ in gains(r, rows)), default=-np.inf)
             if isinstance(node, Leaf):
-                return ("leaf", node.value.hex(), node.n)
-            return (node.feature, node.threshold.hex(), node.decrease.hex(),
-                    node.n, bits(node.left), bits(node.right))
+                assert node.value == np.add.reduce(r[rows]) / (rows.size + lam)
+                if level < depth or not depth:
+                    assert best <= 1e-9
+                return
+            (gain,) = [g for g, f, t in gains(r, rows)
+                       if (f, t) == (node.feature, node.threshold)]
+            assert gain == pytest.approx(best, rel=1e-9, abs=1e-9)
+            assert node.decrease * rows.size == pytest.approx(gain, rel=1e-9)
+            left = X[rows, node.feature] <= node.threshold
+            check(node.left, r, rows[left], level + 1)
+            check(node.right, r, rows[~left], level + 1)
 
         current = np.full_like(y, model.f0)  # F_0, then F_1, F_2
         for stage in model.stages:
-            assert bits(stage) == bits(shrunk(build_tree(X, y - current, cfg)))
+            check(stage, y - current, np.arange(y.size), 0)
             current = current + model.nu * np.asarray(
                 [predict_tree(stage, row) for row in X])
         assert len(model.stages) == 3 and isinstance(model.stages[1], Internal)

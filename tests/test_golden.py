@@ -6,7 +6,8 @@ and, for every format, the ordered file list and every file's bytes from
 ``main()``.  The cases are rf/gbm x m 2/3 x loo/k:3 x seeds 0/7 with small
 models, one CSV input read through a relative path, the nominal criterion
 (a recorded stage error in the pipeline, a usage error at the CLI) and the
-smaller criterion with boosting settings.
+smaller criterion with boosting settings.  Each model case records the
+bytes of one saved model file (``model_to_json``).
 Every case runs in an empty working directory and uses relative paths, so
 no temporary path reaches the bytes.
 
@@ -33,6 +34,7 @@ import pytest
 
 from weldlab.cli import main
 from weldlab.dataset import builtin_aa6262, write_csv
+from weldlab.ensemble import fit_gbm, fit_random_forest, model_to_json
 from weldlab.pipeline import RunConfig, render, report_json, report_text, run_pipeline
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
@@ -80,6 +82,16 @@ def _cli_cases() -> dict[str, list[str]]:
 
 PIPELINE_CASES = _pipeline_cases()
 CLI_CASES = _cli_cases()
+# The model of each case on the builtin data, and the SHA-256 of its
+# `model_to_json` text.  Boosting is at lam 0.
+MODEL_CASES = {
+    "rf-t5-m2-s0": (
+        lambda d: fit_random_forest(d, trees=5, m=2, seed=0),
+        "0fb7bc0d309401eaf91795e16d4d6ad4fc93490cc2b39729a4822a7924a8f586"),
+    "gbm-r5-s0": (
+        lambda d: fit_gbm(d, rounds=5, seed=0),
+        "894e65868cab6ede56b0b0397dac0d08199e16a465d5a1a631ea057096e7a7e4"),
+}
 
 
 def _sha(data) -> str:
@@ -136,6 +148,12 @@ def test_pipeline_outputs_match_golden(case, golden, tmp_path, monkeypatch):
 def test_cli_outputs_match_golden(case, golden, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli_digest(CLI_CASES[case]) == golden["cli"][case]
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_CASES))
+def test_model_file_matches_golden(case):
+    fit, digest = MODEL_CASES[case]
+    assert _sha(model_to_json(fit(builtin_aa6262()))) == digest
 
 
 def _generate() -> dict:

@@ -76,3 +76,27 @@ def test_no_report_value_goes_through_blas():
             if bad:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _frozen_dataclass(decorator: ast.AST) -> bool:
+    """Is `decorator` ``@dataclass(..., frozen=True, ...)``?"""
+    return (isinstance(decorator, ast.Call)
+            and _dotted(decorator.func)[-1:] == ["dataclass"]
+            and any(k.arg == "frozen" and isinstance(k.value, ast.Constant)
+                    and k.value.value is True for k in decorator.keywords))
+
+
+def test_every_frozen_dataclass_checks_its_input():
+    """A frozen dataclass is for a type whose constructor checks or
+    normalizes its input, in `__post_init__`.  A plain immutable value is a
+    `NamedTuple`, which costs less to define at import and to build."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ClassDef)
+                    and any(map(_frozen_dataclass, node.decorator_list))
+                    and "__post_init__" not in {
+                        s.name for s in node.body
+                        if isinstance(s, ast.FunctionDef)}):
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert found == []
