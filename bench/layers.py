@@ -6,8 +6,8 @@ commit's, made with ``git worktree`` or ``git clone``)::
 
     python3 bench/layers.py --against ../weldlab-parent --out BENCH.json
 
-Each pair times one op on both checkouts in fresh processes, one after the
-other, alternating which side goes first.  The ops:
+Each of `PAIRS` pairs times one op on both checkouts in fresh processes,
+one after the other, alternating which side goes first.  The ops:
 
 * ``report-rf``: the default report (``RunConfig()``), in process;
 * ``report-gbm``: the default gbm report (``RunConfig(model="gbm")``);
@@ -46,6 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import CLI_COMMANDS, factorial_rows, write_design  # noqa: E402
 
+PAIRS = 12  # alternating pairs per op
 REPS = 5  # timed in-process ops per side and pair
 # RunConfig arguments of each in-process op; ops run in a directory that
 # holds the design file.
@@ -150,14 +151,11 @@ def main() -> int:
     ap.add_argument("--against", type=Path, required=True,
                     help="the other checkout's root")
     ap.add_argument("--out", type=Path, required=True, help="JSON file to write")
-    ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args()
-    if args.pairs < 2:
-        ap.error("quartiles need --pairs 2 or more")
     sides = {"here": ROOT, "against": args.against.resolve()}
     result = {"meta": {
         "python": platform.python_version(), "machine": platform.machine(),
-        "cpus": os.cpu_count(), "pairs": args.pairs, "reps": REPS,
+        "cpus": os.cpu_count(), "pairs": PAIRS, "reps": REPS,
         "commits": {name: git_head(side) for name, side in sides.items()},
     }, "ops": {}}
     with tempfile.TemporaryDirectory() as tmp:
@@ -168,7 +166,7 @@ def main() -> int:
                 for side in sides.values():
                     measure(op, side, work)
             samples = {name: [] for name in sides}
-            for pair in range(args.pairs):
+            for pair in range(PAIRS):
                 for name in sides if pair % 2 == 0 else reversed(sides):
                     samples[name].append(measure(op, sides[name], work))
             here, against = samples["here"], samples["against"]

@@ -109,6 +109,8 @@ def gini_impurity(dist: ClassDistribution) -> float:
 class TreeConfig:
     max_depth: int = 0  # 0 = unlimited
     min_samples_leaf: int = 1
+    # least split `decrease` (see `_is_leaf`): the variance decrease, or
+    # the penalized gain / n in gbm stages grown under lam > 0
     min_impurity_decrease: float = 0.0
 
     def __post_init__(self):
@@ -143,8 +145,10 @@ def _is_leaf(cfg, n, depth, constant, feat=0, decrease=np.inf):
     A node of `n` rows at `depth` is a leaf when it has fewer than
     2 * min_samples_leaf rows, reaches max_depth, or has a `constant`
     response; once scored, also when its best split has feature -1 (none
-    admissible) or a variance `decrease` <= 0 or below
-    min_impurity_decrease.  The defaults stand for a node not yet scored.
+    admissible) or a `decrease` <= 0 or below min_impurity_decrease.  The
+    decrease is the split's SSE decrease / n: the variance decrease, or
+    under a gbm leaf penalty lam > 0 the penalized gain / n (see
+    `_best_split_loops`).  The defaults stand for a node not yet scored.
     """
     return (
         (n < 2 * cfg.min_samples_leaf)
