@@ -9,8 +9,9 @@ A *lane* is one SplitMix64 stream held as one entry of a ``uint64`` state
 array, so that many streams draw in one vectorized step: draw k of the
 stream seeded s is ``mix64(s + k * GOLDEN_GAMMA)``, whether it comes from a
 `SplitMix64` or a lane (Salmon et al., "Parallel random numbers: as easy as
-1, 2, 3", SC 2011).  `lane_subsets` is `SplitMix64.sample_without_replacement`
-run over many lanes at once, draw for draw.
+1, 2, 3", SC 2011).  `lane_subsets` draws a node's feature subset on many
+lanes at once, each lane making the draws of `SplitMix64.next_below` that a
+sequential stream would make.
 """
 
 from __future__ import annotations
@@ -70,16 +71,6 @@ class SplitMix64:
             j = self.next_below(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def sample_without_replacement(self, n: int, k: int) -> list[int]:
-        """k distinct indices from range(n), returned sorted ascending."""
-        if not 0 <= k <= n:
-            raise ValueError(f"cannot sample {k} from {n}")
-        pool = list(range(n))
-        for i in range(k):
-            j = i + self.next_below(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return sorted(pool[:k])
-
 
 def _lane_draws(lanes: np.ndarray, which: np.ndarray) -> np.ndarray:
     """Next draw of each lane in `which`, advancing those lanes in place."""
@@ -89,12 +80,16 @@ def _lane_draws(lanes: np.ndarray, which: np.ndarray) -> np.ndarray:
 
 
 def lane_subsets(lanes: np.ndarray, which: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Row r is ``SplitMix64(lanes[which[r]]).sample_without_replacement(n, k)``,
-    as a (len(which), k) int64 array, and each lane in `which` (distinct
-    indices into the ``uint64`` array `lanes`) ends in that stream's state.
+    """k distinct indices from range(n) per lane in `which` (distinct
+    indices into the ``uint64`` array `lanes`), sorted ascending, as row r
+    of a (len(which), k) int64 array; each of those lanes advances in place.
 
-    The partial Fisher-Yates runs over all rows at once; a lane whose draw
-    `next_below` would reject redraws, alone, until it is accepted.
+    Row r is k steps of partial Fisher-Yates over range(n), step i swapping
+    position i with i + ``next_below(n - i)`` of the stream in
+    ``lanes[which[r]]``.  The steps run over all rows at once; a lane whose
+    draw `next_below` would reject redraws, alone, until it is accepted, so
+    each lane ends where a `SplitMix64` from its first state ends after the
+    same k `next_below` calls.
     """
     if not 0 <= k <= n:
         raise ValueError(f"cannot sample {k} from {n}")

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from ._rng import SplitMix64, lane_subsets
+from ._rng import lane_subsets
 from .dataset import Dataset, _check_fields, _integer, _real
 # Unused `best_split` stays bound: perfbench's tracer wraps `weldlab.cart.best_split`.
 from .kernels import _best_split_loops, best_split, best_splits  # noqa: F401
@@ -164,18 +164,14 @@ def build_tree(
     X: np.ndarray,
     y: np.ndarray,
     cfg: TreeConfig = TreeConfig(),
-    rng: SplitMix64 | None = None,
-    n_feature_candidates: int | None = None,
     *,
     rows: Sequence[int] | None = None,
     memo: dict | None = None,
 ) -> TreeNode:
-    """Recursive binary splitting of (X, y) by variance reduction.
-
-    When `n_feature_candidates` < feature count, each node searches only a
-    feature subset freshly drawn from `rng` (random-forest mode), which
-    must then be given.  `X` and `y` must be finite.  The tree is grown by
-    one `_grow` call on lists of `X` and `y`.
+    """Recursive binary splitting of (X, y) by variance reduction, every
+    node searching every feature.  `X` and `y` must be finite.  The tree is
+    grown by one `_grow` call on lists of `X` and `y`; trees whose nodes
+    search a feature subset grow only in `_grow_forests`, on lanes.
 
     `rows` lists the training-row ids of `X` the tree grows on, in order and
     with repeats (a bootstrap sample); the default is every row once.  The
@@ -184,21 +180,16 @@ def build_tree(
     `memo` is a read-only table from the key of each root of one
     `_grow_forests` pass over the same `X`, `y` and `cfg` to its tree: a
     tree whose `rows` it keys is read from it, and any other grown as
-    without it.  It is ignored when nodes draw feature
-    subsets, because such a tree also depends on the rng stream.
+    without it.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise ValueError("X must be (n, p) and y (n,) with matching n")
+    if X.shape[1] == 0:
+        raise ValueError("X has no feature columns to split on")
     if y.shape[0] == 0:
         raise ValueError("cannot fit a tree on an empty dataset")
-    n_features = X.shape[1]
-    m = n_feature_candidates if n_feature_candidates is not None else n_features
-    if not 1 <= m <= n_features:
-        raise ValueError(f"feature subsample count must be in [1, {n_features}]")
-    if m < n_features and rng is None:
-        raise ValueError("drawing a feature subset per node needs an rng")
     if rows is None:
         rows = np.arange(y.shape[0], dtype=np.intp)
     else:
@@ -211,7 +202,7 @@ def build_tree(
         # A negative id reads as a huge unsigned one.
         if rows.view(np.uintp).max() >= y.shape[0]:
             raise ValueError(f"row ids must be in [0, {y.shape[0]})")
-    if memo is not None and m == n_features:
+    if memo is not None:
         # The pass's key of a root: its row ids, then depth 0 under a limit.
         tree = memo.get(
             (np.append(rows, 0) if cfg.max_depth else rows).tobytes())
@@ -220,33 +211,31 @@ def build_tree(
     # A NaN or inf can make a threshold that sends every row one way.
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("X and y must be finite")
-    return _grow(X.tolist(), y.tolist(), rows.tolist(), 0, cfg, rng,
-                 m if m < n_features else 0)
+    return _grow(X.tolist(), y.tolist(), rows.tolist(), 0, cfg)
 
 
-def _grow(Xl, yl, idx, depth, cfg, rng=None, m=0, lam=0.0) -> TreeNode:
+def _grow(Xl, yl, idx, depth, cfg, lam=0.0) -> TreeNode:
     """The tree grown at `depth` from the rows `idx`, ids into the lists
     `Xl` (feature rows) and `yl` (responses), unchecked: the one single-tree
-    grower.  Preorder, each node searching `m` features drawn from `rng`,
-    or every feature when `m` is 0.  Under an L2 leaf penalty `lam` a leaf
-    is valued sum(ys) / (n + lam), and splits are scored on the penalized
-    SSE (see `_best_split_loops`); at `lam` 0 these are the mean and CART's
-    variance split.
+    grower, for gbm stages and the CART tree.  Preorder, each node searching
+    every feature.  Under an L2 leaf penalty `lam` a leaf is valued sum(ys)
+    / (n + lam), and splits are scored on the penalized SSE (see
+    `_best_split_loops`); at `lam` 0 these are the mean and CART's variance
+    split.
     """
     n = len(idx)
     ys = [yl[i] for i in idx]
     if not _is_leaf(cfg, n, depth, min(ys) == max(ys)):
-        p = len(Xl[idx[0]])
-        feats = rng.sample_without_replacement(p, m) if m else range(p)
         feat, thr, children_sse, parent_sse = _best_split_loops(
-            [Xl[i] for i in idx], ys, feats, cfg.min_samples_leaf, lam)
+            [Xl[i] for i in idx], ys, range(len(Xl[idx[0]])),
+            cfg.min_samples_leaf, lam)
         decrease = (parent_sse - children_sse) / n
         if not _is_leaf(cfg, n, depth, False, feat, decrease):
             left = [i for i in idx if Xl[i][feat] <= thr]
             right = [i for i in idx if not Xl[i][feat] <= thr]
             return Internal(feat, thr, decrease, n,
-                            _grow(Xl, yl, left, depth + 1, cfg, rng, m, lam),
-                            _grow(Xl, yl, right, depth + 1, cfg, rng, m, lam))
+                            _grow(Xl, yl, left, depth + 1, cfg, lam),
+                            _grow(Xl, yl, right, depth + 1, cfg, lam))
     # numpy's pairwise sum, as `y[idx].mean()` takes: Python's `sum` adds
     # in sequence, which rounds differently from 8 rows up.
     return Leaf(float(np.add.reduce(ys) / (n + lam)), n)
@@ -460,12 +449,12 @@ def _grow_forests(X, y, roots, cfg: TreeConfig, lanes=None, m: int = 0):
 
     With `lanes`, a ``uint64`` array of SplitMix64 states (see `_rng`), one
     per tree, advanced in place, each node searches `m` features drawn
-    from its tree's lane.  Root t is record t, and the tree built from it
-    equals ``build_tree(X[roots[t]], y[roots[t]], cfg, SplitMix64(lanes[t]),
-    m)``; lane t ends in that rng's final state.  Each tree visits its nodes
-    in preorder from its own stack, so its draws come in the recursion's
-    order: a round pops one node per tree and draws all their subsets at
-    once (`lane_subsets`).
+    from its tree's lane (`lane_subsets`).  Root t is record t.  Each tree
+    visits its nodes in preorder from its own stack, so its lane makes its
+    draws in the order of a preorder recursion that draws each node's
+    subset from one stream seeded ``lanes[t]``: the tree equals that
+    recursion's, and lane t ends where its stream ends.  A round pops one
+    node per tree and draws all their subsets at once.
 
     A node's row ids are a slice of one buffer of every root's ids.  A node
     that a pre-score leaf rule makes a leaf draws nothing and never waits;

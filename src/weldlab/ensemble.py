@@ -20,18 +20,19 @@ ordered run ids of the dataset, and same depth under a depth limit) is one
 record, built once into one immutable subtree object that its trees share.
 When nodes search a feature subset, a round pops one node per tree from
 the tree's preorder stack, so the trees grow in lockstep.  Each tree's
-stream is a lane of one ``uint64`` state array, the same SplitMix64 stream
-draw for draw, and a round draws the subsets of all its nodes at once, so
-each tree's draws keep the recursion's order; its bootstrap comes from the
-same lane arithmetic (`lane_bootstraps`).  In lockstep only the trees of
-models that the caller gets back become `Leaf` and `Internal` objects, and
-a fold forest predicts its held-out runs from the records.  Either way a
-node's rows are a slice of one buffer of every root's rows, and a round's
-nodes, of any sizes, go through one scoring step (`cart._split`): padded
-to a common width, scored in a few batched kernel calls, and split by
-partitioning their slices in place.  The trees, predictions and
-serialized bytes are exactly those of trees grown one by one.  Boosting is
-the stagewise additive update F_m = F_{m-1} + nu * h_m with F_0 = mean(y).
+stream is a lane of one ``uint64`` state array, and a round draws the
+subsets of all its nodes at once; since each tree pops its nodes in
+preorder, its lane draws them in the order of a preorder recursion over
+that tree.  Its bootstrap comes from the same lane arithmetic
+(`lane_bootstraps`).  In lockstep only the trees of models that the caller
+gets back become `Leaf` and `Internal` objects, and a fold forest predicts
+its held-out runs from the records.  Either way a node's rows are a slice
+of one buffer of every root's rows, and a round's nodes, of any sizes, go
+through one scoring step (`cart._split`): padded to a common width,
+scored in a few batched kernel calls, and split by partitioning their
+slices in place.  The trees, predictions and serialized bytes are exactly
+those of trees grown one by one.  Boosting is the stagewise additive
+update F_m = F_{m-1} + nu * h_m with F_0 = mean(y).
 Each stage h_m is grown on the residuals under XGBoost's squared-loss
 objective with the L2 leaf penalty lambda: leaf values sum(residuals) /
 (count + lambda), and splits chosen by the gain G_L^2 / (n_L + lambda) +

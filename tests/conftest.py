@@ -5,6 +5,7 @@ import pytest
 
 import weldlab.cart
 from weldlab._rng import GOLDEN_GAMMA, MASK64, MIX_MUL_1, MIX_MUL_2
+from weldlab.cart import Internal, Leaf, _is_leaf
 from weldlab.dataset import Dataset, Run, builtin_aa6262
 
 
@@ -62,6 +63,51 @@ def rejecting_seed(draw: int) -> int:
     """A seed whose stream's draw number `draw` (from 1) is 2^64 - 1, which
     `next_below` rejects for every bound but a power of two."""
     return (unmix64(MASK64) - draw * GOLDEN_GAMMA) & MASK64
+
+
+def sample_subset(rng, n: int, k: int) -> list[int]:
+    """k distinct indices from range(n), sorted ascending: k steps of
+    partial Fisher-Yates, step i swapping position i with i +
+    ``rng.next_below(n - i)``.  The per-node feature subset draw of the
+    determinism contract, one stream at a time; `_rng.lane_subsets` must
+    draw the same subsets on its lanes."""
+    pool = list(range(n))
+    for i in range(k):
+        j = i + rng.next_below(n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return sorted(pool[:k])
+
+
+def subset_tree(X, y, cfg, rng, m: int):
+    """The tree of (X, y) under `cfg` whose nodes each search `m` features
+    drawn from the `SplitMix64` `rng` by `sample_subset`, grown alone by
+    preorder recursion: the reference that every tree that
+    `cart._grow_forests` grows on lanes must equal, tree for tree, with its
+    lane ending where `rng` ends.
+
+    Each node goes through the per-node kernel that `weldlab.cart` binds,
+    so that a test counting that kernel's calls counts the reference's
+    nodes too.
+    """
+    Xl = np.asarray(X, dtype=np.float64).tolist()
+    yl = np.asarray(y, dtype=np.float64).tolist()
+
+    def grow(idx, depth):
+        n = len(idx)
+        ys = [yl[i] for i in idx]
+        if not _is_leaf(cfg, n, depth, min(ys) == max(ys)):
+            feat, thr, children_sse, parent_sse = weldlab.cart._best_split_loops(
+                [Xl[i] for i in idx], ys, sample_subset(rng, len(Xl[0]), m),
+                cfg.min_samples_leaf)
+            decrease = (parent_sse - children_sse) / n
+            if not _is_leaf(cfg, n, depth, False, feat, decrease):
+                return Internal(
+                    feat, thr, decrease, n,
+                    grow([i for i in idx if Xl[i][feat] <= thr], depth + 1),
+                    grow([i for i in idx if not Xl[i][feat] <= thr], depth + 1))
+        return Leaf(float(np.add.reduce(ys) / n), n)
+
+    return grow(list(range(len(yl))), 0)
 
 
 def make_dataset(rows) -> Dataset:

@@ -37,7 +37,7 @@ from weldlab.dataset import bootstrap_indices
 from weldlab.kernels import _best_split_loops
 from weldlab.pipeline import RunConfig, run_pipeline
 
-from conftest import assert_split_optimal
+from conftest import assert_split_optimal, subset_tree
 
 
 def brute_entropy(labels):
@@ -221,14 +221,10 @@ class TestFitRegressionTree:
         with pytest.raises(ValueError):
             build_tree(np.empty((0, 2)), np.empty(0))
 
-    @pytest.mark.parametrize("memo", [None, {}])
-    def test_feature_subset_without_rng_rejected(self, builtin, memo):
-        """It was ignored: every node searched every feature."""
-        X, y = builtin.features(), builtin.responses()
-        with pytest.raises(ValueError, match="needs an rng"):
-            build_tree(X, y, TreeConfig(), None, 1, memo=memo)
-        # searching every feature draws nothing and needs no rng
-        assert build_tree(X, y, TreeConfig(), None, 3, memo=memo) == build_tree(X, y)
+    def test_no_feature_columns_rejected(self):
+        """With nothing to split on, every tree would be a bare leaf."""
+        with pytest.raises(ValueError, match="no feature columns"):
+            build_tree(np.empty((3, 0)), np.ones(3))
 
     @pytest.mark.parametrize("memo", [None, {}])
     @pytest.mark.parametrize("x, y", [
@@ -373,10 +369,12 @@ class TestRowsAndMemo:
                 max_depth=int(gen.integers(0, 3)),
                 min_samples_leaf=int(gen.integers(1, 3)),
             )
-            m = int(gen.integers(1, p + 1))
-            expect = build_tree(X[rows], y[rows], cfg, SplitMix64(trial), m)
-            got = build_tree(X, y, cfg, SplitMix64(trial), m, rows=rows)
+            expect = build_tree(X[rows], y[rows], cfg)
+            got = build_tree(X, y, cfg, rows=rows)
             assert got == expect
+            # Searching every feature, the library's recursion is the
+            # reference recursion.
+            assert got == subset_tree(X[rows], y[rows], cfg, SplitMix64(trial), p)
 
     def test_default_rows_are_every_row_once(self):
         X, y = grid_data(3)
@@ -409,12 +407,11 @@ class TestRowsAndMemo:
         assert tree == build_tree(X, y, rows=np.array(rows, dtype))
         assert tree == build_tree(X[rows], y[rows])
 
-    @pytest.mark.parametrize("m", [3, 1])  # m < p: the memo is ignored
     @pytest.mark.parametrize("bootstrap", [True, False])
     @pytest.mark.parametrize("min_leaf", [1, 2])
     @pytest.mark.parametrize("max_depth", [0, 2])
     def test_memo_on_equals_memo_off(self, builtin, max_depth, min_leaf,
-                                     bootstrap, m):
+                                     bootstrap):
         cfg = TreeConfig(max_depth=max_depth, min_samples_leaf=min_leaf)
         for X, y in [(builtin.features(), builtin.responses()), grid_data(5)]:
             n = y.shape[0]
@@ -425,15 +422,11 @@ class TestRowsAndMemo:
                     for ts in seeds], cfg)
                 for ts in seeds:
                     rows = bootstrap_indices(n, ts) if bootstrap else None
-                    on_rng, off_rng = SplitMix64(ts), SplitMix64(ts)
-                    on = build_tree(X, y, cfg, on_rng, m, rows=rows, memo=memo)
-                    off = build_tree(X, y, cfg, off_rng, m, rows=rows)
+                    on = build_tree(X, y, cfg, rows=rows, memo=memo)
+                    off = build_tree(X, y, cfg, rows=rows)
                     assert on == off
-                    # both trees left the rng stream at the same position
-                    assert on_rng.next_u64() == off_rng.next_u64()
-                    # read from the memo exactly when no node draws
-                    assert any(on is tree for tree in memo.values()) == (
-                        m == X.shape[1])
+                    # read from the memo
+                    assert any(on is tree for tree in memo.values())
 
     def test_memo_tells_depths_apart_under_max_depth(self, builtin):
         X, y = builtin.features(), builtin.responses()
@@ -470,8 +463,7 @@ class TestRowsAndMemo:
         gc.disable()
         try:
             build_tree(X, y, memo=memo_of(X, y, [np.arange(9)], TreeConfig()))
-            build_tree(X, y, TreeConfig(max_depth=2), SplitMix64(1), 2,
-                       rows=[0, 3, 3, 8, 5])
+            build_tree(X, y, TreeConfig(max_depth=2), rows=[0, 3, 3, 8, 5])
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -597,8 +589,9 @@ class TestGrowLevels:
 
 
 class TestGrowLockstep:
-    """`_grow_forests` with lanes, in lockstep, against `build_tree` grown
-    one tree at a time, each with a `SplitMix64` seeded as its lane."""
+    """`_grow_forests` with lanes, in lockstep, against the reference
+    recursion `subset_tree` grown one tree at a time, each with a
+    `SplitMix64` seeded as its lane."""
 
     @pytest.mark.parametrize("kind", ["continuous", "grid"])
     def test_trees_and_lanes_equal_trees_grown_alone(self, kind):
@@ -627,7 +620,7 @@ class TestGrowLockstep:
             for rows, seed, state, tree in zip(roots, seeds, lanes.tolist(),
                                                trees, strict=True):
                 rng = SplitMix64(seed)
-                assert tree == build_tree(X[rows], y[rows], cfg, rng, m)
+                assert tree == subset_tree(X[rows], y[rows], cfg, rng, m)
                 assert state == rng._state
             # Any run of trees builds alone as it builds among all.
             first = int(gen.integers(0, len(roots)))

@@ -470,13 +470,6 @@ class TestSplitMix:
         assert sorted(items) == list(range(20))
         assert items != list(range(20))
 
-    def test_sample_without_replacement_sorted_distinct(self):
-        rng = SplitMix64(8)
-        for _ in range(50):
-            s = rng.sample_without_replacement(10, 4)
-            assert s == sorted(set(s))
-            assert len(s) == 4
-
 
 class TestDatasetInvariants:
     def test_two_run_minimum(self):

@@ -42,7 +42,7 @@ from weldlab.ensemble import (
     save_model,
 )
 
-from conftest import lane_draws, make_dataset
+from conftest import lane_draws, make_dataset, subset_tree
 
 HARDNESS_RANGE = (58.3, 74.2)
 
@@ -258,7 +258,7 @@ class TestForestSharedSubtrees:
             for tree, ts in zip(model.trees, model.tree_seeds):
                 rows = bootstrap_indices(9, ts) if bootstrap else list(range(9))
                 rng = SplitMix64(derive_seed(ts, 1))
-                assert tree == build_tree(X[rows], y[rows], cfg, rng, m)
+                assert tree == subset_tree(X[rows], y[rows], cfg, rng, m)
 
     def test_identical_trees_are_built_once(self, builtin, scored_nodes):
         single = fit_random_forest(builtin, trees=1, seed=3, bootstrap=False)
@@ -319,7 +319,8 @@ def factorial_81(seed=0):
 class TestLockstepGrowth:
     """Forests that search m < p features per split grow in lockstep
     (`cart._grow_forests` with lanes): every tree of the call must equal
-    the preorder recursion of `build_tree` grown alone, draw for draw."""
+    the reference preorder recursion `subset_tree` grown alone, draw for
+    draw."""
 
     @staticmethod
     def _stage(d, spec, k, monkeypatch):
@@ -359,10 +360,8 @@ class TestLockstepGrowth:
         for model, train in stage:
             for tree, ts in zip(model.trees, model.tree_seeds, strict=True):
                 rows = self._tree_rows(train, ts, bootstrap)
-                assert tree == build_tree(
-                    X[rows], y[rows], cfg, rng=SplitMix64(derive_seed(ts, 1)),
-                    n_feature_candidates=m,
-                )
+                assert tree == subset_tree(
+                    X[rows], y[rows], cfg, SplitMix64(derive_seed(ts, 1)), m)
 
     @pytest.mark.parametrize("data", ["builtin", "factorial"])
     def test_draws_per_forest_match_the_recursion(self, builtin, monkeypatch, data):
@@ -391,7 +390,7 @@ class TestLockstepGrowth:
             for ts in model.tree_seeds:
                 rows = self._tree_rows(train, ts, True)
                 rng = SplitMix64(derive_seed(ts, 1))
-                build_tree(X[rows], y[rows], cfg, rng, 2)
+                subset_tree(X[rows], y[rows], cfg, rng, 2)
                 alone.append(lane_draws(derive_seed(ts, 1), rng._state))
         assert seeds == [derive_seed(ts, 1) for model, _ in stage
                          for ts in model.tree_seeds]
@@ -406,7 +405,6 @@ class TestLockstepGrowth:
         def refuse(*args):
             raise AssertionError("a per-node call in the lockstep path")
 
-        monkeypatch.setattr(SplitMix64, "sample_without_replacement", refuse)
         monkeypatch.setattr(SplitMix64, "next_below", refuse)
         model = fit_model(factorial_81(), ModelSpec(kind="rf", trees=20, m=2, seed=3))
         # Every root split: the fit grew nodes below them.
@@ -436,8 +434,8 @@ class TestLockstepGrowth:
         X, y = d.features(), d.responses()
         for tree, ts in zip(model.trees, model.tree_seeds, strict=True):
             rows = bootstrap_indices(len(d), ts)
-            assert tree == build_tree(X[rows], y[rows], spec.config,
-                                      SplitMix64(derive_seed(ts, 1)), 2)
+            assert tree == subset_tree(X[rows], y[rows], spec.config,
+                                       SplitMix64(derive_seed(ts, 1)), 2)
         # The calls held one real node per node the recursion scores.
         assert scored_nodes["best_splits"] == scored_nodes["per_node"]
 

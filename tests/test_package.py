@@ -1,6 +1,7 @@
 """Checks over the package source as a whole."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import weldlab
@@ -8,34 +9,42 @@ import weldlab
 PACKAGE = Path(weldlab.__file__).parent
 
 
-def _references(tree: ast.AST) -> set[str]:
-    """Every name that code in `tree` refers to, as a name or an attribute.
-    An import is not a use: a helper that is still imported after its last
-    caller went is dead too."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
+def _references(tree: ast.AST) -> Counter:
+    """How often code in `tree` refers to each name, as a name or an
+    attribute.  An import is not a use: a helper that is still imported
+    after its last caller went is dead too."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
 
 
 def test_every_private_helper_is_used():
-    """A private module-level function or class that nothing in the package
-    refers to (its own body aside) is dead code, such as a helper left
-    behind when its last caller was refactored away."""
-    private, used = {}, set()
+    """A helper that nothing in the package refers to (its own body aside)
+    is dead code, such as one left behind when its last caller was
+    refactored away.  The helpers are the private module-level functions
+    and classes, and the methods of the classes of a private module
+    (`_rng`), which only the package calls."""
+    helpers, used = {}, Counter()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            names = _references(node)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                names.discard(node.name)
-                if node.name.startswith("_") and not node.name.startswith("__"):
-                    private[node.name] = f"{path.name}:{node.lineno}"
-            used |= names
-    assert {name: at for name, at in private.items() if name not in used} == {}
+            used += _references(node)
+            if not isinstance(node, _DEFINITIONS):
+                continue
+            defs = [node] if _private(node.name) else []
+            if isinstance(node, ast.ClassDef) and _private(path.stem):
+                defs += [d for d in node.body if isinstance(d, _DEFINITIONS)
+                         and not d.name.startswith("__")]
+            for d in defs:
+                helpers[f"{path.name}:{d.lineno} {d.name}"] = d
+    assert [at for at, d in helpers.items()
+            if used[d.name] == _references(d)[d.name]] == []
 
 
 _BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum"}

@@ -2,7 +2,7 @@
 
 A lane must reproduce `SplitMix64` draw for draw, rejections included, so
 that a forest grown in lockstep draws the feature subsets that each tree
-grown alone would draw.
+grown alone would draw (`conftest.sample_subset`, one stream at a time).
 """
 
 import numpy as np
@@ -11,7 +11,7 @@ import pytest
 from weldlab._rng import MASK64, SplitMix64, lane_subsets, mix64
 from weldlab.dataset import bootstrap_indices
 
-from conftest import lane_draws, rejecting_seed, unmix64
+from conftest import lane_draws, rejecting_seed, sample_subset, unmix64
 
 
 class TestUnmix:
@@ -47,7 +47,7 @@ class TestLaneSubsets:
             got = lane_subsets(lanes, np.array(which), n, k)
             assert got.dtype == np.int64 and got.shape == (len(which), k)
             assert got.tolist() == [
-                rngs[t].sample_without_replacement(n, k) for t in which]
+                sample_subset(rngs[t], n, k) for t in which]
             assert lanes.tolist() == [r._state for r in rngs]
 
     @pytest.mark.parametrize("draw", [1, 3])
@@ -59,7 +59,7 @@ class TestLaneSubsets:
         got = lane_subsets(lanes, np.arange(len(seeds)), 5, 3)
         for row, seed, state in zip(got.tolist(), seeds, lanes.tolist()):
             rng = SplitMix64(seed)
-            assert row == rng.sample_without_replacement(5, 3)
+            assert row == sample_subset(rng, 5, 3)
             assert state == rng._state
         assert [lane_draws(s, e) for s, e in zip(seeds, lanes.tolist())] == [3, 4, 3, 3]
 
@@ -68,8 +68,15 @@ class TestLaneSubsets:
         lanes = np.array([seed], dtype=np.uint64)
         got = lane_subsets(lanes, np.array([0]), 4, 1)
         rng = SplitMix64(seed)
-        assert got.tolist() == [rng.sample_without_replacement(4, 1)]
+        assert got.tolist() == [sample_subset(rng, 4, 1)]
         assert lane_draws(seed, int(lanes[0])) == 1
+
+    def test_rows_sorted_distinct_in_range(self):
+        lanes = np.arange(50, dtype=np.uint64)
+        for n, k in [(10, 4), (3, 3), (9, 1)]:
+            for row in lane_subsets(lanes, np.arange(50), n, k).tolist():
+                assert row == sorted(set(row))
+                assert len(row) == k and 0 <= row[0] and row[-1] < n
 
     def test_lanes_not_drawn_stay(self):
         lanes = np.array([5, 6, 7], dtype=np.uint64)
