@@ -221,10 +221,12 @@ class TestFitRegressionTree:
         with pytest.raises(ValueError):
             build_tree(np.empty((0, 2)), np.empty(0))
 
-    def test_no_feature_columns_rejected(self):
-        """With nothing to split on, every tree would be a bare leaf."""
+    @pytest.mark.parametrize("memo", [None, {}])
+    def test_no_feature_columns_rejected(self, memo):
+        """With nothing to split on, every tree would be a bare leaf; the
+        check comes before any memo read."""
         with pytest.raises(ValueError, match="no feature columns"):
-            build_tree(np.empty((3, 0)), np.ones(3))
+            build_tree(np.empty((3, 0)), np.ones(3), memo=memo)
 
     @pytest.mark.parametrize("memo", [None, {}])
     @pytest.mark.parametrize("x, y", [
@@ -407,26 +409,42 @@ class TestRowsAndMemo:
         assert tree == build_tree(X, y, rows=np.array(rows, dtype))
         assert tree == build_tree(X[rows], y[rows])
 
+    @pytest.mark.parametrize("m", [3, 1])  # m < p: lanes, and no memo
     @pytest.mark.parametrize("bootstrap", [True, False])
     @pytest.mark.parametrize("min_leaf", [1, 2])
     @pytest.mark.parametrize("max_depth", [0, 2])
     def test_memo_on_equals_memo_off(self, builtin, max_depth, min_leaf,
-                                     bootstrap):
+                                     bootstrap, m):
+        """A forest's tree equals the tree grown alone: at m = p read back
+        from the keyed pass's memo, at m < p taken from a pass on lanes,
+        which keys nothing, against the reference recursion."""
         cfg = TreeConfig(max_depth=max_depth, min_samples_leaf=min_leaf)
         for X, y in [(builtin.features(), builtin.responses()), grid_data(5)]:
-            n = y.shape[0]
+            n, p = X.shape
             for seed in range(3):
                 seeds = [derive_seed(seed, t) for t in range(20)]
-                memo = memo_of(X, y, [
-                    bootstrap_indices(n, ts) if bootstrap else np.arange(n)
-                    for ts in seeds], cfg)
-                for ts in seeds:
-                    rows = bootstrap_indices(n, ts) if bootstrap else None
-                    on = build_tree(X, y, cfg, rows=rows, memo=memo)
-                    off = build_tree(X, y, cfg, rows=rows)
+                roots = [bootstrap_indices(n, ts) if bootstrap
+                         else np.arange(n) for ts in seeds]
+                memo = memo_of(X, y, roots, cfg)
+                lanes = np.array(seeds, dtype=np.uint64)
+                if m < p:
+                    rec, keys = _grow_forests(X, y, roots, cfg, lanes, m)
+                    assert keys == []
+                    laned = _build_trees(rec, np.arange(rec.n.size))
+                for t, (ts, rows) in enumerate(zip(seeds, roots)):
+                    if m == p:
+                        rows = rows if bootstrap else None
+                        on = build_tree(X, y, cfg, rows=rows, memo=memo)
+                        off = build_tree(X, y, cfg, rows=rows)
+                    else:
+                        on, rng = laned[t], SplitMix64(ts)
+                        off = subset_tree(X[rows], y[rows], cfg, rng, m)
+                        # both left the rng stream at the same position
+                        assert int(lanes[t]) == rng._state
                     assert on == off
-                    # read from the memo
-                    assert any(on is tree for tree in memo.values())
+                    # read from the memo exactly when no node draws
+                    assert any(on is tree for tree in memo.values()) == (
+                        m == p)
 
     def test_memo_tells_depths_apart_under_max_depth(self, builtin):
         X, y = builtin.features(), builtin.responses()
