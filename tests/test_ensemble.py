@@ -1094,6 +1094,7 @@ class TestSerialization:
             predict_ensemble_many(model, X), predict_ensemble_many(loaded, X)
         )
         assert loaded.tree_seeds == model.tree_seeds
+        assert loaded == model
 
     def test_gbm_roundtrip_identical_predictions(self, builtin, tmp_path):
         model = fit_gbm(builtin, rounds=15, cfg=TreeConfig(max_depth=3), nu=0.3)
@@ -1101,9 +1102,13 @@ class TestSerialization:
         save_model(model, path)
         loaded = load_model(path)
         X = builtin.features()
-        a = predict_ensemble_many(model, X)
-        b = predict_ensemble_many(loaded, X)
-        assert np.max(np.abs(a - b)) <= 1e-12
+        assert np.array_equal(predict_ensemble_many(model, X),
+                              predict_ensemble_many(loaded, X))
+        assert loaded == model
+
+    def test_non_model_rejected_with_its_type(self):
+        with pytest.raises(TypeError, match="cannot serialize Leaf"):
+            model_to_json(Leaf(1.0, 1))
 
     def test_json_stable(self, builtin):
         model = fit_random_forest(builtin, trees=5, seed=3)

@@ -32,9 +32,10 @@ from unittest import mock
 
 import pytest
 
+from weldlab.cart import TreeConfig
 from weldlab.cli import main
 from weldlab.dataset import builtin_aa6262, write_csv
-from weldlab.ensemble import fit_gbm, fit_random_forest, model_to_json
+from weldlab.ensemble import fit_gbm, fit_random_forest, model_from_json, model_to_json
 from weldlab.pipeline import RunConfig, render, report_json, report_text, run_pipeline
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
@@ -83,7 +84,8 @@ def _cli_cases() -> dict[str, list[str]]:
 PIPELINE_CASES = _pipeline_cases()
 CLI_CASES = _cli_cases()
 # The model of each case on the builtin data, and the SHA-256 of its
-# `model_to_json` text.  Boosting is at lam 0.
+# `model_to_json` text.  The first two keep every config field, `bootstrap`
+# and lam at their defaults; the last two set each of them.
 MODEL_CASES = {
     "rf-t5-m2-s0": (
         lambda d: fit_random_forest(d, trees=5, m=2, seed=0),
@@ -91,6 +93,16 @@ MODEL_CASES = {
     "gbm-r5-s0": (
         lambda d: fit_gbm(d, rounds=5, seed=0),
         "894e65868cab6ede56b0b0397dac0d08199e16a465d5a1a631ea057096e7a7e4"),
+    "rf-t4-m2-nobs-d2-s9": (
+        lambda d: fit_random_forest(
+            d, trees=4, m=2, bootstrap=False,
+            cfg=TreeConfig(max_depth=2, min_samples_leaf=2,
+                           min_impurity_decrease=0.05), seed=9),
+        "d890d28634d850cc76db34894885ddaee6dab62deaedda8f0891ed0ba67f57ec"),
+    "gbm-r4-d2-nu05-lam1-s3": (
+        lambda d: fit_gbm(d, rounds=4, cfg=TreeConfig(max_depth=2), nu=0.5,
+                          lam=1.0, seed=3),
+        "274cdf042187304b50c369b322fede52189a407b20c2b57b693d28da8e1b40b7"),
 }
 
 
@@ -154,6 +166,13 @@ def test_cli_outputs_match_golden(case, golden, tmp_path, monkeypatch):
 def test_model_file_matches_golden(case):
     fit, digest = MODEL_CASES[case]
     assert _sha(model_to_json(fit(builtin_aa6262()))) == digest
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_CASES))
+def test_model_file_round_trips_to_an_equal_model(case):
+    # NamedTuple equality compares every field, trees and config included.
+    model = MODEL_CASES[case][0](builtin_aa6262())
+    assert model_from_json(model_to_json(model)) == model
 
 
 def _generate() -> dict:
