@@ -6,8 +6,7 @@ commit's, made with ``git worktree`` or ``git clone``)::
 
     python3 bench/layers.py --against ../weldlab-parent --out BENCH.json
 
-Each of `PAIRS` pairs times one op on both checkouts in fresh processes,
-one after the other, alternating which side goes first.  The ops:
+Each op is timed in `PAIRS` pairs.  The ops:
 
 * ``report-rf``: the default report (``RunConfig()``), in process;
 * ``report-gbm``: the default gbm report (``RunConfig(model="gbm")``);
@@ -17,24 +16,33 @@ one after the other, alternating which side goes first.  The ops:
 * ``cli-cold``: one cycle of the four perfbench CLI subcommands, each a
   fresh ``python -m weldlab.cli`` process.
 
-An in-process side runs a warm-up op and then `REPS` timed ops in one
-process, and its pair sample is their median; a cli-cold sample is one
-cycle, after one untimed cycle per side that writes the bytecode caches.
-Both sides import weldlab from their own ``src/`` and run this file's
-harness.  The output records, per op and side, the median and quartiles of
-wall and process-CPU time over the pairs, the pairs each side won (ties
-count for neither), the median peak RSS and whether both sides printed the
-same bytes.  No dependency beyond the standard library and weldlab's.
+An in-process pair is one fresh process that imports both checkouts'
+``src/weldlab``, each under its own package name (`load_copy`), runs one
+untimed op on each, and then alternates single ops of the two `REPS`
+times, switching which side runs first.  Side by side in one process, the
+two see the same machine state, which separate processes on a noisy host
+do not.  Its pair sample per side is the median over its ops, and it also
+records the median ratio of the process CPU times of adjacent ops, this
+checkout over the other.  A cli-cold pair runs one cycle per side in fresh
+processes, alternating which side goes first, after one untimed cycle per
+side that writes the bytecode caches.  The output records, per op and
+side, the median and quartiles of wall and process-CPU time over the
+pairs, the pairs each side won (ties count for neither) and whether both
+sides printed the same bytes; per in-process op, the quartiles of the
+pairs' CPU ratios; and per cli-cold side, the median peak RSS.  Peak RSS
+needs a process per side, so in-process ops do not report it; perfbench's
+``peak_rss_mb`` covers them.  No dependency beyond the standard library and
+weldlab's.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import platform
-import resource
 import statistics
 import subprocess
 import sys
@@ -43,11 +51,9 @@ from pathlib import Path
 from time import perf_counter, process_time
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-from workloads import CLI_COMMANDS, factorial_rows, write_design  # noqa: E402
-
+SIDES = ("here", "against")
 PAIRS = 12  # alternating pairs per op
-REPS = 5  # timed in-process ops per side and pair
+REPS = 10  # alternations of single in-process ops per pair
 # RunConfig arguments of each in-process op; ops run in a directory that
 # holds the design file.
 IN_PROCESS = {
@@ -63,23 +69,53 @@ ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
        "MKL_NUM_THREADS": "1"}
 
 
-def child(op: str) -> None:
-    """Time `REPS` ops of `op` after a warm-up and print one JSON line."""
-    from weldlab.pipeline import RunConfig, report_json, report_text, run_pipeline
+def load_copy(src: Path, name: str):
+    """Import the weldlab package in the directory `src` as the package
+    `name`.  The package imports its own modules only relatively, so each
+    copy's modules resolve within that copy, beside any other."""
+    spec = importlib.util.spec_from_file_location(
+        name, src / "weldlab" / "__init__.py",
+        submodule_search_locations=[str(src / "weldlab")])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
 
-    cfg = RunConfig(**IN_PROCESS[op])
-    wall, cpu = [], []
-    for rep in range(REPS + 1):
-        t0, c0 = perf_counter(), process_time()
-        doc = run_pipeline(cfg)
-        data = (report_json(doc) + report_text(doc)).encode()
-        if rep:
-            wall.append(perf_counter() - t0)
-            cpu.append(process_time() - c0)
+
+def report_bytes(pipeline, kwargs: dict) -> bytes:
+    """The JSON and text report of ``RunConfig(**kwargs)`` from `pipeline`,
+    one copy's ``weldlab.pipeline`` module."""
+    doc = pipeline.run_pipeline(pipeline.RunConfig(**kwargs))
+    return (pipeline.report_json(doc) + pipeline.report_text(doc)).encode()
+
+
+def child(op: str, pair: str, *roots: str) -> None:
+    """One in-process pair of `op`: print one JSON line with each side's
+    median wall and CPU time, the digest of its outputs, and the median
+    CPU ratio of adjacent ops, here over against."""
+    order = SIDES if int(pair) % 2 == 0 else SIDES[::-1]
+    pipelines = {}
+    for side, root in zip(SIDES, roots):
+        load_copy(Path(root, "src"), f"weldlab_{side}")
+        pipelines[side] = importlib.import_module(f"weldlab_{side}.pipeline")
+    digests = {side: hashlib.sha256() for side in SIDES}
+    for side in order:  # warm-up
+        digests[side].update(report_bytes(pipelines[side], IN_PROCESS[op]))
+    wall = {side: [] for side in SIDES}
+    cpu = {side: [] for side in SIDES}
+    for rep in range(REPS):
+        for side in order if rep % 2 == 0 else order[::-1]:
+            t0, c0 = perf_counter(), process_time()
+            data = report_bytes(pipelines[side], IN_PROCESS[op])
+            cpu[side].append(process_time() - c0)
+            wall[side].append(perf_counter() - t0)
+            digests[side].update(data)
     print(json.dumps({
-        "wall_s": statistics.median(wall), "cpu_s": statistics.median(cpu),
-        "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        "sha256": hashlib.sha256(data).hexdigest(),
+        **{side: {"wall_s": statistics.median(wall[side]),
+                  "cpu_s": statistics.median(cpu[side]),
+                  "sha256": digests[side].hexdigest()} for side in SIDES},
+        "cpu_ratio": statistics.median(
+            h / a for h, a in zip(cpu["here"], cpu["against"])),
     }))
 
 
@@ -87,21 +123,22 @@ def _env(side: Path) -> dict:
     return {**os.environ, **ENV, "PYTHONPATH": str(side / "src")}
 
 
-def run_in_process(side: Path, op: str, work: Path) -> dict:
+def run_in_process_pair(sides: dict, op: str, pair: int, work: Path) -> dict:
     out = subprocess.run(
-        [sys.executable, __file__, "--child", op],
-        cwd=work, env=_env(side), stdin=subprocess.DEVNULL,
+        [sys.executable, __file__, "--child", op, str(pair),
+         *(str(sides[side]) for side in SIDES)],
+        cwd=work, env={**os.environ, **ENV}, stdin=subprocess.DEVNULL,
         capture_output=True, text=True, check=True).stdout
     return json.loads(out.splitlines()[-1])
 
 
-def run_cli_cycle(side: Path, work: Path) -> dict:
+def run_cli_cycle(side: Path, work: Path, commands) -> dict:
     """One cycle of the perfbench subcommands in fresh processes: wall time,
     CPU time of the children, their peak RSS and a digest of their output."""
     wall = cpu = 0.0
     peak = 0
     digest = hashlib.sha256()
-    for cmd in CLI_COMMANDS:
+    for cmd in commands:
         t0 = perf_counter()
         proc = subprocess.Popen(
             [sys.executable, "-m", "weldlab.cli", *cmd, "--seed", "0"],
@@ -119,22 +156,21 @@ def run_cli_cycle(side: Path, work: Path) -> dict:
             "sha256": digest.hexdigest()}
 
 
-def summary(samples: list[dict]) -> dict:
-    out = {}
-    for metric in ("wall_s", "cpu_s"):
-        xs = [s[metric] for s in samples]
-        q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-        out[metric] = {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1,
-                       "samples": xs}
-    out["peak_rss_mb"] = statistics.median(
-        s["peak_rss_kb"] for s in samples) / 1024.0
+def quartiles(xs: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "samples": xs}
+
+
+def summary(mine: list[dict], theirs: list[dict]) -> dict:
+    out = {metric: quartiles([s[metric] for s in mine])
+           for metric in ("wall_s", "cpu_s")}
+    out["pairs_won"] = {
+        metric: sum(a[metric] < b[metric] for a, b in zip(mine, theirs))
+        for metric in ("wall_s", "cpu_s")}
+    if "peak_rss_kb" in mine[0]:
+        out["peak_rss_mb"] = statistics.median(
+            s["peak_rss_kb"] for s in mine) / 1024.0
     return out
-
-
-def measure(op: str, side: Path, work: Path) -> dict:
-    if op == "cli-cold":
-        return run_cli_cycle(side, work)
-    return run_in_process(side, op, work)
 
 
 def git_head(side: Path) -> str:
@@ -152,6 +188,9 @@ def main() -> int:
                     help="the other checkout's root")
     ap.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = ap.parse_args()
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import CLI_COMMANDS, factorial_rows, write_design
+
     sides = {"here": ROOT, "against": args.against.resolve()}
     result = {"meta": {
         "python": platform.python_version(), "machine": platform.machine(),
@@ -162,23 +201,30 @@ def main() -> int:
         work = Path(tmp)
         write_design(work / "ff81.csv", factorial_rows(FF81_SEED))
         for op in OPS:
-            if op == "cli-cold":  # untimed: writes the bytecode caches
-                for side in sides.values():
-                    measure(op, side, work)
-            samples = {name: [] for name in sides}
+            samples = {name: [] for name in SIDES}
+            ratios = []
+            if op == "cli-cold":
+                for side in sides.values():  # untimed: writes the bytecode caches
+                    run_cli_cycle(side, work, CLI_COMMANDS)
             for pair in range(PAIRS):
-                for name in sides if pair % 2 == 0 else reversed(sides):
-                    samples[name].append(measure(op, sides[name], work))
+                if op == "cli-cold":
+                    for name in SIDES if pair % 2 == 0 else SIDES[::-1]:
+                        samples[name].append(
+                            run_cli_cycle(sides[name], work, CLI_COMMANDS))
+                    continue
+                sample = run_in_process_pair(sides, op, pair, work)
+                for name in SIDES:
+                    samples[name].append(sample[name])
+                ratios.append(sample["cpu_ratio"])
             here, against = samples["here"], samples["against"]
-            result["ops"][op] = {name: {**summary(mine), "pairs_won": {
-                metric: sum(a[metric] < b[metric] for a, b in zip(mine, theirs))
-                for metric in ("wall_s", "cpu_s")}}
-                for name, mine, theirs in (("here", here, against),
-                                           ("against", against, here))}
+            result["ops"][op] = {"here": summary(here, against),
+                                 "against": summary(against, here)}
+            if ratios:
+                result["ops"][op]["cpu_ratio"] = quartiles(ratios)
             result["ops"][op]["same_output"] = len(
                 {s["sha256"] for s in here + against}) == 1
             print(op, {name: round(result["ops"][op][name]["cpu_s"]["median"], 4)
-                       for name in sides}, flush=True)
+                       for name in SIDES}, flush=True)
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0
 

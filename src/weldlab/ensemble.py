@@ -44,7 +44,7 @@ on the residuals.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -495,11 +495,11 @@ def _node_from_dict(obj, n_features: int) -> TreeNode:
         raise ValueError("a tree node must be a JSON object with exactly one "
                          "of 'leaf' and 'split'")
     if "leaf" in obj:
-        value, n = _fields(obj["leaf"], "a leaf", ("value", "n"))
+        value, n = _fields(obj["leaf"], "a leaf", Leaf._fields)
         return Leaf(value=float(_real(value, "leaf value")),
                     n=_integer(n, "leaf n", 1))
-    feature, threshold, decrease, n, left, right = _fields(obj["split"], "a split", (
-        "feature", "threshold", "decrease", "n", "left", "right"))
+    feature, threshold, decrease, n, left, right = _fields(
+        obj["split"], "a split", Internal._fields)
     return Internal(
         feature=_integer(feature, "split feature", 0, n_features),
         threshold=float(_real(threshold, "split threshold")),
@@ -510,42 +510,18 @@ def _node_from_dict(obj, n_features: int) -> TreeNode:
     )
 
 
-def _config_to_dict(cfg: TreeConfig) -> dict:
-    return {
-        "max_depth": cfg.max_depth,
-        "min_samples_leaf": cfg.min_samples_leaf,
-        "min_impurity_decrease": cfg.min_impurity_decrease,
-    }
-
-
 def model_to_json(model: EnsembleModel) -> str:
-    """Versioned JSON document; floats use repr so round-trips are exact."""
-    doc: dict = {"format": MODEL_FORMAT, "version": MODEL_VERSION}
-    if isinstance(model, ForestModel):
-        doc.update(
-            kind="rf",
-            n_features=model.n_features,
-            m=model.m,
-            bootstrap=model.bootstrap,
-            seed=model.seed,
-            tree_seeds=list(model.tree_seeds),
-            config=_config_to_dict(model.config),
-            trees=[_node_to_dict(t) for t in model.trees],
-        )
-    elif isinstance(model, BoostModel):
-        doc.update(
-            kind="gbm",
-            n_features=model.n_features,
-            f0=model.f0,
-            nu=model.nu,
-            lam=model.lam,
-            seed=model.seed,
-            config=_config_to_dict(model.config),
-            train_mse=list(model.train_mse),
-            trees=[_node_to_dict(t) for t in model.stages],
-        )
-    else:
+    """Versioned JSON document of the model's own fields, a boosted model's
+    `stages` written under ``trees``; floats use repr so round-trips are
+    exact."""
+    if not isinstance(model, (ForestModel, BoostModel)):
         raise TypeError(f"cannot serialize {type(model).__name__}")
+    doc = model._asdict()
+    forest = isinstance(model, ForestModel)
+    trees = doc.pop("trees" if forest else "stages")
+    doc.update(format=MODEL_FORMAT, version=MODEL_VERSION,
+               kind="rf" if forest else "gbm", config=asdict(model.config),
+               trees=[_node_to_dict(t) for t in trees])
     return json.dumps(doc, sort_keys=True)
 
 
@@ -560,8 +536,8 @@ def model_from_json(text: str) -> EnsembleModel:
         raise ValueError(f"unsupported model version {doc.get('version')}")
     kind, config, n_features, seed, trees = _fields(
         doc, "the model", ("kind", "config", "n_features", "seed", "trees"))
-    cfg = TreeConfig(*_fields(config, "config", (
-        "max_depth", "min_samples_leaf", "min_impurity_decrease")))
+    cfg = TreeConfig(*_fields(config, "config",
+                              [f.name for f in fields(TreeConfig)]))
     n_features = _integer(n_features, "n_features", 1)
     trees = tuple(_node_from_dict(t, n_features)
                   for t in _list(trees, "trees"))

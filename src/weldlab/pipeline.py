@@ -248,13 +248,7 @@ def _anova(d, cfg: RunConfig):
         "total": {"source": "Total", "df": table.total.df,
                   "adj_ss": _sig6(table.total.adj_ss)},
         "significant": list(table.significant_sources()),
-        "model_summary": {
-            "s": _sig6(summary.s),
-            "r_sq": _sig6(summary.r_sq),
-            "r_sq_adjusted": _sig6(summary.r_sq_adjusted),
-            "r_sq_predicted": _sig6(summary.r_sq_predicted),
-            "press": _sig6(summary.press),
-        },
+        "model_summary": {k: _sig6(v) for k, v in summary._asdict().items()},
     }
     return section, [], [published.Discrepancy(
         topic="total sum of squares",
@@ -284,11 +278,9 @@ def _model(d, cfg: RunConfig):
             "min_samples_leaf": spec.config.min_samples_leaf,
             "cv": cfg.cv,
         },
-        "training": _metrics_dict(train_metrics),
-        "cv_pooled": _metrics_dict(cv.pooled),
-        "cv_folds": [
-            None if m is None else _metrics_dict(m) for m in cv.fold_metrics
-        ],
+        "training": train_metrics._asdict(),
+        "cv_pooled": cv.pooled._asdict(),
+        "cv_folds": [None if m is None else m._asdict() for m in cv.fold_metrics],
         "feature_importance": {
             name: importance.scores[i] for i, name in enumerate(d.FACTOR_NAMES)
         },
@@ -333,10 +325,6 @@ def _sig6(v):
     if v is None:
         return None
     return float(f"{v:.6g}")
-
-
-def _metrics_dict(m) -> dict:
-    return {"mse": m.mse, "mae": m.mae, "r_sq": m.r_sq}
 
 
 def _combination_dicts(combination) -> list[dict]:

@@ -1,8 +1,12 @@
 """Checks over the package source as a whole."""
 
 import ast
+import importlib
+import importlib.util
+import sys
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import weldlab
 
@@ -109,3 +113,22 @@ def test_every_frozen_dataclass_checks_its_input():
                         if isinstance(s, ast.FunctionDef)}):
                 found.append(f"{path.name}:{node.lineno} {node.name}")
     assert found == []
+
+
+def test_two_copies_of_the_package_print_the_same_report():
+    # bench/layers.py times two checkouts in one process, each imported under
+    # its own package name, so each copy must import only itself: here an
+    # import of `weldlab` itself fails.
+    spec = importlib.util.spec_from_file_location(
+        "layers", PACKAGE.parents[1] / "bench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    hidden = {m: None for m in sys.modules
+              if m == "weldlab" or m.startswith("weldlab.")}
+    reports = []
+    with mock.patch.dict(sys.modules, hidden):
+        for name in ("weldlab_copy_a", "weldlab_copy_b"):
+            layers.load_copy(PACKAGE.parent, name)
+            pipeline = importlib.import_module(f"{name}.pipeline")
+            reports.append(layers.report_bytes(pipeline, {}))
+    assert reports[0] == reports[1]
