@@ -5,8 +5,10 @@ and, for every format, the ordered file list and every file's bytes from
 ``render``.  Each CLI case records the exit code, stdout and stderr of
 ``main()``.  The cases are rf/gbm x m 2/3 x loo/k:3 x seeds 0/7 with small
 models, one CSV input read through a relative path, the nominal criterion
-(a recorded stage error in the pipeline, a usage error at the CLI) and the
-smaller criterion with boosting settings.  Each model case records the
+(a recorded stage error in the pipeline, a usage error at the CLI), the
+smaller criterion with boosting settings, and rf at m 2 and 3 on a
+replicated full factorial read from CSV, whose trees reach nodes where every
+run shares one factor setting but the responses differ.  Each model case records the
 bytes of one saved model file (``model_to_json``).
 Every case runs in an empty working directory and uses relative paths, so
 no temporary path reaches the bytes.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -34,13 +37,28 @@ import pytest
 
 from weldlab.cart import TreeConfig
 from weldlab.cli import main
-from weldlab.dataset import builtin_aa6262, write_csv
+from weldlab.dataset import Dataset, Run, builtin_aa6262, write_csv
 from weldlab.ensemble import fit_gbm, fit_random_forest, model_from_json, model_to_json
 from weldlab.pipeline import RunConfig, render, report_json, report_text, run_pipeline
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 CSV_INPUT = "runs.csv"
+REPLICATED_INPUT = "replicated.csv"
 SMALL = {"trees": 8, "rounds": 6}
+
+
+def replicated_factorial() -> Dataset:
+    """The 3^3 full factorial over the builtin levels, each trial run three
+    times: an additive response plus a fixed offset per run, so that the
+    runs of one trial differ."""
+    levels = ((800.0, 1000.0, 1200.0), (40.0, 50.0, 60.0), (0.1, 0.2, 0.3))
+    runs = []
+    for rep in range(3):
+        for a, b, c in itertools.product(range(3), repeat=3):
+            offset = ((7 * len(runs) + 3 * rep) % 11 - 5) * 0.4
+            runs.append(Run(levels[0][a], levels[1][b], levels[2][c],
+                            round(60.0 + 2.0 * a - 3.0 * b + c + offset, 2)))
+    return Dataset(runs=tuple(runs))
 
 
 def _pipeline_cases() -> dict[str, dict]:
@@ -59,6 +77,11 @@ def _pipeline_cases() -> dict[str, dict]:
         "criterion": "smaller", "model": "gbm", "nu": 0.5, "lam": 1.0,
         "depth": 2, "seed": 5,
     }
+    for m in (2, 3):
+        cases[f"replicated-rf-m{m}-k3"] = {
+            "input_path": REPLICATED_INPUT, "builtin": None, "model": "rf",
+            "m": m, "cv": "k:3", "trees": 20, "seed": 4,
+        }
     return {name: {**SMALL, **kw} for name, kw in cases.items()}
 
 
@@ -115,6 +138,7 @@ def _sha(data) -> str:
 def pipeline_digests(kwargs: dict) -> dict[str, str]:
     """Digests of every output of one pipeline case, run in the current directory."""
     write_csv(builtin_aa6262(), CSV_INPUT)
+    write_csv(replicated_factorial(), REPLICATED_INPUT)
     doc = run_pipeline(RunConfig(**kwargs))
     digests = {"report_text": _sha(report_text(doc)), "report_json": _sha(report_json(doc))}
     for fmt in ("text", "json", "csv"):
