@@ -25,14 +25,24 @@ do not.  Its pair sample per side is the median over its ops, and it also
 records the median ratio of the process CPU times of adjacent ops, this
 checkout over the other.  A cli-cold pair runs one cycle per side in fresh
 processes, alternating which side goes first, after one untimed cycle per
-side that writes the bytecode caches.  The output records, per op and
-side, the median and quartiles of wall and process-CPU time over the
-pairs, the pairs each side won (ties count for neither) and whether both
-sides printed the same bytes; per in-process op, the quartiles of the
-pairs' CPU ratios; and per cli-cold side, the median peak RSS.  Peak RSS
-needs a process per side, so in-process ops do not report it; perfbench's
-``peak_rss_mb`` covers them.  No dependency beyond the standard library and
-weldlab's.
+side that writes the bytecode caches.  A side's CLI processes run with
+bytecode writing on (``PYTHONDONTWRITEBYTECODE`` is dropped from their
+environment) and a bytecode cache directory of their own
+(``PYTHONPYCACHEPREFIX``), empty when the script starts: both sides are
+timed with complete caches of every module they import, and no
+``__pycache__`` directory in a checkout is read.  Under
+``PYTHONDONTWRITEBYTECODE=1`` a side with stale ``__pycache__`` files would
+otherwise recompile those modules in every process.  perfbench instead
+runs a fresh checkout in the environment as it is, where under that
+setting weldlab's modules compile in every process.
+
+The output records, per op and side, the median and quartiles of wall and
+process-CPU time over the pairs, the pairs each side won (ties count for
+neither) and whether both sides printed the same bytes; per in-process op,
+the quartiles of the pairs' CPU ratios; and per cli-cold side, the median
+peak RSS.  Peak RSS needs a process per side, so in-process ops do not
+report it; perfbench's ``peak_rss_mb`` covers them.  No dependency beyond
+the standard library and weldlab's.
 """
 
 from __future__ import annotations
@@ -119,8 +129,11 @@ def child(op: str, pair: str, *roots: str) -> None:
     }))
 
 
-def _env(side: Path) -> dict:
-    return {**os.environ, **ENV, "PYTHONPATH": str(side / "src")}
+def _env(side: Path, cache: Path) -> dict:
+    env = {**os.environ, **ENV, "PYTHONPATH": str(side / "src"),
+           "PYTHONPYCACHEPREFIX": str(cache)}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
 
 
 def run_in_process_pair(sides: dict, op: str, pair: int, work: Path) -> dict:
@@ -132,9 +145,10 @@ def run_in_process_pair(sides: dict, op: str, pair: int, work: Path) -> dict:
     return json.loads(out.splitlines()[-1])
 
 
-def run_cli_cycle(side: Path, work: Path, commands) -> dict:
-    """One cycle of the perfbench subcommands in fresh processes: wall time,
-    CPU time of the children, their peak RSS and a digest of their output."""
+def run_cli_cycle(side: Path, work: Path, commands, cache: Path) -> dict:
+    """One cycle of the perfbench subcommands in fresh processes, with the
+    bytecode cache directory `cache`: wall time, CPU time of the children,
+    their peak RSS and a digest of their output."""
     wall = cpu = 0.0
     peak = 0
     digest = hashlib.sha256()
@@ -142,7 +156,7 @@ def run_cli_cycle(side: Path, work: Path, commands) -> dict:
         t0 = perf_counter()
         proc = subprocess.Popen(
             [sys.executable, "-m", "weldlab.cli", *cmd, "--seed", "0"],
-            cwd=work, env=_env(side), stdin=subprocess.DEVNULL,
+            cwd=work, env=_env(side, cache), stdin=subprocess.DEVNULL,
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
         with proc.stdout:
             digest.update(proc.stdout.read())
@@ -200,17 +214,19 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         write_design(work / "ff81.csv", factorial_rows(FF81_SEED))
+        # Each side's bytecode cache directory, empty until its first cycle.
+        caches = {name: work / f"pycache-{name}" for name in SIDES}
         for op in OPS:
             samples = {name: [] for name in SIDES}
             ratios = []
             if op == "cli-cold":
-                for side in sides.values():  # untimed: writes the bytecode caches
-                    run_cli_cycle(side, work, CLI_COMMANDS)
+                for name in SIDES:  # untimed: writes the bytecode caches
+                    run_cli_cycle(sides[name], work, CLI_COMMANDS, caches[name])
             for pair in range(PAIRS):
                 if op == "cli-cold":
                     for name in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                        samples[name].append(
-                            run_cli_cycle(sides[name], work, CLI_COMMANDS))
+                        samples[name].append(run_cli_cycle(
+                            sides[name], work, CLI_COMMANDS, caches[name]))
                     continue
                 sample = run_in_process_pair(sides, op, pair, work)
                 for name in SIDES:

@@ -11,7 +11,8 @@ stream seeded s is ``mix64(s + k * GOLDEN_GAMMA)``, whether it comes from a
 `SplitMix64` or a lane (Salmon et al., "Parallel random numbers: as easy as
 1, 2, 3", SC 2011).  `lane_subsets` draws a node's feature subset on many
 lanes at once, each lane making the draws of `SplitMix64.next_below` that a
-sequential stream would make.
+sequential stream would make, and `lane_skip_subsets` makes the same draws
+without building the subsets.
 """
 
 from __future__ import annotations
@@ -79,6 +80,20 @@ def _lane_draws(lanes: np.ndarray, which: np.ndarray) -> np.ndarray:
     return mix64(state)
 
 
+def _lane_below(lanes: np.ndarray, which: np.ndarray, bound: int) -> np.ndarray:
+    """`SplitMix64.next_below(bound)` on each lane in `which`, advancing
+    those lanes in place: a lane whose draw would be rejected redraws,
+    alone, until it is accepted."""
+    limit = (2**64 // bound) * bound
+    r = _lane_draws(lanes, which)
+    if limit <= MASK64:  # a power-of-two bound rejects nothing
+        redo = np.flatnonzero(r >= limit)
+        while redo.size:
+            r[redo] = _lane_draws(lanes, which[redo])
+            redo = redo[r[redo] >= limit]
+    return r % bound
+
+
 def lane_subsets(lanes: np.ndarray, which: np.ndarray, n: int, k: int) -> np.ndarray:
     """k distinct indices from range(n) per lane in `which` (distinct
     indices into the ``uint64`` array `lanes`), sorted ascending, as row r
@@ -86,26 +101,25 @@ def lane_subsets(lanes: np.ndarray, which: np.ndarray, n: int, k: int) -> np.nda
 
     Row r is k steps of partial Fisher-Yates over range(n), step i swapping
     position i with i + ``next_below(n - i)`` of the stream in
-    ``lanes[which[r]]``.  The steps run over all rows at once; a lane whose
-    draw `next_below` would reject redraws, alone, until it is accepted, so
-    each lane ends where a `SplitMix64` from its first state ends after the
-    same k `next_below` calls.
+    ``lanes[which[r]]``.  The steps run over all rows at once, each through
+    `_lane_below`, so each lane ends where a `SplitMix64` from its first
+    state ends after the same k `next_below` calls.
     """
     if not 0 <= k <= n:
         raise ValueError(f"cannot sample {k} from {n}")
     rows = np.arange(which.size)
     pool = np.tile(np.arange(n, dtype=np.int64), (which.size, 1))
     for i in range(k):
-        bound = n - i
-        limit = (2**64 // bound) * bound
-        r = _lane_draws(lanes, which)
-        if limit <= MASK64:  # a power-of-two bound rejects nothing
-            redo = np.flatnonzero(r >= limit)
-            while redo.size:
-                r[redo] = _lane_draws(lanes, which[redo])
-                redo = redo[r[redo] >= limit]
-        j = i + (r % bound).astype(np.intp)
+        j = i + _lane_below(lanes, which, n - i).astype(np.intp)
         held = pool[rows, i]
         pool[rows, i] = pool[rows, j]
         pool[rows, j] = held
     return np.sort(pool[:, :k], axis=1)
+
+
+def lane_skip_subsets(lanes: np.ndarray, which: np.ndarray, n: int, k: int) -> None:
+    """Advance each lane in `which` past the draws of one `lane_subsets`
+    call, ``next_below(n), ..., next_below(n - k + 1)`` with every
+    rejection, building no subset."""
+    for i in range(k):
+        _lane_below(lanes, which, n - i)

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from ._rng import lane_subsets
+from ._rng import lane_skip_subsets, lane_subsets
 from .dataset import Dataset, _check_fields, _integer, _real
 # Unused `best_split` stays bound: perfbench's tracer wraps `weldlab.cart.best_split`.
 from .kernels import _best_split_loops, best_split, best_splits  # noqa: F401
@@ -149,6 +149,10 @@ def _is_leaf(cfg, n, depth, constant, feat=0, decrease=np.inf):
     decrease is the split's SSE decrease / n: the variance decrease, or
     under a gbm leaf penalty lam > 0 the penalized gain / n (see
     `_best_split_loops`).  The defaults stand for a node not yet scored.
+
+    A node whose rows all share one feature row has no admissible split,
+    as every cut ties: `_grow_forests` settles such a node as a leaf of
+    feature -1 without scoring it, once it passes the rules above.
     """
     return (
         (n < 2 * cfg.min_samples_leaf)
@@ -249,8 +253,26 @@ _CALL_ROWS = 2048
 _BUILD_BLOCK = 256
 
 
+def _setting_codes(X):
+    """One float code per row of `X`, equal for two rows exactly when all
+    their features are equal as floats, as the kernel's tie test compares
+    them, from one lexsort of X's columns; None when no two rows are equal.
+    """
+    order = np.lexsort(X.T)
+    Xs = X[order]
+    new = (Xs[1:] != Xs[:-1]).any(axis=1)
+    if new.all():
+        return None
+    codes = np.empty(X.shape[0])
+    codes[order] = np.cumsum(np.append(0.0, new))
+    return codes
+
+
 def _padded(X, y):
-    """X and y as float64 with the pad row, id ``len(y)``, appended.
+    """X as float64 with the pad row, id ``len(y)``, appended, and the rows
+    of values per row id whose constancy over a node `_grow_forests` tests:
+    y with the pad row's 0, and below it, when two rows of X share a
+    setting, their `_setting_codes` with one of the pad row's own.
 
     The batched growers score nodes of mixed sizes in one `best_splits`
     call, each padded on the right to the largest with the pad row: X =
@@ -258,39 +280,43 @@ def _padded(X, y):
     each node's totals at its last real row and masks every cut past it,
     so each node equals `best_split` on its own rows, bit for bit.
     """
-    return np.vstack((X, np.full((1, X.shape[1]), np.inf))), np.append(y, 0.0)
+    yp = np.append(y, 0.0)
+    codes = _setting_codes(X)
+    return (np.vstack((X, np.full((1, X.shape[1]), np.inf))),
+            yp[None] if codes is None else np.vstack((yp, np.append(codes, -1.0))))
 
 
 def _all_equal(ys, mask):
-    """Per row of `ys`: do its values under `mask` all equal?"""
-    return (np.where(mask, ys, np.inf).min(axis=1)
-            == np.where(mask, ys, -np.inf).max(axis=1))
+    """Per row of each (nodes, cells) block of `ys`: do its values under
+    `mask` all equal?"""
+    return (np.where(mask, ys, np.inf).min(axis=-1)
+            == np.where(mask, ys, -np.inf).max(axis=-1))
 
 
-def _gather(yp, buf, start, size):
+def _gather(pad, buf, start, size):
     """The row ids ``buf[start[i]:start[i] + size[i]]`` of each node i as
-    rows of one array padded to the largest with the pad row: each cell's
-    position in `buf`, the mask of real cells, and the row ids."""
+    rows of one array padded to the largest with the pad row id `pad`: each
+    cell's position in `buf`, the mask of real cells, and the row ids."""
     ar = np.arange(size.max())
     at = start[:, None] + ar
     real = ar < size[:, None]
     # Positions past a node's slice (they may pass the buffer's end) read
     # the pad row instead.
-    return at, real, np.where(real, buf.take(at, mode="clip"), yp.size - 1)
+    return at, real, np.where(real, buf.take(at, mode="clip"), pad)
 
 
-def _roots(yp, roots):
+def _roots(yc, roots):
     """One buffer of the row ids of every root in `roots`, a list of
     (roots x n) blocks of row ids, each root's start and size in it, and
-    whether each has a constant response.  A 1-d array is a block of one
-    root."""
+    whether each row of `yc` (see `_padded`) is constant over each root.  A
+    1-d array is a block of one root."""
     roots = [np.atleast_2d(np.asarray(block, dtype=np.intp)) for block in roots]
     size = np.concatenate([np.full(len(block), block.shape[1], np.intp)
                            for block in roots])
     buf = np.concatenate([block.ravel() for block in roots])
     start = np.cumsum(size) - size
-    _, real, rows = _gather(yp, buf, start, size)
-    return buf, start, size, _all_equal(yp.take(rows), real)
+    _, real, rows = _gather(yc.shape[1] - 1, buf, start, size)
+    return buf, start, size, _all_equal(yc.take(rows, axis=1), real)
 
 
 def _by_size(sizes):
@@ -312,33 +338,34 @@ def _calls(sizes):
         start = stop
 
 
-def _split(Xp, yp, buf, start, size, features, cfg: TreeConfig):
+def _split(Xp, yc, buf, start, size, features, cfg: TreeConfig):
     """Score each node i, whose row ids are ``buf[start[i]:start[i] +
     size[i]]`` and which passed the pre-score leaf rules, over the ascending
-    feature row ``features[i]``.
+    feature row ``features[i]``; `Xp` and `yc` are `_padded`'s.
 
     The nodes are scored by falling size in `best_splits` calls of at most
     `_CALL_ROWS` padded rows.  A node that a post-score leaf rule makes a
     leaf keeps its slice as it was; a split node's slice is stably
     partitioned in place, its rows <= the threshold first.  Returns, per
     node in the given order, its feature (-1 for a leaf), threshold,
-    decrease and left size, and whether each child (left, right) has a
-    constant response.
+    decrease and left size, and ``constant[r, side, i]``: whether row r of
+    `yc` (the response, then any setting code) is constant over node i's
+    child `side` (0 left, 1 right).
     """
     feat = np.empty(size.size, np.int64)
     thr = np.empty(size.size)
     decrease = np.empty(size.size)
     n_left = np.empty(size.size, np.intp)
-    constant = np.empty((size.size, 2), bool)
+    constant = np.empty((len(yc), 2, size.size), bool)
     by_size = np.argsort(-size, kind="stable")
     for i, j in _calls(size[by_size]):
         ids = by_size[i:j]
         n = size[ids]
-        at, real, rows = _gather(yp, buf, start[ids], n)
+        at, real, rows = _gather(yc.shape[1] - 1, buf, start[ids], n)
         B, width = rows.shape
         Xb = Xp.take(rows, axis=0)
         f, t, children_sse, parent_sse = best_splits(
-            Xb, yp.take(rows), features[ids], cfg.min_samples_leaf, n)
+            Xb, yc[0].take(rows), features[ids], cfg.min_samples_leaf, n)
         dec = (parent_sse - children_sse) / n
         # Every node passed the depth rule before scoring.
         leaf = _is_leaf(cfg, n, 0, False, f, dec)
@@ -350,11 +377,11 @@ def _split(Xp, yp, buf, start, size, features, cfg: TreeConfig):
         buf[at[keep]] = parted[keep]
         nl = goes_left.sum(axis=1)
         in_left = np.arange(width) < nl[:, None]
-        ys = yp.take(parted)
+        ys = yc.take(parted, axis=1)
         feat[ids] = np.where(leaf, -1, f)
         thr[ids], decrease[ids], n_left[ids] = t, dec, nl
-        constant[ids, 0] = _all_equal(ys, in_left)
-        constant[ids, 1] = _all_equal(ys, ~in_left & real)
+        constant[:, 0, ids] = _all_equal(ys, in_left)
+        constant[:, 1, ids] = _all_equal(ys, ~in_left & real)
     return feat, thr, decrease, n_left, constant
 
 
@@ -457,14 +484,19 @@ def _grow_forests(X, y, roots, cfg: TreeConfig, lanes=None, m: int = 0):
     node per tree and draws all their subsets at once.
 
     A node's row ids are a slice of one buffer of every root's ids.  A node
-    that a pre-score leaf rule makes a leaf draws nothing and never waits;
-    `_split` scores a round's nodes and partitions each split node's slice
-    in place, left rows first, into its children's.  No slice changes once
-    its node is a leaf, so one `_leaf_values` call values every leaf at the
-    end.
+    that a pre-score leaf rule makes a leaf draws nothing and never waits.
+    A node that passes those rules but whose rows all share one setting of
+    X (one `_setting_codes` code, tested only when two rows of X share one)
+    has no admissible split: it is settled as a leaf of feature -1 and never
+    scored.  With lanes it still waits on its tree's stack, marked by that
+    -1, because the recursion draws its subset; popped, it makes those
+    draws (`lane_skip_subsets`) and its tree pops again.  `_split` scores a
+    round's nodes and partitions each split node's slice in place, left
+    rows first, into its children's.  No slice changes once its node is a
+    leaf, so one `_leaf_values` call values every leaf at the end.
     """
-    Xp, yp = _padded(X, y)
-    buf, start, size, constant = _roots(yp, roots)
+    Xp, yc = _padded(X, y)
+    buf, start, size, constant = _roots(yc, roots)
     T, p = size.size, X.shape[1]
     keys: dict = {}
     # Grown as needed, by half at least.
@@ -473,9 +505,10 @@ def _grow_forests(X, y, roots, cfg: TreeConfig, lanes=None, m: int = 0):
 
     def add(at, rows_n, depth, constant, tree):
         """Record each new node of the nodes at ``buf[at[i]:at[i] +
-        rows_n[i]]``, of depth ``depth[i]`` in tree ``tree[i]``; return each
-        node's id and whether it is new and not a leaf by the pre-score
-        rules."""
+        rows_n[i]]``, of depth ``depth[i]`` in tree ``tree[i]``, whose rows
+        of `yc` are constant as ``constant[:, i]`` says; return each node's
+        id and whether it is new and waits: not a leaf by the pre-score
+        rules, and with lanes or else unsettled."""
         nonlocal store, count
         if lanes is None:
             ids, new = _key_ids(keys, buf, at, rows_n, depth, cfg)
@@ -488,28 +521,52 @@ def _grow_forests(X, y, roots, cfg: TreeConfig, lanes=None, m: int = 0):
             store = {name: np.concatenate((store[name], np.empty(
                 max(count - cap, cap // 2), dtype)))
                 for name, dtype in _COLUMNS.items()}
-        rows_n, depth, constant = rows_n[new], depth[new], constant[new]
+        rows_n, depth, constant = rows_n[new], depth[new], constant[:, new]
         for name, value in (("start", at[new]), ("n", rows_n),
                             ("depth", depth), ("tree", tree[new])):
             store[name][fresh] = value
-        leaf = _is_leaf(cfg, rows_n, depth, constant)
-        store["feature"][fresh[leaf]] = -1
+        leaf = _is_leaf(cfg, rows_n, depth, constant[0])
+        settled = leaf | constant[1] if len(constant) > 1 else leaf
+        store["feature"][fresh] = np.where(settled, -1, 0)
         todo = np.zeros(ids.size, bool)
-        todo[new] = ~leaf
+        todo[new] = ~leaf if lanes is not None else ~settled
         return ids, todo
+
+    def push(nodes):
+        """Push each node onto its tree's stack, one node per tree."""
+        t = store["tree"][nodes]
+        stack[t, top[t]] = nodes
+        top[t] += 1
+
+    def pop(trees):
+        """The node each tree in `trees` scores next: the top of its stack,
+        once every settled node above it has made its draws."""
+        got = []
+        while True:
+            trees = trees[top[trees] > 0]
+            top[trees] -= 1
+            nodes = stack[trees, top[trees]]
+            settled = store["feature"][nodes] < 0
+            got.append(nodes[~settled])
+            trees = trees[settled]
+            if not trees.size:
+                return np.concatenate(got)
+            lane_skip_subsets(lanes, trees, p, m)
 
     ids, todo = add(start, size, np.zeros(T, np.intp), constant, np.arange(T))
     n_roots = len(keys)
     nodes = ids[todo]  # this round's nodes to score
     if lanes is not None:
-        # Each tree's stack of the nodes it has yet to score, which are at
+        # Each tree's stack of the nodes it has yet to visit, which are at
         # most one per depth below the root, plus the two just pushed.
         stack = np.empty((T, size.max() + 2), np.intp)
         top = np.zeros(T, np.intp)
+        push(nodes)
+        nodes = pop(np.arange(T))
     while nodes.size:
         at, n, tree = (store[name][nodes] for name in ("start", "n", "tree"))
         feat, thr, dec, n_left, kid_constant = _split(
-            Xp, yp, buf, at, n,
+            Xp, yc, buf, at, n,
             np.broadcast_to(np.arange(p), (nodes.size, p)) if lanes is None
             else lane_subsets(lanes, tree, p, m), cfg)
         store["feature"][nodes] = feat
@@ -523,25 +580,21 @@ def _grow_forests(X, y, roots, cfg: TreeConfig, lanes=None, m: int = 0):
         kids, todo = add(
             np.concatenate((at[split], at[split] + n_left)),
             np.concatenate((n_left, n[split] - n_left)),
-            np.concatenate((depth, depth)), kid_constant[split].T.ravel(),
+            np.concatenate((depth, depth)),
+            kid_constant[:, :, split].reshape(len(yc), -1),
             np.concatenate((owner, owner)))
         store["child"][parent] = kids.reshape(2, -1).T
         if lanes is None:
             nodes = kids[todo]
             continue
         # The right children first, so that the left ones pop first.
-        for push in (kids[parent.size:][todo[parent.size:]],
-                     kids[:parent.size][todo[:parent.size]]):
-            t = store["tree"][push]
-            stack[t, top[t]] = push
-            top[t] += 1
-        trees = tree[top[tree] > 0]
-        top[trees] -= 1
-        nodes = stack[trees, top[trees]]
+        push(kids[parent.size:][todo[parent.size:]])
+        push(kids[:parent.size][todo[:parent.size]])
+        nodes = pop(tree)
     store = {name: col[:count] for name, col in store.items()}
     leaves = np.flatnonzero(store["feature"] < 0)
     store["value"] = np.empty(count)
-    store["value"][leaves] = _leaf_values(yp, buf, store["start"][leaves],
+    store["value"][leaves] = _leaf_values(yc[0], buf, store["start"][leaves],
                                           store["n"][leaves])
     return (_Records(*(store[name] for name in _Records._fields)),
             list(keys)[:n_roots])

@@ -26,7 +26,8 @@ preorder, its lane draws them in the order of a preorder recursion over
 that tree.  Its bootstrap comes from the same lane arithmetic
 (`lane_bootstraps`).  In lockstep only the trees of models that the caller
 gets back become `Leaf` and `Internal` objects, and a fold forest predicts
-its held-out runs from the records.  Either way a node's rows are a slice
+its held-out runs from the records, as the pipeline's final forest does
+its own runs.  Either way a node's rows are a slice
 of one buffer of every root's rows, and a round's nodes, of any sizes, go
 through one scoring step (`cart._split`): padded to a common width,
 scored in a few batched kernel calls, and split by partitioning their
@@ -138,11 +139,12 @@ class ModelSpec:
             raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
 
 
-def _fit_models(X, y, fits, spec: ModelSpec) -> list:
+def _fit_models(X, y, fits, spec: ModelSpec, train: bool = False) -> list:
     """One result per ``(ids, seed, held)`` triple in `fits`, in that order:
     the `spec` model trained on the rows `ids` of (X, y) with `seed` when
     `held` is None, else that model's predictions of the rows `held`, a
-    list of floats equal to `predict_ensemble`'s.
+    list of floats equal to `predict_ensemble`'s.  With `train` a model
+    comes as the pair of it and its predictions of its own rows `ids`.
 
     A model on a subset of a dataset's rows equals one fitted on the
     sub-dataset of those rows.  A boosted fit turns ``X[ids]`` into lists
@@ -159,18 +161,20 @@ def _fit_models(X, y, fits, spec: ModelSpec) -> list:
     `lane_bootstraps`, and the pass grows the trees in lockstep, tree t
     drawing its feature subsets in preorder from the lane seeded
     ``derive_seed(tree seed, 1)``.  Only the forests returned as models are
-    built into objects; the held rows of the others are routed through the
-    records.  Either way the pass scores nodes of all sizes together
+    built into objects; the held rows of the others, and a model's own rows
+    with `train`, are routed through the records.  Either way the pass scores nodes of all sizes together
     through `cart._split`, in kernel calls capped at `cart._CALL_ROWS`
     padded rows, which also bounds peak memory.
     """
     n_features = X.shape[1]
     cfg = spec.config
 
-    def result(model, held):
-        if held is None:
-            return model
-        return [predict_ensemble(model, X[i]) for i in held]
+    def result(model, ids, held):
+        if held is not None:
+            return [predict_ensemble(model, X[i]) for i in held]
+        if train:
+            return model, [predict_ensemble(model, X[i]) for i in ids]
+        return model
 
     if spec.kind == "gbm":
         models = []
@@ -198,7 +202,7 @@ def _fit_models(X, y, fits, spec: ModelSpec) -> list:
                 seed=seed,
                 config=cfg,
                 train_mse=tuple(mse_track),
-            ), held))
+            ), ids, held))
         return models
     m = n_features if spec.m is None else spec.m
     if m > n_features:
@@ -234,27 +238,34 @@ def _fit_models(X, y, fits, spec: ModelSpec) -> list:
         memo = dict(zip(keys, _build_trees(rec, np.arange(rec.n.size))))
         return [result(forest(seed, row, [
             build_tree(X, y, cfg, rows=rows, memo=memo) for rows in block
-        ]), held) for (_, seed, held), row, block in zip(fits, tree_seeds, roots)]
+        ]), ids, held) for (ids, seed, held), row, block
+            in zip(fits, tree_seeds, roots)]
     rec, _ = _grow_forests(X, y, roots, cfg, mix64(seeds + steps[1]).ravel(), m)
-    # Every (held row, tree) pair of every held-out fit, routed at once.
-    pairs = [(np.repeat(held, T),
-              np.tile(np.arange(f * T, (f + 1) * T), len(held)))
-             for f, (_, _, held) in enumerate(fits) if held is not None]
+    # The rows each fit predicts: its held rows, or with `train` a model's
+    # own.  Every (row, tree) pair of every fit is routed at once.
+    wanted = [held if held is not None else ids if train else None
+              for ids, _, held in fits]
+    pairs = [(np.repeat(rows, T),
+              np.tile(np.arange(f * T, (f + 1) * T), len(rows)))
+             for f, rows in enumerate(wanted) if rows is not None]
     if pairs:
         rows, nodes = map(np.concatenate, zip(*pairs))
         values = _route_records(rec, X, rows, nodes).tolist()
     out = []
     at = 0
-    for f, ((_, seed, held), row) in enumerate(zip(fits, tree_seeds)):
-        if held is None:
-            ids = np.flatnonzero((rec.tree >= f * T) & (rec.tree < (f + 1) * T))
-            out.append(forest(seed, row,
-                              _build_trees(rec, ids)[f * T:(f + 1) * T]))
+    for f, ((_, seed, held), row, rows) in enumerate(
+            zip(fits, tree_seeds, wanted)):
+        if rows is not None:
+            # Each row's mean over trees in index order, as `predict_ensemble`.
+            predicted = [sum(values[i:i + T]) / T
+                         for i in range(at, at + len(rows) * T, T)]
+            at += len(rows) * T
+        if held is not None:
+            out.append(predicted)
             continue
-        # Each row's mean over trees in index order, as `predict_ensemble`.
-        out.append([sum(values[i:i + T]) / T
-                    for i in range(at, at + len(held) * T, T)])
-        at += len(held) * T
+        ids = np.flatnonzero((rec.tree >= f * T) & (rec.tree < (f + 1) * T))
+        model = forest(seed, row, _build_trees(rec, ids)[f * T:(f + 1) * T])
+        out.append((model, predicted) if train else model)
     return out
 
 
@@ -446,7 +457,9 @@ def cross_validate(d: Dataset, spec: ModelSpec, plan: FoldPlan) -> CvResult:
 
 def _fit_and_validate(d: Dataset, spec: ModelSpec, k: int):
     """`fit_model(d, spec)` and `cross_validate(d, spec, kfold_plan(len(d),
-    k, spec.seed))`, equal to those two calls, from one `_fit_models` pass.
+    k, spec.seed))`, equal to those two calls, from one `_fit_models` pass,
+    and the model's predictions of every run of `d`, a list equal to
+    ``predict_ensemble_many(model, d.features())``.
 
     The fold plan is built and checked before any tree grows.  The final
     forest and every fold forest grow in one pass: in lockstep with m < p,
@@ -455,8 +468,9 @@ def _fit_and_validate(d: Dataset, spec: ModelSpec, k: int):
     plan = kfold_plan(len(d), k, spec.seed)
     X, y = d.features(), d.responses()
     fits = [(np.arange(len(d)), spec.seed, None)] + _fold_fits(len(d), spec, plan)
-    model, *fold_predictions = _fit_models(X, y, fits, spec)
-    return model, _cv_result(plan, y, fold_predictions)
+    (model, predicted), *fold_predictions = _fit_models(X, y, fits, spec,
+                                                        train=True)
+    return model, _cv_result(plan, y, fold_predictions), predicted
 
 
 # --- serialization --------------------------------------------------------

@@ -42,7 +42,6 @@ from .ensemble import (
     ModelSpec,
     _fit_and_validate,
     feature_importance,
-    predict_ensemble_many,
     regression_metrics,
 )
 from .taguchi import (
@@ -265,8 +264,7 @@ def _model(d, cfg: RunConfig):
     spec = _model_spec(cfg)
     k = _parse_cv(cfg.cv)
     # The final model and every fold: one growth pass, after the fold plan.
-    model, cv = _fit_and_validate(d, spec, len(d) if k is None else k)
-    train_pred = predict_ensemble_many(model, d.features())
+    model, cv, train_pred = _fit_and_validate(d, spec, len(d) if k is None else k)
     train_metrics = regression_metrics(d.responses(), train_pred)
     importance = feature_importance(model)
     section = {

@@ -78,7 +78,7 @@ def sample_subset(rng, n: int, k: int) -> list[int]:
     return sorted(pool[:k])
 
 
-def subset_tree(X, y, cfg, rng, m: int):
+def subset_tree(X, y, cfg, rng, m: int, x_constant=None):
     """The tree of (X, y) under `cfg` whose nodes each search `m` features
     drawn from the `SplitMix64` `rng` by `sample_subset`, grown alone by
     preorder recursion: the reference that every tree that
@@ -87,7 +87,9 @@ def subset_tree(X, y, cfg, rng, m: int):
 
     Each node goes through the per-node kernel that `weldlab.cart` binds,
     so that a test counting that kernel's calls counts the reference's
-    nodes too.
+    nodes too.  A `Counter` `x_constant` counts, under "nodes", the scored
+    nodes whose rows all share one feature row, which `_grow_forests`
+    settles without scoring.
     """
     Xl = np.asarray(X, dtype=np.float64).tolist()
     yl = np.asarray(y, dtype=np.float64).tolist()
@@ -96,6 +98,8 @@ def subset_tree(X, y, cfg, rng, m: int):
         n = len(idx)
         ys = [yl[i] for i in idx]
         if not _is_leaf(cfg, n, depth, min(ys) == max(ys)):
+            if x_constant is not None:
+                x_constant["nodes"] += all(Xl[i] == Xl[idx[0]] for i in idx)
             feat, thr, children_sse, parent_sse = weldlab.cart._best_split_loops(
                 [Xl[i] for i in idx], ys, sample_subset(rng, len(Xl[0]), m),
                 cfg.min_samples_leaf)

@@ -21,6 +21,7 @@ from weldlab.cart import (
     _padded,
     _route,
     _route_records,
+    _setting_codes,
     _split,
     build_tree,
     count_nodes,
@@ -725,6 +726,30 @@ class TestRecords:
             assert sorted(keys) == sorted({key(rows, 0) for rows in roots})
 
 
+class TestSettingCodes:
+    def test_equal_codes_exactly_for_equal_rows(self):
+        gen = np.random.default_rng(3)
+        X = gen.integers(0, 3, (40, 3)).astype(np.float64)
+        X[5] = [-0.0, 0.0, 0.0]  # equal as floats to any all-zero row
+        X[6] = [0.0, 0.0, 0.0]
+        codes = _setting_codes(X)
+        same = (X[:, None] == X[None]).all(axis=2)
+        assert np.array_equal(codes[:, None] == codes[None], same)
+
+    def test_none_when_every_row_differs(self, builtin):
+        assert _setting_codes(builtin.features()) is None
+        assert _setting_codes(np.zeros((1, 3))) is None
+        # With no repeated setting the grower tests the response alone.
+        assert _padded(builtin.features(), builtin.responses())[1].shape == (1, 10)
+
+    def test_the_pad_row_has_a_code_of_its_own(self):
+        X = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]])
+        _, yc = _padded(X, np.array([5.0, 6.0, 7.0]))
+        assert yc[0].tolist() == [5.0, 6.0, 7.0, 0.0]
+        assert yc[1, 0] == yc[1, 1] != yc[1, 2]
+        assert yc[1, 3] not in yc[1, :3]
+
+
 class TestSplit:
     """`_split` on nodes that are random slices of one row-id buffer,
     against `_best_split_loops` on each node's rows."""
@@ -758,8 +783,9 @@ class TestSplit:
                 features = np.array([np.sort(gen.choice(p, k, replace=False))
                                      for _ in size.tolist()])
             before = buf.copy()
+            Xp, yc = _padded(X, y)
             feat, thr, dec, n_left, constant = _split(
-                *_padded(X, y), buf, start, size, features, cfg)
+                Xp, yc, buf, start, size, features, cfg)
             after = buf.copy()
             for i, (s, n) in enumerate(zip(start.tolist(), size.tolist())):
                 rows = before[s:s + n]
@@ -776,7 +802,10 @@ class TestSplit:
                 assert np.array_equal(buf[s:s + n],
                                       np.concatenate((rows[left], rows[~left])))
                 for side, kid in enumerate((rows[left], rows[~left])):
-                    assert constant[i, side] == (np.ptp(y[kid]) == 0.0)
+                    assert constant[0, side, i] == (np.ptp(y[kid]) == 0.0)
+                    # Setting codes, when two rows of X share a setting.
+                    assert constant[1:, side, i].tolist() == [
+                        bool((X[kid] == X[kid[0]]).all())] * (len(yc) - 1)
                 after[s:s + n] = before[s:s + n]
             # No cell outside a split node's slice moved.
             assert np.array_equal(after, before)

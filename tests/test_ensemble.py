@@ -327,7 +327,7 @@ class TestLockstepGrowth:
         """(model, training run ids) of the final fit and of every fold of
         one `_fit_and_validate` call with `k` folds, in that order."""
         folds = TestCrossValidate._fold_models(monkeypatch)
-        final, cv = _fit_and_validate(d, spec, k)
+        final, cv, _ = _fit_and_validate(d, spec, k)
         assert len(folds) == k
         return [(final, np.arange(len(d)))] + [
             (model, np.flatnonzero(np.asarray(cv.plan.assignments) != f))
@@ -432,12 +432,18 @@ class TestLockstepGrowth:
         assert any(len(set(sizes)) > 1 for sizes, _ in calls)
         assert scored_nodes["per_node"] == 0
         X, y = d.features(), d.responses()
+        x_constant = Counter()
         for tree, ts in zip(model.trees, model.tree_seeds, strict=True):
             rows = bootstrap_indices(len(d), ts)
             assert tree == subset_tree(X[rows], y[rows], spec.config,
-                                       SplitMix64(derive_seed(ts, 1)), 2)
-        # The calls held one real node per node the recursion scores.
-        assert scored_nodes["best_splits"] == scored_nodes["per_node"]
+                                       SplitMix64(derive_seed(ts, 1)), 2,
+                                       x_constant)
+        # The calls held one real node per node the recursion scores, but
+        # for the nodes whose runs all share one setting: only replicates
+        # of a setting can have different responses there.
+        assert (x_constant["nodes"] > 0) == (data == "factorial")
+        assert scored_nodes["best_splits"] == (scored_nodes["per_node"]
+                                               - x_constant["nodes"])
 
     def test_calls_per_fit_are_few(self, batch_calls):
         """One 50-tree m=2 fit on the 81-run design takes one call per
@@ -447,6 +453,37 @@ class TestLockstepGrowth:
         fit_model(factorial_81(), ModelSpec(kind="rf", trees=50, m=2, seed=2))
         assert sum(len(sizes) for sizes, _ in calls) > 1000
         assert len(calls) <= 100
+
+
+class TestSettledNodes:
+    """A node whose runs all share one factor setting, but whose responses
+    differ, has no admissible split: every cut ties.  The forest grower
+    settles it as a leaf without scoring it."""
+
+    @pytest.mark.parametrize("m", [2, 3])  # lanes, keyed
+    def test_no_kernel_call_holds_one_setting(self, monkeypatch, m):
+        scored = []
+        batch_kernel = weldlab.cart.best_splits
+
+        def recording(Xb, yb, features, min_leaf, sizes):
+            scored.extend(bool((Xb[b, :s] == Xb[b, 0]).all())
+                          for b, s in enumerate(sizes.tolist()))
+            return batch_kernel(Xb, yb, features, min_leaf, sizes)
+
+        monkeypatch.setattr(weldlab.cart, "best_splits", recording)
+        _fit_and_validate(factorial_81(), ModelSpec(kind="rf", trees=30, m=m,
+                                                    seed=2), 3)
+        assert len(scored) > 1000 and not any(scored)
+
+    @pytest.mark.parametrize("cfg", [TreeConfig(), TreeConfig(max_depth=4),
+                                     TreeConfig(min_samples_leaf=2)])
+    def test_every_feature_trees_equal_trees_grown_alone(self, cfg):
+        d = factorial_81()
+        X, y = d.features(), d.responses()
+        model = fit_random_forest(d, trees=25, cfg=cfg, seed=5)
+        for tree, ts in zip(model.trees, model.tree_seeds, strict=True):
+            rows = bootstrap_indices(len(d), ts)
+            assert tree == build_tree(X[rows], y[rows], cfg)
 
 
 class TestGbm:
@@ -740,8 +777,8 @@ class TestCrossValidate:
                 grown.append(rec)
             return rec, keys
 
-        def fitting(X, y, fits, spec):
-            out = fit_models(X, y, fits, spec)
+        def fitting(X, y, fits, spec, **kwargs):
+            out = fit_models(X, y, fits, spec, **kwargs)
             if grown:
                 (rec,) = grown
                 grown.clear()
@@ -853,11 +890,35 @@ class TestOnePassStage:
         d = builtin if data == "builtin" else factorial_81()
         spec = ModelSpec(kind=kind, config=TreeConfig(min_samples_leaf=2),
                          trees=12, m=m, bootstrap=bootstrap, rounds=6, seed=13)
-        model, cv = _fit_and_validate(d, spec, k)
+        model, cv, _ = _fit_and_validate(d, spec, k)
         # Model equality compares every tree, node for node, and each
         # forest's tree seeds.
         assert model == fit_model(d, spec)
         assert cv == cross_validate(d, spec, kfold_plan(len(d), k, spec.seed))
+
+    @pytest.mark.parametrize("data", ["builtin", "factorial"])
+    @pytest.mark.parametrize("kind, m", [("rf", 1), ("rf", 2), ("rf", 3),
+                                         ("gbm", None)])
+    def test_training_predictions_equal_predict_ensemble(self, builtin,
+                                                         monkeypatch, data,
+                                                         kind, m):
+        """The model's predictions of its own runs: routed through the
+        records with m < p, by `predict_ensemble` walks otherwise, and equal
+        bit for bit either way."""
+        d = builtin if data == "builtin" else factorial_81()
+        spec = ModelSpec(kind=kind, trees=15, m=m, rounds=6, seed=4)
+        walks = Counter()
+        predict = weldlab.ensemble.predict_ensemble
+
+        def counting(model, x):
+            walks[model.seed] += 1
+            return predict(model, x)
+
+        monkeypatch.setattr(weldlab.ensemble, "predict_ensemble", counting)
+        model, _, predicted = _fit_and_validate(d, spec, 3)
+        assert walks[spec.seed] == (0 if kind == "rf" and m < 3 else len(d))
+        monkeypatch.undo()
+        assert predicted == predict_ensemble_many(model, d.features()).tolist()
 
     @pytest.mark.parametrize("data", ["builtin", "factorial"])
     @pytest.mark.parametrize("bootstrap", [True, False])
@@ -912,7 +973,7 @@ class TestOnePassStage:
 
             monkeypatch.setattr(weldlab.cart, cls.__name__, make)
         spec = ModelSpec(kind="rf", trees=30, m=2, seed=21)
-        model, _ = _fit_and_validate(builtin, spec, k)
+        model, _, _ = _fit_and_validate(builtin, spec, k)
         monkeypatch.undo()
         assert calls == {"_grow_forests": 1, "_build_trees": 1}
         # The records of the final forest's trees, 0 to trees - 1.
@@ -967,7 +1028,7 @@ class TestOnePassStage:
         monkeypatch.setattr(weldlab.ensemble, "_grow_forests", recording)
         monkeypatch.setattr(weldlab.ensemble, "_build_trees", building)
         monkeypatch.setattr(weldlab.cart, "_grow", refuse)
-        model, _ = _fit_and_validate(builtin, ModelSpec(kind="rf"), 9)
+        model, _, _ = _fit_and_validate(builtin, ModelSpec(kind="rf"), 9)
         ((rec, keys),) = passes
         (built,) = builds
         assert len(keys) == 2000

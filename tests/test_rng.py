@@ -8,7 +8,7 @@ grown alone would draw (`conftest.sample_subset`, one stream at a time).
 import numpy as np
 import pytest
 
-from weldlab._rng import MASK64, SplitMix64, lane_subsets, mix64
+from weldlab._rng import MASK64, SplitMix64, lane_skip_subsets, lane_subsets, mix64
 from weldlab.dataset import bootstrap_indices
 
 from conftest import lane_draws, rejecting_seed, sample_subset, unmix64
@@ -88,6 +88,36 @@ class TestLaneSubsets:
     def test_bad_k_rejected(self, n, k):
         with pytest.raises(ValueError):
             lane_subsets(np.zeros(1, dtype=np.uint64), np.array([0]), n, k)
+
+
+class TestLaneSkipSubsets:
+    """A node with no admissible split still makes the draws of its subset
+    in the recursion, so its lane skips them."""
+
+    @pytest.mark.parametrize("n, k", [(3, 1), (3, 2), (3, 3), (5, 3), (4, 2)])
+    def test_lanes_equal_splitmix64_draw_for_draw(self, n, k):
+        # Draw 1 or 3 of two lanes is 2^64 - 1, which every bound but a
+        # power of two rejects.
+        seeds = [0, rejecting_seed(1), 42, rejecting_seed(3), MASK64, 2**63]
+        lanes = np.array(seeds, dtype=np.uint64)
+        drawn = lanes.copy()
+        rngs = [SplitMix64(s) for s in seeds]
+        for which in ([0, 1, 2, 3, 4, 5], [3, 1], [4]):
+            lane_skip_subsets(lanes, np.array(which), n, k)
+            for t in which:
+                for i in range(k):
+                    rngs[t].next_below(n - i)
+            assert lanes.tolist() == [r._state for r in rngs]
+            # Where `lane_subsets` leaves the same lanes.
+            lane_subsets(drawn, np.array(which), n, k)
+            assert drawn.tolist() == lanes.tolist()
+
+    def test_a_rejected_draw_is_skipped_too(self):
+        # n = 5, k = 3: draw 3 (bound 3) of lane 1 is rejected and redrawn.
+        seeds = [11, rejecting_seed(3)]
+        lanes = np.array(seeds, dtype=np.uint64)
+        lane_skip_subsets(lanes, np.arange(2), 5, 3)
+        assert [lane_draws(s, e) for s, e in zip(seeds, lanes.tolist())] == [3, 4]
 
 
 class TestBootstrapDraws:
