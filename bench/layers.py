@@ -221,7 +221,8 @@ def main() -> int:
             ratios = []
             if op == "cli-cold":
                 for name in SIDES:  # untimed: writes the bytecode caches
-                    run_cli_cycle(sides[name], work, CLI_COMMANDS, caches[name])
+                    run_cli_cycle(sides[name], work, CLI_COMMANDS,
+                                  caches[name])
             for pair in range(PAIRS):
                 if op == "cli-cold":
                     for name in SIDES if pair % 2 == 0 else SIDES[::-1]:

@@ -280,10 +280,12 @@ def _padded(X, y):
     each node's totals at its last real row and masks every cut past it,
     so each node equals `best_split` on its own rows, bit for bit.
     """
+    Xp = np.vstack((X, np.full((1, X.shape[1]), np.inf)))
     yp = np.append(y, 0.0)
     codes = _setting_codes(X)
-    return (np.vstack((X, np.full((1, X.shape[1]), np.inf))),
-            yp[None] if codes is None else np.vstack((yp, np.append(codes, -1.0))))
+    if codes is None:
+        return Xp, yp[None]
+    return Xp, np.vstack((yp, np.append(codes, -1.0)))
 
 
 def _all_equal(ys, mask):

@@ -27,12 +27,12 @@ that tree.  Its bootstrap comes from the same lane arithmetic
 (`lane_bootstraps`).  In lockstep only the trees of models that the caller
 gets back become `Leaf` and `Internal` objects, and a fold forest predicts
 its held-out runs from the records, as the pipeline's final forest does
-its own runs.  Either way a node's rows are a slice
-of one buffer of every root's rows, and a round's nodes, of any sizes, go
-through one scoring step (`cart._split`): padded to a common width,
-scored in a few batched kernel calls, and split by partitioning their
-slices in place.  The trees, predictions and serialized bytes are exactly
-those of trees grown one by one.  Boosting is the stagewise additive
+its own runs.  Either way a node's rows are a slice of one buffer of every
+root's rows, and a round's nodes, of any sizes, go through one scoring
+step (`cart._split`): padded to a common width, scored in a few batched
+kernel calls, and split by partitioning their slices in place.  The
+trees, predictions and serialized bytes are exactly those of trees grown
+one by one.  Boosting is the stagewise additive
 update F_m = F_{m-1} + nu * h_m with F_0 = mean(y).
 Each stage h_m is grown on the residuals under XGBoost's squared-loss
 objective with the L2 leaf penalty lambda: leaf values sum(residuals) /
@@ -162,9 +162,10 @@ def _fit_models(X, y, fits, spec: ModelSpec, train: bool = False) -> list:
     drawing its feature subsets in preorder from the lane seeded
     ``derive_seed(tree seed, 1)``.  Only the forests returned as models are
     built into objects; the held rows of the others, and a model's own rows
-    with `train`, are routed through the records.  Either way the pass scores nodes of all sizes together
-    through `cart._split`, in kernel calls capped at `cart._CALL_ROWS`
-    padded rows, which also bounds peak memory.
+    with `train`, are routed through the records.  Either way the pass
+    scores nodes of all sizes together through `cart._split`, in kernel
+    calls capped at `cart._CALL_ROWS` padded rows, which also bounds peak
+    memory.
     """
     n_features = X.shape[1]
     cfg = spec.config

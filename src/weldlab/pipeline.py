@@ -264,7 +264,8 @@ def _model(d, cfg: RunConfig):
     spec = _model_spec(cfg)
     k = _parse_cv(cfg.cv)
     # The final model and every fold: one growth pass, after the fold plan.
-    model, cv, train_pred = _fit_and_validate(d, spec, len(d) if k is None else k)
+    model, cv, train_pred = _fit_and_validate(d, spec,
+                                              len(d) if k is None else k)
     train_metrics = regression_metrics(d.responses(), train_pred)
     importance = feature_importance(model)
     section = {
