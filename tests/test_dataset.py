@@ -19,7 +19,7 @@ from weldlab.dataset import (
     write_csv,
 )
 
-from conftest import make_dataset, rejecting_seed
+from conftest import lane_draws, make_dataset, rejecting_seed
 
 
 class TestRun:
@@ -337,6 +337,25 @@ class TestBootstrap:
 
     def test_numpy_seed_equals_int_seed(self):
         assert bootstrap_indices(9, np.uint64(MASK64)) == bootstrap_indices(9, MASK64)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 54, 64, 81, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, MASK64] + [
+        derive_seed(5, t) for t in range(3)])
+    def test_equals_next_below_called_n_times(self, n, seed):
+        """The definition: n `next_below(n)` draws of one stream."""
+        rng = SplitMix64(seed)
+        assert bootstrap_indices(n, seed) == [rng.next_below(n) for _ in range(n)]
+
+    @pytest.mark.parametrize("n", [3, 9, 54])
+    def test_a_rejected_draw_is_redrawn(self, n):
+        """Draw k of the stream is 2^64 - 1, which `next_below(n)` rejects,
+        so the n indices take n + 1 draws."""
+        for k in (1, n // 2 + 1, n):
+            seed = rejecting_seed(k)
+            rng = SplitMix64(seed)
+            assert bootstrap_indices(n, seed) == [
+                rng.next_below(n) for _ in range(n)]
+            assert lane_draws(seed, rng._state) == n + 1
 
     def test_distinct_fraction_expectation(self):
         # E[distinct / n] = 1 - (1 - 1/9)^9 for with-replacement draws
