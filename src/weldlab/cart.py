@@ -184,7 +184,8 @@ def build_tree(
     `memo` is a read-only table from the key of each root of one
     `_grow_forests` pass over the same `X`, `y` and `cfg` to its tree: a
     tree whose `rows` it keys is read from it, and any other grown as
-    without it.
+    without it.  A hit skips the range and finite checks: its key is the
+    row ids of a root of a pass over this `X`, in range and checked.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
@@ -203,15 +204,15 @@ def build_tree(
                 "rows must be a non-empty 1-d sequence of integer row ids"
             )
         rows = rows.astype(np.intp, copy=False)
-        # A negative id reads as a huge unsigned one.
-        if rows.view(np.uintp).max() >= y.shape[0]:
-            raise ValueError(f"row ids must be in [0, {y.shape[0]})")
     if memo is not None:
         # The pass's key of a root: its row ids, then depth 0 under a limit.
         tree = memo.get(
             (np.append(rows, 0) if cfg.max_depth else rows).tobytes())
-        if tree is not None:  # grown from data already checked
+        if tree is not None:  # grown from ids and data already checked
             return tree
+    # A negative id reads as a huge unsigned one.
+    if rows.view(np.uintp).max() >= y.shape[0]:
+        raise ValueError(f"row ids must be in [0, {y.shape[0]})")
     # A NaN or inf can make a threshold that sends every row one way.
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("X and y must be finite")
@@ -441,33 +442,28 @@ def _key_ids(keys: dict, buf, start, size, depth, cfg: TreeConfig):
     A node's key is the bytes of its row ids, and of its depth too under a
     depth limit: for a root, `build_tree`'s memo key.  The nodes are keyed
     one size at a time, from a byte view of their (nodes, size) block of row
-    ids.  A key not in `keys` takes the next id, ``len(keys)``, and the node
-    that brought it is new.
+    ids.  A key not in `keys` takes the next id, ``len(keys)``, so a node
+    is new when its id exceeds every id before it, in `keys` or the call.
     """
-    ids = np.empty(size.size, np.intp)
-    new = np.zeros(size.size, bool)
-    count = len(keys)
+    setdefault, count, got = keys.setdefault, len(keys), []
     for s, group in _by_size(size):
         block = buf.take(start[group][:, None] + np.arange(s))
         if cfg.max_depth:
             block = np.hstack((block, depth[group][:, None]))
-        got, fresh = [], []
-        for j, key in enumerate(block.view(
-                (np.void, block.itemsize * block.shape[1])).ravel().tolist()):
-            i = keys.setdefault(key, count)
-            if i == count:
-                fresh.append(j)
-                count += 1
-            got.append(i)
-        ids[group] = got
-        new[group[fresh]] = True
+        got += [setdefault(key, len(keys)) for key in block.view(
+            (np.void, block.itemsize * block.shape[1])).ravel().tolist()]
+    got = np.array(got, np.intp)
+    order = np.argsort(size, kind="stable")  # `_by_size`'s node order
+    ids, new = np.empty_like(got), np.empty(got.size, bool)
+    ids[order] = got
+    new[order] = got > np.maximum.accumulate(np.append(count - 1, got))[:-1]
     return ids, new
 
 
 def _grow_forests(X, y, roots, cfg: TreeConfig, lanes=None, m: int = 0):
     """The records of the tree of every root in `roots` (row-id blocks, see
-    `_roots`), all grown in one pass of rounds, and the key of each
-    distinct root in record id order (none with `lanes`).
+    `_roots`), all grown in one pass of rounds, the key of each distinct
+    root in record id order (none with `lanes`), and each root's record id.
 
     Without `lanes` every node searches every feature and a round scores
     every waiting node: the trees grow level by level.  Nodes are keyed
@@ -555,9 +551,9 @@ def _grow_forests(X, y, roots, cfg: TreeConfig, lanes=None, m: int = 0):
                 return np.concatenate(got)
             lane_skip_subsets(lanes, trees, p, m)
 
-    ids, todo = add(start, size, np.zeros(T, np.intp), constant, np.arange(T))
+    root_ids, todo = add(start, size, np.zeros(T, np.intp), constant, np.arange(T))
     n_roots = len(keys)
-    nodes = ids[todo]  # this round's nodes to score
+    nodes = root_ids[todo]  # this round's nodes to score
     if lanes is not None:
         # Each tree's stack of the nodes it has yet to visit, which are at
         # most one per depth below the root, plus the two just pushed.
@@ -599,7 +595,7 @@ def _grow_forests(X, y, roots, cfg: TreeConfig, lanes=None, m: int = 0):
     store["value"][leaves] = _leaf_values(yc[0], buf, store["start"][leaves],
                                           store["n"][leaves])
     return (_Records(*(store[name] for name in _Records._fields)),
-            list(keys)[:n_roots])
+            list(keys)[:n_roots], root_ids)
 
 
 def _build_trees(rec: _Records, ids) -> list:

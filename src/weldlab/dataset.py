@@ -15,7 +15,9 @@ Every number that enters weldlab passes one of two checks, `_integer` or
 from __future__ import annotations
 
 import csv
+import functools
 import numbers
+import struct
 import sys
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
@@ -300,29 +302,40 @@ def kfold_plan(n: int, k: int, seed: int) -> FoldPlan:
     return FoldPlan(k=k, assignments=tuple(assignments))
 
 
+@functools.lru_cache(maxsize=32)  # the few sizes of one design and its folds
+def _packing(n: int):
+    """`bootstrap_indices`'s constants for n fields of 128 bits: the ones, the
+    mask of each low half, the steps, the low halves' unpacker and the limit."""
+    ones = sum(1 << 128 * k for k in range(n))
+    steps = sum(((k + 1) * GOLDEN_GAMMA & MASK64) << 128 * k for k in range(n))
+    return (ones, MASK64 * ones, steps,
+            struct.Struct("<" + "Q8x" * n).unpack, 2**64 // n * n)
+
+
 def bootstrap_indices(n: int, seed: int) -> list[int]:
     """n indices drawn uniformly with replacement from [0, n), seeded.
 
-    Equals ``SplitMix64(seed).next_below(n)`` called n times, with the
-    stream step and `mix64` written out on Python ints: a forest calls this
-    once per tree.
+    Equals ``next_below(n)`` called n times on one ``SplitMix64(seed)``.
+    Draw k is ``mix64(seed + k * GOLDEN_GAMMA)``, so all n are one `mix64` on
+    one int, draw k in the low half of 128-bit field k - 1: a 64-bit product
+    fits a field, and each shift's spill from the next field is masked off.
+    If `next_below` would reject a draw (rare), the stream draws in turn.
     """
     n = n if type(n) is int else _integer(n, "n")  # skip it for an int
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if type(seed) is not int or not 0 <= seed <= MASK64:  # skip it for an int in range
         seed = _integer(seed, "seed", 0, 2**64)
-    limit = (2**64 // n) * n
-    state = seed
-    out: list[int] = []
-    while len(out) < n:
-        state = (state + GOLDEN_GAMMA) & MASK64
-        z = ((state ^ (state >> 30)) * MIX_MUL_1) & MASK64
-        z = ((z ^ (z >> 27)) * MIX_MUL_2) & MASK64
-        z ^= z >> 31
-        if z < limit:
-            out.append(z % n)
-    return out
+    ones, mask, steps, unpack, limit = _packing(n)
+    z = (seed * ones + steps) & mask
+    z = ((z ^ (z >> 30 & mask)) * MIX_MUL_1) & mask
+    z = ((z ^ (z >> 27 & mask)) * MIX_MUL_2) & mask
+    # The last shift's spill lands in the high halves, which unpack skips.
+    draws = unpack((z ^ (z >> 31)).to_bytes(16 * n, "little"))
+    if max(draws) >= limit:
+        rng = SplitMix64(seed)
+        return [rng.next_below(n) for _ in range(n)]
+    return [r % n for r in draws]
 
 
 def lane_bootstraps(n: int, seeds) -> np.ndarray:

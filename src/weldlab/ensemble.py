@@ -26,14 +26,14 @@ preorder, its lane draws them in the order of a preorder recursion over
 that tree.  Its bootstrap comes from the same lane arithmetic
 (`lane_bootstraps`).  In lockstep only the trees of models that the caller
 gets back become `Leaf` and `Internal` objects, and a fold forest predicts
-its held-out runs from the records, as the pipeline's final forest does
-its own runs.  Either way a node's rows are a slice of one buffer of every
-root's rows, and a round's nodes, of any sizes, go through one scoring
-step (`cart._split`): padded to a common width, scored in a few batched
-kernel calls, and split by partitioning their slices in place.  The
-trees, predictions and serialized bytes are exactly those of trees grown
-one by one.  Boosting is the stagewise additive
-update F_m = F_{m-1} + nu * h_m with F_0 = mean(y).
+its held-out runs from the records; the pipeline's final forest predicts
+its own runs from them either way.  Each node's rows are a slice of one
+buffer of every root's rows, and a round's nodes, of any sizes, go through
+one scoring step (`cart._split`): padded to a common width, scored in a
+few batched kernel calls, and split by partitioning their slices in
+place.  The trees, predictions and serialized bytes are exactly those of
+trees grown one by one.  Boosting is the stagewise additive update F_m =
+F_{m-1} + nu * h_m with F_0 = mean(y).
 Each stage h_m is grown on the residuals under XGBoost's squared-loss
 objective with the L2 leaf penalty lambda: leaf values sum(residuals) /
 (count + lambda), and splits chosen by the gain G_L^2 / (n_L + lambda) +
@@ -161,11 +161,11 @@ def _fit_models(X, y, fits, spec: ModelSpec, train: bool = False) -> list:
     `lane_bootstraps`, and the pass grows the trees in lockstep, tree t
     drawing its feature subsets in preorder from the lane seeded
     ``derive_seed(tree seed, 1)``.  Only the forests returned as models are
-    built into objects; the held rows of the others, and a model's own rows
-    with `train`, are routed through the records.  Either way the pass
-    scores nodes of all sizes together through `cart._split`, in kernel
-    calls capped at `cart._CALL_ROWS` padded rows, which also bounds peak
-    memory.
+    built into objects, and the held rows of the others are routed through
+    the records.  Either way a model's own rows with `train` are routed
+    from its roots' records, and the pass scores nodes of all sizes
+    together through `cart._split`, in kernel calls capped at
+    `cart._CALL_ROWS` padded rows, which also bounds peak memory.
     """
     n_features = X.shape[1]
     cfg = spec.config
@@ -232,41 +232,41 @@ def _fit_models(X, y, fits, spec: ModelSpec, train: bool = False) -> list:
         else ids[np.array([bootstrap_indices(ids.size, ts) for ts in row])]
         for (ids, _, _), row in zip(fits, tree_seeds)
     ]
-    if m == n_features:
-        # No node draws features, so no tree needs its rng stream.
-        rec, keys = _grow_forests(X, y, roots, cfg)
+    keyed = m == n_features  # no node draws, so no tree needs its stream
+    rec, keys, root_ids = _grow_forests(
+        X, y, roots, cfg, None if keyed else mix64(seeds + steps[1]).ravel(), m)
+    if keyed:
         # The distinct roots, one per key, are the first records.
         memo = dict(zip(keys, _build_trees(rec, np.arange(rec.n.size))))
-        return [result(forest(seed, row, [
-            build_tree(X, y, cfg, rows=rows, memo=memo) for rows in block
-        ]), ids, held) for (ids, seed, held), row, block
-            in zip(fits, tree_seeds, roots)]
-    rec, _ = _grow_forests(X, y, roots, cfg, mix64(seeds + steps[1]).ravel(), m)
-    # The rows each fit predicts: its held rows, or with `train` a model's
-    # own.  Every (row, tree) pair of every fit is routed at once.
-    wanted = [held if held is not None else ids if train else None
-              for ids, _, held in fits]
-    pairs = [(np.repeat(rows, T),
-              np.tile(np.arange(f * T, (f + 1) * T), len(rows)))
+    # The rows each fit predicts from the records: with `train` a model's
+    # own, and its held rows with m < p.  Every (row, tree) pair of every
+    # fit is routed at once.
+    wanted = [(ids if train else None) if held is None
+              else None if keyed else held for ids, _, held in fits]
+    pairs = [(np.repeat(rows, T), np.tile(root_ids[f * T:(f + 1) * T], len(rows)))
              for f, rows in enumerate(wanted) if rows is not None]
     if pairs:
         rows, nodes = map(np.concatenate, zip(*pairs))
         values = _route_records(rec, X, rows, nodes).tolist()
     out = []
     at = 0
-    for f, ((_, seed, held), row, rows) in enumerate(
-            zip(fits, tree_seeds, wanted)):
+    for f, ((_, seed, held), row, rows, block) in enumerate(
+            zip(fits, tree_seeds, wanted, roots)):
         if rows is not None:
             # Each row's mean over trees in index order, as `predict_ensemble`.
             predicted = [sum(values[i:i + T]) / T
                          for i in range(at, at + len(rows) * T, T)]
             at += len(rows) * T
-        if held is not None:
-            out.append(predicted)
-            continue
-        ids = np.flatnonzero((rec.tree >= f * T) & (rec.tree < (f + 1) * T))
-        model = forest(seed, row, _build_trees(rec, ids)[f * T:(f + 1) * T])
-        out.append((model, predicted) if train else model)
+        if keyed:
+            model = forest(seed, row, [build_tree(X, y, cfg, rows=r, memo=memo)
+                                       for r in block])
+        elif held is None:
+            ids = np.flatnonzero((rec.tree >= f * T) & (rec.tree < (f + 1) * T))
+            model = forest(seed, row, _build_trees(rec, ids)[f * T:(f + 1) * T])
+        if held is None:
+            out.append((model, predicted) if train else model)
+        else:  # with m == p the fold walks its read-back trees
+            out.append(result(model, None, held) if keyed else predicted)
     return out
 
 

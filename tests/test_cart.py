@@ -17,6 +17,7 @@ from weldlab.cart import (
     TreeConfig,
     _build_trees,
     _grow_forests,
+    _key_ids,
     _leaf_values,
     _padded,
     _route,
@@ -355,7 +356,7 @@ def memo_of(X, y, roots, cfg):
     """The table that `_fit_models` gives its `build_tree` read-backs:
     the key of each distinct root of one keyed `_grow_forests` pass, to its
     tree built from the pass's records."""
-    rec, keys = _grow_forests(X, y, roots, cfg)
+    rec, keys, _ = _grow_forests(X, y, roots, cfg)
     return dict(zip(keys, _build_trees(rec, np.arange(rec.n.size))))
 
 
@@ -399,6 +400,35 @@ class TestRowsAndMemo:
         with pytest.raises(ValueError, match=r"^row ids must be in \[0, 12\)$"):
             build_tree(X, y, rows=rows, memo={})
 
+    @pytest.mark.parametrize("rows, match", [
+        ([0, 12], r"^row ids must be in \[0, 12\)$"),
+        ([-1, 0], r"^row ids must be in \[0, 12\)$"),
+        ([0.0, 1.5], "^rows must be a non-empty 1-d sequence of integer row ids$"),
+    ])
+    def test_a_memo_miss_checks_its_rows(self, rows, match):
+        """The memo is read before the range check; a miss is still
+        checked."""
+        X, y = grid_data(3)
+        memo = memo_of(X, y, [[0, 1], np.arange(12)], TreeConfig())
+        with pytest.raises(ValueError, match=match):
+            build_tree(X, y, rows=rows, memo=memo)
+
+    @pytest.mark.parametrize("max_depth", [0, 2])
+    def test_a_memo_hit_is_the_memo_tree_and_a_miss_checks_the_data(
+            self, max_depth):
+        X, y = grid_data(3)
+        cfg = TreeConfig(max_depth=max_depth)
+        memo = memo_of(X, y, [[0, 3, 3, 11], np.arange(12)], cfg)
+        first, whole = memo.values()
+        assert build_tree(X, y, cfg, rows=[0, 3, 3, 11], memo=memo) is first
+        assert build_tree(X, y, cfg, memo=memo) is whole
+        assert build_tree(X, y, cfg, rows=np.arange(12), memo=memo) is whole
+        for bad in (X.copy(), y.copy()):
+            bad.flat[5] = np.nan
+            Xb, yb = (bad, y) if bad.ndim == 2 else (X, bad)
+            with pytest.raises(ValueError, match="^X and y must be finite$"):
+                build_tree(Xb, yb, cfg, rows=[0, 3, 11], memo=memo)
+
     @pytest.mark.parametrize("dtype", [np.int32, np.uint8])
     def test_narrow_integer_rows_accepted(self, dtype):
         X, y = grid_data(3)
@@ -429,7 +459,7 @@ class TestRowsAndMemo:
                 memo = memo_of(X, y, roots, cfg)
                 lanes = np.array(seeds, dtype=np.uint64)
                 if m < p:
-                    rec, keys = _grow_forests(X, y, roots, cfg, lanes, m)
+                    rec, keys, _ = _grow_forests(X, y, roots, cfg, lanes, m)
                     assert keys == []
                     laned = _build_trees(rec, np.arange(rec.n.size))
                 for t, (ts, rows) in enumerate(zip(seeds, roots)):
@@ -633,8 +663,9 @@ class TestGrowLockstep:
                      for _ in range(int(gen.integers(1, 12)))]
             seeds = [int(s) for s in gen.integers(0, 2**63, len(roots))]
             lanes = np.array(seeds, dtype=np.uint64)
-            rec, keys = _grow_forests(X, y, roots, cfg, lanes, m)
+            rec, keys, root_ids = _grow_forests(X, y, roots, cfg, lanes, m)
             assert keys == []
+            assert root_ids.tolist() == list(range(len(roots)))
             trees = _build_trees(rec, np.arange(rec.n.size))[:len(roots)]
             for rows, seed, state, tree in zip(roots, seeds, lanes.tolist(),
                                                trees, strict=True):
@@ -657,7 +688,7 @@ class TestGrowLockstep:
         parent's and belongs to the parent's tree."""
         X, y = builtin.features(), builtin.responses()
         roots = [bootstrap_indices(9, s) for s in range(30)]
-        rec, _ = _grow_forests(X, y, roots, TreeConfig(),
+        rec, _, _ = _grow_forests(X, y, roots, TreeConfig(),
                                np.arange(30, dtype=np.uint64), 2)
         assert rec.tree[:30].tolist() == list(range(30))
         split = np.flatnonzero(rec.feature >= 0)
@@ -689,7 +720,7 @@ class TestRecords:
         for X, y in [(builtin.features(), builtin.responses()), grid_data(5)]:
             roots = self._roots(y.size)
             lanes = None if keyed else np.arange(len(roots), dtype=np.uint64)
-            rec, _ = _grow_forests(X, y, roots, cfg, lanes, 0 if keyed else 2)
+            rec, _, _ = _grow_forests(X, y, roots, cfg, lanes, 0 if keyed else 2)
             assert len({len(col) for col in rec}) == 1
             split = np.flatnonzero(rec.feature >= 0)
             left, right = rec.child[split, 0], rec.child[split, 1]
@@ -716,7 +747,7 @@ class TestRecords:
 
         for X, y in [(builtin.features(), builtin.responses()), grid_data(5)]:
             roots = [np.asarray(r, np.intp) for r in self._roots(y.size)]
-            rec, keys = _grow_forests(X, y, roots, cfg)
+            rec, keys, root_ids = _grow_forests(X, y, roots, cfg)
             trees = [build_tree(X[rows], y[rows], cfg) for rows in roots]
             distinct = {k for rows, tree in zip(roots, trees)
                         for k in node_keys(tree, rows, 0)}
@@ -724,6 +755,45 @@ class TestRecords:
             assert rec.n.size == len(distinct) < sum(
                 sum(count_nodes(tree)) for tree in trees)
             assert sorted(keys) == sorted({key(rows, 0) for rows in roots})
+            # Each root's record is the distinct root of its key.
+            assert [keys[i] for i in root_ids] == [key(rows, 0) for rows in roots]
+
+
+def key_ids_loop(keys, buf, start, size, depth, cfg):
+    """`_key_ids` node by node: the nodes by ascending size, stably, each
+    taking its key's id in `keys`, or the next id when the key is new."""
+    ids, new = np.empty(size.size, np.intp), np.zeros(size.size, bool)
+    for i in np.argsort(size, kind="stable").tolist():
+        rows = buf[start[i]:start[i] + size[i]]
+        if cfg.max_depth:
+            rows = np.append(rows, depth[i])
+        key = rows.astype(np.intp).tobytes()
+        new[i] = key not in keys
+        ids[i] = keys.setdefault(key, len(keys))
+    return ids, new
+
+
+class TestKeyIds:
+    @pytest.mark.parametrize("max_depth", [0, 2])
+    def test_equals_the_loop_within_and_across_calls(self, max_depth):
+        """Blocks of few row ids and depths, so keys repeat within a call
+        and across calls; an empty call keys nothing."""
+        gen = np.random.default_rng(max_depth)
+        cfg = TreeConfig(max_depth=max_depth)
+        buf = gen.integers(0, 3, 60).astype(np.intp)
+        keys, loop_keys = {}, {}
+        for _ in range(40):
+            nodes = int(gen.integers(0, 30))
+            size = gen.integers(1, 5, nodes).astype(np.intp)
+            start = gen.integers(0, buf.size - 4, nodes).astype(np.intp)
+            depth = gen.integers(0, 3, nodes).astype(np.int32)
+            ids, new = _key_ids(keys, buf, start, size, depth, cfg)
+            want_ids, want_new = key_ids_loop(loop_keys, buf, start, size,
+                                              depth, cfg)
+            assert ids.tolist() == want_ids.tolist()
+            assert new.tolist() == want_new.tolist()
+            assert list(keys.items()) == list(loop_keys.items())
+        assert 0 < len(keys) < 40 * 15
 
 
 class TestSettingCodes:

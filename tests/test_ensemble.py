@@ -772,10 +772,10 @@ class TestCrossValidate:
             return predict(model, x)
 
         def growing(X, y, roots, cfg, lanes=None, m=0):
-            rec, keys = grow(X, y, roots, cfg, lanes, m)
+            out = grow(X, y, roots, cfg, lanes, m)
             if lanes is not None:
-                grown.append(rec)
-            return rec, keys
+                grown.append(out[0])
+            return out
 
         def fitting(X, y, fits, spec, **kwargs):
             out = fit_models(X, y, fits, spec, **kwargs)
@@ -902,9 +902,9 @@ class TestOnePassStage:
     def test_training_predictions_equal_predict_ensemble(self, builtin,
                                                          monkeypatch, data,
                                                          kind, m):
-        """The model's predictions of its own runs: routed through the
-        records with m < p, by `predict_ensemble` walks otherwise, and equal
-        bit for bit either way."""
+        """The model's predictions of its own runs: a forest's routed
+        through the records, a boosted model's by `predict_ensemble` walks,
+        and equal bit for bit either way."""
         d = builtin if data == "builtin" else factorial_81()
         spec = ModelSpec(kind=kind, trees=15, m=m, rounds=6, seed=4)
         walks = Counter()
@@ -916,7 +916,7 @@ class TestOnePassStage:
 
         monkeypatch.setattr(weldlab.ensemble, "predict_ensemble", counting)
         model, _, predicted = _fit_and_validate(d, spec, 3)
-        assert walks[spec.seed] == (0 if kind == "rf" and m < 3 else len(d))
+        assert walks[spec.seed] == (0 if kind == "rf" else len(d))
         monkeypatch.undo()
         assert predicted == predict_ensemble_many(model, d.features()).tolist()
 
@@ -1029,7 +1029,7 @@ class TestOnePassStage:
         monkeypatch.setattr(weldlab.ensemble, "_build_trees", building)
         monkeypatch.setattr(weldlab.cart, "_grow", refuse)
         model, _, _ = _fit_and_validate(builtin, ModelSpec(kind="rf"), 9)
-        ((rec, keys),) = passes
+        ((rec, keys, _),) = passes
         (built,) = builds
         assert len(keys) == 2000
         assert len(built) == rec.n.size
@@ -1051,12 +1051,14 @@ class TestOnePassStage:
 
         monkeypatch.setattr(weldlab.ensemble, "_grow_forests", recording)
         _fit_and_validate(builtin, ModelSpec(kind="rf"), 9)
-        ((roots, (rec, keys)),) = passes
+        ((roots, (rec, keys, root_ids)),) = passes
         X = builtin.features()
         built = _build_trees(rec, np.arange(rec.n.size))
         record = {key: i for i, key in enumerate(keys)}
         nodes = [record[rows.tobytes()] for block in roots for rows in block]
         assert len(nodes) == 2000
+        # The pass's record id of each root is its key's.
+        assert root_ids.tolist() == nodes
         pairs = list(itertools.product(range(len(X)), nodes))
         rows, starts = map(np.array, zip(*pairs))
         assert _route_records(rec, X, rows, starts).tolist() == [
