@@ -306,10 +306,11 @@ def kfold_plan(n: int, k: int, seed: int) -> FoldPlan:
 def _packing(n: int):
     """`bootstrap_indices`'s constants for n fields of 128 bits: the ones, the
     mask of each low half, the steps, the low halves' unpacker and the limit."""
-    ones = sum(1 << 128 * k for k in range(n))
-    steps = sum(((k + 1) * GOLDEN_GAMMA & MASK64) << 128 * k for k in range(n))
-    return (ones, MASK64 * ones, steps,
-            struct.Struct("<" + "Q8x" * n).unpack, 2**64 // n * n)
+    fields = struct.Struct("<" + "Q8x" * n)
+    ones = int.from_bytes(fields.pack(*[1] * n), "little")
+    steps = [(k + 1) * GOLDEN_GAMMA & MASK64 for k in range(n)]
+    return (ones, MASK64 * ones, int.from_bytes(fields.pack(*steps), "little"),
+            fields.unpack, 2**64 // n * n)
 
 
 def bootstrap_indices(n: int, seed: int) -> list[int]:
