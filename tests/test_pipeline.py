@@ -280,6 +280,42 @@ class TestDeterminism:
         assert a != b
 
 
+def config_from_report(block: dict) -> RunConfig:
+    """The `RunConfig` that a JSON report's `config` block records: the
+    `input` label back to `input_path` and `builtin`, `lambda` back to `lam`,
+    and `response` (always the dataset's) dropped."""
+    fields = {k: v for k, v in block.items() if k not in ("input", "response")}
+    fields["lam"] = fields.pop("lambda")
+    label = block["input"]
+    if label.startswith("builtin:"):
+        return RunConfig(**fields, input_path=None,
+                         builtin=label.removeprefix("builtin:"))
+    return RunConfig(**fields, input_path=label, builtin=None)
+
+
+class TestReplayRecord:
+    """Every report carries the settings that replay it."""
+
+    @pytest.fixture(params=["default", "csv-rf-m2-k3", "gbm-lam1"])
+    def cfg(self, request, tmp_path, monkeypatch) -> RunConfig:
+        monkeypatch.chdir(tmp_path)
+        write_csv(builtin_aa6262(), "runs.csv")
+        return {
+            "default": RunConfig(),
+            "csv-rf-m2-k3": RunConfig(input_path="runs.csv", builtin=None,
+                                      model="rf", m=2, cv="k:3"),
+            "gbm-lam1": RunConfig(model="gbm", lam=1.0),
+        }[request.param]
+
+    def test_config_block_replays_the_report(self, cfg):
+        doc = run_pipeline(cfg)
+        replay = config_from_report(json.loads(report_json(doc))["config"])
+        assert replay == cfg
+        again = run_pipeline(replay)
+        assert report_json(again) == report_json(doc)
+        assert report_text(again) == report_text(doc)
+
+
 class TestRender:
     def test_json_render_twice_byte_identical(self, default_doc, tmp_path):
         out1 = tmp_path / "a"
