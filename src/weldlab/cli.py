@@ -31,10 +31,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         help="CSV file to analyze (default: the embedded aa6262 dataset)",
     )
     p.add_argument("--seed", type=int, help="64-bit seed, recorded in the report")
-    p.add_argument("--format", choices=FORMATS, help="output format")
-    p.add_argument(
-        "--out", dest="out_dir", metavar="DIR", help="write report files to DIR"
-    )
+    p.add_argument("--format", choices=FORMATS, default="text", help="output format")
+    p.add_argument("--out", dest="out_dir", metavar="DIR", default=None,
+                   help="write report files to DIR")
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -49,8 +48,8 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser.  Flags have no defaults of their own: an absent flag
-    leaves its `RunConfig` field at the default declared there."""
+    """The CLI parser.  An absent analysis flag leaves its `RunConfig` field
+    at the default declared there; `--format` and `--out` declare theirs here."""
     parser = argparse.ArgumentParser(
         prog="weldlab",
         description="Taguchi, ANOVA, and tree-ensemble analysis of "
@@ -87,7 +86,8 @@ _SECTIONS_BY_COMMAND = {
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {k: v for k, v in vars(args).items() if k != "command"}
+    fields = {k: v for k, v in vars(args).items()
+              if k not in ("command", "format", "out_dir")}
     if "input_path" in fields:
         fields["builtin"] = None
     return RunConfig(**fields)
@@ -100,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _config_from_args(args)
     except ValueError as exc:
         parser.error(str(exc))  # exits with EXIT_USAGE
-    if cfg.format == "csv" and cfg.out_dir is None:
+    if args.format == "csv" and args.out_dir is None:
         parser.error("--format csv requires --out DIR")
 
     try:
@@ -124,9 +124,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"weldlab: stage {stage} failed: {msg}", file=sys.stderr)
         return EXIT_ALL_FAILED
 
-    if cfg.out_dir is not None:
+    if args.out_dir is not None:
         try:
-            written = render(doc, cfg.format, cfg.out_dir)
+            written = render(doc, args.format, args.out_dir)
         except OSError as exc:
             print(f"weldlab: I/O error: {exc}", file=sys.stderr)
             return EXIT_IO
@@ -134,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
             print(p)
     else:
         sys.stdout.write(
-            report_json(doc) if cfg.format == "json" else report_text(doc)
+            report_json(doc) if args.format == "json" else report_text(doc)
         )
 
     for stage, msg in doc.errors.items():

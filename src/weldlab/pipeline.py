@@ -7,7 +7,7 @@ domain failure in a stage (a ValueError or ArithmeticError) is recorded
 under the stage's name, as its class name and message, instead of aborting
 the rest, while programming errors propagate.  Discrepancies against the
 published tables are kept for the embedded dataset only.  Every report
-embeds the seed and hyperparameters needed to replay it.
+replays: its `config` block is the run's `RunConfig`, field by field.
 
 Each report section is described once, in `_blocks`: its text lines, its
 tables (raw cells with text and CSV headers) and its CSV-only files.  The
@@ -22,7 +22,7 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -58,7 +58,8 @@ FORMATS = ("text", "csv", "json")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Explicit configuration for one pipeline run (no hidden defaults)."""
+    """The settings that one report replays, and their only defaults: the
+    report's `config` block is these fields (see `report_json`)."""
 
     input_path: str | None = None  # None -> builtin dataset
     builtin: str | None = "aa6262"
@@ -72,16 +73,12 @@ class RunConfig:
     m: int | None = None
     cv: str = "loo"  # "loo" | "k:<K>"
     seed: int = 0
-    format: str = "text"
-    out_dir: str | None = None
 
     def __post_init__(self):
         if (self.input_path is None) == (self.builtin is None):
             raise ValueError("exactly one input source (CSV path or builtin)")
         if self.builtin is not None and self.builtin != "aa6262":
             raise ValueError(f"unknown builtin dataset {self.builtin!r}")
-        if self.format not in FORMATS:
-            raise ValueError(f"format must be one of {FORMATS}")
         if self.model not in ("rf", "gbm"):
             raise ValueError("model must be 'rf' or 'gbm'")
         if self.criterion not in CRITERIA:
@@ -233,19 +230,9 @@ def _anova(d, cfg: RunConfig):
     table = anova_mod.anova_table(fit)
     summary = anova_mod.model_summary(fit)
     section = {
-        "rows": [
-            {
-                "source": r.source, "df": r.df, "adj_ss": _sig6(r.adj_ss),
-                "adj_ms": _sig6(r.adj_ms), "f_value": _sig6(r.f_value),
-                "p_value": _sig6(r.p_value),
-            }
-            for r in table.rows
-        ],
-        "error": {"source": "Error", "df": table.error.df,
-                  "adj_ss": _sig6(table.error.adj_ss),
-                  "adj_ms": _sig6(table.error.adj_ms)},
-        "total": {"source": "Total", "df": table.total.df,
-                  "adj_ss": _sig6(table.total.adj_ss)},
+        "rows": [_anova_row(r) for r in table.rows],
+        "error": _anova_row(table.error, 4),  # source, df, adj_ss, adj_ms
+        "total": _anova_row(table.total, 3),  # source, df, adj_ss
         "significant": list(table.significant_sources()),
         "model_summary": {k: _sig6(v) for k, v in summary._asdict().items()},
     }
@@ -258,6 +245,13 @@ def _anova(d, cfg: RunConfig):
         "so this table reports the honest decomposition of the "
         "embedded runs",
     )]
+
+
+def _anova_row(row, n_fields: int = 6) -> dict:
+    """The first `n_fields` fields of an `AnovaRow`, numbers at 6 significant
+    digits."""
+    return {k: v if k in ("source", "df") else _sig6(v)
+            for k, v in list(row._asdict().items())[:n_fields]}
 
 
 def _model(d, cfg: RunConfig):
@@ -339,27 +333,23 @@ def _combination_dicts(combination) -> list[dict]:
 
 def report_json(doc: ReportDocument) -> str:
     """Single JSON document with stable key order (byte-identical per config)."""
+    config = asdict(doc.config)
+    del config["input_path"], config["builtin"]
+    config["lambda"] = config.pop("lam")  # `lambda` is a Python keyword
     payload = {
-        "config": {
-            "input": doc.config.input_path or f"builtin:{doc.config.builtin}",
-            "response": "hardness",
-            "criterion": doc.config.criterion,
-            "model": doc.config.model,
-            "trees": doc.config.trees,
-            "rounds": doc.config.rounds,
-            "depth": doc.config.depth,
-            "nu": doc.config.nu,
-            "lambda": doc.config.lam,
-            "m": doc.config.m,
-            "cv": doc.config.cv,
-            "seed": doc.config.seed,
-        },
+        "config": {**config, "input": _input_label(doc.config),
+                   "response": Dataset.RESPONSE_NAME},
         "sections": doc.sections,
         "warnings": doc.warnings,
         "errors": doc.errors,
         "discrepancies": [dx._asdict() for dx in doc.discrepancies],
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _input_label(cfg: RunConfig) -> str:
+    """The report's name of the input: its CSV path, or 'builtin:<name>'."""
+    return cfg.input_path or f"builtin:{cfg.builtin}"
 
 
 def report_text(doc: ReportDocument) -> str:
@@ -449,10 +439,8 @@ def _blocks(doc: ReportDocument):
     cfg = doc.config
     sections = doc.sections
     yield "weldlab report"
-    yield (
-        f"input: {cfg.input_path or 'builtin:' + str(cfg.builtin)}   "
-        f"seed: {cfg.seed}   model: {cfg.model}   cv: {cfg.cv}"
-    )
+    yield (f"input: {_input_label(cfg)}   seed: {cfg.seed}   "
+           f"model: {cfg.model}   cv: {cfg.cv}")
 
     if "dataset" in sections:
         s = sections["dataset"]

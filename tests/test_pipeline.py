@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from collections import Counter
 
@@ -314,6 +315,18 @@ class TestReplayRecord:
         again = run_pipeline(replay)
         assert report_json(again) == report_json(doc)
         assert report_text(again) == report_text(doc)
+
+    def test_config_block_is_every_field(self, default_doc):
+        """A field added to `RunConfig` is echoed without a writer change."""
+        names = {f.name for f in dataclasses.fields(RunConfig)}
+        block = json.loads(report_json(default_doc))["config"]
+        assert set(block) == (names - {"input_path", "builtin", "lam"}) | {
+            "input", "lambda", "response"}
+
+    @pytest.mark.parametrize("option", [{"format": "json"}, {"out_dir": "out"}])
+    def test_output_options_are_not_settings(self, option):
+        with pytest.raises(TypeError):
+            RunConfig(**option)
 
 
 class TestRender:
