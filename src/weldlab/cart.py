@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from ._rng import lane_skip_subsets, lane_subsets
-from .dataset import Dataset, _check_fields, _integer, _real
+from .dataset import Dataset, _check_fields, _integer, _real, _sequential_sum
 # Unused `best_split` stays bound: perfbench's tracer wraps `weldlab.cart.best_split`.
 from .kernels import _best_split_loops, best_split, best_splits  # noqa: F401
 
@@ -74,19 +74,19 @@ class SplitPartition:
 
 def entropy(dist: ClassDistribution) -> float:
     """-sum(p * log2 p) in bits, with 0*log2(0) = 0."""
-    return -sum(p * math.log2(p) for p in dist.frequencies if p > 0.0)
+    return -_sequential_sum(p * math.log2(p) for p in dist.frequencies if p > 0.0)
 
 
 def information_gain(split: SplitPartition) -> float:
     """Parent entropy minus size-weighted child entropies."""
-    return entropy(split.parent) - sum(
+    return entropy(split.parent) - _sequential_sum(
         w * entropy(c) for w, c in zip(split.weights, split.children)
     )
 
 
 def split_info(split: SplitPartition) -> float:
     """-sum(w * log2 w) over child weights (zero-size children contribute 0)."""
-    return -sum(w * math.log2(w) for w in split.weights if w > 0.0)
+    return -_sequential_sum(w * math.log2(w) for w in split.weights if w > 0.0)
 
 
 def gain_ratio(split: SplitPartition) -> float:
@@ -99,7 +99,7 @@ def gain_ratio(split: SplitPartition) -> float:
 
 def gini_impurity(dist: ClassDistribution) -> float:
     """1 - sum(p^2)."""
-    return 1.0 - sum(p * p for p in dist.frequencies)
+    return 1.0 - _sequential_sum(p * p for p in dist.frequencies)
 
 
 # --- regression tree ------------------------------------------------------

@@ -74,6 +74,15 @@ def _real(value, what: str):
     return value
 
 
+def _sequential_sum(values):
+    """`values` added one at a time from the int 0, as the built-in `sum` adds
+    floats before Python 3.12 (which compensates), on every interpreter."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 def _check_fields(obj, check, names) -> None:
     """Store ``check(value, name)`` in each field named in `names` of the
     frozen dataclass `obj`."""

@@ -70,6 +70,7 @@ from .dataset import (
     _check_fields,
     _integer,
     _real,
+    _sequential_sum,
     bootstrap_indices,
     kfold_plan,
     lane_bootstraps,
@@ -254,7 +255,7 @@ def _fit_models(X, y, fits, spec: ModelSpec, train: bool = False) -> list:
             zip(fits, tree_seeds, wanted, roots)):
         if rows is not None:
             # Each row's mean over trees in index order, as `predict_ensemble`.
-            predicted = [sum(values[i:i + T]) / T
+            predicted = [_sequential_sum(values[i:i + T]) / T
                          for i in range(at, at + len(rows) * T, T)]
             at += len(rows) * T
         if keyed:
@@ -314,8 +315,9 @@ def predict_ensemble(model: EnsembleModel, x: Sequence[float]) -> float:
     # Python floats (cheaper to index than numpy scalars), finite as in predict_tree
     row = [_real(v, f"feature {i}") for i, v in enumerate(x.tolist())]
     if isinstance(model, ForestModel):
-        return float(sum(_route(t, row) for t in model.trees) / len(model.trees))
-    return model.f0 + model.nu * sum(_route(t, row) for t in model.stages)
+        return float(_sequential_sum(_route(t, row) for t in model.trees)
+                     / len(model.trees))
+    return model.f0 + model.nu * _sequential_sum(_route(t, row) for t in model.stages)
 
 
 def predict_ensemble_many(model: EnsembleModel, X: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _sequential_sum
 
 CRITERIA = ("larger", "smaller", "nominal")
 
@@ -29,14 +29,14 @@ def sn_larger_is_better(y: Sequence[float]) -> float:
         raise ValueError("need at least one replicate")
     if any(v <= 0 for v in y):
         raise ValueError("larger-is-better S/N requires all responses > 0")
-    return -10.0 * math.log10(sum(1.0 / (v * v) for v in y) / len(y))
+    return -10.0 * math.log10(_sequential_sum(1.0 / (v * v) for v in y) / len(y))
 
 
 def sn_smaller_is_better(y: Sequence[float]) -> float:
     """-10*log10(mean(y^2)) in dB."""
     if len(y) == 0:
         raise ValueError("need at least one replicate")
-    return -10.0 * math.log10(sum(v * v for v in y) / len(y))
+    return -10.0 * math.log10(_sequential_sum(v * v for v in y) / len(y))
 
 
 def sn_nominal_is_best(y: Sequence[float]) -> float:
@@ -44,8 +44,8 @@ def sn_nominal_is_best(y: Sequence[float]) -> float:
     if len(y) < 2:
         raise ValueError("nominal-is-best S/N requires at least 2 replicates")
     n = len(y)
-    mean = sum(y) / n
-    var = sum((v - mean) ** 2 for v in y) / (n - 1)
+    mean = _sequential_sum(y) / n
+    var = _sequential_sum((v - mean) ** 2 for v in y) / (n - 1)
     if var == 0:
         raise ValueError("nominal-is-best S/N undefined for zero variance")
     return 10.0 * math.log10(mean * mean / var)

@@ -27,7 +27,10 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
+import random
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -37,7 +40,7 @@ import pytest
 
 from weldlab.cart import TreeConfig
 from weldlab.cli import main
-from weldlab.dataset import Dataset, Run, builtin_aa6262, write_csv
+from weldlab.dataset import Dataset, Run, _sequential_sum, builtin_aa6262, write_csv
 from weldlab.ensemble import fit_gbm, fit_random_forest, model_from_json, model_to_json
 from weldlab.pipeline import RunConfig, render, report_json, report_text, run_pipeline
 
@@ -197,6 +200,76 @@ def test_model_file_round_trips_to_an_equal_model(case):
     # NamedTuple equality compares every field, trees and config included.
     model = MODEL_CASES[case][0](builtin_aa6262())
     assert model_from_json(model_to_json(model)) == model
+
+
+def compensated_sum(iterable, /, start=0):
+    """The built-in `sum` of CPython 3.12 and later, in Python: ints add
+    exactly, and a run of floats by Neumaier's compensated summation
+    (gh-100425), where Python 3.10 and 3.11 add floats one at a time."""
+    items = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in items:
+            result = result + item
+            if type(item) is not int and not isinstance(item, bool):
+                break
+        else:
+            return result
+    if type(result) is float:
+        total, c = result, 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    c += (total - t) + item
+                else:
+                    c += (item - t) + total
+                total = t
+                continue
+            if type(item) is int and -2**63 <= item < 2**63:
+                total += float(item)
+                continue
+            if c and math.isfinite(c):
+                total += c
+            result = total + item
+            break
+        else:
+            if c and math.isfinite(c):
+                total += c
+            return total
+    for item in items:
+        result = result + item
+    return result
+
+
+def test_compensated_sum_is_the_sum_of_python_3_12():
+    """The emulation below is the built-in `sum` on Python 3.12 and later;
+    before 3.12 the built-in adds as `_sequential_sum` does.  The two differ."""
+    rng = random.Random(2024)
+    builtin = compensated_sum if sys.version_info >= (3, 12) else _sequential_sum
+    for _ in range(300):
+        xs = [rng.choice((rng.random(), rng.gauss(60.0, 5.0), 0.1, -0.0, 1e16, 3))
+              for _ in range(rng.randrange(40))]
+        assert repr(sum(xs)) == repr(builtin(xs))
+    assert compensated_sum([0.1] * 10) == 1.0 != _sequential_sum([0.1] * 10)
+
+
+@pytest.mark.parametrize("kind, case", [
+    *(("pipeline", case) for case in sorted(PIPELINE_CASES)),
+    *(("cli", case) for case in sorted(CLI_CASES)),
+])
+def test_outputs_match_golden_under_compensated_sum(kind, case, golden, tmp_path,
+                                                    monkeypatch):
+    """No report byte depends on how the interpreter's `sum` adds floats:
+    every weldlab module sees Python 3.12's `sum` here."""
+    for name, module in list(sys.modules.items()):
+        if name == "weldlab" or name.startswith("weldlab."):
+            monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    monkeypatch.chdir(tmp_path)
+    if kind == "pipeline":
+        assert pipeline_digests(PIPELINE_CASES[case]) == golden[kind][case]
+    else:
+        assert cli_digest(CLI_CASES[case]) == golden[kind][case]
 
 
 def _generate() -> dict:
