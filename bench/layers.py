@@ -36,11 +36,13 @@ otherwise recompile those modules in every process.  perfbench instead
 runs a fresh checkout in the environment as it is, where under that
 setting weldlab's modules compile in every process.
 
-The output records, per op and side, the median and quartiles of wall and
-process-CPU time over the pairs, the pairs each side won (ties count for
-neither) and whether both sides printed the same bytes; per in-process op,
-the quartiles of the pairs' CPU ratios; and per cli-cold side, the median
-peak RSS.  Peak RSS needs a process per side, so in-process ops do not
+The output names each side by its commit (empty where git names none) and
+by the SHA-256 of its ``src/weldlab`` sources, which a copy without
+``.git`` has too.  It records, per op and side, the median and quartiles
+of wall and process-CPU time over the pairs, the pairs each side won (ties
+count for neither) and whether both sides printed the same bytes; per
+in-process op, the quartiles of the pairs' CPU ratios; and per cli-cold
+side, the median peak RSS.  Peak RSS needs a process per side, so in-process ops do not
 report it; perfbench's ``peak_rss_mb`` covers them.  No dependency beyond
 the standard library and weldlab's.
 """
@@ -188,12 +190,28 @@ def summary(mine: list[dict], theirs: list[dict]) -> dict:
 
 
 def git_head(side: Path) -> str:
-    head = subprocess.run(["git", "-C", str(side), "rev-parse", "HEAD"],
-                          capture_output=True, text=True).stdout.strip()
+    """The commit checked out at `side`, with "+changes" when tracked files
+    differ from it; "" where git names none (no `.git`, or no commit)."""
+    head = subprocess.run(
+        ["git", "-C", str(side), "rev-parse", "--verify", "--quiet", "HEAD"],
+        capture_output=True, text=True)
+    if head.returncode != 0:
+        return ""
     dirty = subprocess.run(["git", "-C", str(side), "status", "--porcelain",
                             "--untracked-files=no"],
                            capture_output=True, text=True).stdout.strip()
-    return head + ("+changes" if dirty else "")
+    return head.stdout.strip() + ("+changes" if dirty else "")
+
+
+def source_digest(side: Path) -> str:
+    """SHA-256 over the `src/weldlab/*.py` files at `side`, each file's name
+    and bytes in name order: what was timed, with or without git."""
+    digest = hashlib.sha256()
+    for path in sorted((side / "src" / "weldlab").glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def main() -> int:
@@ -210,6 +228,7 @@ def main() -> int:
         "python": platform.python_version(), "machine": platform.machine(),
         "cpus": os.cpu_count(), "pairs": PAIRS, "reps": REPS,
         "commits": {name: git_head(side) for name, side in sides.items()},
+        "src_sha256": {name: source_digest(side) for name, side in sides.items()},
     }, "ops": {}}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)

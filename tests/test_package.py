@@ -3,14 +3,28 @@
 import ast
 import importlib
 import importlib.util
+import shutil
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 from unittest import mock
 
+import pytest
+
 import weldlab
 
 PACKAGE = Path(weldlab.__file__).parent
+
+
+@pytest.fixture(scope="module")
+def layers():
+    """bench/layers.py, the script that times two checkouts."""
+    spec = importlib.util.spec_from_file_location(
+        "layers", PACKAGE.parents[1] / "bench" / "layers.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _references(tree: ast.AST) -> Counter:
@@ -115,14 +129,10 @@ def test_every_frozen_dataclass_checks_its_input():
     assert found == []
 
 
-def test_two_copies_of_the_package_print_the_same_report():
+def test_two_copies_of_the_package_print_the_same_report(layers):
     # bench/layers.py times two checkouts in one process, each imported under
     # its own package name, so each copy must import only itself: here an
     # import of `weldlab` itself fails.
-    spec = importlib.util.spec_from_file_location(
-        "layers", PACKAGE.parents[1] / "bench" / "layers.py")
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
     hidden = {m: None for m in sys.modules
               if m == "weldlab" or m.startswith("weldlab.")}
     reports = []
@@ -132,3 +142,24 @@ def test_two_copies_of_the_package_print_the_same_report():
             pipeline = importlib.import_module(f"{name}.pipeline")
             reports.append(layers.report_bytes(pipeline, {}))
     assert reports[0] == reports[1]
+
+
+def test_timed_checkouts_are_named_by_their_sources(layers, tmp_path):
+    """bench/layers.py names each side by a digest of its sources, which
+    copies without git history have too."""
+    sides = [tmp_path / "a", tmp_path / "b"]
+    for side in sides:
+        shutil.copytree(PACKAGE, side / "src" / "weldlab",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        assert layers.git_head(side) == ""
+    digest = layers.source_digest(sides[0])
+    assert len(digest) == 64
+    assert layers.source_digest(sides[1]) == digest
+    module = sides[1] / "src" / "weldlab" / "cli.py"
+    data = bytearray(module.read_bytes())
+    data[0] ^= 1
+    module.write_bytes(bytes(data))
+    assert layers.source_digest(sides[1]) != digest
+    # A repository without a commit names none either.
+    subprocess.run(["git", "init", "-q", str(sides[0])], check=True)
+    assert layers.git_head(sides[0]) == ""
