@@ -5,11 +5,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import weldlab.cart
 import weldlab.dataset
 import weldlab.ensemble
-from weldlab._rng import SplitMix64, derive_seed
+from weldlab._rng import GOLDEN_GAMMA, MASK64, SplitMix64, derive_seed
 from weldlab.cart import (
     Internal,
     Leaf,
@@ -25,6 +26,7 @@ from weldlab.cart import (
 from weldlab.dataset import Dataset, bootstrap_indices, kfold_plan
 from weldlab.ensemble import (
     BoostModel,
+    CvResult,
     ForestModel,
     ModelSpec,
     _fit_and_validate,
@@ -42,7 +44,7 @@ from weldlab.ensemble import (
     save_model,
 )
 
-from conftest import lane_draws, make_dataset, subset_tree
+from conftest import lane_draws, make_dataset, rejecting_seed, subset_tree, unmix64
 
 HARDNESS_RANGE = (58.3, 74.2)
 
@@ -677,6 +679,106 @@ class TestFeatureImportance:
         assert a.scores == pytest.approx(b.scores, abs=1e-9)
 
 
+# The recursions that `tree_arity`, `count_nodes`, `export_tree`'s text
+# format and `feature_importance` were, kept as references for the one
+# preorder walk (`cart._preorder`) behind all four.
+
+
+def arity_recursion(t):
+    if isinstance(t, Leaf):
+        return 0
+    return max(t.feature + 1, arity_recursion(t.left), arity_recursion(t.right))
+
+
+def count_recursion(t):
+    if isinstance(t, Leaf):
+        return 0, 1
+    il, ll = count_recursion(t.left)
+    ir, lr = count_recursion(t.right)
+    return il + ir + 1, ll + lr
+
+
+def text_recursion(t, names=None):
+    lines = []
+
+    def walk(node, indent):
+        lines.append("  " * indent + weldlab.cart._node_label(node, names))
+        if isinstance(node, Internal):
+            walk(node.left, indent + 1)
+            walk(node.right, indent + 1)
+
+    walk(t, 0)
+    return "\n".join(lines) + "\n"
+
+
+def importance_recursion(trees, n_features):
+    """Normalized scores of `trees`, accumulated in a numpy array."""
+    acc = np.zeros(max(n_features, 1))
+
+    def add(t, n_root):
+        if isinstance(t, Internal):
+            acc[t.feature] += (t.n / n_root) * t.decrease
+            add(t.left, n_root)
+            add(t.right, n_root)
+
+    for t in trees:
+        add(t, t.n)
+    total = acc.sum()
+    return acc / total if total > 0.0 else acc
+
+
+def walk_case(name, builtin):
+    """A model or a bare tree of each shape the report builds."""
+    if name == "leaf":
+        return Leaf(value=1.0, n=5)
+    if name == "cart":
+        return weldlab.cart.fit_regression_tree(builtin)
+    if name == "cart-depth2":
+        return weldlab.cart.fit_regression_tree(builtin, TreeConfig(max_depth=2))
+    if name == "rf-default":
+        return fit_model(builtin, ModelSpec(kind="rf"))
+    if name == "rf-depth2":
+        return fit_model(builtin, ModelSpec(
+            kind="rf", config=TreeConfig(max_depth=2), trees=40, seed=5))
+    if name in ("ff81-m3", "ff81-m2"):
+        return fit_model(factorial_81(), ModelSpec(
+            kind="rf", trees=50, m=int(name[-1])))
+    if name == "gbm-lam1":
+        return fit_gbm(builtin, rounds=20, lam=1.0, seed=2)
+    assert name == "ff81-gbm-lam1-depth2"
+    return fit_gbm(factorial_81(), rounds=20, cfg=TreeConfig(max_depth=2),
+                   lam=1.0)
+
+
+class TestOneTreeWalk:
+    """Arity, node counts, text export and importance of every tree equal
+    the recursions they replaced, byte for byte and bit for bit."""
+
+    CASES = ["leaf", "cart", "cart-depth2", "rf-default", "rf-depth2",
+             "ff81-m3", "ff81-m2", "gbm-lam1", "ff81-gbm-lam1-depth2"]
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_walks_equal_the_recursions(self, builtin, name):
+        model = walk_case(name, builtin)
+        trees = (model.trees if isinstance(model, ForestModel)
+                 else model.stages if isinstance(model, BoostModel)
+                 else (model,))
+        assert any(isinstance(t, Internal) for t in trees) == (name != "leaf")
+        for t in trees:
+            assert tree_arity(t) == arity_recursion(t)
+            assert count_nodes(t) == count_recursion(t)
+            assert weldlab.cart.export_tree(t) == text_recursion(t)
+            if arity_recursion(t) <= 3:
+                assert weldlab.cart.export_tree(
+                    t, "text", Dataset.FACTOR_NAMES) == text_recursion(
+                        t, Dataset.FACTOR_NAMES)
+        n_features = (arity_recursion(model) if len(trees) == 1 and model is trees[0]
+                      else model.n_features)
+        got = feature_importance(model).scores
+        assert [v.hex() for v in got] == [
+            float(v).hex() for v in importance_recursion(trees, n_features)]
+
+
 class TestRegressionMetrics:
     def test_perfect(self):
         m = regression_metrics([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
@@ -1107,6 +1209,178 @@ class TestOnePassStage:
         tiny = make_dataset([(800, 40, 0.1, 5.0), (900, 50, 0.2, 6.0)])
         with pytest.raises(ValueError, match="training"):
             _fit_and_validate(tiny, ModelSpec(kind="gbm"), 2)
+
+
+# --- an independent oracle for the model stage ----------------------------
+# Every tree grown alone by the plain recursions, every bootstrap drawn one
+# `next_below` at a time, every fold refitted on its own runs, and every
+# prediction walked tree by tree: none of the model stage's shortcuts.
+
+
+def naive_route(t, x):
+    while isinstance(t, Internal):
+        t = t.left if x[t.feature] <= t.threshold else t.right
+    return t.value
+
+
+def naive_predict(model, x):
+    """A forest's mean over its trees in index order, or F_0 plus nu times
+    the stages' sum, each sum one value at a time."""
+    total = 0
+    for t in model.trees if isinstance(model, ForestModel) else model.stages:
+        total += naive_route(t, x)
+    if isinstance(model, ForestModel):
+        return total / len(model.trees)
+    return model.f0 + model.nu * total
+
+
+def naive_fit(X, y, spec, seed):
+    """The `spec` model of (X, y) with `seed`, one tree at a time."""
+    (n, p), cfg = X.shape, spec.config
+    Xl = X.tolist()
+    if spec.kind == "gbm":
+        f0 = float(y.mean())
+        current = np.full_like(y, f0)
+        mse, stages = [float(np.mean((y - current) ** 2))], []
+        for _ in range(spec.rounds):
+            stages.append(weldlab.cart._grow(
+                Xl, (y - current).tolist(), list(range(n)), 0, cfg, lam=spec.lam))
+            current = current + spec.nu * np.array(
+                [naive_route(stages[-1], x) for x in Xl])
+            mse.append(float(np.mean((y - current) ** 2)))
+        return BoostModel(f0, tuple(stages), spec.nu, spec.lam, p, seed, cfg,
+                          tuple(mse))
+    m = p if spec.m is None else spec.m
+    tree_seeds = tuple(derive_seed(seed, t) for t in range(spec.trees))
+    trees = []
+    for ts in tree_seeds:
+        rows = list(range(n))
+        if spec.bootstrap:
+            rng = SplitMix64(ts)
+            rows = [rng.next_below(n) for _ in rows]
+        trees.append(
+            subset_tree(X[rows], y[rows], cfg, SplitMix64(derive_seed(ts, 1)), m)
+            if m < p else weldlab.cart._grow(Xl, y.tolist(), rows, 0, cfg))
+    return ForestModel(tuple(trees), tree_seeds, p, m, spec.bootstrap, seed, cfg)
+
+
+def naive_stage(d, spec, k):
+    """`_fit_and_validate(d, spec, k)` from `naive_fit` and `naive_predict`."""
+    X, y = d.features(), d.responses()
+    plan = kfold_plan(len(d), k, spec.seed)
+    final = naive_fit(X, y, spec, spec.seed)
+    predictions = np.empty(len(d))
+    fold_metrics = []
+    for f in range(k):
+        train = [i for i, g in enumerate(plan.assignments) if g != f]
+        held = list(plan.fold_indices(f))
+        model = naive_fit(X[train], y[train], spec, derive_seed(spec.seed, f))
+        predictions[held] = [naive_predict(model, X[i]) for i in held]
+        fold_metrics.append(regression_metrics(y[held], predictions[held])
+                            if len(held) >= 2 else None)
+    cv = CvResult(plan, tuple(fold_metrics), regression_metrics(y, predictions),
+                  tuple(predictions.tolist()))
+    return final, cv, [naive_predict(final, x) for x in X.tolist()]
+
+
+def seed_deriving(target, *streams):
+    """The seed s with ``derive_seed(s, *streams) == target``."""
+    for stream in reversed(streams):
+        target = (unmix64(target) - (stream + 1) * GOLDEN_GAMMA) & MASK64
+    return target
+
+
+def assert_stage_equals_the_oracle(d, spec, k):
+    n = len(d)
+    if n - -(-n // k) < 2:  # the largest fold leaves < 2 training runs
+        with pytest.raises(ValueError, match="training runs"):
+            _fit_and_validate(d, spec, k)
+        return
+    assert _fit_and_validate(d, spec, k) == naive_stage(d, spec, k)
+
+
+LEVELS = (0.1, 0.25, 1.0, 40.0, 55.5, 800.0)
+RESPONSES = (55.0, 60.5, 61.25, 64.3, 70.0, 74.2)
+
+
+@st.composite
+def stage_cases(draw):
+    """A design, a model spec and a fold count for the model stage.
+
+    Hypothesis draws the kind of case; the numbers come from a numpy
+    generator that it seeds, which spreads them more evenly."""
+    design = draw(st.sampled_from(["any", "one setting", "constant response"]))
+    kind = draw(st.sampled_from(["rf", "gbm"]))
+    m, bootstrap = draw(st.sampled_from(
+        [(m, b) for m in (None, 1, 2, 3) for b in (True, False)]))
+    # Some seeds make a tree's bootstrap or subset stream reject a draw.
+    rare = draw(st.sampled_from(["none", "bootstrap", "fold bootstrap", "subsets"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(2, 31))
+    # Each factor's 1-4 levels; the runs cycle through a few settings drawn
+    # from them, so settings repeat, and the responses repeat values.
+    levels = [rng.choice(LEVELS, rng.integers(1, 5), replace=False) for _ in range(3)]
+    settings = [tuple(rng.choice(lv) for lv in levels) for _ in range(
+        1 if design == "one setting" else rng.integers(2, n // 2 + 2))]
+    responses = rng.choice(RESPONSES, 1 if design == "constant response" else n)
+    d = make_dataset([settings[i % len(settings)] + (responses[i % len(responses)],)
+                      for i in range(n)])
+    cfg = TreeConfig(max_depth=int(rng.choice([0, 0, 1, 2, 3])),
+                     min_samples_leaf=int(rng.choice([1, 1, 2, 3])),
+                     min_impurity_decrease=float(rng.choice([0.0, 0.0, 0.5, 4.0])))
+    # A fold count whose every fold leaves >= 2 training runs, or 2 (n = 2).
+    k = int(rng.choice([k for k in range(2, min(n, 5) + 1)
+                        if n - -(-n // k) >= 2] or [2]))
+    trees = int(rng.integers(1, 5))
+    # Tree t of the final forest, or of fold f, rejects its draw j.
+    t, f, j = int(rng.integers(trees)), int(rng.integers(k)), int(rng.integers(1, n + 1))
+    seed = (int(rng.integers(2**64, dtype=np.uint64)) if rare == "none"
+            else seed_deriving(rejecting_seed(j), t) if rare == "bootstrap"
+            else seed_deriving(rejecting_seed(j), f, t) if rare == "fold bootstrap"
+            else seed_deriving(rejecting_seed(j), t, 1))
+    return d, ModelSpec(kind=kind, config=cfg, trees=trees, m=m, bootstrap=bootstrap,
+                        rounds=int(rng.integers(0, 5)), nu=float(rng.choice([0.3, 1.0])),
+                        lam=float(rng.choice([0.0, 1.0])), seed=seed), k
+
+
+class TestModelStageOracle:
+    """`_fit_and_validate` equals the naive reference exactly: models,
+    predictions and CV results."""
+
+    @given(stage_cases())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_equals_the_naive_reference(self, case):
+        assert_stage_equals_the_oracle(*case)
+
+    @pytest.mark.parametrize("m", [None, 2])
+    @pytest.mark.parametrize("streams", [(0,), (1, 3)])
+    def test_rejected_bootstrap_draws(self, builtin, m, streams):
+        """Tree 0 of the final forest, or tree 3 of fold 1, draws 2^64 - 1
+        third, which `next_below(9)` rejects."""
+        spec = ModelSpec(kind="rf", trees=5, m=m, seed=seed_deriving(
+            rejecting_seed(3), *streams))
+        rng = SplitMix64(derive_seed(spec.seed, *streams))
+        assert [rng.next_u64() for _ in range(3)][2] == MASK64
+        assert_stage_equals_the_oracle(builtin, spec, 3)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_replicated_factorial(self, m):
+        """A 2^3 factorial run twice: nodes whose runs share one setting
+        are settled, and their trees still draw their subsets."""
+        rows = [levels + (RESPONSES[i * 5 % 6],) for i, levels in enumerate(
+            list(itertools.product((800.0, 1200.0), (40.0, 60.0), (0.1, 0.3))) * 2)]
+        spec = ModelSpec(kind="rf", trees=4, m=m, seed=2)
+        assert_stage_equals_the_oracle(make_dataset(rows), spec, 3)
+
+    @pytest.mark.parametrize("kind, m", [("rf", None), ("rf", 2), ("gbm", None)])
+    def test_runs_of_one_setting(self, kind, m):
+        """Every node of a design whose runs share one setting is a leaf."""
+        d = make_dataset([(1000.0, 50.0, 0.2, v) for v in RESPONSES])
+        spec = ModelSpec(kind=kind, trees=4, m=m, rounds=3, seed=6)
+        assert_stage_equals_the_oracle(d, spec, 3)
+        model = fit_model(d, spec)
+        assert all(isinstance(t, Leaf) for t in getattr(
+            model, "trees", getattr(model, "stages", ())))
 
 
 class TestModelSpec:
