@@ -641,11 +641,22 @@ def fit_regression_tree(d: Dataset, cfg: TreeConfig = TreeConfig()) -> TreeNode:
     return build_tree(d.features(), d.responses(), cfg)
 
 
+def _preorder(t: TreeNode):
+    """Each node of the tree `t` with its depth, root first and each left
+    subtree before its right: the one walk of whole built trees."""
+    stack = [(t, 0)]
+    while stack:
+        item = stack.pop()
+        yield item
+        node, depth = item
+        if isinstance(node, Internal):
+            stack += ((node.right, depth + 1), (node.left, depth + 1))
+
+
 def tree_arity(t: TreeNode) -> int:
     """Highest feature index referenced, +1 (0 for a bare leaf)."""
-    if isinstance(t, Leaf):
-        return 0
-    return max(t.feature + 1, tree_arity(t.left), tree_arity(t.right))
+    return max((node.feature + 1 for node, _ in _preorder(t)
+                if isinstance(node, Internal)), default=0)
 
 
 def _route(t: TreeNode, x) -> float:
@@ -678,12 +689,9 @@ def predict_tree(t: TreeNode, x: Sequence[float]) -> float:
 
 
 def count_nodes(t: TreeNode) -> tuple[int, int]:
-    """(internal count, leaf count)."""
-    if isinstance(t, Leaf):
-        return 0, 1
-    il, ll = count_nodes(t.left)
-    ir, lr = count_nodes(t.right)
-    return il + ir + 1, ll + lr
+    """(internal count, leaf count): every split has two children."""
+    splits = sum(isinstance(node, Internal) for node, _ in _preorder(t))
+    return splits, splits + 1
 
 
 _FMT = "%.6g"
@@ -707,18 +715,11 @@ def export_tree(
         raise ValueError(f"the tree's arity is {tree_arity(t)}, but "
                          f"feature_names has {len(feature_names)}")
     if format == "text":
-        lines: list[str] = []
-
-        def walk(node: TreeNode, indent: int):
-            lines.append("  " * indent + _node_label(node, feature_names))
-            if isinstance(node, Internal):
-                walk(node.left, indent + 1)
-                walk(node.right, indent + 1)
-
-        walk(t, 0)
-        return "\n".join(lines) + "\n"
+        return "".join("  " * depth + _node_label(node, feature_names) + "\n"
+                       for node, depth in _preorder(t))
 
     if format == "graph":
+        # A split's edges follow its whole subtree, so this walk is its own.
         lines = ["digraph tree {"]
         counter = [0]
 

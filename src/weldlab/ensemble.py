@@ -59,6 +59,7 @@ from .cart import (
     _build_trees,
     _grow,
     _grow_forests,
+    _preorder,
     _route,
     _route_records,
     build_tree,
@@ -336,14 +337,6 @@ class FeatureImportance(NamedTuple):
         return max(range(len(self.scores)), key=lambda i: (self.scores[i], -i))
 
 
-def _accumulate_importance(t: TreeNode, n_root: int, acc: np.ndarray):
-    if isinstance(t, Leaf):
-        return
-    acc[t.feature] += (t.n / n_root) * t.decrease
-    _accumulate_importance(t.left, n_root, acc)
-    _accumulate_importance(t.right, n_root, acc)
-
-
 def feature_importance(
     model: Union[EnsembleModel, TreeNode], n_features: int | None = None
 ) -> FeatureImportance:
@@ -363,10 +356,12 @@ def feature_importance(
         if nf < arity:
             raise ValueError(f"the tree's arity is {arity}, but n_features is {nf}")
         trees = (model,)
-    acc = np.zeros(max(nf, 1))
+    acc = [0.0] * max(nf, 1)  # Python floats add as numpy's float64 do
     for t in trees:
-        if isinstance(t, Internal):
-            _accumulate_importance(t, t.n, acc)
+        for node, _ in _preorder(t):
+            if isinstance(node, Internal):
+                acc[node.feature] += (node.n / t.n) * node.decrease
+    acc = np.array(acc)
     total = acc.sum()
     if total > 0.0:
         acc = acc / total

@@ -20,6 +20,7 @@ from weldlab.cart import (
     _key_ids,
     _leaf_values,
     _padded,
+    _preorder,
     _route,
     _route_records,
     _setting_codes,
@@ -929,6 +930,28 @@ class TestPredictTree:
         x[at] = bad
         with pytest.raises(ValueError, match=f"feature {at} must be finite"):
             predict_tree(fit_regression_tree(builtin), x)
+
+
+class TestPreorder:
+    def test_root_first_left_before_right_with_depths(self):
+        a, b, c, d, e = (Leaf(value=float(v), n=1) for v in range(5))
+        inner = Internal(0, 1.5, 1.0, 2, c, d)
+        right = Internal(1, 2.5, 1.0, 3, inner, e)
+        left = Internal(2, 0.5, 1.0, 2, a, b)
+        root = Internal(0, 3.5, 1.0, 5, left, right)
+        assert list(_preorder(root)) == [
+            (root, 0), (left, 1), (a, 2), (b, 2), (right, 1), (inner, 2),
+            (c, 3), (d, 3), (e, 2)]
+        assert list(_preorder(a)) == [(a, 0)]
+
+    def test_a_deep_chain_needs_no_recursion(self):
+        """A chain deeper than the recursion limit: each split's right
+        child is the next split."""
+        t = Leaf(value=0.0, n=1)
+        for i in range(3000):
+            t = Internal(i % 3, float(i), 1.0, i + 2, Leaf(value=1.0, n=1), t)
+        assert [depth for node, depth in _preorder(t)][-2:] == [3000, 3000]
+        assert count_nodes(t) == (3000, 3001)
 
 
 class TestExportTree:
