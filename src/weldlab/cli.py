@@ -15,6 +15,7 @@ stage that the subcommand prints failed (nothing is written to stdout).
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .pipeline import FORMATS, RunConfig, render, report_json, report_text, run_pipeline
@@ -142,5 +143,12 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The `weldlab` command: `main` in a process whose import-time heap is
+    frozen, so that exit does not collect over it."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -1,9 +1,15 @@
+import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weldlab.cli
 import weldlab.ensemble
-from weldlab.cli import EXIT_ALL_FAILED, EXIT_IO, EXIT_OK, main
+from weldlab.cli import EXIT_ALL_FAILED, EXIT_IO, EXIT_OK, main, run
 from weldlab.dataset import Dataset, builtin_aa6262, write_csv
 
 
@@ -211,3 +217,33 @@ class TestDeterminismViaCli:
             capsys, "report", "--trees", "20", "--seed", "9", "--format", "json"
         )
         assert out1 == out2
+
+
+class TestEntryPoint:
+    """`run`, the `weldlab` command, freezes the import-time heap before
+    `main`; `main`, which tests call in process, does not."""
+
+    def test_run_freezes_then_exits_with_the_code_of_main(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(weldlab.cli, "main",
+                            lambda: calls.append("main") or EXIT_ALL_FAILED)
+        with pytest.raises(SystemExit) as exit_:
+            run()
+        assert exit_.value.code == EXIT_ALL_FAILED
+        assert calls == ["freeze", "main"]
+
+    def test_main_leaves_the_heap_unfrozen(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert run_cli(capsys, "fit", "--trees", "5")[0] == EXIT_OK
+        assert gc.get_freeze_count() == frozen
+
+    def test_a_module_process_prints_what_main_prints(self, capsys):
+        argv = ["report", "--format", "json"]
+        code, out, _ = run_cli(capsys, *argv)
+        src = str(Path(weldlab.cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-m", "weldlab.cli", *argv],
+                              capture_output=True, env=env)
+        assert (proc.returncode, proc.stdout) == (code, out.encode())
