@@ -768,12 +768,11 @@ class TestOneTreeWalk:
             assert tree_arity(t) == arity_recursion(t)
             assert count_nodes(t) == count_recursion(t)
             assert weldlab.cart.export_tree(t) == text_recursion(t)
-            if arity_recursion(t) <= 3:
-                assert weldlab.cart.export_tree(
-                    t, "text", Dataset.FACTOR_NAMES) == text_recursion(
-                        t, Dataset.FACTOR_NAMES)
-        n_features = (arity_recursion(model) if len(trees) == 1 and model is trees[0]
-                      else model.n_features)
+            assert weldlab.cart.export_tree(
+                t, "text", Dataset.FACTOR_NAMES) == text_recursion(
+                    t, Dataset.FACTOR_NAMES)
+        n_features = (model.n_features if hasattr(model, "n_features")
+                      else arity_recursion(model))
         got = feature_importance(model).scores
         assert [v.hex() for v in got] == [
             float(v).hex() for v in importance_recursion(trees, n_features)]
