@@ -1,21 +1,26 @@
 """Deterministic 64-bit PRNG used for every random choice in the package.
 
-All shuffles, bootstrap draws, and feature subsets flow from SplitMix64 so
-that golden files reproduce bit-for-bit on any platform and any numpy
-version.  The generator is defined entirely by the three constants below
-(Steele, Lea & Flood's finalizer); see README for the contract.
+All shuffles, bootstrap draws, and feature subsets flow from SplitMix64,
+whose draws are exact 64-bit integer arithmetic, the same on any platform
+under numpy 2 (a report still takes its S/N ratios and p-values from the C
+library's math functions; see README for the contract).  The generator is
+defined entirely by the three constants below (Steele, Lea & Flood's
+finalizer), and no other module uses them.
 
-A *lane* is one SplitMix64 stream held as one entry of a ``uint64`` state
-array, so that many streams draw in one vectorized step: draw k of the
-stream seeded s is ``mix64(s + k * GOLDEN_GAMMA)``, whether it comes from a
-`SplitMix64` or a lane (Salmon et al., "Parallel random numbers: as easy as
-1, 2, 3", SC 2011).  `lane_subsets` draws a node's feature subset on many
-lanes at once, each lane making the draws of `SplitMix64.next_below` that a
+Draw k of the stream seeded s is ``mix64(s + k * GOLDEN_GAMMA)``, which is
+``derive_seed(s, k - 1)`` (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC 2011).  A *lane* is one stream held as one entry of
+a ``uint64`` state array, so that many streams draw in one vectorized
+step.  `lane_subsets` draws a node's feature subset on many lanes at
+once, each lane making the draws of `SplitMix64.next_below` that a
 sequential stream would make, and `lane_skip_subsets` makes the same draws
 without building the subsets.
 """
 
 from __future__ import annotations
+
+import functools
+import struct
 
 import numpy as np
 
@@ -34,15 +39,17 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def derive_seed(seed: int, *streams: int) -> int:
+def derive_seed(seed, *streams):
     """Derive a child seed from (seed, stream indices), order-sensitive.
+    Each is an int or a ``uint64`` array (a numpy scalar warns when it
+    wraps), and arrays broadcast.
 
     Used to give each tree / fold its own independent stream, so the order
     in which they are computed cannot change results.
     """
     z = seed & MASK64
     for s in streams:
-        z = mix64((z + GOLDEN_GAMMA * ((s & MASK64) + 1)) & MASK64)
+        z = mix64(z + (GOLDEN_GAMMA * ((s & MASK64) + 1) & MASK64))
     return z
 
 
@@ -71,6 +78,33 @@ class SplitMix64:
         for i in range(len(items) - 1, 0, -1):
             j = self.next_below(i + 1)
             items[i], items[j] = items[j], items[i]
+
+
+@functools.lru_cache(maxsize=32)  # the few sizes of one design and its folds
+def _packing(n: int):
+    """`_first_below`'s constants for n fields of 128 bits: the ones, the mask
+    of each low half, the steps, the low halves' unpacker and the limit."""
+    fields = struct.Struct("<" + "Q8x" * n)
+    ones = int.from_bytes(fields.pack(*[1] * n), "little")
+    steps = [(k + 1) * GOLDEN_GAMMA & MASK64 for k in range(n)]
+    return (ones, MASK64 * ones, int.from_bytes(fields.pack(*steps), "little"),
+            fields.unpack, 2**64 // n * n)
+
+
+def _first_below(n: int, seed: int) -> list[int]:
+    """The first n ``next_below(n)`` draws of ``SplitMix64(seed)``, as one
+    `mix64` on one int: draw k in the low half of 128-bit field k - 1, where
+    a product fits, and each shift's spill from the next field masked off."""
+    ones, mask, steps, unpack, limit = _packing(n)
+    z = (seed * ones + steps) & mask
+    z = ((z ^ (z >> 30 & mask)) * MIX_MUL_1) & mask
+    z = ((z ^ (z >> 27 & mask)) * MIX_MUL_2) & mask
+    # The last shift's spill lands in the high halves, which unpack skips.
+    draws = unpack((z ^ (z >> 31)).to_bytes(16 * n, "little"))
+    if max(draws) >= limit:  # next_below would reject one (rare)
+        rng = SplitMix64(seed)
+        return [rng.next_below(n) for _ in range(n)]
+    return [r % n for r in draws]
 
 
 def _lane_draws(lanes: np.ndarray, which: np.ndarray) -> np.ndarray:

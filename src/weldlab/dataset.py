@@ -15,16 +15,14 @@ Every number that enters weldlab passes one of two checks, `_integer` or
 from __future__ import annotations
 
 import csv
-import functools
 import numbers
-import struct
 import sys
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from ._rng import GOLDEN_GAMMA, MASK64, MIX_MUL_1, MIX_MUL_2, SplitMix64, mix64
+from ._rng import SplitMix64, _first_below, derive_seed
 
 CSV_COLUMNS = ("rpm", "traverse_mm_min", "plan_depth_mm", "hardness")
 
@@ -311,62 +309,31 @@ def kfold_plan(n: int, k: int, seed: int) -> FoldPlan:
     return FoldPlan(k=k, assignments=tuple(assignments))
 
 
-@functools.lru_cache(maxsize=32)  # the few sizes of one design and its folds
-def _packing(n: int):
-    """`bootstrap_indices`'s constants for n fields of 128 bits: the ones, the
-    mask of each low half, the steps, the low halves' unpacker and the limit."""
-    fields = struct.Struct("<" + "Q8x" * n)
-    ones = int.from_bytes(fields.pack(*[1] * n), "little")
-    steps = [(k + 1) * GOLDEN_GAMMA & MASK64 for k in range(n)]
-    return (ones, MASK64 * ones, int.from_bytes(fields.pack(*steps), "little"),
-            fields.unpack, 2**64 // n * n)
-
-
 def bootstrap_indices(n: int, seed: int) -> list[int]:
-    """n indices drawn uniformly with replacement from [0, n), seeded.
-
-    Equals ``next_below(n)`` called n times on one ``SplitMix64(seed)``.
-    Draw k is ``mix64(seed + k * GOLDEN_GAMMA)``, so all n are one `mix64` on
-    one int, draw k in the low half of 128-bit field k - 1: a 64-bit product
-    fits a field, and each shift's spill from the next field is masked off.
-    If `next_below` would reject a draw (rare), the stream draws in turn.
-    """
+    """n indices drawn uniformly with replacement from [0, n), seeded: equal
+    to ``next_below(n)`` called n times on one ``SplitMix64(seed)``."""
     n = n if type(n) is int else _integer(n, "n")  # skip it for an int
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if type(seed) is not int or not 0 <= seed <= MASK64:  # skip it for an int in range
+    if type(seed) is not int or not 0 <= seed < 2**64:  # skip it for an int in range
         seed = _integer(seed, "seed", 0, 2**64)
-    ones, mask, steps, unpack, limit = _packing(n)
-    z = (seed * ones + steps) & mask
-    z = ((z ^ (z >> 30 & mask)) * MIX_MUL_1) & mask
-    z = ((z ^ (z >> 27 & mask)) * MIX_MUL_2) & mask
-    # The last shift's spill lands in the high halves, which unpack skips.
-    draws = unpack((z ^ (z >> 31)).to_bytes(16 * n, "little"))
-    if max(draws) >= limit:
-        rng = SplitMix64(seed)
-        return [rng.next_below(n) for _ in range(n)]
-    return [r % n for r in draws]
+    return _first_below(n, seed)
 
 
 def lane_bootstraps(n: int, seeds) -> np.ndarray:
     """Row t is ``bootstrap_indices(n, seeds[t])``, as a (len(seeds), n)
-    ``np.intp`` array.
-
-    Draw k (from 1) of the stream seeded s is ``mix64(s + k * GOLDEN_GAMMA)``
-    (see `_rng`), so the first n draws of every seed come from one
-    ``uint64`` array expression, wrapping mod 2^64.  A seed with a draw among
-    them that `next_below` would reject, which is rare, is redone by
-    `bootstrap_indices`.
+    ``np.intp`` array, every seed's first n draws from one `derive_seed`
+    call.  A seed with a draw among them that `next_below` would reject,
+    which is rare, is redone by `bootstrap_indices`.
     """
     n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     seeds = np.array([_integer(s, "seed", 0, 2**64) for s in seeds], np.uint64)
-    steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
-    draws = mix64(seeds[:, None] + steps)
+    draws = derive_seed(seeds[:, None], np.arange(n, dtype=np.uint64))
     rows = (draws % np.uint64(n)).astype(np.intp)
     limit = (2**64 // n) * n
-    if limit <= MASK64:  # a power-of-two n rejects nothing
+    if limit < 2**64:  # a power-of-two n rejects nothing
         for t in np.flatnonzero((draws >= limit).any(axis=1)).tolist():
             rows[t] = bootstrap_indices(n, int(seeds[t]))
     return rows

@@ -23,7 +23,7 @@ the tree's preorder stack, so the trees grow in lockstep.  Each tree's
 stream is a lane of one ``uint64`` state array, and a round draws the
 subsets of all its nodes at once; since each tree pops its nodes in
 preorder, its lane draws them in the order of a preorder recursion over
-that tree.  Its bootstrap comes from the same lane arithmetic
+that tree.  Its bootstrap comes from one `derive_seed` array call
 (`lane_bootstraps`).  In lockstep only the trees of models that the caller
 gets back become `Leaf` and `Internal` objects, and a fold forest predicts
 its held-out runs from the records; the pipeline's final forest predicts
@@ -50,7 +50,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from ._rng import GOLDEN_GAMMA, derive_seed, mix64
+from ._rng import derive_seed
 from .cart import (
     Internal,
     Leaf,
@@ -223,10 +223,8 @@ def _fit_models(X, y, fits, spec: ModelSpec, train: bool = False) -> list:
             config=cfg,
         )
 
-    # derive_seed(s, t) is mix64(s + (t + 1) * GOLDEN_GAMMA): every fit's tree
-    # seeds, and their lane seeds ``derive_seed(ts, 1)``, in uint64 arithmetic.
-    steps = np.arange(1, T + 2, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
-    seeds = mix64(np.array([[s] for _, s, _ in fits], np.uint64) + steps[:T])
+    fit_seeds = np.array([s for _, s, _ in fits], np.uint64)
+    seeds = derive_seed(fit_seeds[:, None], np.arange(T, dtype=np.uint64))
     tree_seeds = [tuple(row) for row in seeds.tolist()]  # per fit
     roots = [
         np.broadcast_to(ids, (T, ids.size)) if not spec.bootstrap
@@ -236,7 +234,7 @@ def _fit_models(X, y, fits, spec: ModelSpec, train: bool = False) -> list:
     ]
     keyed = m == n_features  # no node draws, so no tree needs its stream
     rec, keys, root_ids = _grow_forests(
-        X, y, roots, cfg, None if keyed else mix64(seeds + steps[1]).ravel(), m)
+        X, y, roots, cfg, None if keyed else derive_seed(seeds, 1).ravel(), m)
     if keyed:
         # The distinct roots, one per key, are the first records.
         memo = dict(zip(keys, _build_trees(rec, np.arange(rec.n.size))))

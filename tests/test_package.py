@@ -65,6 +65,29 @@ def test_every_private_helper_is_used():
             if used[d.name] == _references(d)[d.name]] == []
 
 
+_GENERATOR = {"GOLDEN_GAMMA", "MIX_MUL_1", "MIX_MUL_2", "MASK64", "mix64"}
+
+
+def test_only_rng_names_the_generator():
+    """`_rng` owns SplitMix64: every other module draws and derives seeds
+    through it, and none names the generator's constants or its finalizer,
+    so the arithmetic that fixes every random choice is written once."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "_rng.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names]
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                names = [node.id if isinstance(node, ast.Name) else node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}"
+                      for name in names if name in _GENERATOR]
+    assert found == []
+
+
 _BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
 
 

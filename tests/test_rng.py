@@ -8,7 +8,14 @@ grown alone would draw (`conftest.sample_subset`, one stream at a time).
 import numpy as np
 import pytest
 
-from weldlab._rng import MASK64, SplitMix64, lane_skip_subsets, lane_subsets, mix64
+from weldlab._rng import (
+    MASK64,
+    SplitMix64,
+    derive_seed,
+    lane_skip_subsets,
+    lane_subsets,
+    mix64,
+)
 from weldlab.dataset import bootstrap_indices
 
 from conftest import lane_draws, rejecting_seed, sample_subset, unmix64
@@ -34,6 +41,41 @@ class TestMix64OverArrays:
         got = mix64(np.array(words, dtype=np.uint64))
         assert got.dtype == np.uint64
         assert got.tolist() == [mix64(z) for z in words]
+
+
+class TestDeriveSeedOverArrays:
+    """`derive_seed` of ``uint64`` arrays equals its int form entry by
+    entry, wrapping mod 2^64 where ints are reduced."""
+
+    SEEDS = [0, 1, 2**63, MASK64]
+
+    @pytest.mark.parametrize("streams", [(0,), (1,), (MASK64,), (7, 1)])
+    def test_seed_arrays_with_int_streams(self, streams):
+        got = derive_seed(np.array(self.SEEDS, np.uint64), *streams)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [derive_seed(s, *streams) for s in self.SEEDS]
+
+    def test_seed_and_stream_arrays_broadcast(self):
+        streams = list(range(5)) + [MASK64]
+        got = derive_seed(np.array(self.SEEDS, np.uint64)[:, None],
+                          np.array(streams, np.uint64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [[derive_seed(s, t) for t in streams]
+                                for s in self.SEEDS]
+        assert derive_seed(got, 1).tolist() == [
+            [derive_seed(s, t, 1) for t in streams] for s in self.SEEDS]
+
+    def test_int_seed_with_a_stream_array(self):
+        streams = [0, 1, 2**63, MASK64]
+        for seed in self.SEEDS:
+            got = derive_seed(seed, np.array(streams, np.uint64))
+            assert got.tolist() == [derive_seed(seed, t) for t in streams]
+
+    def test_draw_k_is_derive_seed_of_k_minus_1(self):
+        for seed in self.SEEDS:
+            rng = SplitMix64(seed)
+            assert [rng.next_u64() for _ in range(4)] == [
+                derive_seed(seed, k - 1) for k in range(1, 5)]
 
 
 class TestLaneSubsets:
