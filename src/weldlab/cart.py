@@ -60,16 +60,14 @@ class SplitPartition:
 
     @classmethod
     def from_label_groups(cls, groups: Sequence[Sequence]) -> "SplitPartition":
-        all_labels = [lab for g in groups for lab in g]
-        keys = sorted(set(all_labels))
-        parent = ClassDistribution(
-            counts=tuple(Counter(all_labels)[k] for k in keys)
+        parent = Counter(lab for g in groups for lab in g)
+        children = [Counter(g) for g in groups]
+        keys = sorted(parent)
+        return cls(
+            parent=ClassDistribution(counts=tuple(parent[k] for k in keys)),
+            children=tuple(ClassDistribution(counts=tuple(c[k] for k in keys))
+                           for c in children),
         )
-        children = tuple(
-            ClassDistribution(counts=tuple(Counter(g)[k] for k in keys))
-            for g in groups
-        )
-        return cls(parent=parent, children=children)
 
 
 def entropy(dist: ClassDistribution) -> float:
