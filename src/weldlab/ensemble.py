@@ -542,8 +542,8 @@ def model_from_json(text: str) -> EnsembleModel:
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError("not a weldlab model document")
-    if doc.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {doc.get('version')}")
+    if _integer(doc.get("version"), "model version") != MODEL_VERSION:
+        raise ValueError(f"unsupported model version {doc['version']}")
     kind, config, n_features, seed, trees = _fields(
         doc, "the model", ("kind", "config", "n_features", "seed", "trees"))
     cfg = TreeConfig(*_fields(config, "config",

@@ -1543,11 +1543,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match="not a weldlab model document"):
             model_from_json(text)
 
-    def test_version_checked(self):
+    def test_version_checked(self, builtin):
         with pytest.raises(ValueError):
             model_from_json('{"format": "weldlab.model", "version": 99}')
         with pytest.raises(ValueError):
             model_from_json('{"format": "other"}')
+        # JSON's true and 1.0 equal 1 in Python, but are no version number.
+        doc = json.loads(model_to_json(fit_random_forest(builtin, trees=2, seed=0)))
+        model_from_json(json.dumps(doc))
+        for version in (True, 1.0):
+            with pytest.raises(ValueError, match="model version"):
+                model_from_json(json.dumps({**doc, "version": version}))
 
 
 class TestBuildTreeRngConsumption:
