@@ -65,18 +65,6 @@ class TestDeriveSeedOverArrays:
         assert derive_seed(got, 1).tolist() == [
             [derive_seed(s, t, 1) for t in streams] for s in self.SEEDS]
 
-    def test_int_seed_with_a_stream_array(self):
-        streams = [0, 1, 2**63, MASK64]
-        for seed in self.SEEDS:
-            got = derive_seed(seed, np.array(streams, np.uint64))
-            assert got.tolist() == [derive_seed(seed, t) for t in streams]
-
-    def test_draw_k_is_derive_seed_of_k_minus_1(self):
-        for seed in self.SEEDS:
-            rng = SplitMix64(seed)
-            assert [rng.next_u64() for _ in range(4)] == [
-                derive_seed(seed, k - 1) for k in range(1, 5)]
-
 
 class TestLaneSubsets:
     @pytest.mark.parametrize("n, k", [(3, 1), (3, 2), (3, 3), (5, 2), (9, 4), (1, 1)])
