@@ -174,6 +174,19 @@ class TestLoadCsv:
         assert len(d) == 2
         assert d.runs[1].rpm == 1000.0
 
+    def test_columns_in_any_order(self, builtin, tmp_path):
+        """Each cell is read under its header's name, not its position."""
+        plain = tmp_path / "plain.csv"
+        write_csv(builtin, plain)
+        header, *rows = (line.split(",") for line in plain.read_text().splitlines())
+        order = [header.index(name) for name in
+                 "hardness,plan_depth_mm,rpm,traverse_mm_min".split(",")]
+        permuted = tmp_path / "permuted.csv"
+        permuted.write_text("".join(",".join(cells[i] for i in order) + "\n"
+                                    for cells in [header, *rows]))
+        assert permuted.read_text().startswith("hardness,plan_depth_mm,rpm,")
+        assert load_csv(permuted).runs == builtin_aa6262().runs
+
     def test_single_row_insufficient(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text(

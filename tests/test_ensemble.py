@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import tracemalloc
@@ -1536,6 +1537,39 @@ class TestSerialization:
         doc = json.loads(model_to_json(model))
         edit(doc)
         with pytest.raises(ValueError, match=match):
+            model_from_json(json.dumps(doc))
+
+    @staticmethod
+    def _document(builtin, kind) -> dict:
+        model = (fit_random_forest(builtin, trees=2, seed=1) if kind == "rf"
+                 else fit_gbm(builtin, rounds=3))
+        return json.loads(model_to_json(model))
+
+    @pytest.mark.parametrize("kind, name", [
+        ("rf", "kind"),
+        *(("rf", name) for name in ForestModel._fields),
+        # a boosted model's stages are saved under "trees"
+        *(("gbm", "trees" if name == "stages" else name)
+          for name in BoostModel._fields),
+    ])
+    def test_each_missing_model_field_named(self, builtin, kind, name):
+        doc = self._document(builtin, kind)
+        del doc[name]
+        with pytest.raises(ValueError, match=f"^the model lacks '{name}'$"):
+            model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("kind", ["rf", "gbm"])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(TreeConfig)])
+    def test_each_missing_config_field_named(self, builtin, kind, name):
+        doc = self._document(builtin, kind)
+        del doc["config"][name]
+        with pytest.raises(ValueError, match=f"^config lacks '{name}'$"):
+            model_from_json(json.dumps(doc))
+
+    def test_unknown_kind_rejected(self, builtin):
+        doc = self._document(builtin, "rf")
+        doc["kind"] = "xgb"
+        with pytest.raises(ValueError, match="^unknown model kind 'xgb'$"):
             model_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("text", ["[]", "[1, 2]", '"weldlab.model"', "3"])
