@@ -186,7 +186,7 @@ def load_csv(path) -> Dataset:
         repeated = [c for c in CSV_COLUMNS if header.count(c) > 1]
         if repeated:
             raise SchemaError(f"repeated column(s): {', '.join(repeated)}")
-        pos = {c: header.index(c) for c in CSV_COLUMNS}
+        pos = [header.index(c) for c in CSV_COLUMNS]
 
         runs = []
         for rownum, row in enumerate(reader, start=1):
@@ -197,22 +197,15 @@ def load_csv(path) -> Dataset:
                     f"row {rownum}: {len(row)} cells but the header has "
                     f"{len(header)} columns"
                 )
-            values = {}
-            for col in CSV_COLUMNS:
-                cell = row[pos[col]].strip() if pos[col] < len(row) else ""
+            cells = []  # in CSV_COLUMNS order, which is Run's field order
+            for col, i in zip(CSV_COLUMNS, pos):
+                cell = row[i].strip() if i < len(row) else ""
                 try:
-                    values[col] = float(cell)
+                    cells.append(float(cell))
                 except ValueError:
                     raise CsvParseError(rownum, col, cell) from None
             try:
-                runs.append(
-                    Run(
-                        rpm=values["rpm"],
-                        traverse=values["traverse_mm_min"],
-                        depth=values["plan_depth_mm"],
-                        hardness=values["hardness"],
-                    )
-                )
+                runs.append(Run(*cells))
             except ValueError as exc:
                 raise ValueError(f"row {rownum}: {exc}") from None
     if len(runs) < 2:

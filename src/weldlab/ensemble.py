@@ -536,7 +536,9 @@ def model_to_json(model: EnsembleModel) -> str:
 
 
 def model_from_json(text: str) -> EnsembleModel:
-    """Parse a model document; every split feature is checked here, once, so
+    """Parse a model document into the type that its ``kind`` names, every
+    field of that type read back under its own name (a boosted model's
+    `stages` under ``trees``); every split feature is checked here, once, so
     prediction can route rows without re-walking each tree.  A malformed
     document raises a ValueError."""
     doc = json.loads(text)
@@ -544,52 +546,40 @@ def model_from_json(text: str) -> EnsembleModel:
         raise ValueError("not a weldlab model document")
     if _integer(doc.get("version"), "model version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {doc['version']}")
-    kind, config, n_features, seed, trees = _fields(
-        doc, "the model", ("kind", "config", "n_features", "seed", "trees"))
-    cfg = TreeConfig(*_fields(config, "config",
-                              [f.name for f in fields(TreeConfig)]))
-    n_features = _integer(n_features, "n_features", 1)
-    trees = tuple(_node_from_dict(t, n_features)
-                  for t in _list(trees, "trees"))
+    kind, = _fields(doc, "the model", ["kind"])
+    if kind not in ("rf", "gbm"):
+        raise ValueError(f"unknown model kind {kind!r}")
+    cls, trees_field = ((ForestModel, "trees") if kind == "rf"
+                        else (BoostModel, "stages"))
+    values = dict(zip(cls._fields, _fields(doc, "the model", [
+        "trees" if name == trees_field else name for name in cls._fields])))
+    values["config"] = TreeConfig(*_fields(values["config"], "config",
+                                           [f.name for f in fields(TreeConfig)]))
+    n_features = values["n_features"] = _integer(values["n_features"], "n_features", 1)
+    trees = values[trees_field] = tuple(
+        _node_from_dict(t, n_features) for t in _list(values[trees_field], "trees"))
     if kind == "rf":
-        m, bootstrap, tree_seeds = _fields(
-            doc, "the model", ("m", "bootstrap", "tree_seeds"))
         if not trees:
             raise ValueError("a forest needs at least one tree")
-        if len(_list(tree_seeds, "tree_seeds")) != len(trees):
-            raise ValueError(f"tree_seeds has {len(tree_seeds)} entries "
+        if len(_list(values["tree_seeds"], "tree_seeds")) != len(trees):
+            raise ValueError(f"tree_seeds has {len(values['tree_seeds'])} entries "
                              f"for {len(trees)} trees")
-        spec = ModelSpec(kind="rf", m=m, bootstrap=bootstrap, seed=seed)
-        if spec.m is None or spec.m > n_features:
-            raise ValueError(f"m must be in [1, {n_features}], got {m!r}")
-        return ForestModel(
-            trees=trees,
-            tree_seeds=tuple(_integer(v, "tree seed", 0, 2**64)
-                             for v in tree_seeds),
-            n_features=n_features,
-            m=spec.m,
-            bootstrap=spec.bootstrap,
-            seed=spec.seed,
-            config=cfg,
-        )
-    if kind == "gbm":
-        f0, nu, lam, train_mse = _fields(
-            doc, "the model", ("f0", "nu", "lam", "train_mse"))
-        if len(_list(train_mse, "train_mse")) != len(trees) + 1:
-            raise ValueError(f"train_mse has {len(train_mse)} entries for "
-                             f"{len(trees)} stages; it needs stages + 1")
-        spec = ModelSpec(kind="gbm", nu=nu, lam=lam, seed=seed)
-        return BoostModel(
-            f0=float(_real(f0, "f0")),
-            stages=trees,
-            nu=spec.nu,
-            lam=spec.lam,
-            n_features=n_features,
-            seed=spec.seed,
-            config=cfg,
-            train_mse=tuple(float(_real(v, "train_mse entry")) for v in train_mse),
-        )
-    raise ValueError(f"unknown model kind {kind!r}")
+        values["tree_seeds"] = tuple(_integer(v, "tree seed", 0, 2**64)
+                                     for v in values["tree_seeds"])
+    else:
+        if len(_list(values["train_mse"], "train_mse")) != len(trees) + 1:
+            raise ValueError(f"train_mse has {len(values['train_mse'])} entries "
+                             f"for {len(trees)} stages; it needs stages + 1")
+        values["f0"] = float(_real(values["f0"], "f0"))
+        values["train_mse"] = tuple(float(_real(v, "train_mse entry"))
+                                    for v in values["train_mse"])
+    # the fields that ModelSpec checks too; its `trees` is a count
+    settings = [name for name in cls._fields
+                if name != "trees" and name in ModelSpec.__dataclass_fields__]
+    spec = ModelSpec(kind, **{name: values[name] for name in settings})
+    if kind == "rf" and (spec.m is None or spec.m > n_features):
+        raise ValueError(f"m must be in [1, {n_features}], got {values['m']!r}")
+    return cls(**{**values, **{name: getattr(spec, name) for name in settings}})
 
 
 def save_model(model: EnsembleModel, path) -> None:
