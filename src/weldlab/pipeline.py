@@ -79,8 +79,6 @@ class RunConfig:
             raise ValueError("exactly one input source (CSV path or builtin)")
         if self.builtin is not None and self.builtin != "aa6262":
             raise ValueError(f"unknown builtin dataset {self.builtin!r}")
-        if self.model not in ("rf", "gbm"):
-            raise ValueError("model must be 'rf' or 'gbm'")
         if self.criterion not in CRITERIA:
             raise ValueError(
                 f"criterion must be one of {CRITERIA}, got {self.criterion!r}"
@@ -348,8 +346,13 @@ def report_json(doc: ReportDocument) -> str:
 
 
 def _input_label(cfg: RunConfig) -> str:
-    """The report's name of the input: its CSV path, or 'builtin:<name>'."""
-    return cfg.input_path or f"builtin:{cfg.builtin}"
+    """The report's name of the input: 'builtin:<name>', or its CSV path,
+    written './builtin:...' if the path itself begins 'builtin:'."""
+    if cfg.input_path is None:
+        return f"builtin:{cfg.builtin}"
+    if cfg.input_path.startswith("builtin:"):
+        return "./" + cfg.input_path
+    return cfg.input_path
 
 
 def report_text(doc: ReportDocument) -> str:

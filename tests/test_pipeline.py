@@ -9,7 +9,7 @@ import weldlab.cart
 import weldlab.ensemble
 import weldlab.pipeline
 from weldlab.cli import main
-from weldlab.dataset import builtin_aa6262, write_csv
+from weldlab.dataset import Dataset, builtin_aa6262, write_csv
 from weldlab.pipeline import (
     ReportDocument,
     RunConfig,
@@ -50,6 +50,10 @@ class TestRunConfig:
         RunConfig(cv="k:3")
         RunConfig(cv="k:10")
         RunConfig(cv="loo")
+
+    def test_unknown_model_named(self):
+        with pytest.raises(ValueError, match="'xgb'"):
+            RunConfig(model="xgb")
 
     @pytest.mark.parametrize(
         "bad",
@@ -315,6 +319,19 @@ class TestReplayRecord:
         again = run_pipeline(replay)
         assert report_json(again) == report_json(doc)
         assert report_text(again) == report_text(doc)
+
+    def test_csv_named_like_a_builtin_replays_as_that_csv(self, tmp_path,
+                                                         monkeypatch):
+        """A CSV path that begins 'builtin:' is still a file, not the
+        embedded dataset."""
+        monkeypatch.chdir(tmp_path)
+        runs = builtin_aa6262().runs
+        write_csv(Dataset(tuple(dataclasses.replace(r, hardness=r.hardness + 1.0)
+                                for r in runs)), "builtin:aa6262")
+        doc = run_pipeline(RunConfig(input_path="builtin:aa6262", builtin=None,
+                                     trees=20))
+        replay = config_from_report(json.loads(report_json(doc))["config"])
+        assert report_json(run_pipeline(replay)) == report_json(doc)
 
     def test_config_block_is_every_field(self, default_doc):
         """A field added to `RunConfig` is echoed without a writer change."""
