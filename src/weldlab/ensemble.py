@@ -579,7 +579,8 @@ def model_from_json(text: str) -> EnsembleModel:
     spec = ModelSpec(kind, **{name: values[name] for name in settings})
     if kind == "rf" and (spec.m is None or spec.m > n_features):
         raise ValueError(f"m must be in [1, {n_features}], got {values['m']!r}")
-    return cls(**{**values, **{name: getattr(spec, name) for name in settings}})
+    values.update((name, getattr(spec, name)) for name in settings)
+    return cls(**values)
 
 
 def save_model(model: EnsembleModel, path) -> None:
